@@ -39,15 +39,19 @@ from typing import IO, Callable, Iterator, Tuple, Union
 
 import numpy as np
 
-from repro.cloud.cloud import BATCHED_KERNELS, FrustrationCloud
-from repro.core.balancer import balance
-from repro.errors import CheckpointError, EngineError, ReproError
+from repro.cloud.cloud import (
+    FrustrationCloud,
+    balanced_states,
+    check_batched_kernel,
+)
+from repro.errors import CheckpointError, ReproError
 from repro.graph.csr import SignedGraph
 
 # Canonical fingerprint lives with the on-disk graph store so that
 # checkpoints, store files, and in-memory graphs all hash identically;
 # re-exported here for backward compatibility.
 from repro.graph.store import graph_fingerprint
+from repro.harary.bipartition import sides_from_sign_to_root
 from repro.perf.journal import journal_event
 from repro.perf.registry import get_registry
 from repro.perf.tracing import span
@@ -665,11 +669,7 @@ def resume_cloud(
     swaps_per_state = params["swaps_per_state"]
     if batch_size < 1:
         raise ReproError("batch_size must be positive")
-    if method != "swap" and batch_size > 1 and kernel not in BATCHED_KERNELS:
-        raise EngineError(
-            f"kernel {kernel!r} has no batched implementation; use "
-            f"batch_size=1 or one of {BATCHED_KERNELS}"
-        )
+    check_batched_kernel(method, kernel, batch_size)
     if target_states < cloud.num_states:
         raise ReproError(
             f"cloud already has {cloud.num_states} states > target {target_states}"
@@ -690,31 +690,16 @@ def resume_cloud(
         cloud.graph, method=method, seed=frozen,
         swaps_per_state=swaps_per_state,
     )
-    start = cloud.num_states
-    while start < target_states:
-        count = min(max(batch_size, 1), target_states - start)
-        if method == "swap":
-            # Chain states are a pure function of (seed, index), so a
-            # resume re-enters the chain at index `start` and replays at
-            # most segment_length - 1 states to reach it — the states
-            # produced are exactly the uninterrupted campaign's.
-            from repro.harary.bipartition import sides_from_sign_to_root
-
-            signs, s2r = sampler.swap_states(count, start=start)
-            cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-        elif count == 1:
-            cloud.add_result(
-                balance(cloud.graph, sampler.tree(start), kernel=kernel)
-            )
-        else:
-            from repro.core.parity_batch import balance_batch
-            from repro.harary.bipartition import sides_from_sign_to_root
-
-            batch = sampler.batch(count, start=start)
-            signs, s2r = balance_batch(cloud.graph, batch)
-            cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-        start += count
-        writer.step(cloud, count)
+    # Swap-chain states are a pure function of (seed, index), so a
+    # resume re-enters the chain at the cloud's next index and replays
+    # at most segment_length - 1 states to reach it — the states
+    # produced are exactly the uninterrupted campaign's.
+    for signs, s2r in balanced_states(
+        cloud.graph, sampler, range(cloud.num_states, target_states),
+        kernel=kernel, batch_size=batch_size,
+    ):
+        cloud.add_batch(signs, sides_from_sign_to_root(s2r))
+        writer.step(cloud, len(signs))
     if checkpoint_path is not None:
         writer.final(cloud)
     cloud.campaign_meta = meta

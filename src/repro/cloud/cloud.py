@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Iterator
 
 import numpy as np
 
 from repro.core.balancer import balance
+from repro.core.cycles_vectorized import sign_to_root
+from repro.core.parity_batch import balance_batch
 from repro.core.state import BalanceResult
-from repro.errors import NotBalancedError, ReproError
+from repro.errors import EngineError, NotBalancedError, ReproError
 from repro.graph.csr import SignedGraph
 from repro.harary.bipartition import (
     HararyBipartition,
@@ -38,6 +40,7 @@ from repro.trees.enumeration import all_spanning_trees
 
 __all__ = [
     "FrustrationCloud",
+    "balanced_states",
     "sample_cloud",
     "exact_cloud",
     "auto_batch_size",
@@ -49,6 +52,72 @@ __all__ = [
 #: ``batch_size=1`` (requesting it with a batch raises instead of
 #: silently substituting a different kernel).
 BATCHED_KERNELS = ("lockstep", "parity")
+
+
+def check_batched_kernel(method: str, kernel: str, batch_size: int) -> None:
+    """Raise :class:`~repro.errors.EngineError` for a batch of a kernel
+    outside :data:`BATCHED_KERNELS`.  The swap chain runs no kernel, so
+    any batch size goes with it."""
+    if method != "swap" and batch_size > 1 and kernel not in BATCHED_KERNELS:
+        raise EngineError(
+            f"kernel {kernel!r} has no batched implementation; use "
+            f"batch_size=1 or one of {BATCHED_KERNELS}"
+        )
+
+
+def _no_phase(_name: str) -> contextlib.nullcontext:
+    return contextlib.nullcontext()
+
+
+def balanced_states(
+    graph: SignedGraph,
+    sampler: TreeSampler,
+    indices: range,
+    *,
+    kernel: str = "lockstep",
+    batch_size: int = 1,
+    counters: Counters | None = None,
+    timers: PhaseTimer | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one state producer behind every campaign driver.
+
+    Yields ``(signs (B, m), s2r (B, n))`` for the tree *indices* in
+    order, ``batch_size`` states per chunk: the balanced sign arrays
+    and their sign-to-root vectors.  For a balanced state, sign-to-root
+    is the switching function whose existence is Harary's balance
+    theorem, so drivers read the Harary sides off it in O(n) with
+    :func:`~repro.harary.bipartition.sides_from_sign_to_root`.  The
+    swap chain and the batched parity engine emit both arrays; the
+    per-tree path runs *kernel* on one tree, then one level pass for
+    the state's own sign-to-root.  No kernel flips a tree edge, so
+    that pass needs no labels: only the ``walk`` kernel still runs
+    Alg. 4's labeling, to navigate.  *counters* and *timers* (a legacy
+    :class:`~repro.perf.compat.PhaseTimer`) receive the kernels' work
+    counts and phases.
+    """
+    phase = timers.phase if timers is not None else _no_phase
+    for lo in range(0, len(indices), batch_size):
+        chunk = indices[lo : lo + batch_size]
+        if sampler.method == "swap":
+            with phase("tree_generation"), span("tree_sample"):
+                state = sampler.swap_states(chunk)
+        elif batch_size > 1:
+            with phase("tree_generation"), span("tree_sample"):
+                batch = sampler.batch(chunk, counters=counters)
+            with phase("cycle_processing"), span("parity_kernel"):
+                state = balance_batch(graph, batch, counters=counters)
+        else:
+            with phase("tree_generation"), span("tree_sample"):
+                tree = sampler.tree(chunk[0])
+            result = balance(
+                graph, tree, kernel=kernel,
+                labeling="parallel" if kernel == "walk" else "none",
+                counters=counters, timers=timers,
+            )
+            with phase("harary_and_status"), span("harary"):
+                s2r = sign_to_root(graph, tree, signs=result.signs)
+            state = result.signs[None, :], s2r[None, :]
+        yield state
 
 
 def auto_batch_size(num_vertices: int) -> int:
@@ -159,9 +228,19 @@ class FrustrationCloud:
         self.num_states += 1
         return bip
 
-    def add_result(self, result: BalanceResult) -> HararyBipartition:
-        """Fold a :class:`BalanceResult` into the cloud."""
-        return self.add_signs(result.signs)
+    def add_result(self, result: BalanceResult) -> None:
+        """Fold a :class:`BalanceResult` into the cloud.
+
+        The sides come off the state's sign-to-root along its own tree
+        in O(n) instead of the generic bipartition; :meth:`add_batch`
+        still rejects the state with
+        :class:`~repro.errors.NotBalancedError` when any edge's sign
+        disagrees with them.
+        """
+        s2r = sign_to_root(self.graph, result.tree, signs=result.signs)
+        self.add_batch(
+            result.signs[None, :], sides_from_sign_to_root(s2r)[None, :]
+        )
 
     def add_batch(
         self, signs: np.ndarray, sides: np.ndarray | None = None
@@ -392,10 +471,12 @@ def sample_cloud(
     folds the whole batch into the cloud with matrix reductions.  The
     result is attribute-for-attribute identical to ``batch_size=1``
     with the same seed (the batched sampler is bit-identical per tree
-    index); only the per-state timing/counter breakdown differs, since
-    batching has no labeling phase.  Kernels outside
-    :data:`BATCHED_KERNELS` have no batched implementation and raise
-    when requested with a batch.  ``batch_size="auto"`` picks
+    index); only the per-state timing/counter breakdown differs.
+    Neither engine has a labeling phase unless ``kernel="walk"``: both
+    yield each state with its sign-to-root vector (see
+    :func:`balanced_states`) and read the Harary sides off it in O(n).
+    Kernels outside :data:`BATCHED_KERNELS` have no batched
+    implementation and raise when requested with a batch.  ``batch_size="auto"`` picks
     :func:`auto_batch_size` for the graph.
 
     ``method="swap"`` runs the incremental swap-chain engine
@@ -418,29 +499,15 @@ def sample_cloud(
         raise ReproError("batch_size must be a positive int or 'auto'")
     if swaps_per_state < 1:
         raise ReproError("swaps_per_state must be positive")
-    # The swap chain produces balanced states directly (no kernel runs),
-    # so the batched-kernel restriction only applies to tree methods
-    # that go through the parity engine.
-    if method != "swap" and batch_size > 1 and kernel not in BATCHED_KERNELS:
-        from repro.errors import EngineError
-
-        raise EngineError(
-            f"kernel {kernel!r} has no batched implementation; use "
-            f"batch_size=1 or one of {BATCHED_KERNELS}"
-        )
+    check_batched_kernel(method, kernel, batch_size)
     frozen = freeze_seed(seed)
     sampler = TreeSampler(
         graph, method=method, seed=frozen, swaps_per_state=swaps_per_state
     )
     cloud = FrustrationCloud(graph, store_states=store_states)
-    # Phase timing flows through the metrics registry spans since PR 4;
-    # a legacy PhaseTimer is honoured when a caller passes one, but none
-    # is allocated by default.
-    phase = (
-        timers.phase
-        if timers is not None
-        else (lambda _name: contextlib.nullcontext())
-    )
+    # Phase timing flows through the metrics registry spans; a legacy
+    # PhaseTimer is honoured when a caller passes one.
+    phase = timers.phase if timers is not None else _no_phase
     journal_event(
         "campaign_started",
         driver="sequential",
@@ -477,66 +544,24 @@ def sample_cloud(
             keep=keep_checkpoints,
         )
     with collecting() as metrics, span("campaign"):
-        if method == "swap":
-            # Delta path: the chain emits tree_swap / delta_relabel
-            # spans internally; each state's balanced signs and Harary
-            # sides come straight off the chain's s2r, so there is no
-            # labeling phase and no parity kernel to time.
-            for start in range(0, num_states, batch_size):
-                count = min(batch_size, num_states - start)
-                with phase("tree_generation"), span("tree_sample"):
-                    signs, s2r = sampler.swap_states(count, start=start)
-                with phase("harary_and_status"), span("harary"):
-                    cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-                if writer is not None:
-                    writer.step(cloud, count)
-                if get_journal() is not None:
-                    journal_event(
-                        "convergence",
-                        states=cloud.num_states,
-                        frustration_upper_bound=cloud.frustration_upper_bound(),
-                    )
-        elif batch_size == 1:
-            for i in range(num_states):
-                with phase("tree_generation"), span("tree_sample"):
-                    tree = sampler.tree(i)
-                result = balance(
-                    graph, tree, kernel=kernel, timers=timers,
-                    counters=counters,
+        for signs, s2r in balanced_states(
+            graph, sampler, range(num_states), kernel=kernel,
+            batch_size=batch_size, counters=counters, timers=timers,
+        ):
+            with phase("harary_and_status"), span("harary"):
+                cloud.add_batch(signs, sides_from_sign_to_root(s2r))
+            if writer is not None:
+                writer.step(cloud, len(signs))
+            # Snapshot when this chunk crossed a multiple of snap_every.
+            if (
+                get_journal() is not None
+                and cloud.num_states % snap_every < len(signs)
+            ):
+                journal_event(
+                    "convergence",
+                    states=cloud.num_states,
+                    frustration_upper_bound=cloud.frustration_upper_bound(),
                 )
-                with phase("harary_and_status"), span("harary"):
-                    cloud.add_result(result)
-                if writer is not None:
-                    writer.step(cloud, 1)
-                if get_journal() is not None and (i + 1) % snap_every == 0:
-                    journal_event(
-                        "convergence",
-                        states=cloud.num_states,
-                        frustration_upper_bound=cloud.frustration_upper_bound(),
-                    )
-        else:
-            from repro.core.parity_batch import balance_batch
-
-            for start in range(0, num_states, batch_size):
-                count = min(batch_size, num_states - start)
-                with phase("tree_generation"), span("tree_sample"):
-                    batch = sampler.batch(
-                        count, start=start, counters=counters
-                    )
-                with phase("cycle_processing"), span("parity_kernel"):
-                    signs, s2r = balance_batch(
-                        graph, batch, counters=counters
-                    )
-                with phase("harary_and_status"), span("harary"):
-                    cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-                if writer is not None:
-                    writer.step(cloud, count)
-                if get_journal() is not None:
-                    journal_event(
-                        "convergence",
-                        states=cloud.num_states,
-                        frustration_upper_bound=cloud.frustration_upper_bound(),
-                    )
         get_registry().count("cloud.states_total", num_states)
     # Attach this campaign's own metrics window before the final
     # checkpoint so the v2 payload can embed it.

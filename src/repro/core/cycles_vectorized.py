@@ -50,7 +50,6 @@ def process_cycles_lockstep(
     parent_edge = tree.parent_edge
     signs = graph.edge_sign
     degrees = graph.degrees
-    tree_deg = tree.tree_degree
 
     non_tree = tree.non_tree_edge_ids()
     a = graph.edge_u[non_tree].copy()
@@ -59,6 +58,8 @@ def process_cycles_lockstep(
     neg = np.zeros(len(non_tree), dtype=np.int64)
     length = np.ones(len(non_tree), dtype=np.int64)  # the non-tree edge
     if collect_stats:
+        # Tree degrees cost a children sort per tree: stats runs only.
+        tree_deg = tree.tree_degree
         dsum = degrees[a] + degrees[b]
         tsum = tree_deg[a] + tree_deg[b]
     rounds = 0
@@ -126,20 +127,26 @@ def process_cycles_lockstep(
 
 
 def sign_to_root(
-    graph: SignedGraph, tree: SpanningTree, counters: Counters | None = None
+    graph: SignedGraph,
+    tree: SpanningTree,
+    counters: Counters | None = None,
+    signs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-vertex ±1 product of edge signs on the tree path to the root.
 
     Computed with one top-down level-synchronous pass (the same
-    parallel structure as Alg. 4's top-down phase).
+    parallel structure as Alg. 4's top-down phase).  *signs* replaces
+    ``graph.edge_sign`` — e.g. a balanced state's own signs, whose
+    sign-to-root is that state's switching function.
     """
     n = graph.num_vertices
+    sign = graph.edge_sign if signs is None else signs
     s2r = np.ones(n, dtype=np.int8)
     order, level_ptr = tree.levels
     for lvl in range(1, tree.num_levels):
         members = order[level_ptr[lvl] : level_ptr[lvl + 1]]
         s2r[members] = (
-            s2r[tree.parent[members]] * graph.edge_sign[tree.parent_edge[members]]
+            s2r[tree.parent[members]] * sign[tree.parent_edge[members]]
         )
         if counters is not None:
             counters.parallel_region("parity.top_down", len(members))

@@ -57,11 +57,15 @@ from typing import TYPE_CHECKING, Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cloud.cloud import BATCHED_KERNELS, FrustrationCloud
-from repro.core.balancer import balance
+from repro.cloud.cloud import (
+    FrustrationCloud,
+    balanced_states,
+    check_batched_kernel,
+)
 from repro.errors import CheckpointError, EngineError, SupervisorError
 from repro.graph.csr import SignedGraph
 from repro.graph.store import GraphStore, graph_fingerprint
+from repro.harary.bipartition import sides_from_sign_to_root
 from repro.perf.flight import (
     get_flight_recorder,
     install_flight_recorder,
@@ -257,7 +261,7 @@ def _run_block(
         push_trace(ctx)
     try:
         cloud = _run_block_body(
-            graph, method, kernel, sampler, indices, cloud, batch_size
+            graph, kernel, sampler, indices, cloud, batch_size
         )
     finally:
         if ctx is not None:
@@ -275,7 +279,6 @@ def _run_block(
 
 def _run_block_body(
     graph: SignedGraph,
-    method: str,
     kernel: str,
     sampler: TreeSampler,
     indices: range,
@@ -288,36 +291,14 @@ def _run_block_body(
     # and the parent merges it exactly once (merge=True here would
     # double-count blocks that degrade to in-process execution).
     with collecting(merge=False) as metrics, span("block"):
-        if method == "swap":
-            from repro.harary.bipartition import sides_from_sign_to_root
-
-            # Chain states are pure functions of (seed, index), so any
-            # block shape is correct; the worker enters the chain at its
-            # block's segment and walks it forward in chunks.
-            for lo in range(0, len(indices), batch_size):
-                chunk = indices[lo : lo + batch_size]
-                with span("tree_sample"):
-                    signs, s2r = sampler.swap_states(chunk)
-                with span("harary"):
-                    cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-        elif batch_size > 1:
-            from repro.core.parity_batch import balance_batch
-            from repro.harary.bipartition import sides_from_sign_to_root
-
-            for lo in range(0, len(indices), batch_size):
-                with span("tree_sample"):
-                    batch = sampler.batch(indices[lo : lo + batch_size])
-                with span("parity_kernel"):
-                    signs, s2r = balance_batch(graph, batch)
-                with span("harary"):
-                    cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-        else:
-            for i in indices:
-                with span("tree_sample"):
-                    tree = sampler.tree(i)
-                result = balance(graph, tree, kernel=kernel)
-                with span("harary"):
-                    cloud.add_result(result)
+        # Chain states are pure functions of (seed, index), so any
+        # block shape is correct; a swap block enters the chain at its
+        # segment and walks it forward in chunks.
+        for signs, s2r in balanced_states(
+            graph, sampler, indices, kernel=kernel, batch_size=batch_size
+        ):
+            with span("harary"):
+                cloud.add_batch(signs, sides_from_sign_to_root(s2r))
         # Counted inside the detached window, so the block's state
         # count travels with its snapshot through salvage and resume.
         get_registry().count("cloud.states_total", cloud.num_states)
@@ -598,11 +579,7 @@ def sample_cloud_pool(
         raise EngineError("batch_size must be positive")
     if swaps_per_state < 1:
         raise EngineError("swaps_per_state must be positive")
-    if method != "swap" and batch_size > 1 and kernel not in BATCHED_KERNELS:
-        raise EngineError(
-            f"kernel {kernel!r} has no batched implementation; use "
-            f"batch_size=1 or one of {BATCHED_KERNELS}"
-        )
+    check_batched_kernel(method, kernel, batch_size)
     if steal_chunks is not None and steal_chunks < 1:
         raise EngineError("steal_chunks must be positive")
     frozen = freeze_seed(seed)

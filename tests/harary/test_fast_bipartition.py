@@ -11,7 +11,7 @@ from repro.harary.bipartition import (
     positive_components,
     sides_from_sign_to_root,
 )
-from repro.trees.sampler import TreeSampler
+from repro.trees.sampler import TREE_METHODS, TreeSampler
 
 from tests.conftest import make_connected_signed
 
@@ -25,14 +25,20 @@ from tests.conftest import make_connected_signed
 @settings(max_examples=40, deadline=None)
 def test_fast_sides_match_oracle(seed, n, extra, neg_frac):
     """On a random balanced state, the sign-to-root sides equal the
-    positive-component + collapsed-graph 2-coloring oracle exactly."""
+    positive-component + collapsed-graph 2-coloring oracle exactly, for
+    every cycle kernel on a tree from every sampler method."""
     g = make_connected_signed(n, extra, negative_fraction=neg_frac, seed=seed % 97)
-    tree = TreeSampler(g, seed=seed).tree(0)
-    result = balance(g, tree, kernel="parity")
-    s2r = sign_to_root(g, tree)
-    fast = sides_from_sign_to_root(s2r)
-    oracle = harary_bipartition(g, result.signs)
-    assert np.array_equal(fast, oracle.side)
+    for method in sorted(TREE_METHODS):
+        tree = TreeSampler(g, method=method, seed=seed).tree(0)
+        for kernel in ("walk", "lockstep", "parity"):
+            labeling = "parallel" if kernel == "walk" else "none"
+            result = balance(g, tree, kernel=kernel, labeling=labeling)
+            s2r = sign_to_root(g, tree, signs=result.signs)
+            # No kernel flips a tree edge: the input's sign-to-root agrees.
+            assert np.array_equal(s2r, sign_to_root(g, tree))
+            fast = sides_from_sign_to_root(s2r)
+            oracle = harary_bipartition(g, result.signs)
+            assert np.array_equal(fast, oracle.side), (method, kernel)
 
 
 @given(st.integers(min_value=0, max_value=300))

@@ -102,7 +102,10 @@ class TestStitchedServeTrace:
             trace_ids = {e["args"]["trace_id"] for e in events}
             assert trace_ids == {grew["trace_id"]}
             pids = {e["pid"] for e in events}
-            assert len(pids) >= 3  # the daemon plus two pool workers
+            # The daemon plus at least one pool worker.  Which worker
+            # runs which block is the scheduler's choice: one worker
+            # may drain both blocks before the other starts.
+            assert len(pids) >= 2
 
     def test_unknown_ids_404(self, tmp_path):
         with daemon(
