@@ -17,13 +17,17 @@ The pipeline mirrors Ordozgoiti et al.'s eigenvector-guided approach:
    and from spanning-tree switchings (the frustration-cloud parity
    kernels, :mod:`repro.balanced.seeds`).
 2. **rounding** (:func:`peel_to_tolerance`) — greedily delete the
-   vertices with the most unsatisfied incident edges, in vectorized
-   rounds over the CSR edge arrays, until every survivor has at most
-   ``tolerance`` unsatisfied incident edges (0 = exactly balanced).
+   vertices with the most unsatisfied incident edges, in rounds,
+   until every survivor has at most ``tolerance`` unsatisfied
+   incident edges (0 = exactly balanced).  Bad degrees are counted
+   once and then updated from the deleted vertices' CSR half-edges
+   only, exactly, so each round costs O(n + vol(deleted)).
 3. **polish** (:func:`polish_subgraph`) — local search that re-admits
    any deleted vertex which fits the current subgraph on one of its
    two sides without creating a single new violation, until a fixed
-   point.
+   point.  The sequential admission rule is evaluated one vectorized
+   level of pairwise non-adjacent candidates at a time, which admits
+   exactly what a one-at-a-time loop would.
 
 ``tolerance > 0`` yields the Chen-Peng-Zhang relaxation (see
 :mod:`repro.balanced.tolerance`); the machinery is shared, with the
@@ -44,6 +48,7 @@ import numpy as np
 from repro.errors import BalancedSearchError
 from repro.graph.csr import SignedGraph
 from repro.perf.tracing import span
+from repro.util.arrays import gather_adjacency
 
 __all__ = [
     "BalancedSubgraph",
@@ -123,13 +128,12 @@ def _bad_degrees(
 ) -> np.ndarray:
     """Per-vertex count of live unsatisfied incident edges (0 for dead
     vertices)."""
-    live_bad = alive[graph.edge_u] & alive[graph.edge_v] & ~sat
-    bad = np.bincount(
-        graph.edge_u[live_bad], minlength=graph.num_vertices
+    live_bad = np.flatnonzero(
+        alive[graph.edge_u] & alive[graph.edge_v] & ~sat
     )
-    bad += np.bincount(
-        graph.edge_v[live_bad], minlength=graph.num_vertices
-    )
+    n = graph.num_vertices
+    bad = np.bincount(graph.edge_u[live_bad], minlength=n)
+    bad += np.bincount(graph.edge_v[live_bad], minlength=n)
     return bad
 
 
@@ -142,14 +146,19 @@ def peel_to_tolerance(
 ) -> np.ndarray:
     """Greedy vertex peel: returns the survivor mask.
 
-    Each round recomputes live bad-degrees with two ``bincount`` passes
-    over the edge arrays (O(m)) and deletes the worst
-    ``ceil(peel_frac * |over-tolerance|)`` vertices — highest bad
-    degree first, ties broken toward the lowest vertex id — until every
-    survivor has at most *tolerance* unsatisfied live incident edges.
-    ``peel_frac`` trades quality (small batches re-rank often) against
-    rounds (large batches peel faster); 1 vertex per round is the
-    classic greedy.
+    Each round deletes the worst ``ceil(peel_frac * |over-tolerance|)``
+    vertices — highest bad degree first, ties broken toward the lowest
+    vertex id — until every survivor has at most *tolerance*
+    unsatisfied live incident edges.  ``peel_frac`` trades quality
+    (small batches re-rank often) against rounds (large batches peel
+    faster); 1 vertex per round is the classic greedy.
+
+    Bad degrees are counted once over the edge arrays and then kept
+    current incrementally: a round walks only the CSR half-edges of
+    the vertices it deletes and takes one off each live neighbour per
+    unsatisfied edge joining them.  The counts stay exact integers, so
+    every round ranks — and removes — exactly what a from-scratch
+    recount would, at O(n + vol(deleted)) per round instead of O(m).
     """
     if tolerance < 0:
         raise BalancedSearchError(
@@ -163,8 +172,14 @@ def peel_to_tolerance(
     alive = (
         np.ones(n, dtype=bool) if alive is None else alive.copy()
     )
+    # Invariant: bad[v] = unsatisfied edges from v to live neighbours
+    # (0 for dead v).  Bad degrees only ever fall, so when the first
+    # count fits 16 bits every later one does, and the stable argsort
+    # below runs as numpy's radix sort.
+    bad = _bad_degrees(graph, sat, alive)
+    if n and bad.max() < 2**15:
+        bad = bad.astype(np.int16)
     while True:
-        bad = _bad_degrees(graph, sat, alive)
         over = np.nonzero(alive & (bad > tolerance))[0]
         if len(over) == 0:
             return alive
@@ -173,7 +188,36 @@ def peel_to_tolerance(
         # vertex-id order (``over`` is sorted), so removal is
         # deterministic.
         order = np.argsort(-bad[over], kind="stable")
-        alive[over[order[:k]]] = False
+        gone = over[order[:k]]
+        alive[gone] = False
+        pos, _ = gather_adjacency(graph.indptr, gone)
+        nbr = graph.adj_vertex[pos]
+        hit = np.flatnonzero(alive[nbr] & ~sat[graph.adj_edge[pos]])
+        bad -= np.bincount(nbr[hit], minlength=n)
+        bad[gone] = 0
+
+
+def _candidate_levels(
+    graph: SignedGraph, cand: np.ndarray, rank: np.ndarray
+) -> np.ndarray:
+    """Level of each ranked candidate in ``cand`` (``rank[cand[i]] ==
+    i``, -1 off the candidates).
+
+    A candidate's level is 0 when it has no earlier-ranked candidate
+    neighbour, else 1 + the highest level among those neighbours, so
+    adjacent candidates never share a level.
+    """
+    pos, src = gather_adjacency(graph.indptr, cand)
+    src_rank = rank[src]
+    nbr_rank = rank[graph.adj_vertex[pos]]
+    dep = np.flatnonzero((nbr_rank >= 0) & (nbr_rank < src_rank))
+    earlier, later = nbr_rank[dep], src_rank[dep]
+    level = np.zeros(len(cand), dtype=np.int64)
+    while True:
+        before = level.copy()
+        np.maximum.at(level, later, level[earlier] + 1)
+        if np.array_equal(level, before):
+            return level
 
 
 def polish_subgraph(
@@ -188,11 +232,19 @@ def polish_subgraph(
     satisfies *every* edge it has into the current subgraph (so no
     member's violation count grows, and the invariant maintained by the
     peel is preserved for any tolerance).  Candidate discovery is
-    vectorized over the edge arrays; accepted candidates are admitted
-    in deterministic order (most edges into the subgraph first, then
-    lowest id) with an exact per-candidate recheck so that edges
-    *between* newly admitted vertices can never introduce a violation.
-    Rounds repeat until no vertex is admissible.
+    vectorized over the edge arrays, and candidates are ranked (most
+    edges into the subgraph first, then lowest id).  Admission is
+    defined by the sequential rule: in rank order, each candidate is
+    rechecked against the subgraph as grown so far, so edges *between*
+    newly admitted vertices can never introduce a violation.
+
+    That rule only reads a candidate's earlier-ranked candidate
+    neighbours, so it runs level by level (:func:`_candidate_levels`):
+    candidates on one level are pairwise non-adjacent and all their
+    earlier-ranked neighbours sit on lower levels, so one vectorized
+    recheck per level admits exactly the vertices, on exactly the
+    sides, that the one-at-a-time loop would.  Rounds repeat until no
+    vertex is admissible.
 
     Returns ``(alive, sides, sat)`` with ``sides`` updated for admitted
     vertices and ``sat`` recomputed to match.
@@ -205,12 +257,12 @@ def polish_subgraph(
         # Edges with exactly one live endpoint, viewed from the dead
         # endpoint ``w``: satisfied with sides[w] = +1 iff
         # sign * sides[live endpoint] == +1.
-        u_live = alive[eu] & ~alive[ev]
-        v_live = alive[ev] & ~alive[eu]
-        w = np.concatenate([ev[u_live], eu[v_live]])
-        anchor = np.concatenate([eu[u_live], ev[v_live]])
-        s = np.concatenate([sign[u_live], sign[v_live]])
-        plus_ok = s * sides[anchor] > 0
+        u_alive = alive[eu]
+        e = np.flatnonzero(u_alive != alive[ev])
+        u_live = u_alive[e]
+        w = np.where(u_live, ev[e], eu[e])
+        anchor = np.where(u_live, eu[e], ev[e])
+        plus_ok = sign[e] * sides[anchor] > 0
         deg_in = np.bincount(w, minlength=n)
         plus = np.bincount(w[plus_ok], minlength=n)
         bad_plus = deg_in - plus  # violations if admitted with side +1
@@ -226,24 +278,28 @@ def polish_subgraph(
         # admissions the most, and the ordering is what makes parallel
         # and sequential runs agree.
         cand = cand[np.argsort(-deg_in[cand], kind="stable")]
+        rank = np.full(n, -1, dtype=np.int64)
+        rank[cand] = np.arange(len(cand))
+        level = _candidate_levels(graph, cand, rank)
+        has_neg = np.zeros(len(cand), dtype=bool)
+        has_pos = np.zeros(len(cand), dtype=bool)
         admitted = 0
-        for v in cand:
-            lo, hi = graph.indptr[v], graph.indptr[v + 1]
-            nbrs = graph.adj_vertex[lo:hi]
-            eids = graph.adj_edge[lo:hi]
-            live = alive[nbrs]
-            prod = sign[eids[live]] * sides[nbrs[live]]
-            # Recheck against the *current* subgraph (it grew during
-            # this round): admit on whichever side violates nothing.
-            if not np.any(prod < 0):
-                side = 1
-            elif not np.any(prod > 0):
-                side = -1
-            else:
-                continue
-            alive[v] = True
-            sides[v] = side
-            admitted += 1
+        for lv in range(int(level.max()) + 1):
+            # Recheck this level against the subgraph grown by the
+            # lower ones: admit on whichever side violates nothing.
+            at = np.flatnonzero(level == lv)
+            members = cand[at]
+            pos, src = gather_adjacency(graph.indptr, members)
+            nbr = graph.adj_vertex[pos]
+            live = np.flatnonzero(alive[nbr])
+            prod = sign[graph.adj_edge[pos[live]]] * sides[nbr[live]]
+            has_neg[rank[src[live[prod < 0]]]] = True
+            has_pos[rank[src[live[prod > 0]]]] = True
+            side = np.where(~has_neg[at], 1, np.where(~has_pos[at], -1, 0))
+            ok = side != 0
+            alive[members[ok]] = True
+            sides[members[ok]] = side[ok]
+            admitted += int(np.count_nonzero(ok))
         if admitted == 0:
             break
     return alive, sides, satisfied_edges(graph, sides)

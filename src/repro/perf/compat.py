@@ -4,9 +4,8 @@ These classes predate the :mod:`repro.perf.registry` /
 :mod:`repro.perf.tracing` stack and survive for two reasons: the
 simulated-machine cost models replay :class:`Counters` region logs, and
 a handful of callers still pass an explicit :class:`PhaseTimer`.  New
-code should record into the metrics registry via spans; the historical
-import paths :mod:`repro.perf.timers` and :mod:`repro.perf.counters`
-re-export these names with a :class:`DeprecationWarning`.
+code should record into the metrics registry via spans.  This module is
+their only import path.
 """
 
 from __future__ import annotations

@@ -195,6 +195,16 @@ class GrowthWorker:
                 error=str(exc),
             )
 
+    def final_checkpoint(self) -> None:
+        """Checkpoint under the round lock, for the drain.
+
+        ``stop()`` may time out while a round is still merging blocks;
+        taking the lock first makes the final checkpoint wait for that
+        round, so it never saves a half-merged cloud.
+        """
+        with self._round_lock:
+            self.checkpoint()
+
     # -- growth loop ----------------------------------------------------
     def _round_blocks(self, start: int, stop: int) -> list:
         """Split one round's index range into supervised blocks.

@@ -742,11 +742,12 @@ def run_server(
         server.shutdown()  # stop accepting; serve_forever returns
         accept_thread.join(timeout=5.0)
         drained = server.wait_idle(config.drain_budget)
-        growth.stop(timeout=max(config.drain_budget, 1.0))
-        growth.checkpoint()  # final checkpoint, even mid-campaign
+        joined = growth.stop(timeout=max(config.drain_budget, 1.0))
+        growth.final_checkpoint()  # even mid-campaign or mid-round
         journal_event(
             "server_stopped",
             drained=drained,
+            growth_joined=joined,
             states=cloud.num_states,
         )
         flight_dump()  # last black-box write of a clean shutdown

@@ -5,9 +5,15 @@ the search must recover obviously balanced structure in full."""
 
 from __future__ import annotations
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.balanced import run_balanced
 from repro.balanced.extract import (
     BalancedSubgraph,
     extract_balanced,
@@ -41,6 +47,139 @@ def _audit(graph, result: BalancedSubgraph) -> None:
         assert cert.balanced, f"auditor found violating edge {cert.violating_edge}"
     # The result's own bookkeeping must agree with the recount.
     assert result.unsatisfied_edges == int(violations.sum()) // 2
+
+
+def _reference_peel(graph, sat, tolerance=0, peel_frac=0.25, alive=None):
+    """The from-scratch peel: every round recounts every bad degree
+    over the whole edge list.  Oracle for :func:`peel_to_tolerance`."""
+    n = graph.num_vertices
+    alive = np.ones(n, dtype=bool) if alive is None else alive.copy()
+    while True:
+        live_bad = alive[graph.edge_u] & alive[graph.edge_v] & ~sat
+        bad = np.bincount(graph.edge_u[live_bad], minlength=n)
+        bad += np.bincount(graph.edge_v[live_bad], minlength=n)
+        over = np.nonzero(alive & (bad > tolerance))[0]
+        if len(over) == 0:
+            return alive
+        k = max(1, math.ceil(peel_frac * len(over)))
+        order = np.argsort(-bad[over], kind="stable")
+        alive[over[order[:k]]] = False
+
+
+def _reference_polish(graph, sides, sat, alive):
+    """The one-candidate-at-a-time polish: rank the admissible dead
+    vertices, then admit each after rechecking it against the subgraph
+    grown so far.  Oracle for :func:`polish_subgraph`."""
+    sides = np.asarray(sides, dtype=np.int8).copy()
+    alive = alive.copy()
+    eu, ev, sign = graph.edge_u, graph.edge_v, graph.edge_sign
+    n = graph.num_vertices
+    while True:
+        u_live = alive[eu] & ~alive[ev]
+        v_live = alive[ev] & ~alive[eu]
+        w = np.concatenate([ev[u_live], eu[v_live]])
+        anchor = np.concatenate([eu[u_live], ev[v_live]])
+        s = np.concatenate([sign[u_live], sign[v_live]])
+        plus_ok = s * sides[anchor] > 0
+        deg_in = np.bincount(w, minlength=n)
+        plus = np.bincount(w[plus_ok], minlength=n)
+        fits = ~alive & ((deg_in - plus == 0) | (plus == 0))
+        cand = np.nonzero(fits)[0]
+        if len(cand) == 0:
+            break
+        cand = cand[np.argsort(-deg_in[cand], kind="stable")]
+        admitted = 0
+        for v in cand:
+            lo, hi = graph.indptr[v], graph.indptr[v + 1]
+            nbrs = graph.adj_vertex[lo:hi]
+            eids = graph.adj_edge[lo:hi]
+            live = alive[nbrs]
+            prod = sign[eids[live]] * sides[nbrs[live]]
+            if not np.any(prod < 0):
+                side = 1
+            elif not np.any(prod > 0):
+                side = -1
+            else:
+                continue
+            alive[v] = True
+            sides[v] = side
+            admitted += 1
+        if admitted == 0:
+            break
+    return alive, sides, satisfied_edges(graph, sides)
+
+
+@st.composite
+def _signed_cases(draw):
+    """A random signed graph on ``n`` vertices — often disconnected,
+    with isolated vertices — plus random sides and a random start
+    mask."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.sampled_from([-1, 1])),
+        max_size=3 * n,
+    ))
+    graph = from_edges([(u, v, s) for u, v, s in pairs if u != v],
+                       num_vertices=n)
+    sides = np.array(draw(st.lists(st.sampled_from([-1, 1]),
+                                   min_size=n, max_size=n)), dtype=np.int8)
+    start = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return graph, sides, start
+
+
+class TestAgainstSequentialOracle:
+    """The incremental peel and level-scheduled polish must reproduce
+    the from-scratch peel and one-candidate-at-a-time polish exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=_signed_cases(),
+        tolerance=st.sampled_from([0, 1, 2]),
+        peel_frac=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_peel_and_polish_match_oracle(self, case, tolerance, peel_frac):
+        graph, sides, start = case
+        sat = satisfied_edges(graph, sides)
+        for alive0 in (None, start):
+            alive = peel_to_tolerance(graph, sat, tolerance=tolerance,
+                                      peel_frac=peel_frac, alive=alive0)
+            expected = _reference_peel(graph, sat, tolerance, peel_frac,
+                                       alive=alive0)
+            np.testing.assert_array_equal(alive, expected)
+        # Polish from the peel's survivors, and from an arbitrary mask
+        # (live vertices with violations, dead ones with no live edge).
+        for alive0 in (alive, start):
+            got = polish_subgraph(graph, sides, sat, alive0)
+            want = _reference_polish(graph, sides, sat, alive0)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+
+def _digest(best) -> str:
+    return hashlib.sha256(
+        np.asarray(best.vertices, dtype=np.int64).tobytes()
+        + np.asarray(best.sides, dtype=np.int8).tobytes()
+    ).hexdigest()
+
+
+@pytest.mark.parametrize("workload,tolerance,digest", [
+    ("extract", 0,
+     "8aee7e72d82e15a34c8ca3863ae38ca49b8c6025975176f636aee67f7af90550"),
+    ("tolerance", 2,
+     "2b979c9b4772084576d86e1b8c9ae189447f98b6b38998f30b1d1ae88896f6cb"),
+], ids=["extract", "tolerance"])
+def test_golden_digest(workload, tolerance, digest):
+    """Pinned ``best.vertices`` + ``best.sides`` on a fixed planted
+    graph: any change to the search's output shows up here."""
+    graph = ensure_connected(
+        planted_partition_signed([150, 150], intra_degree=6.0,
+                                 inter_degree=2.0, flip_noise=0.10, seed=11),
+        seed=11,
+    )
+    report = run_balanced(graph, workload=workload, tolerance=tolerance,
+                          restarts=6, seed=3, workers=0)
+    assert _digest(report.best) == digest
 
 
 class TestSatisfiedEdges:

@@ -69,6 +69,37 @@ def test_stop_interrupts_between_blocks(graph):
     assert worker.cloud.num_states < 10_000
 
 
+def test_final_checkpoint_waits_for_a_round_still_merging(graph):
+    """A drain whose ``stop()`` times out mid-round must not checkpoint
+    until the round (which holds the round lock) has finished."""
+    import threading
+
+    worker, _ = _worker(graph, target_states=10_000)
+    entered, release = threading.Event(), threading.Event()
+    order = []
+
+    def blocking_round():
+        entered.set()
+        release.wait(30)
+        order.append("round")
+        return False
+
+    worker._grow_round = blocking_round
+    worker.checkpoint = lambda: order.append("checkpoint")
+    worker.start()
+    assert entered.wait(30)
+    assert not worker.stop(timeout=0.1)  # the round is still running
+    drain = threading.Thread(target=worker.final_checkpoint)
+    drain.start()
+    drain.join(0.2)
+    assert drain.is_alive() and order == []
+    release.set()
+    drain.join(30)
+    assert not drain.is_alive()
+    assert order == ["round", "checkpoint"]
+    assert worker.join(timeout=30)
+
+
 def test_open_breaker_sheds_growth(graph):
     breaker = CircuitBreaker(p99_threshold=0.01, min_samples=1, cooldown=60)
     breaker.record(1.0)  # trip it
