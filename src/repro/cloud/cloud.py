@@ -309,8 +309,15 @@ class FrustrationCloud:
             # order-safe).
             for row in (side_size - 1.0) / (n - 1.0):
                 self._coalition += row
-        self._edge_preserved += (signs == self.graph.edge_sign).sum(axis=0)
-        self._edge_coside += coside.sum(axis=0)
+        # The check above pins coside == (signs > 0), so one exact
+        # column sum of the ±1 signs yields both edge counters: per
+        # edge, (B + sum) / 2 states kept it positive (co-side), and a
+        # state preserves the input sign iff it kept it at that sign.
+        positive = (num_new + signs.sum(axis=0, dtype=np.int64)) // 2
+        self._edge_coside += positive
+        self._edge_preserved += np.where(
+            self.graph.edge_sign > 0, positive, num_new - positive
+        )
         self._append_flip_counts(
             (signs != self.graph.edge_sign).sum(axis=1, dtype=np.int64)
         )

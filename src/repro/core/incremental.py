@@ -25,11 +25,12 @@ sign product of the tree path.  Consequently:
 
 The last point is the engine behind the incremental spanning-tree
 sampler (:mod:`repro.trees.swap_chain`): deriving tree k+1 from tree k
-by a swap costs O(n) vectorized words instead of a from-scratch
-sample + label + parity pass.  :class:`TreeDeltaState` holds the
-mutable (tree, labeling, sign-to-root) triple and implements both the
-sign-flip range negation and the structural cut/link;
-:class:`IncrementalBalancer` wraps it with the edge-update API.
+by a swap touches only S, its CSR rows, the ID window it moves across
+and two root paths, instead of a from-scratch sample + label + parity
+pass.  :class:`TreeDeltaState` holds the mutable (tree, labeling,
+sign-to-root) triple and implements both the sign-flip range negation
+and the structural cut/link; :class:`IncrementalBalancer` wraps it
+with the edge-update API.
 
 Consistency with full recomputation is property-tested.
 """
@@ -39,11 +40,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cycles_vectorized import sign_to_root
-from repro.core.labeling import Labeling, label_tree
+from repro.core.labeling import Labeling
+from repro.core.labeling_parallel import label_tree_parallel
 from repro.errors import GraphFormatError, ReproError
 from repro.graph.csr import SignedGraph
 from repro.perf.tracing import span
 from repro.trees.tree import SpanningTree
+from repro.util.arrays import gather_adjacency
 
 __all__ = ["IncrementalBalancer", "TreeDeltaState"]
 
@@ -59,14 +62,17 @@ class TreeDeltaState:
       replace the cut edge in place),
     * ``new_id`` / ``subtree_size`` — the pre-order labeling, kept
       exactly equal to ``label_tree`` of the current tree,
+    * ``order`` — the inverse of ``new_id`` (``order[new_id] ==
+      arange(n)``), so a subtree's members are one slice
+      ``order[lo:hi + 1]``,
     * ``s2r`` — sign-to-root under *signs* (default: the graph's input
       signs), kept exactly equal to ``sign_to_root``.
 
     Two delta operations are supported: :meth:`negate_subtree` (the
-    sign-flip range negation) and :meth:`cut_link` (the structural
-    swap).  Both are O(n) vectorized words, never a from-scratch
-    relabel; the only Python-loop work is proportional to the moved
-    subtree and the tree depth.
+    sign-flip range negation, one O(n) pass) and :meth:`cut_link` (the
+    structural swap), which touches only the moved subtree S, its
+    adjacency, the ID window it moves across and two root paths —
+    never a from-scratch relabel.
     """
 
     def __init__(
@@ -85,9 +91,11 @@ class TreeDeltaState:
         # IncrementalBalancer passes its running input signs so swap
         # factors always see the current sign of the link edge.
         self.signs = graph.edge_sign if signs is None else signs
-        lab = label_tree(tree)
+        lab = label_tree_parallel(tree)
         self.new_id = lab.new_id.copy()
         self.subtree_size = lab.subtree_size.copy()
+        self.order = np.empty_like(self.new_id)
+        self.order[self.new_id] = np.arange(len(self.new_id))
         self.s2r = sign_to_root(graph, tree).copy()
         if signs is not None and not np.array_equal(signs, graph.edge_sign):
             raise ReproError(
@@ -157,15 +165,20 @@ class TreeDeltaState:
     def crossing_candidates(self, child: int) -> np.ndarray:
         """Non-tree edge ids with exactly one endpoint in the subtree of
         *child* — the edges that can re-span the cut of its parent
-        edge.  The cut edge itself is still flagged ``in_tree`` and is
+        edge — in ascending order.
+
+        Only the subtree's own CSR rows are read: S is the ID slice
+        ``order[lo:hi + 1]``, and every crossing edge has exactly one
+        half-edge leaving S, so O(|S| + vol(S)) work finds each one
+        once.  The cut edge itself is still flagged ``in_tree`` and is
         therefore never a candidate (a swap always changes the tree)."""
         lo, hi = self.subtree_range(child)
-        ids = self.new_id
-        u_ids = ids[self.graph.edge_u]
-        v_ids = ids[self.graph.edge_v]
-        u_in = (u_ids >= lo) & (u_ids <= hi)
-        v_in = (v_ids >= lo) & (v_ids <= hi)
-        return np.nonzero((u_in != v_in) & ~self.in_tree)[0]
+        graph = self.graph
+        pos, _ = gather_adjacency(graph.indptr, self.order[lo : hi + 1])
+        far = self.new_id[graph.adj_vertex[pos]]
+        edges = graph.adj_edge[pos]
+        leaves = ((far < lo) | (far > hi)) & ~self.in_tree[edges]
+        return np.sort(edges[leaves])
 
     def cut_link(
         self, cut_edge: int, link_edge: int, slot: int | None = None
@@ -173,18 +186,19 @@ class TreeDeltaState:
         """Cut tree edge p→c and reconnect its subtree S through the
         non-tree edge *link_edge* = (u_out, v_in), v_in ∈ S.
 
-        All derived state updates as deltas:
+        All derived state updates as deltas, in
+        O(|S| + deg(u_out) + window + depth) work:
 
         * ``s2r[x]`` for x ∈ S changes by the uniform factor
           ``s2r[u_out] · s2r[v_in] · sign(link_edge)`` (tree paths
           inside S are unchanged; only the attachment segment differs),
-          applied over S's contiguous ID range exactly like a sign
-          flip;
-        * pre-order IDs: vertices after S's old range shift down by
-          |S|, vertices at/after its new insertion point shift up by
-          |S|, and S itself is relabeled by an O(|S|) mini pre-order
-          re-rooted at v_in — bit-identical to ``label_tree`` of the
-          new tree;
+          applied to S's members ``order[lo:hi + 1]``;
+        * pre-order IDs: S is relabeled by an O(|S|) mini pre-order
+          re-rooted at v_in, and its block moves to the insertion point
+          under u_out; only the vertices between S's old range and that
+          point shift (by ±|S|), so ``order`` is rotated over that
+          window alone and ``new_id`` rewritten from it — bit-identical
+          to ``label_tree`` of the new tree;
         * ``subtree_size`` changes only on the two root paths (−|S|
           above the cut, +|S| above the link) and inside S.
         """
@@ -219,18 +233,19 @@ class TreeDeltaState:
             * int(self.signs[link_edge])
         )
 
-        # Members of S in current pre-order, via the inverse permutation.
-        inv = np.empty(graph.num_vertices, dtype=np.int64)
-        inv[self.new_id] = np.arange(graph.num_vertices)
-        members = inv[lo : hi + 1]
+        # Members of S in current pre-order (copied: ``order`` is
+        # rewritten below).
+        members = self.order[lo : hi + 1].copy()
 
         # Insertion point of S under u_out, measured in the labeling of
         # the tree *without* S: position of u_out, plus one for u_out
         # itself, plus every earlier sibling's S-free subtree size
-        # (children are visited in ascending vertex id).
+        # (children are visited in ascending vertex id).  u_out's
+        # children are among its graph neighbours.
         ids = self.new_id
         mid_uout = int(ids[u_out]) - (s if ids[u_out] > hi else 0)
-        old_kids_out = np.nonzero(self.parent == u_out)[0]
+        row = graph.adj_vertex[graph.indptr[u_out] : graph.indptr[u_out + 1]]
+        old_kids_out = np.unique(row[self.parent[row] == u_out])
         start = mid_uout + 1
         for w in old_kids_out:
             w = int(w)
@@ -264,31 +279,35 @@ class TreeDeltaState:
                 x = int(x)
                 if x != v_in:
                     kids.setdefault(int(self.parent[x]), []).append(x)
-            local_id: dict[int, int] = {}
+            pre: list[int] = []
             local_size: dict[int, int] = {}
-            counter = 0
             stack = [v_in]
             while stack:
                 x = stack.pop()
                 if x < 0:
                     x = ~x
-                    px = int(self.parent[x])
                     if x != v_in:
-                        local_size[px] += local_size[x]
+                        local_size[int(self.parent[x])] += local_size[x]
                     continue
-                local_id[x] = counter
-                counter += 1
+                pre.append(x)
                 local_size[x] = 1
                 stack.append(~x)
                 for ch in reversed(kids.get(x, ())):
                     stack.append(ch)
 
-            # Vectorized ID shifts: close the old range, open the new.
-            in_S = (ids >= lo) & (ids <= hi)
-            ids -= s * (ids > hi)
-            ids += s * (~in_S & (ids >= start))
-            mem_list = [int(x) for x in members]
-            ids[members] = [start + local_id[x] for x in mem_list]
+            # Move S's block to ``start``: rotate the ID window between
+            # its old range and its insertion point.  Moving left, the
+            # vertices at [start, lo) shift up by |S|; moving right,
+            # those at (hi, start + |S|) shift down by |S|.
+            order = self.order
+            if start <= lo:
+                first = start
+                window = np.concatenate([pre, order[start:lo]])
+            else:
+                first = lo
+                window = np.concatenate([order[hi + 1 : start + s], pre])
+            order[first : first + len(window)] = window
+            ids[window] = np.arange(first, first + len(window))
 
             # Subtree sizes: the two root paths, then S's own sizes.
             v = p
@@ -299,7 +318,7 @@ class TreeDeltaState:
             while v >= 0:
                 self.subtree_size[v] += s
                 v = int(self.parent[v])
-            self.subtree_size[members] = [local_size[x] for x in mem_list]
+            self.subtree_size[pre] = [local_size[x] for x in pre]
 
         if factor < 0:
             self.s2r[members] = -self.s2r[members]

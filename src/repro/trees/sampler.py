@@ -104,11 +104,11 @@ class TreeSampler:
         """Balanced states ``(signs, s2r)`` straight off the swap chain
         (``method="swap"`` only) — the delta path that replaces
         ``batch()`` + the parity kernel."""
-        get_registry().count(
-            "trees.sampled_total",
-            indices if isinstance(indices, int) else len(list(indices)),
-        )
-        return self.swap_chain().states(indices, start=start)
+        if isinstance(indices, int):
+            indices = range(start, start + indices)
+        indices = list(indices)
+        get_registry().count("trees.sampled_total", len(indices))
+        return self.swap_chain().states(indices)
 
     def tree(self, index: int) -> SpanningTree:
         """The *index*-th tree of this sampler's stream."""

@@ -5,9 +5,12 @@ batched campaign (BENCH_cloud.json); this module inverts that cost by
 deriving tree *k+1* from tree *k*: cut a uniformly chosen tree edge,
 reconnect the severed subtree through a uniformly chosen non-tree edge
 crossing the cut.  :class:`~repro.core.incremental.TreeDeltaState`
-keeps the labeling and ``sign_to_root`` exact under each swap in O(n)
-vectorized words, so a state costs a few array passes instead of a
-full sample + label + parity pipeline — and the balanced state falls
+keeps the labeling and ``sign_to_root`` exact under each swap while
+touching only the moved subtree S: its CSR rows, the pre-order ID
+window it moves across and two root paths, O(|S| + vol(S) + window +
+depth).  A state then costs one copy of its ``s2r`` row plus its row
+of the chunk's shared ``s2r[:, u] * s2r[:, v]`` signs gather, instead
+of a full sample + label + parity pipeline: the balanced state falls
 out of ``s2r`` directly, with no parity kernel at all.
 
 Determinism contract (what the pool/supervisor block protocol relies
@@ -143,18 +146,19 @@ class SwapChainSampler:
         Returns ``(signs, s2r)`` — a ``(B, m)`` stack of balanced sign
         arrays and the matching ``(B, n)`` sign-to-root stack — the
         same shape :func:`repro.core.parity_batch.balance_batch`
-        produces, but with no parity kernel: both are read straight
-        off the delta state.
+        produces, but with no parity kernel: the ``s2r`` rows are read
+        straight off the delta state, and the signs come from them in
+        one ``(B, m)`` gather per chunk.
         """
         if isinstance(indices, int):
             indices = range(start, start + indices)
         indices = list(indices)
         if not indices:
             raise EngineError("need at least one chain index")
-        signs = np.empty((len(indices), self.graph.num_edges), dtype=np.int8)
         s2r = np.empty((len(indices), self.graph.num_vertices), dtype=np.int8)
         for b, k in enumerate(indices):
-            st = self.state_at(int(k))
-            signs[b] = st.balanced_signs()
-            s2r[b] = st.s2r
+            s2r[b] = self.state_at(int(k)).s2r
+        # One gather for the whole chunk: the balanced sign of every
+        # edge is its endpoints' sign-to-root product.
+        signs = s2r[:, self.graph.edge_u] * s2r[:, self.graph.edge_v]
         return signs, s2r
