@@ -7,14 +7,16 @@ spellings — an in-memory :class:`~repro.graph.csr.SignedGraph`, an open
 file — and runs the seed portfolio either single-process or across a
 process pool.
 
-The pool path rides the campaign workers' graph-slot machinery
-(:mod:`repro.parallel.pool`): store-backed runs ship only a path plus
-fingerprint to each worker (zero-copy mmap, one page-cache copy
-machine-wide), in-memory runs ship the graph once via the initializer,
-and every task re-checks the fingerprint.  A worker failure degrades
-that restart to in-process execution — same ladder philosophy as the
-campaign supervisor, scaled to the restart granularity — so a flaky
-pool can slow the search but not change its answer.
+The pool path is the package's one block executor
+(:mod:`repro.parallel.supervisor`) with one block per restart:
+store-backed runs ship only a path plus fingerprint to each worker
+(zero-copy mmap, one page-cache copy machine-wide), in-memory runs ship
+the graph once via the initializer, every task re-checks the
+fingerprint, and worker-side ``restart`` spans stitch into the parent's
+trace.  The executor runs the no-retry ladder; every restart the pool
+did not complete is recomputed in-process and counted in
+``degraded_restarts``, so a flaky pool can slow the search but not
+change its answer.
 
 Results are bit-deterministic across all execution modes: each restart
 is a pure function of ``(graph bytes, seed, label)`` and the winner is
@@ -29,8 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from repro.balanced.extract import (
     DEFAULT_PEEL_FRAC,
     BalancedSubgraph,
@@ -38,21 +38,13 @@ from repro.balanced.extract import (
 )
 from repro.errors import BalancedSearchError
 from repro.graph.csr import SignedGraph
+from repro.parallel.supervisor import (
+    BlockTask,
+    CampaignSupervisor,
+    RetryPolicy,
+)
 from repro.perf.registry import get_registry
-from repro.perf.tracectx import (
-    TraceContext,
-    current_trace,
-    pop_trace,
-    push_trace,
-)
-from repro.perf.tracing import (
-    TraceCollector,
-    absorb_shard,
-    collector_shard,
-    get_trace_collector,
-    set_trace_collector,
-    span,
-)
+from repro.perf.tracing import span
 
 __all__ = ["BalancedReport", "run_balanced"]
 
@@ -110,140 +102,41 @@ class BalancedReport:
 
 
 def _resolve_source(source: GraphSource):
-    """Normalize *source* to ``(graph, store_path, fingerprint)``."""
+    """Normalize *source* to ``(graph, store)``."""
     from repro.graph.store import GraphStore
 
     if isinstance(source, SignedGraph):
-        return source, None, None
+        return source, None
     if isinstance(source, GraphStore):
-        return source.graph(), str(source.path), source.fingerprint
+        return source.graph(), source
     store = GraphStore.open(Path(source))
-    return store.graph(), str(store.path), store.fingerprint
+    return store.graph(), store
 
 
-def _pool_search(
-    label: str,
-    sides: np.ndarray,
-    tolerance: int,
-    peel_frac: float,
-    polish: bool,
-    fingerprint: str | None,
-    trace: dict | None = None,
-) -> tuple[BalancedSubgraph, dict | None]:
-    """Picklable pool entry: one restart against the worker-slot graph.
-
-    Returns ``(subgraph, span_shard)`` — :class:`BalancedSubgraph` is a
-    frozen dataclass, so unlike the campaign clouds the worker's spans
-    cannot ride it as a dynamic attribute; they travel as the second
-    element instead (``None`` when the parent was not tracing).
-    """
-    from repro.parallel.pool import _worker_graph
-
-    graph = _worker_graph(fingerprint)
-    ctx = TraceContext.from_dict(trace) if trace is not None else None
-    collector: TraceCollector | None = None
-    if ctx is not None and get_trace_collector() is None:
-        collector = TraceCollector(max_events=256)
-        set_trace_collector(collector)
-    if ctx is not None:
-        push_trace(ctx)
-    try:
-        with span("restart"):
-            result = search_from_sides(
-                graph,
-                sides,
-                tolerance=tolerance,
-                peel_frac=peel_frac,
-                polish=polish,
-                seed_label=label,
-            )
-    finally:
-        if ctx is not None:
-            pop_trace()
-        if collector is not None:
-            set_trace_collector(None)
-    shard = collector_shard(collector) if collector is not None else None
-    return result, shard
-
-
-def _run_pool(
-    graph: SignedGraph,
-    seeds: list,
-    *,
-    tolerance: int,
-    peel_frac: float,
-    polish: bool,
-    workers: int,
-    store_path: str | None,
-    fingerprint: str | None,
-) -> tuple[list[BalancedSubgraph], int]:
-    """Fan the restarts over a process pool; returns
-    ``(results in portfolio order, degraded-restart count)``."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.parallel.pool import (
-        _init_worker,
-        _init_worker_store,
-        _reset_worker_slot,
+def _pool_search(graph, label, sides, tolerance, peel_frac, polish):
+    """One restart as the pool runs it (a module-level seam, so a test
+    can poison it in forked workers)."""
+    return search_from_sides(
+        graph, sides, tolerance=tolerance, peel_frac=peel_frac,
+        polish=polish, seed_label=label,
     )
 
-    if store_path is not None:
-        initializer, initargs = _init_worker_store, (
-            store_path,
-            fingerprint,
+
+@dataclass(frozen=True)
+class _RestartTask(BlockTask):
+    """Block ``(i, i + 1, 1)`` is restart *i* of the seed portfolio."""
+
+    what = "restart"
+    seeds: tuple
+    tolerance: int
+    peel_frac: float
+    polish: bool
+
+    def __call__(self, graph: SignedGraph, block) -> BalancedSubgraph:
+        label, sides = self.seeds[block[0]]
+        return _pool_search(
+            graph, label, sides, self.tolerance, self.peel_frac, self.polish
         )
-    else:
-        from repro.graph.store import graph_fingerprint
-
-        fingerprint = graph_fingerprint(graph)
-        initializer, initargs = _init_worker, (graph, fingerprint)
-
-    degraded = 0
-    results: list[BalancedSubgraph] = []
-    # Restart spans chain under the ambient context (the
-    # balanced_extract span's) whenever the parent collects a trace.
-    ctx = current_trace()
-    trace = ctx.to_dict() if ctx is not None else None
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=initializer, initargs=initargs
-    ) as pool:
-        futures = [
-            pool.submit(
-                _pool_search,
-                label,
-                assignment,
-                tolerance,
-                peel_frac,
-                polish,
-                fingerprint,
-                trace,
-            )
-            for label, assignment in seeds
-        ]
-        for (label, assignment), future in zip(seeds, futures):
-            try:
-                result, shard = future.result()
-                if shard:
-                    collector = get_trace_collector()
-                    if collector is not None:
-                        absorb_shard(collector, shard)
-                results.append(result)
-            except Exception:
-                # Restart-granular degradation: recompute in-process so
-                # a sick pool changes wall time, never the answer.
-                degraded += 1
-                results.append(
-                    search_from_sides(
-                        graph,
-                        assignment,
-                        tolerance=tolerance,
-                        peel_frac=peel_frac,
-                        polish=polish,
-                        seed_label=label,
-                    )
-                )
-    _reset_worker_slot()
-    return results, degraded
 
 
 def run_balanced(
@@ -263,9 +156,9 @@ def run_balanced(
     0) or ``"tolerance"``.  ``workers=0`` runs single-process;
     ``workers>0`` distributes restarts over a pool as described in the
     module docstring.  Metrics spans nest as ``balanced_extract >
-    eigen / rounding / polish`` (pool workers time their own spans in
-    their private registries; the parent records the portfolio and
-    winner either way).
+    eigen / rounding / polish``; a pooled restart wraps its own in a
+    ``restart`` span, and the worker's metrics and spans fold back into
+    the parent's registry and trace.
     """
     if workload not in ("extract", "tolerance"):
         raise BalancedSearchError(
@@ -282,35 +175,33 @@ def run_balanced(
 
     from repro.balanced.seeds import seed_assignments
 
-    graph, store_path, fingerprint = _resolve_source(source)
+    graph, store = _resolve_source(source)
     start = time.perf_counter()
-    degraded = 0
     with span("balanced_extract"):
         with span("eigen"):
             seeds = seed_assignments(graph, restarts=restarts, seed=seed)
-        if workers > 0 and len(seeds) > 1:
-            results, degraded = _run_pool(
-                graph,
-                seeds,
-                tolerance=tolerance,
-                peel_frac=peel_frac,
-                polish=polish,
-                workers=workers,
-                store_path=store_path,
-                fingerprint=fingerprint,
+        pooled = workers > 0 and len(seeds) > 1
+        done: dict = {}
+        if pooled:
+            task = _RestartTask(tuple(seeds), tolerance, peel_frac, polish)
+            blocks = [(i, i + 1, 1) for i in range(len(seeds))]
+            completed, _report = CampaignSupervisor(
+                graph, blocks, task, seed=seed, workers=workers,
+                policy=RetryPolicy(max_retries=0, degrade=False),
+                graph_store=store,
+            ).run()
+            done = {block[0]: result for block, result in completed}
+        # Restart-granular degradation: whatever the pool did not
+        # complete is recomputed in-process, so a sick pool changes
+        # wall time, never the answer.
+        degraded = len(seeds) - len(done) if pooled else 0
+        results = [
+            done[i] if i in done else search_from_sides(
+                graph, assignment, tolerance=tolerance, peel_frac=peel_frac,
+                polish=polish, seed_label=label,
             )
-        else:
-            results = [
-                search_from_sides(
-                    graph,
-                    assignment,
-                    tolerance=tolerance,
-                    peel_frac=peel_frac,
-                    polish=polish,
-                    seed_label=label,
-                )
-                for label, assignment in seeds
-            ]
+            for i, (label, assignment) in enumerate(seeds)
+        ]
     wall = time.perf_counter() - start
 
     best = results[0]

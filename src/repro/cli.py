@@ -125,7 +125,7 @@ def _cmd_balance(args) -> int:
 
 def _policy_from_args(args):
     """Build a supervisor :class:`RetryPolicy` from the cloud flags, or
-    ``None`` when none of them were given (plain unsupervised run)."""
+    ``None`` when none of them were given (the no-retry ladder)."""
     if (
         args.retries is None
         and args.block_timeout is None

@@ -2,18 +2,20 @@
 
 The simplest parallelization of Alg. 2 runs different trees on
 different workers (§3.3's opening observation).  This driver does that
-with a :class:`concurrent.futures.ProcessPoolExecutor`: each worker
-builds and balances a block of tree indices, accumulates a local
-:class:`FrustrationCloud`, and the parent merges the per-worker
-clouds — producing results equivalent to the sequential
+over the package's one block executor (:mod:`repro.parallel.
+supervisor`): each worker builds and balances a block of tree indices
+(:class:`CampaignTask`), accumulates a local :class:`FrustrationCloud`,
+and the parent merges the per-block clouds in sorted block order —
+producing results equivalent to the sequential
 :func:`repro.cloud.sample_cloud` for the same seed (tested), because
 :class:`TreeSampler` hands out tree *i* deterministically.
 
 The graph reaches each worker exactly once, through the executor's
 *initializer*, and blocks travel as three integers ``(start, stop,
-step)`` — never a materialized index list.  Two initializers exist:
-the legacy one ships a pickle of the graph per worker process, and the
-zero-copy one (``graph_store=...``) ships only a path to a packed
+step)`` — never a materialized index list.  The graph slot those
+initializers fill lives here.  Two initializers exist: the legacy one
+ships a pickle of the graph per worker process, and the zero-copy one
+(``graph_store=...``) ships only a path to a packed
 :class:`~repro.graph.store.GraphStore` file that every worker reopens
 as read-only ``np.memmap`` views — N workers then share one page-cache
 copy of the graph, and pool rebuilds cost a header read instead of a
@@ -27,32 +29,29 @@ silently computing against the wrong graph.  Within a worker,
 stacking the worker's trees into shared vectorized kernels.
 
 Work-stealing: ``steal_chunks=K`` splits the campaign into K fine
-contiguous blocks (pick ``K ≈ 4–8× workers``) that all enter the
-executor's shared task queue up front; idle workers pull the next
-block the moment they finish one, so a straggler block delays only
-itself instead of serializing the whole tail the way a static
-one-block-per-worker split does.  The parent journals which worker ran
-each block and a ``steal_summary`` event with the per-worker block/
-state tallies, so imbalance is visible after the fact.
+contiguous blocks (pick ``K ≈ 4–8× workers``) that feed the executor's
+shared queue; idle workers pull the next block the moment they finish
+one, so a straggler block delays only itself instead of serializing
+the whole tail the way a static one-block-per-worker split does.  The
+executor journals which worker ran each block and a ``steal_summary``
+event with the per-worker block/state tallies, so imbalance is visible
+after the fact.
 
-Crash safety: when ``checkpoint_path`` is given and a worker dies, the
-parent salvages every block that *did* complete into an atomic
+Crash safety: when ``checkpoint_path`` is given and a block crashes,
+the parent salvages every block that *did* complete into an atomic
 checkpoint whose campaign metadata records exactly which
 ``(start, stop, step)`` blocks it contains; ``resume_from`` later
 reruns only the missing indices and merges them in, so a crashed
 campaign loses at most the in-flight blocks.  Sequential
 :func:`~repro.cloud.checkpoint.resume_cloud` refuses such salvage
 checkpoints (they are not a contiguous prefix of the campaign).
-
-On this reproduction's single-core container the pool adds overhead
-rather than speed; the value here is the verified-deterministic
-parallel dataflow a multi-core deployment would use as-is.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,39 +65,30 @@ from repro.errors import CheckpointError, EngineError, SupervisorError
 from repro.graph.csr import SignedGraph
 from repro.graph.store import GraphStore, graph_fingerprint
 from repro.harary.bipartition import sides_from_sign_to_root
-from repro.perf.flight import (
-    get_flight_recorder,
-    install_flight_recorder,
-    set_flight_recorder,
+from repro.parallel.supervisor import (
+    BlockTask,
+    CampaignSupervisor,
+    RetryPolicy,
 )
+from repro.perf.flight import install_flight_recorder, set_flight_recorder
 from repro.perf.journal import journal_event
 from repro.perf.registry import collecting, get_registry
-from repro.perf.tracectx import (
-    TraceContext,
-    current_trace,
-    pop_trace,
-    push_trace,
-)
-from repro.perf.tracing import (
-    TraceCollector,
-    absorb_shard,
-    collector_shard,
-    get_trace_collector,
-    set_trace_collector,
-    span,
-)
+from repro.perf.tracing import set_trace_collector, span
 from repro.rng import SeedLike, freeze_seed
 from repro.trees.sampler import TreeSampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
 
-    from repro.parallel.supervisor import RetryPolicy
-
 __all__ = ["sample_cloud_pool"]
 
 Block = Tuple[int, int, int]
 StoreLike = Union[str, "Path", GraphStore]
+
+#: The ladder of an unsupervised campaign (``policy=None``): one
+#: attempt per block, no in-process fallback — a failed block fails the
+#: campaign after the completed ones are salvaged.
+_NO_RETRY = RetryPolicy(max_retries=0, degrade=False)
 
 # Per-process graph slot, populated once by an executor initializer so
 # submitted tasks don't each re-ship the (potentially large) graph.
@@ -112,21 +102,13 @@ _WORKER_FINGERPRINT: str | None = None
 _WORKER_STORE: str | None = None
 
 
-#: Bound on the span events one block shard ships back with its cloud
-#: (a straggler block can close thousands of tree_sample spans; the
-#: shard keeps the first N and counts the rest as dropped).
-_SHARD_MAX_EVENTS = 512
-
-
 def _init_worker_flight(flight_dir: str | None) -> None:
     """Reset fork-inherited observability state and arm the worker's
     flight recorder when the campaign asked for one.
 
     Fork-start workers inherit the parent's trace collector and flight
     recorder by memory copy; both are the *parent's* identity (its
-    dump path, its in-memory event sink) and must not be trusted here —
-    the collector especially, because a worker only ships a span shard
-    when no collector is installed.
+    dump path, its in-memory event sink) and must not be trusted here.
     """
     set_trace_collector(None)
     set_flight_recorder(None)
@@ -216,137 +198,49 @@ def _worker_graph(fingerprint: str | None) -> SignedGraph:
     )
 
 
-def _run_block(
-    graph: SignedGraph,
-    method: str,
-    kernel: str,
-    seed: int,
-    block: Block,
-    store_states: bool,
-    batch_size: int,
-    fault: Callable[[Block], None] | None = None,
-    swaps_per_state: int = 1,
-    trace: dict | None = None,
-) -> FrustrationCloud:
+@dataclass(frozen=True)
+class CampaignTask(BlockTask):
     """Balance the tree indices ``range(*block)`` and return the local
-    cloud.  *fault* is the fault-injection hook (see
-    :mod:`repro.util.faults`), invoked with the block before any work.
+    cloud — the block task of every cloud campaign (the pool driver
+    here and serve growth).  Pure compute: the executor's envelope
+    (:mod:`repro.parallel.supervisor`) adds the span, metrics window,
+    flight marks and trace shard around it."""
 
-    *trace* is a :meth:`~repro.perf.tracectx.TraceContext.to_dict`
-    payload naming the parent span this block hangs under.  In a worker
-    process (no trace collector installed) the block records its spans
-    into a bounded local collector and ships them back as
-    ``cloud.trace_shard``; in the parent (in-process / degraded
-    execution) spans chain under the ambient context directly.
-    """
-    recorder = get_flight_recorder()
-    if recorder is not None:
-        # Dumped before any work: a SIGKILL mid-block leaves a dump
-        # naming exactly this block.
-        recorder.mark_inflight(what="block", block=list(block),
-                               method=method)
-    if fault is not None:
-        fault(block)
-    indices = range(*block)
-    sampler = TreeSampler(
-        graph, method=method, seed=seed, swaps_per_state=swaps_per_state
-    )
-    cloud = FrustrationCloud(graph, store_states=store_states)
-    ctx = TraceContext.from_dict(trace) if trace is not None else None
-    shard: TraceCollector | None = None
-    if ctx is not None and get_trace_collector() is None:
-        shard = TraceCollector(_SHARD_MAX_EVENTS)
-        set_trace_collector(shard)
-    if ctx is not None:
-        push_trace(ctx)
-    try:
-        cloud = _run_block_body(
-            graph, kernel, sampler, indices, cloud, batch_size
+    method: str
+    kernel: str
+    seed: int
+    store_states: bool
+    batch_size: int
+    swaps_per_state: int = 1
+
+    def __call__(self, graph: SignedGraph, block: Block) -> FrustrationCloud:
+        sampler = TreeSampler(
+            graph, method=self.method, seed=self.seed,
+            swaps_per_state=self.swaps_per_state,
         )
-    finally:
-        if ctx is not None:
-            pop_trace()
-        if shard is not None:
-            set_trace_collector(None)
-    if shard is not None:
-        # Dynamic attribute like `metrics` below: survives pickling, so
-        # the parent can stitch the worker's spans into its collector.
-        cloud.trace_shard = collector_shard(shard)
-    if recorder is not None:
-        recorder.clear_inflight(block=list(block), states=cloud.num_states)
-    return cloud
-
-
-def _run_block_body(
-    graph: SignedGraph,
-    kernel: str,
-    sampler: TreeSampler,
-    indices: range,
-    cloud: FrustrationCloud,
-    batch_size: int,
-) -> FrustrationCloud:
-    """The measured heart of :func:`_run_block` (split out so the trace
-    scope installed around it stays readable)."""
-    # Detached metrics window: the snapshot rides back with the cloud
-    # and the parent merges it exactly once (merge=True here would
-    # double-count blocks that degrade to in-process execution).
-    with collecting(merge=False) as metrics, span("block"):
+        cloud = FrustrationCloud(graph, store_states=self.store_states)
         # Chain states are pure functions of (seed, index), so any
         # block shape is correct; a swap block enters the chain at its
         # segment and walks it forward in chunks.
         for signs, s2r in balanced_states(
-            graph, sampler, indices, kernel=kernel, batch_size=batch_size
+            graph, sampler, range(*block), kernel=self.kernel,
+            batch_size=self.batch_size,
         ):
             with span("harary"):
                 cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-        # Counted inside the detached window, so the block's state
-        # count travels with its snapshot through salvage and resume.
+        # Counted inside the envelope's detached window, so the block's
+        # state count travels with its snapshot through salvage and
+        # resume.
         get_registry().count("cloud.states_total", cloud.num_states)
-    cloud.metrics = metrics.snapshot()
-    # Which process ran the block: dynamic attributes survive pickling
-    # (like `metrics` above), so the parent can attribute every block
-    # to a worker for the steal accounting.
-    cloud.worker_pid = os.getpid()
-    return cloud
+        return cloud
 
-
-def _worker(
-    method: str,
-    kernel: str,
-    seed: int,
-    block: Block,
-    store_states: bool,
-    batch_size: int,
-    fault: Callable[[Block], None] | None = None,
-    swaps_per_state: int = 1,
-    fingerprint: str | None = None,
-    trace: dict | None = None,
-) -> FrustrationCloud:
-    """Pool entry point: run a block against the worker-slot graph
-    (fingerprint-checked; see :func:`_worker_graph`)."""
-    graph = _worker_graph(fingerprint)
-    return _run_block(
-        graph, method, kernel, seed, block, store_states,
-        batch_size, fault, swaps_per_state, trace,
-    )
-
-
-def _absorb_metrics(local: FrustrationCloud) -> None:
-    """Fold a block cloud's metrics snapshot — and its span shard, when
-    the parent is collecting a trace — into the active registry/
-    collector, exactly once (both are cleared after merging, so
-    re-merging a cloud — e.g. salvage followed by resume — is a
-    no-op)."""
-    snap = getattr(local, "metrics", None)
-    if snap:
-        get_registry().merge_snapshot(snap)
-        local.metrics = None
-    shard = getattr(local, "trace_shard", None)
-    if shard:
-        collector = get_trace_collector()
-        if collector is not None:
-            absorb_shard(collector, shard)
-        local.trace_shard = None
+    def journal_fields(self, block: Block, cloud: FrustrationCloud) -> dict:
+        """The block's state count and, for swap blocks, the chain
+        segment its start index enters at."""
+        fields = {"states": cloud.num_states}
+        if self.method == "swap":
+            fields["chain_segment_start"] = _chain_segment_start(block[0])
+        return fields
 
 
 def _merge_intervals(done: Sequence[Block]) -> list[tuple[int, int]]:
@@ -509,8 +403,8 @@ def sample_cloud_pool(
     the tree-batched engine inside each worker.
 
     ``checkpoint_path`` writes a self-describing checkpoint when the
-    campaign completes — and, if a worker crashes mid-campaign (or the
-    parent is interrupted), a *salvage* checkpoint holding every block
+    campaign completes — and, if a block crashes mid-campaign (or the
+    campaign is interrupted), a *salvage* checkpoint holding every block
     that did complete (the raised :class:`~repro.errors.EngineError`
     names it; a :class:`KeyboardInterrupt` is re-raised unchanged after
     the salvage is written).  ``resume_from`` loads such a checkpoint
@@ -521,19 +415,23 @@ def sample_cloud_pool(
     invoked in the worker with each ``(start, stop, step)`` block
     before processing.
 
-    ``policy`` enables the self-healing supervisor
-    (:mod:`repro.parallel.supervisor`): failed blocks are retried with
-    backoff, hung blocks are timed out and their workers killed, a
-    broken pool is rebuilt, stubborn blocks degrade to in-process
-    execution, poison blocks are quarantined instead of sinking the
-    campaign, and a campaign ``deadline`` checkpoints and stops
-    cleanly.  The structured :class:`~repro.parallel.supervisor.
-    RunReport` is attached to the returned cloud as
-    ``cloud.run_report``.  When blocks were quarantined or abandoned to
-    the deadline, the returned cloud holds fewer than ``num_states``
-    states and its checkpoint records ``done_blocks`` (and the
-    quarantined blocks), so ``resume_from`` re-attempts exactly the
-    missing work.
+    Every campaign runs on the supervisor's ladder
+    (:mod:`repro.parallel.supervisor`).  ``policy=None`` is the no-retry
+    ladder — one attempt per block, and a crashed block raises the
+    salvage :class:`~repro.errors.EngineError` above (after a hard
+    worker death the innocent in-flight blocks still complete and are
+    salvaged).  A :class:`~repro.parallel.supervisor.RetryPolicy` makes
+    the campaign self-healing: failed blocks are retried with backoff,
+    hung blocks are timed out and their workers killed, a broken pool
+    is rebuilt, stubborn blocks degrade to in-process execution, poison
+    blocks are quarantined instead of sinking the campaign, and a
+    campaign ``deadline`` checkpoints and stops cleanly.  The structured
+    :class:`~repro.parallel.supervisor.RunReport` is attached to the
+    returned cloud as ``cloud.run_report``.  When blocks were
+    quarantined or abandoned to the deadline, the returned cloud holds
+    fewer than ``num_states`` states and its checkpoint records
+    ``done_blocks`` (and the quarantined blocks), so ``resume_from``
+    re-attempts exactly the missing work.
 
     ``graph_store`` (a path or an open
     :class:`~repro.graph.store.GraphStore`) switches the pool to the
@@ -559,7 +457,7 @@ def sample_cloud_pool(
     When a trace collector is installed in the parent
     (:func:`~repro.perf.tracing.collecting_trace` / ``--trace-out``),
     the campaign's trace context rides every task payload; workers
-    ship their spans back as bounded shards on the block clouds, and
+    ship their spans back as bounded shards with each block, and
     the parent stitches them — rebased onto its own clock, under the
     same trace_id — into one causal tree across all paths (pool,
     steal, degraded, salvage, resume).
@@ -680,32 +578,28 @@ def sample_cloud_pool(
     ) -> FrustrationCloud:
         """Fold completed block clouds into the resume base in sorted
         block order — the order is what makes a healed campaign
-        bit-identical to a fault-free one.  Each block's metrics
-        snapshot (and the resume base's restored one) is folded into
-        the active registry on the way through."""
+        bit-identical to a fault-free one.  The resume base's restored
+        metrics snapshot is folded into the active registry once (the
+        executor already absorbed every block's)."""
         merged = (
             base
             if base is not None
             else FrustrationCloud(graph, store_states=store_states)
         )
-        _absorb_metrics(merged)
+        snap = getattr(merged, "metrics", None)
+        if snap:
+            get_registry().merge_snapshot(snap)
+            merged.metrics = None
         for _block, local in sorted(completed, key=lambda pair: pair[0][0]):
             merged.merge(local)
-            _absorb_metrics(local)
         return merged
 
     def _partial_campaign(
         done: Sequence[Block],
         quarantined: tuple[Block, ...] | None = None,
     ) -> CampaignMeta:
-        return CampaignMeta(
-            method=method,
-            kernel=kernel,
-            seed=frozen,
-            batch_size=batch_size,
-            store_states=store_states,
-            swaps_per_state=swaps_per_state,
-            graph_store=str(store.path) if store is not None else None,
+        return dataclasses.replace(
+            campaign,
             done_blocks=tuple(sorted(prior_blocks + tuple(done))),
             quarantined_blocks=quarantined,
         )
@@ -752,162 +646,37 @@ def sample_cloud_pool(
         steal_chunks=steal_chunks,
     )
 
-    def _block_event(name: str, block: Block, **extra) -> None:
-        """Journal a block event, tagging swap blocks with the chain
-        segment their start index enters at."""
-        if method == "swap":
-            extra["chain_segment_start"] = _chain_segment_start(block[0])
-        journal_event(
-            name, block=block[0], stop=block[1], step=block[2], **extra
-        )
-
     def _campaign() -> FrustrationCloud:
         if not blocks:
             return _finalize(base)
-
-        if policy is not None:
-            return _run_supervised_campaign(
-                graph, blocks, workers=workers, method=method, kernel=kernel,
-                frozen=frozen, store_states=store_states,
-                batch_size=batch_size, swaps_per_state=swaps_per_state,
-                policy=policy, fault=fault, finalize=_finalize,
-                merge_completed=_merge_completed, salvage=_salvage,
-                partial_campaign=_partial_campaign,
-                checkpoint_path=checkpoint_path,
-                keep_checkpoints=keep_checkpoints,
-                graph_store=store,
-                flight_dir=flight_dir,
-            )
-
-        if workers == 1 or len(blocks) == 1:
-            # The in-process path never touches the worker slot, but a
-            # slot populated by an earlier campaign in this process
-            # must not leak into whatever runs here next.
-            _reset_worker_slot()
-            merged = (
-                base
-                if base is not None
-                else FrustrationCloud(graph, store_states=store_states)
-            )
-            done: list[tuple[Block, FrustrationCloud]] = []
-            block = blocks[0]
-            try:
-                _absorb_metrics(merged)
-                for block in blocks:
-                    local = _run_block(
-                        graph, method, kernel, frozen, block, store_states,
-                        batch_size, fault, swaps_per_state,
-                    )
-                    done.append((block, local))
-                    _block_event(
-                        "block_completed", block, states=local.num_states,
-                        worker=getattr(local, "worker_pid", None),
-                    )
-                    merged.merge(local)
-                    _absorb_metrics(local)
-            except BaseException as exc:
-                # Salvage exactly like the pool path: every block that
-                # completed before the crash (or interrupt) is
-                # checkpointed, so the campaign loses only the in-flight
-                # block.  KeyboardInterrupt and kin re-raise unchanged.
-                salvaged = None
-                if checkpoint_path is not None and (
-                    done or base is not None
-                ):
-                    merged.metrics = get_registry().snapshot()
-                    save_cloud(
-                        merged,
-                        checkpoint_path,
-                        campaign=_partial_campaign(
-                            tuple(b for b, _c in done)
-                        ),
-                        keep=keep_checkpoints,
-                    )
-                    journal_event(
-                        "salvage_written",
-                        blocks=len(done),
-                        states=merged.num_states,
-                        path=str(checkpoint_path),
-                    )
-                    salvaged = merged
-                if not isinstance(exc, Exception):
-                    raise
-                detail = (
-                    f"in-process block {block} crashed: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                if salvaged is not None:
-                    raise EngineError(
-                        f"{detail}; salvaged {len(done)} completed "
-                        f"block(s) ({salvaged.num_states} states) to "
-                        f"{checkpoint_path} — finish with "
-                        "sample_cloud_pool(..., resume_from=...)"
-                    ) from exc
-                raise EngineError(detail) from exc
-            return _finalize(merged)
-
-        completed: list[tuple[Block, FrustrationCloud]] = []
-        failures: list[tuple[Block, BaseException]] = []
-        if store is not None:
-            initializer, initargs = (
-                _init_worker_store,
-                (str(store.path), store.fingerprint, flight_dir),
-            )
-        else:
-            initializer, initargs = (
-                _init_worker, (graph, fingerprint, flight_dir),
-            )
-        # The campaign span's context (when a collector is installed)
-        # is what every worker's block span chains under.
-        ctx = current_trace()
-        trace = ctx.to_dict() if ctx is not None else None
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(blocks)),
-            initializer=initializer,
-            initargs=initargs,
-        ) as pool:
-            futures = {
-                pool.submit(
-                    _worker, method, kernel, frozen, block, store_states,
-                    batch_size, fault, swaps_per_state, fingerprint, trace,
-                ): block
-                for block in blocks
-            }
-            try:
-                for future in as_completed(futures):
-                    block = futures[future]
-                    try:
-                        completed.append((block, future.result()))
-                        _block_event(
-                            "block_completed", block,
-                            states=completed[-1][1].num_states,
-                            worker=getattr(
-                                completed[-1][1], "worker_pid", None
-                            ),
-                        )
-                    except Exception as exc:
-                        failures.append((block, exc))
-                        _block_event(
-                            "block_failed", block,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-            except BaseException:
-                # A KeyboardInterrupt (parent-side ^C, or one shipped
-                # back from a worker) bypasses the Exception handler
-                # above.  Without this, every completed block would be
-                # lost: write the salvage checkpoint, then re-raise
-                # unchanged.
-                pool.shutdown(wait=False, cancel_futures=True)
-                _salvage(completed)
-                raise
-
-        if failures:
-            failures.sort(key=lambda pair: pair[0][0])
-            block, exc = failures[0]
-            detail = (
-                f"pool worker crashed on block {block}: "
-                f"{type(exc).__name__}: {exc}"
-            )
+        task = CampaignTask(
+            method=method, kernel=kernel, seed=frozen,
+            store_states=store_states, batch_size=batch_size,
+            swaps_per_state=swaps_per_state,
+        )
+        supervisor = CampaignSupervisor(
+            graph, blocks, task, seed=frozen, workers=workers,
+            policy=policy if policy is not None else _NO_RETRY,
+            fault=fault, graph_store=store, flight_dir=flight_dir,
+        )
+        try:
+            completed, report = supervisor.run()
+        except BaseException:
+            # An interrupt (parent-side ^C, or one raised by a block):
+            # the ladder consumes block faults, so anything escaping is
+            # a stop request — salvage and re-raise unchanged.
+            _salvage(supervisor.completed)
+            raise
+        if report.ok:
+            result = _finalize(_merge_completed(completed))
+            if policy is not None:
+                result.run_report = report
+            return result
+        if policy is None:
+            # No-retry contract: a crashed block fails the campaign,
+            # after every completed block is salvaged for resume_from.
+            failed = min(report.quarantined, key=lambda q: q["block"])
+            detail = f"pool block {failed['block']} crashed: {failed['error']}"
             salvage = _salvage(completed)
             if salvage is not None:
                 raise EngineError(
@@ -915,11 +684,29 @@ def sample_cloud_pool(
                     f"block(s) ({salvage.num_states} states) to "
                     f"{checkpoint_path} — finish with "
                     "sample_cloud_pool(..., resume_from=...)"
-                ) from exc
-            raise EngineError(detail) from exc
-
-        _steal_summary(completed, workers)
-        return _finalize(_merge_completed(completed))
+                )
+            raise EngineError(detail)
+        # Quarantined or deadline-abandoned blocks: return the partial
+        # cloud with done_blocks (and the quarantine list) checkpointed
+        # and recorded, so resume_from re-attempts exactly the rest.
+        merged = _merge_completed(completed)
+        if merged.num_states == 0:
+            raise SupervisorError(
+                f"supervised campaign produced no states ({report.summary()})",
+                report=report,
+            )
+        meta = _partial_campaign(
+            tuple(b for b, _c in completed),
+            report.quarantined_blocks or None,
+        )
+        if checkpoint_path is not None:
+            merged.metrics = get_registry().snapshot()
+            save_cloud(
+                merged, checkpoint_path, campaign=meta, keep=keep_checkpoints
+            )
+        merged.campaign_meta = meta
+        merged.run_report = report
+        return merged
 
     with collecting() as metrics, span("campaign"):
         cloud = _campaign()
@@ -935,106 +722,3 @@ def sample_cloud_pool(
     if report is not None:
         report.metrics = snap
     return cloud
-
-
-def _steal_summary(
-    completed: Sequence[tuple[Block, FrustrationCloud]], workers: int
-) -> None:
-    """Journal the per-worker block/state tallies of a pool campaign
-    and gauge the imbalance, so operators can see the dynamic schedule
-    work-stealing actually produced."""
-    per_worker: dict[int, list[int]] = {}
-    for block, local in completed:
-        pid = getattr(local, "worker_pid", None)
-        if pid is None:
-            continue
-        tally = per_worker.setdefault(int(pid), [0, 0])
-        tally[0] += 1
-        tally[1] += _block_len(block)
-    if not per_worker:
-        return
-    blocks_per_worker = [t[0] for t in per_worker.values()]
-    registry = get_registry()
-    registry.gauge("pool.workers_used", float(len(per_worker)))
-    registry.gauge("pool.steal_max_blocks", float(max(blocks_per_worker)))
-    registry.gauge("pool.steal_min_blocks", float(min(blocks_per_worker)))
-    journal_event(
-        "steal_summary",
-        workers=workers,
-        workers_used=len(per_worker),
-        blocks={str(pid): t[0] for pid, t in sorted(per_worker.items())},
-        states={str(pid): t[1] for pid, t in sorted(per_worker.items())},
-    )
-
-
-def _run_supervised_campaign(
-    graph: SignedGraph,
-    blocks: Sequence[Block],
-    *,
-    workers: int,
-    method: str,
-    kernel: str,
-    frozen: int,
-    store_states: bool,
-    batch_size: int,
-    swaps_per_state: int,
-    policy,
-    fault,
-    finalize,
-    merge_completed,
-    salvage,
-    partial_campaign,
-    checkpoint_path,
-    keep_checkpoints: int,
-    graph_store: GraphStore | None = None,
-    flight_dir: str | None = None,
-) -> FrustrationCloud:
-    """Drive *blocks* through the self-healing supervisor and shape the
-    outcome back into :func:`sample_cloud_pool`'s contract.
-
-    A fully-healed campaign finalizes exactly like an unfaulted one (so
-    the result is bit-identical).  A campaign with quarantined or
-    deadline-abandoned blocks returns the partial cloud with
-    ``done_blocks`` (and the quarantine list) checkpointed and recorded
-    in ``campaign_meta`` so ``resume_from`` re-attempts precisely the
-    missing work.  Either way the :class:`~repro.parallel.supervisor.
-    RunReport` rides along as ``cloud.run_report``.
-    """
-    from repro.cloud.checkpoint import save_cloud
-    from repro.parallel.supervisor import CampaignSupervisor
-
-    supervisor = CampaignSupervisor(
-        graph, blocks, method=method, kernel=kernel, seed=frozen,
-        store_states=store_states, batch_size=batch_size, workers=workers,
-        policy=policy, fault=fault, swaps_per_state=swaps_per_state,
-        graph_store=graph_store, flight_dir=flight_dir,
-    )
-    try:
-        completed, report = supervisor.run()
-    except BaseException:
-        # Parent-side interrupt: the ladder consumes block faults, so
-        # anything escaping is a stop request — salvage and re-raise.
-        salvage(supervisor.completed)
-        raise
-    if report.ok:
-        result = finalize(merge_completed(completed))
-        result.run_report = report
-        return result
-    merged = merge_completed(completed)
-    if merged.num_states == 0:
-        raise SupervisorError(
-            f"supervised campaign produced no states ({report.summary()})",
-            report=report,
-        )
-    meta = partial_campaign(
-        tuple(b for b, _c in completed),
-        report.quarantined_blocks or None,
-    )
-    if checkpoint_path is not None:
-        merged.metrics = get_registry().snapshot()
-        save_cloud(
-            merged, checkpoint_path, campaign=meta, keep=keep_checkpoints
-        )
-    merged.campaign_meta = meta
-    merged.run_report = report
-    return merged

@@ -1,12 +1,18 @@
-"""Self-healing campaign supervisor: retries, timeouts, backoff,
-quarantine, and graceful degradation for pool cloud sampling.
+"""The one block executor: every process pool in the package runs
+here, under a self-healing fault ladder.
 
-The block-parallel campaign driver (:mod:`repro.parallel.pool`) fans a
-cloud campaign out over ``(start, stop, step)`` tree-index blocks.
-Without supervision, one crashed worker aborts the campaign (leaving a
-salvage checkpoint the *user* must resume by hand) and one hung worker
-stalls it forever.  This module wraps the same dataflow in a
-fault-handling ladder so a campaign heals itself instead:
+Cloud campaigns (§3.3's trees-on-workers parallelism,
+:func:`repro.parallel.pool.sample_cloud_pool`), serve growth rounds
+(:mod:`repro.serve.growth`) and balanced-subgraph restarts
+(:mod:`repro.balanced.runner`) each hand this module a picklable
+:class:`BlockTask` that computes one ``(start, stop, step)`` block.
+The executor owns the rest, once for every caller: the graph-slot
+initializer (:mod:`repro.parallel.pool`), the worker-side envelope
+(flight-recorder in-flight marks, a detached metrics window, a bounded
+span shard under the caller's trace context, the worker pid), and the
+parent-side absorb of each completed block (metrics and spans folded
+in exactly once, a ``block_completed`` journal event, and one
+``steal_summary`` per pooled run).  The ladder:
 
 1. **Retry in the pool.**  A block whose worker raises is resubmitted
    up to ``max_retries`` times, after an exponential backoff with
@@ -40,25 +46,34 @@ fault-handling ladder so a campaign heals itself instead:
    and hands the completed blocks back for a clean checkpoint — the
    campaign stops on its own terms instead of being killed mid-flight.
 
+With one worker (or one block) the ladder runs in-process, minus the
+timeout and degrade rungs.  ``RetryPolicy(max_retries=0,
+degrade=False)`` is the no-retry ladder: one attempt per block,
+failures quarantined.  Only ``Exception`` is a block fault: a task's
+``KeyboardInterrupt`` (or other ``BaseException``) propagates on every
+rung, after the blocks harvested so far are recorded, so the caller
+can salvage them and re-raise.
+
 Determinism: a block's result depends only on its ``(start, stop,
-step)`` indices and the campaign seed (:class:`~repro.trees.sampler.
-TreeSampler` hands out tree *i* deterministically), so retries, pool
-rebuilds, and in-process degradation cannot change what a block
-computes — only *whether* it completes.  The caller merges completed
+step)`` indices and the task's parameters (:class:`~repro.trees.
+sampler.TreeSampler` hands out tree *i* deterministically), so retries,
+pool rebuilds, and in-process degradation cannot change what a block
+computes — only *whether* it completes.  Callers merge completed
 blocks in sorted block order, so a campaign that heals is bit-identical
 to one that never faulted (tested in
 ``tests/parallel/test_supervisor.py``).
 
 Every fault, retry, backoff, teardown, degradation, and quarantine is
-recorded as a :class:`FaultEvent` in the :class:`RunReport`, which the
-pool driver attaches to the returned cloud (``cloud.run_report``) and
-which dumps to JSON for operators.
+recorded as a :class:`FaultEvent` in the :class:`RunReport`, which
+supervised campaigns attach to the returned cloud
+(``cloud.run_report``) and which dumps to JSON for operators.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from collections import deque
@@ -66,15 +81,24 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence, Tuple
+from typing import Any, Callable, NamedTuple, Sequence, Tuple
 
 from repro.errors import SupervisorError
 from repro.graph.csr import SignedGraph
+from repro.perf.flight import get_flight_recorder
 from repro.perf.journal import journal_event
-from repro.perf.registry import get_registry
-from repro.perf.tracectx import current_trace
+from repro.perf.registry import collecting, get_registry
+from repro.perf.tracectx import TraceContext, current_trace, trace_scope
+from repro.perf.tracing import (
+    absorb_shard,
+    collecting_trace,
+    collector_shard,
+    get_trace_collector,
+    span,
+)
 
 __all__ = [
+    "BlockTask",
     "RetryPolicy",
     "FaultEvent",
     "RunReport",
@@ -87,6 +111,11 @@ Block = Tuple[int, int, int]
 #: than this without re-checking timeouts, cooled retries, and the
 #: campaign deadline.
 _TICK = 0.05
+
+#: Bound on the span events one block shard ships back with its result
+#: (a straggler block can close thousands of tree_sample spans; the
+#: shard keeps the first N and counts the rest as dropped).
+_SHARD_MAX_EVENTS = 512
 
 
 @dataclass(frozen=True)
@@ -276,6 +305,90 @@ class RunReport:
         return "; ".join(parts)
 
 
+class BlockTask:
+    """Picklable work the executor runs one ``(start, stop, step)``
+    block at a time: ``task(graph, block)`` returns the block's result.
+
+    ``what`` names the unit of work in the block's span and its
+    flight-recorder mark.  :meth:`journal_fields` adds task-specific
+    fields to the block's ``block_completed`` journal event.
+    """
+
+    what = "block"
+
+    def __call__(self, graph: SignedGraph, block: Block) -> Any:
+        raise NotImplementedError
+
+    def journal_fields(self, block: Block, result: Any) -> dict:
+        """Extra ``block_completed`` fields for *block*'s *result*."""
+        return {}
+
+
+class _Outcome(NamedTuple):
+    """What the envelope ships back: the task's result plus the
+    block's detached metrics snapshot, its span shard (worker-side
+    runs under a trace only) and the pid that ran it."""
+
+    result: Any
+    metrics: dict | None
+    shard: dict | None
+    pid: int
+
+
+def _envelope(
+    task: BlockTask,
+    fault: Callable[[Block], None] | None,
+    graph: SignedGraph,
+    block: Block,
+) -> _Outcome:
+    """Run *task* on *block* with the per-block observability around
+    it.  *fault* is the fault-injection hook (see
+    :mod:`repro.util.faults`), invoked with the block before any work.
+    """
+    recorder = get_flight_recorder()
+    if recorder is not None:
+        # Dumped before any work: a SIGKILL mid-block leaves a dump
+        # naming exactly this block.
+        recorder.mark_inflight(what=task.what, block=list(block))
+    if fault is not None:
+        fault(block)
+    # Detached metrics window: the snapshot rides back with the result
+    # and the parent merges it exactly once (merge=True here would
+    # double-count blocks that degrade to in-process execution).
+    with collecting(merge=False) as metrics, span(task.what):
+        result = task(graph, block)
+    if recorder is not None:
+        recorder.clear_inflight(what=task.what, block=list(block))
+    return _Outcome(result, metrics.snapshot(), None, os.getpid())
+
+
+def _run_in_worker(
+    task: BlockTask,
+    fault: Callable[[Block], None] | None,
+    fingerprint: str,
+    block: Block,
+    trace: dict | None,
+) -> _Outcome:
+    """Worker entry point: the envelope over the worker-slot graph
+    (fingerprint-checked; see :func:`repro.parallel.pool._worker_graph`).
+
+    *trace* is a :meth:`~repro.perf.tracectx.TraceContext.to_dict`
+    payload naming the parent span the block hangs under; the worker
+    records its spans into a bounded local collector and ships them
+    back as the outcome's shard.
+    """
+    from repro.parallel.pool import _worker_graph
+
+    graph = _worker_graph(fingerprint)
+    if trace is None:
+        return _envelope(task, fault, graph, block)
+    with collecting_trace(_SHARD_MAX_EVENTS) as shard, trace_scope(
+        TraceContext.from_dict(trace)
+    ):
+        outcome = _envelope(task, fault, graph, block)
+    return outcome._replace(shard=collector_shard(shard))
+
+
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Kill a pool whose workers may be hung.  ``Future.cancel`` cannot
     stop a running call, so the worker processes are terminated
@@ -292,23 +405,28 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 class CampaignSupervisor:
-    """One supervised campaign run.  See the module docstring for the
-    ladder; :func:`run_supervised` is the public entry point."""
+    """One supervised run of *task* over *blocks*.  See the module
+    docstring for the ladder; :func:`run_supervised` is the entry point
+    for cloud campaigns.
+
+    *seed* keys the deterministic backoff jitter.  ``graph_store`` (a
+    path or an open :class:`~repro.graph.store.GraphStore` holding
+    *graph*) switches workers to the zero-copy initializer.
+    ``stop_event`` requests a cooperative stop (see
+    :func:`run_supervised`); ``flight_dir`` arms a flight recorder in
+    every worker process.
+    """
 
     def __init__(
         self,
         graph: SignedGraph,
         blocks: Sequence[Block],
+        task: BlockTask,
         *,
-        method: str,
-        kernel: str,
         seed: int,
-        store_states: bool,
-        batch_size: int,
         workers: int,
         policy: RetryPolicy,
         fault: Callable[[Block], None] | None = None,
-        swaps_per_state: int = 1,
         graph_store=None,
         stop_event: "threading.Event | None" = None,
         flight_dir: str | None = None,
@@ -334,17 +452,16 @@ class CampaignSupervisor:
                 "than the one being supervised (fingerprint mismatch)"
             )
         self.blocks = [tuple(int(x) for x in b) for b in blocks]
-        self.method = method
-        self.kernel = kernel
+        self.task = task
         self.seed = seed
-        self.store_states = store_states
-        self.batch_size = batch_size
         self.workers = workers
         self.policy = policy
         self.fault = fault
-        self.swaps_per_state = swaps_per_state
         self.stop_event = stop_event
         self.flight_dir = flight_dir
+        # The pool rung engages only when there is parallel work; one
+        # worker or one block runs the in-process ladder.
+        self.pooled = workers > 1 and len(self.blocks) > 1
         # The ambient trace context (the campaign span's, or a serve
         # request's) at construction time is what every pool task's
         # block span chains under; None when no trace is being
@@ -353,7 +470,9 @@ class CampaignSupervisor:
         self.trace = ctx.to_dict() if ctx is not None else None
 
         self.report = RunReport(policy=policy, blocks_total=len(self.blocks))
-        self.completed: list[tuple[Block, object]] = []
+        self.completed: list[tuple[Block, Any]] = []
+        # Which process ran each completed block, for the steal summary.
+        self.ran_on: list[tuple[Block, int]] = []
         # (block, attempt) ready to submit; attempt is 1-based.
         self.pending: deque[tuple[Block, int]] = deque(
             (b, 1) for b in self.blocks
@@ -410,13 +529,48 @@ class CampaignSupervisor:
                 detail=detail,
             )
 
-    def _complete(self, block: Block, local) -> None:
-        """Record one completed block (all ladder rungs funnel here)."""
-        self.completed.append((block, local))
+    def _complete(self, block: Block, outcome: _Outcome) -> None:
+        """Record one completed block (all ladder rungs funnel here):
+        fold its metrics snapshot and span shard into the parent's
+        registry and collector, exactly once."""
+        if outcome.metrics:
+            get_registry().merge_snapshot(outcome.metrics)
+        collector = get_trace_collector()
+        if outcome.shard and collector is not None:
+            absorb_shard(collector, outcome.shard)
+        self.completed.append((block, outcome.result))
+        self.ran_on.append((block, outcome.pid))
         journal_event(
             "block_completed", block=block[0], stop=block[1], step=block[2],
-            states=getattr(local, "num_states", None),
-            worker=getattr(local, "worker_pid", None),
+            worker=outcome.pid,
+            **self.task.journal_fields(block, outcome.result),
+        )
+
+    def _steal_summary(self) -> None:
+        """Journal the per-worker block/state tallies of a pooled run
+        and gauge the imbalance, so operators can see the dynamic
+        schedule the shared queue actually produced.  Blocks that ran
+        in this process (degraded) are not a worker's."""
+        per_worker: dict[int, list[int]] = {}
+        for block, pid in self.ran_on:
+            if pid == os.getpid():
+                continue
+            tally = per_worker.setdefault(pid, [0, 0])
+            tally[0] += 1
+            tally[1] += len(range(*block))
+        if not per_worker:
+            return
+        blocks_per_worker = [t[0] for t in per_worker.values()]
+        registry = get_registry()
+        registry.gauge("pool.workers_used", float(len(per_worker)))
+        registry.gauge("pool.steal_max_blocks", float(max(blocks_per_worker)))
+        registry.gauge("pool.steal_min_blocks", float(min(blocks_per_worker)))
+        journal_event(
+            "steal_summary",
+            workers=self.workers,
+            workers_used=len(per_worker),
+            blocks={str(pid): t[0] for pid, t in sorted(per_worker.items())},
+            states={str(pid): t[1] for pid, t in sorted(per_worker.items())},
         )
 
     def _deadline_left(self) -> float | None:
@@ -435,8 +589,8 @@ class CampaignSupervisor:
         self, block: Block, attempt: int, kind: str, detail: str
     ) -> None:
         """One attempt of *block* failed; climb the ladder: backoff +
-        retry, then in-process degradation (plain failures only), then
-        quarantine."""
+        retry, then in-process degradation (plain pool failures only),
+        then quarantine."""
         if kind == "timeout":
             self.report.timeouts += 1
             get_registry().count("supervisor.timeouts_total", 1)
@@ -456,10 +610,10 @@ class CampaignSupervisor:
                 )
             self.cooling.append((time.monotonic() + delay, block, attempt + 1))
             return
-        # Pool retries exhausted.  Hung blocks cannot be interrupted
+        # Retries exhausted.  Hung blocks cannot be interrupted
         # in-process and crash blocks would kill the parent, so only
-        # ordinary failures take the degradation rung.
-        if self.policy.degrade and kind == "failure" and self.workers > 1:
+        # ordinary pool failures take the degradation rung.
+        if self.policy.degrade and kind == "failure" and self.pooled:
             self.degrade_queue.append((block, attempt + 1))
             self._event(
                 "degrade", block, attempt,
@@ -500,9 +654,22 @@ class CampaignSupervisor:
             )
         return self.pool
 
-    def _teardown_pool(self) -> None:
+    def _submit(self, inflight: dict, block: Block, attempt: int) -> None:
+        fut = self._ensure_pool().submit(
+            _run_in_worker, self.task, self.fault, self.fingerprint, block,
+            self.trace,
+        )
+        inflight[fut] = (block, attempt, time.monotonic())
+
+    def _teardown_pool(self, graceful: bool = False) -> None:
+        """Close the pool: *graceful* waits for idle workers to exit
+        (nothing left running), otherwise they are killed — a hung or
+        abandoned block cannot be cancelled."""
         if self.pool is not None:
-            _terminate_pool(self.pool)
+            if graceful:
+                self.pool.shutdown(wait=True)
+            else:
+                _terminate_pool(self.pool)
             self.pool = None
 
     def _rebuild_after(self, reason: str) -> None:
@@ -511,13 +678,28 @@ class CampaignSupervisor:
         get_registry().count("supervisor.pool_rebuilds_total", 1)
         self._event("pool_rebuild", None, 0, reason)
 
+    def _run_here(self, block: Block) -> _Outcome:
+        """Run one block in this process (in-process and degrade
+        rungs); spans chain under the ambient trace context."""
+        return _envelope(self.task, self.fault, self.graph, block)
+
     # -- main loop -----------------------------------------------------
-    def run(self) -> tuple[list[tuple[Block, object]], RunReport]:
+    def run(self) -> tuple[list[tuple[Block, Any]], RunReport]:
+        """Drive every block through the ladder; returns ``(completed,
+        report)``.  A task's ``BaseException`` that is not an
+        ``Exception`` propagates, with :attr:`completed` holding the
+        blocks harvested before it."""
+        from repro.parallel.pool import _reset_worker_slot
+
+        # In-process execution bypasses the worker slot, but clear it
+        # anyway: a slot left behind by an earlier executor in this
+        # process must not survive into in-process or degraded reuse.
+        _reset_worker_slot()
         try:
-            if self.workers > 1 and len(self.blocks) > 1:
+            if self.pooled:
                 self._run_pooled()
             else:
-                self._run_inprocess(self.pending)
+                self._run_inprocess()
             self._run_degraded()
         finally:
             self._teardown_pool()
@@ -525,6 +707,7 @@ class CampaignSupervisor:
             self.report.wall_seconds = round(
                 time.monotonic() - self.start, 4
             )
+        self._steal_summary()
         return self.completed, self.report
 
     def _promote_cooled(self) -> None:
@@ -537,10 +720,31 @@ class CampaignSupervisor:
                 still.append((ready, block, attempt))
         self.cooling = still
 
-    def _stop_requested(self) -> bool:
-        return self.stop_event is not None and self.stop_event.is_set()
+    def _sleep_until_cooled(self) -> None:
+        """Nothing to run: sleep until the first retry is ready
+        (bounded so deadlines and stop requests stay live)."""
+        if not self.cooling:
+            return
+        ready = min(r for r, _b, _a in self.cooling)
+        pause = max(0.0, ready - time.monotonic())
+        left = self._deadline_left()
+        if left is not None:
+            pause = min(pause, max(left, 0.0))
+        time.sleep(min(pause, 1.0))
 
-    def _abandon_to_deadline(self, inflight: dict, kind: str = "deadline") -> None:
+    def _halted(self, inflight: dict) -> bool:
+        """Abandon the run when a stop was requested or the deadline
+        expired; True when it was."""
+        if self.stop_event is not None and self.stop_event.is_set():
+            self._abandon(inflight, kind="stop")
+            return True
+        left = self._deadline_left()
+        if left is not None and left <= 0:
+            self._abandon(inflight, kind="deadline")
+            return True
+        return False
+
+    def _abandon(self, inflight: dict, kind: str) -> None:
         """The campaign deadline expired (or an external stop was
         requested, ``kind="stop"``): stop cleanly, recording every
         block that did not finish."""
@@ -562,28 +766,41 @@ class CampaignSupervisor:
         inflight.clear()
         self._teardown_pool()
         if kind == "stop":
-            detail = (
-                "external stop requested; "
-                f"{len(self.report.remaining)} block(s) abandoned for a "
-                "clean checkpointed stop"
-            )
+            detail = "external stop requested"
         else:
             detail = (
-                f"campaign deadline of {self.policy.deadline:.3f}s expired; "
-                f"{len(self.report.remaining)} block(s) abandoned for a "
-                "clean checkpointed stop"
+                f"campaign deadline of {self.policy.deadline:.3f}s expired"
             )
-        self._event(kind, None, 0, detail)
+        self._event(
+            kind, None, 0,
+            f"{detail}; {len(self.report.remaining)} block(s) abandoned "
+            "for a clean checkpointed stop",
+        )
+
+    def _harvest(
+        self, block: Block, attempt: int, fut
+    ) -> BaseException | None:
+        """Settle one finished future: complete the block or climb the
+        ladder.  A non-``Exception`` (an interrupt shipped back from
+        the worker) is returned for the caller to re-raise once the
+        rest of the batch is harvested — it is a stop request, never a
+        block fault."""
+        try:
+            outcome = fut.result(timeout=0)
+        except Exception as exc:
+            self._register_failure(
+                block, attempt, "failure", f"{type(exc).__name__}: {exc}"
+            )
+        except BaseException as exc:
+            return exc
+        else:
+            self._complete(block, outcome)
+        return None
 
     def _run_pooled(self) -> None:
         inflight: dict = {}  # Future -> (block, attempt, t_submit)
         while self.pending or self.cooling or self.suspects or inflight:
-            if self._stop_requested():
-                self._abandon_to_deadline(inflight, kind="stop")
-                return
-            left = self._deadline_left()
-            if left is not None and left <= 0:
-                self._abandon_to_deadline(inflight)
+            if self._halted(inflight):
                 return
             self._promote_cooled()
 
@@ -593,23 +810,11 @@ class CampaignSupervisor:
                 if self.suspects:
                     if not inflight:
                         block, attempt = self.suspects.popleft()
-                        fut = self._ensure_pool().submit(
-                            _pool_entry, self.method, self.kernel, self.seed,
-                            block, self.store_states, self.batch_size,
-                            self.fault, self.swaps_per_state,
-                            self.fingerprint, self.trace,
-                        )
-                        inflight[fut] = (block, attempt, time.monotonic())
+                        self._submit(inflight, block, attempt)
                 else:
                     while self.pending and len(inflight) < self._pool_size():
                         block, attempt = self.pending.popleft()
-                        fut = self._ensure_pool().submit(
-                            _pool_entry, self.method, self.kernel, self.seed,
-                            block, self.store_states, self.batch_size,
-                            self.fault, self.swaps_per_state,
-                            self.fingerprint, self.trace,
-                        )
-                        inflight[fut] = (block, attempt, time.monotonic())
+                        self._submit(inflight, block, attempt)
             except (BrokenProcessPool, RuntimeError) as exc:
                 # The pool broke between our bookkeeping and submit;
                 # requeue and rebuild.
@@ -624,14 +829,7 @@ class CampaignSupervisor:
                 continue
 
             if not inflight:
-                # Everything is cooling; sleep until the first retry is
-                # ready (bounded by the tick so deadlines stay live).
-                if self.cooling:
-                    ready = min(r for r, _b, _a in self.cooling)
-                    pause = max(0.0, ready - time.monotonic())
-                    if left is not None:
-                        pause = min(pause, max(left, 0.0))
-                    time.sleep(min(pause, 1.0) if pause > 0 else 0.0)
+                self._sleep_until_cooled()
                 continue
 
             # Wait for completions, bounded by the nearest of: a block
@@ -645,6 +843,7 @@ class CampaignSupervisor:
                     for _b, _a, t0 in inflight.values()
                 )
                 timeout = min(timeout, max(nearest, 0.0))
+            left = self._deadline_left()
             if left is not None:
                 timeout = min(timeout, max(left, 0.0))
             n_inflight = len(inflight)
@@ -654,11 +853,11 @@ class CampaignSupervisor:
             )
 
             broken = False
+            interrupt: BaseException | None = None
             for fut in done:
                 block, attempt, _t0 = inflight.pop(fut)
-                try:
-                    local = fut.result(timeout=0)
-                except BrokenProcessPool as exc:
+                exc = fut.exception(timeout=0)
+                if isinstance(exc, BrokenProcessPool):
                     broken = True
                     if n_inflight == 1:
                         # Running alone: the attribution is certain.
@@ -673,13 +872,10 @@ class CampaignSupervisor:
                             "pool broke with this block in flight; will "
                             "re-run isolated for attribution",
                         )
-                except BaseException as exc:
-                    self._register_failure(
-                        block, attempt, "failure",
-                        f"{type(exc).__name__}: {exc}",
-                    )
                 else:
-                    self._complete(block, local)
+                    interrupt = self._harvest(block, attempt, fut) or interrupt
+            if interrupt is not None:
+                raise interrupt
             if broken:
                 for fut, (block, attempt, _t0) in list(inflight.items()):
                     self.suspects.append((block, attempt))
@@ -704,7 +900,6 @@ class CampaignSupervisor:
                     and not fut.done()
                 ]
                 if expired:
-                    expired_futs = {fut for fut, _e in expired}
                     for fut, (block, attempt, t0) in expired:
                         inflight.pop(fut)
                         self._register_failure(
@@ -728,111 +923,49 @@ class CampaignSupervisor:
                     # before the teardown discards them.
                     for fut, (block, attempt, _t0) in list(inflight.items()):
                         inflight.pop(fut)
-                        try:
-                            self._complete(block, fut.result(timeout=0))
-                        except BaseException as exc:
-                            self._register_failure(
-                                block, attempt, "failure",
-                                f"{type(exc).__name__}: {exc}",
-                            )
+                        interrupt = (
+                            self._harvest(block, attempt, fut) or interrupt
+                        )
                     self._rebuild_after(
-                        f"terminated {len(expired_futs)} hung worker(s)"
+                        f"terminated {len(expired)} hung worker(s)"
                     )
+                    if interrupt is not None:
+                        raise interrupt
+        # Every block settled: the workers are idle, so let them exit
+        # cleanly instead of killing them.
+        self._teardown_pool(graceful=True)
 
-    def _run_inprocess(self, queue: deque) -> None:
+    def _run_inprocess(self) -> None:
         """Sequential ladder for ``workers == 1`` (or a single block):
         retries and backoff apply, but there is no timeout rung — an
         in-process block cannot be interrupted — and no degradation
         rung, because execution is already in-process."""
-        from repro.parallel.pool import _reset_worker_slot, _run_block
-
-        # In-process execution bypasses the worker slot, but clear it
-        # anyway: a slot left behind by an earlier executor in this
-        # process must not survive into degraded/in-process reuse.
-        _reset_worker_slot()
-        while queue:
-            block, attempt = queue.popleft()
-            while True:
-                stop = self._stop_requested()
-                left = self._deadline_left()
-                if stop or (left is not None and left <= 0):
-                    requeue: deque = deque([(block, attempt)])
-                    requeue.extend(queue)
-                    queue.clear()
-                    self._abandon_to_deadline(
-                        {}, kind="stop" if stop else "deadline"
-                    )
-                    self.report.remaining = sorted(
-                        set(
-                            self.report.remaining
-                            + [b for b, _a in requeue]
-                        )
-                    )
-                    return
-                try:
-                    local = _run_block(
-                        self.graph, self.method, self.kernel, self.seed,
-                        block, self.store_states, self.batch_size,
-                        self.fault, self.swaps_per_state,
-                    )
-                except Exception as exc:
-                    if attempt <= self.policy.max_retries:
-                        self._event(
-                            "failure", block, attempt,
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                        delay = self.policy.backoff_seconds(
-                            self.seed, block, attempt
-                        )
-                        self.report.retries += 1
-                        get_registry().count("supervisor.retries_total", 1)
-                        journal_event(
-                            "block_retried", block=block[0], attempt=attempt,
-                            backoff_seconds=delay,
-                        )
-                        if delay > 0:
-                            self._event(
-                                "backoff", block, attempt,
-                                f"backing off {delay:.3f}s before attempt "
-                                f"{attempt + 1}",
-                            )
-                            time.sleep(delay)
-                        attempt += 1
-                        continue
-                    self._event(
-                        "failure", block, attempt,
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                    self._quarantine(
-                        block, attempt, f"{type(exc).__name__}: {exc}"
-                    )
-                    break
-                else:
-                    self._complete(block, local)
-                    break
+        while self.pending or self.cooling:
+            if self._halted({}):
+                return
+            self._promote_cooled()
+            if not self.pending:
+                self._sleep_until_cooled()
+                continue
+            block, attempt = self.pending.popleft()
+            try:
+                outcome = self._run_here(block)
+            except Exception as exc:
+                self._register_failure(
+                    block, attempt, "failure", f"{type(exc).__name__}: {exc}"
+                )
+            else:
+                self._complete(block, outcome)
 
     def _run_degraded(self) -> None:
         """Final rung: re-run stubborn blocks sequentially in the
         parent process."""
-        from repro.parallel.pool import _reset_worker_slot, _run_block
-
-        if self.degrade_queue:
-            _reset_worker_slot()
         while self.degrade_queue:
-            if self._stop_requested():
-                self._abandon_to_deadline({}, kind="stop")
-                return
-            left = self._deadline_left()
-            if left is not None and left <= 0:
-                self._abandon_to_deadline({})
+            if self._halted({}):
                 return
             block, attempt = self.degrade_queue.popleft()
             try:
-                local = _run_block(
-                    self.graph, self.method, self.kernel, self.seed, block,
-                    self.store_states, self.batch_size, self.fault,
-                    self.swaps_per_state,
-                )
+                outcome = self._run_here(block)
             except Exception as exc:
                 self._quarantine(
                     block, attempt,
@@ -840,34 +973,13 @@ class CampaignSupervisor:
                     f"{type(exc).__name__}: {exc}",
                 )
             else:
-                self._complete(block, local)
+                self._complete(block, outcome)
                 self.report.degraded.append(block)
                 journal_event("block_degraded", block=block[0])
                 self._event(
                     "degrade", block, attempt,
                     "in-process fallback succeeded",
                 )
-
-
-def _pool_entry(
-    method: str,
-    kernel: str,
-    seed: int,
-    block: Block,
-    store_states: bool,
-    batch_size: int,
-    fault: Callable[[Block], None] | None,
-    swaps_per_state: int = 1,
-    fingerprint: str | None = None,
-    trace: dict | None = None,
-):
-    """Picklable worker entry point (module-level for the executor)."""
-    from repro.parallel.pool import _worker
-
-    return _worker(
-        method, kernel, seed, block, store_states, batch_size, fault,
-        swaps_per_state, fingerprint, trace,
-    )
 
 
 def run_supervised(
@@ -887,15 +999,17 @@ def run_supervised(
     stop_event: "threading.Event | None" = None,
     flight_dir: str | None = None,
 ) -> tuple[list[tuple[Block, object]], RunReport]:
-    """Run campaign *blocks* under the fault-handling ladder.
+    """Run cloud-campaign *blocks* under the fault-handling ladder.
 
     Returns ``(completed, report)`` where *completed* is a list of
     ``(block, local_cloud)`` pairs for every block that produced states
     (callers must merge them in sorted block order for determinism) and
     *report* is the structured :class:`RunReport`.  Exceptions raised
-    by blocks are consumed by the ladder; only a parent-side
-    :class:`KeyboardInterrupt` (and kin) propagates, so the caller can
-    salvage-checkpoint and re-raise.
+    by blocks are consumed by the ladder; a :class:`KeyboardInterrupt`
+    (and kin) — parent-side or raised by a block — propagates, so the
+    caller can salvage-checkpoint and re-raise.  Each block's metrics
+    and span shard are already folded into the caller's registry and
+    trace collector.
 
     ``stop_event`` (a :class:`threading.Event`) requests a cooperative
     stop from outside — e.g. the serve daemon draining on SIGTERM: the
@@ -905,19 +1019,14 @@ def run_supervised(
     returns the blocks that did complete so the caller can checkpoint
     them.
     """
+    from repro.parallel.pool import CampaignTask
+
+    task = CampaignTask(
+        method=method, kernel=kernel, seed=seed, store_states=store_states,
+        batch_size=batch_size, swaps_per_state=swaps_per_state,
+    )
     return CampaignSupervisor(
-        graph,
-        blocks,
-        method=method,
-        kernel=kernel,
-        seed=seed,
-        store_states=store_states,
-        batch_size=batch_size,
-        workers=workers,
-        policy=policy,
-        fault=fault,
-        swaps_per_state=swaps_per_state,
-        graph_store=graph_store,
-        stop_event=stop_event,
+        graph, blocks, task, seed=seed, workers=workers, policy=policy,
+        fault=fault, graph_store=graph_store, stop_event=stop_event,
         flight_dir=flight_dir,
     ).run()

@@ -279,15 +279,11 @@ class GrowthWorker:
                 )
             return False
         self._failures = 0
-        from repro.parallel.pool import _absorb_metrics
-
+        # Each block's metrics snapshot and span shard were already
+        # folded into the process registry/collector by the supervisor,
+        # so worker-side spans stitch into the trace the round ran under.
         for _block, local in sorted(completed, key=lambda kv: kv[0]):
             self.cloud.merge(local)
-            # Folds each block's metrics snapshot — and its span shard,
-            # when the daemon is tracing — into the process registry/
-            # collector, so worker-side spans stitch into the trace
-            # the round ran under.
-            _absorb_metrics(local)
         return True
 
     def _publish(self) -> None:

@@ -363,3 +363,78 @@ class TestRunSupervisedApi:
         assert report.ok
         assert sorted(b for b, _c in completed) == [(0, 6, 2), (1, 6, 2)]
         assert sum(c.num_states for _b, c in completed) == 6
+
+
+class TestInterrupts:
+    """An interrupt raised by a block is a stop request on every rung,
+    never a block fault: the ladder must not retry, degrade or
+    quarantine it, and the completed blocks are salvaged first."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            RetryPolicy(max_retries=0, degrade=False, **FAST),
+            RetryPolicy(max_retries=2, degrade=False, **FAST),
+            RetryPolicy(max_retries=1, degrade=True, **FAST),
+        ],
+        ids=["no-retry", "retries", "degrade"],
+    )
+    def test_pool_interrupt_propagates_after_salvage(
+        self, graph, tmp_path, policy
+    ):
+        ck = tmp_path / "interrupt.npz"
+        with pytest.raises(KeyboardInterrupt):
+            sample_cloud_pool(
+                graph, num_states=12, seed=7, workers=3, policy=policy,
+                checkpoint_path=ck,
+                fault=WorkerCrash(1, mode="interrupt", delay=1.0),
+            )
+        recovered, meta, _source = recover_cloud(ck, graph)
+        assert meta.done_blocks == ((0, 12, 3), (2, 12, 3))
+        assert recovered.num_states == 8
+
+    def test_in_process_interrupt_propagates(self, graph):
+        with pytest.raises(KeyboardInterrupt):
+            run_supervised(
+                graph, [(0, 6, 2), (1, 6, 2)],
+                method="bfs", kernel="lockstep", seed=7,
+                store_states=False, batch_size=1, workers=1,
+                policy=RetryPolicy(max_retries=2, **FAST),
+                fault=WorkerCrash(1, mode="interrupt"),
+            )
+
+
+class TestJournalShape:
+    """Every campaign journals the same shape, whichever ladder it runs:
+    swap blocks carry their chain entry point, and the pooled run ends
+    with a steal summary and its gauges."""
+
+    @pytest.mark.parametrize(
+        "policy", [None, RetryPolicy()], ids=["no-policy", "policy"]
+    )
+    def test_swap_blocks_tagged_and_steal_summarized(
+        self, graph, tmp_path, policy
+    ):
+        from repro.perf.journal import journaling, read_journal
+
+        path = tmp_path / "run.jsonl"
+        with journaling(path):
+            cloud = sample_cloud_pool(
+                graph, num_states=64, seed=7, workers=2, method="swap",
+                steal_chunks=8, policy=policy,
+            )
+        events = read_journal(path)
+        completed = [e for e in events if e["kind"] == "block_completed"]
+        assert len(completed) == 8
+        for event in completed:
+            assert event["chain_segment_start"] == (
+                event["block"] - event["block"] % 256
+            )
+        summaries = [e for e in events if e["kind"] == "steal_summary"]
+        assert len(summaries) == 1
+        assert sum(summaries[0]["blocks"].values()) == 8
+        assert sum(summaries[0]["states"].values()) == 64
+        gauges = cloud.metrics["gauges"]
+        assert gauges["pool.workers_used"] == summaries[0]["workers_used"]
+        assert "pool.steal_max_blocks" in gauges
+        assert "pool.steal_min_blocks" in gauges

@@ -202,3 +202,21 @@ class TestShardMechanics:
         assert tid and events[1].trace_id != tid  # separate roots
         only = events_for_trace(events, tid)
         assert [e.path for e in only] == ["alpha"]
+
+
+class TestStitchedRestarts:
+    def test_balanced_pool_restarts_single_trace(self):
+        """The balanced runner's pooled restarts ship their spans back
+        through the same executor: one trace, worker-side ``restart``
+        spans, every parent link resolvable."""
+        from repro.balanced import run_balanced
+
+        graph = make_connected_signed(70, 150, seed=6)
+        with collecting_trace() as trace:
+            report = run_balanced(graph, restarts=3, seed=0, workers=2)
+        assert report.degraded_restarts == 0
+        events = trace.events()
+        _assert_stitched(events)
+        restarts = [e for e in events
+                    if e.path.endswith("restart") and e.pid != 0]
+        assert len(restarts) == len(report.per_seed)

@@ -220,3 +220,53 @@ def test_sigterm_mid_growth_drains_checkpoints_and_exits_zero(
     cloud, meta, _ = recover_cloud(tmp_path / "ck.npz", sub)
     stopped = [e for e in events if e["kind"] == "server_stopped"][-1]
     assert cloud.num_states == stopped["states"] >= 8
+
+
+def _wait_ready(port: int, budget: float = 60.0) -> None:
+    limit = time.monotonic() + budget
+    while time.monotonic() < limit:
+        with contextlib.suppress(OSError):
+            if _request(port, "/readyz", timeout=2.0)[0] == 200:
+                return
+        time.sleep(0.01)
+    pytest.fail("daemon never reported ready")
+
+
+@pytest.mark.timeout(120)
+@pytest.mark.parametrize("grow_workers", [1, 2])
+def test_sigterm_at_first_ready_drains_within_budget(
+    tmp_path, graph_file, grow_workers
+):
+    """SIGTERM the moment ``/readyz`` first answers 200 — the first
+    growth round just published, the next one is starting.  The drain
+    must exit 0 within its budget and leave a loadable checkpoint."""
+    budget, margin = 2.0, 3.0
+    proc = _spawn(
+        tmp_path, "--drain-budget", str(budget),
+        "--grow-workers", str(grow_workers),
+    )
+    try:
+        port = _wait_port(tmp_path, proc)
+        _wait_ready(port)
+        signalled = time.monotonic()
+        proc.send_signal(signal.SIGTERM)
+        try:
+            out, err = proc.communicate(timeout=budget + 60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("daemon hung draining after SIGTERM at first ready")
+        elapsed = time.monotonic() - signalled
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    assert proc.returncode == 0, f"stderr: {err[-800:]}"
+    assert elapsed < budget + margin, f"drain took {elapsed:.2f}s"
+    from repro.cloud.checkpoint import recover_cloud
+
+    sub, _ = largest_connected_component(graph_file)
+    cloud, _meta, _source = recover_cloud(tmp_path / "ck.npz", sub)
+    stopped = [
+        json.loads(line)
+        for line in (tmp_path / "j.jsonl").read_text().splitlines()
+    ][-1]
+    assert stopped["kind"] == "server_stopped"
+    assert cloud.num_states == stopped["states"] >= 4

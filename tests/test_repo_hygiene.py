@@ -42,3 +42,16 @@ def test_no_tracked_bytecode_or_caches():
 def test_gitignore_covers_bytecode():
     ignored = (REPO_ROOT / ".gitignore").read_text()
     assert "__pycache__" in ignored
+
+
+def test_process_pools_only_in_the_executor():
+    """Every process pool runs on the one block executor: a second
+    ``ProcessPoolExecutor`` would fork its own completion, salvage and
+    observability code."""
+    src = REPO_ROOT / "src"
+    owners = sorted(
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in src.rglob("*.py")
+        if "ProcessPoolExecutor(" in path.read_text(encoding="utf-8")
+    )
+    assert owners == ["src/repro/parallel/supervisor.py"]
