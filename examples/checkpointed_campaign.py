@@ -33,7 +33,7 @@ workdir = Path(tempfile.mkdtemp(prefix="repro_campaign_"))
 ckpt = workdir / "cloud.npz"
 
 # --- Bursts 1–2: bootstrap and checkpoint. -----------------------------
-# checkpoint_path stores the campaign (method, kernel, seed, batch size)
+# checkpoint_path stores the campaign (method, seed, batch size)
 # inside the file; keep_checkpoints=2 rotates the previous good file to
 # cloud.npz.1 on every later write.
 cloud = sample_cloud(graph, 16, seed=42, checkpoint_path=ckpt,
@@ -49,7 +49,7 @@ truncate_file(ckpt, fraction=0.3)
 cloud, campaign, source = recover_cloud(ckpt, graph)
 print(f"after simulated crash: recovered {cloud.num_states} states from "
       f"{source.name} (campaign: seed={campaign.seed}, "
-      f"kernel={campaign.kernel!r})")
+      f"method={campaign.method!r})")
 
 # Resume inherits the stored campaign — no need to respell seed=42, and
 # respelling it *differently* would raise CheckpointError, not diverge.

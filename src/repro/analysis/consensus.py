@@ -62,7 +62,6 @@ def analyze_consensus(
     graph: SignedGraph,
     num_states: int = 100,
     method: str = "bfs",
-    kernel: str = "lockstep",
     seed: SeedLike = 0,
 ) -> ConsensusReport:
     """Full pipeline: largest CC → Alg. 2 cloud → attributes."""
@@ -73,7 +72,6 @@ def analyze_consensus(
         component,
         num_states,
         method=method,
-        kernel=kernel,
         seed=seed,
         timers=timers,
     )

@@ -254,8 +254,8 @@ def _run_cloud_campaign(args, sub, policy):
             )
             return sample_cloud_pool(
                 sub, args.states, workers=max(args.workers, 1),
-                method=params["method"], kernel=params["kernel"],
-                seed=params["seed"], batch_size=params["batch_size"],
+                method=params["method"], seed=params["seed"],
+                batch_size=params["batch_size"],
                 store_states=params["store_states"],
                 swaps_per_state=params["swaps_per_state"],
                 checkpoint_path=args.checkpoint,
@@ -715,7 +715,6 @@ def _cmd_serve(args) -> int:
         grow=not args.no_grow,
         grow_delay_ms=args.grow_delay_ms,
         method=args.method,
-        kernel=args.kernel,
         seed=args.seed,
         batch_size=args.batch_size,
         swaps_per_state=args.swaps_per_state,
@@ -890,10 +889,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "--shard-workers")
     p.add_argument("--batch-size", type=_batch_size_arg, default=None,
                    metavar="B",
-                   help="balance B spanning trees per kernel invocation "
-                        "(the tree-batched engine; default 1 = sequential; "
-                        "'auto' picks a cache-sized batch for the graph; "
-                        "with --resume, inherited from the checkpoint)")
+                   help="balance B spanning trees per chunk (default 1; "
+                        "B changes the chunking, not the results; 'auto' "
+                        "picks a cache-sized batch for the graph; with "
+                        "--resume, inherited from the checkpoint)")
     p.add_argument("--seed", type=int, default=None,
                    help="campaign seed (default 0; with --resume, inherited "
                         "from the checkpoint's campaign)")
@@ -1110,14 +1109,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="tree sampling method (default: inherit from the "
                         "checkpoint's campaign, else bfs)")
-    p.add_argument("--kernel", choices=["walk", "lockstep", "parity"],
-                   default=None,
-                   help="balancing kernel (default: inherit, else lockstep)")
     p.add_argument("--seed", type=int, default=None,
                    help="campaign seed (default: inherit, else 0)")
     p.add_argument("--batch-size", type=int, default=None,
-                   help="trees per batched kernel call (default: inherit, "
-                        "else 1)")
+                   help="trees per chunk (default: inherit, else 1)")
     p.add_argument("--swaps-per-state", type=int, default=None,
                    help="edge swaps per state for --method swap")
     p.add_argument("--checkpoint", metavar="PATH",

@@ -4,7 +4,6 @@ nearest-state verification.
 """
 
 from repro.cloud.cloud import (
-    BATCHED_KERNELS,
     FrustrationCloud,
     exact_cloud,
     sample_cloud,
@@ -54,7 +53,6 @@ from repro.cloud.weighted import (
 )
 
 __all__ = [
-    "BATCHED_KERNELS",
     "FrustrationCloud",
     "sample_cloud",
     "exact_cloud",

@@ -8,8 +8,8 @@ checkpoint layer therefore provides three guarantees:
   writes the accumulators to a temp file, fsyncs, and publishes with
   ``os.replace`` — a kill at any instant leaves either the previous
   checkpoint or the new one, never a torn file.  The payload embeds the
-  campaign metadata (:class:`CampaignMeta`: method, kernel, seed,
-  batch size, store_states) next to the graph fingerprint, so a
+  campaign metadata (:class:`CampaignMeta`: method, seed, batch
+  size, store_states) next to the graph fingerprint, so a
   checkpoint fully describes how to continue it.
 * **Rotation + recovery.**  ``save_cloud(..., keep=K)`` rotates the
   last K good checkpoints (``path``, ``path.1``, …) and
@@ -39,11 +39,7 @@ from typing import IO, Callable, Iterator, Tuple, Union
 
 import numpy as np
 
-from repro.cloud.cloud import (
-    FrustrationCloud,
-    balanced_states,
-    check_batched_kernel,
-)
+from repro.cloud.cloud import FrustrationCloud, balanced_states
 from repro.errors import CheckpointError, ReproError
 from repro.graph.csr import SignedGraph
 
@@ -103,7 +99,6 @@ class CampaignMeta:
     """
 
     method: str
-    kernel: str
     seed: int
     batch_size: int
     store_states: bool
@@ -260,7 +255,6 @@ def _payload(
         )
     if campaign is not None:
         payload["campaign_method"] = np.array(campaign.method)
-        payload["campaign_kernel"] = np.array(campaign.kernel)
         payload["campaign_seed"] = np.array([campaign.seed], dtype=np.int64)
         payload["campaign_batch_size"] = np.array(
             [campaign.batch_size], dtype=np.int64
@@ -426,9 +420,10 @@ def _restore(
             quarantined_blocks = tuple(
                 tuple(int(x) for x in row) for row in blocks.tolist()
             )
+        # Older files also carry a campaign_kernel key.  No kernel ever
+        # changed a campaign's states, so it is ignored.
         meta = CampaignMeta(
             method=str(data["campaign_method"][()]),
-            kernel=str(data["campaign_kernel"][()]),
             seed=_scalar(data, "campaign_seed", path),
             batch_size=_scalar(data, "campaign_batch_size", path),
             store_states=bool(_scalar(data, "campaign_store_states", path)),
@@ -523,7 +518,6 @@ def recover_cloud(
 # ----------------------------------------------------------------------
 _CAMPAIGN_DEFAULTS = {
     "method": "bfs",
-    "kernel": "lockstep",
     "seed": 0,
     "batch_size": 1,
     "store_states": False,
@@ -535,7 +529,6 @@ def validate_campaign(
     stored: CampaignMeta | None,
     *,
     method: str | None = None,
-    kernel: str | None = None,
     seed: int | None = None,
     batch_size: int | None = None,
     store_states: bool | None = None,
@@ -547,12 +540,11 @@ def validate_campaign(
     historical default when the checkpoint has no metadata).  A
     parameter that is explicitly given *and* disagrees with the stored
     campaign raises :class:`~repro.errors.CheckpointError` — resuming
-    with a different ``(method, kernel, seed, batch_size,
-    swaps_per_state)`` would silently diverge from the original run.
+    with a different ``(method, seed, batch_size, swaps_per_state)``
+    would silently diverge from the original run.
     """
     given = {
         "method": method,
-        "kernel": kernel,
         "seed": seed,
         "batch_size": batch_size,
         "store_states": store_states,
@@ -620,7 +612,6 @@ def resume_cloud(
     cloud: FrustrationCloud,
     target_states: int,
     method: str | None = None,
-    kernel: str | None = None,
     seed: int | None = None,
     checkpoint_path: PathLike | None = None,
     checkpoint_every: int = 0,
@@ -632,8 +623,8 @@ def resume_cloud(
     """Continue a seeded campaign until ``target_states`` states.
 
     The next tree index is ``cloud.num_states`` — resuming a
-    checkpointed campaign with the same ``(method, kernel, seed,
-    batch_size)`` therefore produces exactly the states an
+    checkpointed campaign with the same ``(method, seed,
+    swaps_per_state)`` therefore produces exactly the states an
     uninterrupted run would have.  When the cloud came from a v2
     checkpoint (or *campaign* is passed), parameters left ``None``
     inherit the stored campaign and explicit parameters are validated
@@ -641,8 +632,8 @@ def resume_cloud(
     :class:`~repro.errors.CheckpointError` instead of silently
     diverging.  Optionally re-checkpoints every ``checkpoint_every``
     new states (atomic writes, rotating ``keep_checkpoints`` files).
-    ``batch_size > 1`` processes the remaining indices through the
-    tree-batched engine (checkpoints then land on batch boundaries).
+    ``batch_size`` sets how many trees each chunk stacks: it moves
+    the checkpoint boundaries, not the states.
     """
     stored = campaign if campaign is not None else getattr(
         cloud, "campaign_meta", None
@@ -657,19 +648,16 @@ def resume_cloud(
     params = validate_campaign(
         stored,
         method=method,
-        kernel=kernel,
         seed=seed,
         batch_size=batch_size,
         store_states=cloud.store_states,
         swaps_per_state=swaps_per_state,
     )
     method = params["method"]
-    kernel = params["kernel"]
     batch_size = params["batch_size"]
     swaps_per_state = params["swaps_per_state"]
     if batch_size < 1:
         raise ReproError("batch_size must be positive")
-    check_batched_kernel(method, kernel, batch_size)
     if target_states < cloud.num_states:
         raise ReproError(
             f"cloud already has {cloud.num_states} states > target {target_states}"
@@ -677,7 +665,6 @@ def resume_cloud(
     frozen = freeze_seed(params["seed"])
     meta = CampaignMeta(
         method=method,
-        kernel=kernel,
         seed=frozen,
         batch_size=batch_size,
         store_states=cloud.store_states,
@@ -696,7 +683,7 @@ def resume_cloud(
     # produced are exactly the uninterrupted campaign's.
     for signs, s2r in balanced_states(
         cloud.graph, sampler, range(cloud.num_states, target_states),
-        kernel=kernel, batch_size=batch_size,
+        batch_size=batch_size,
     ):
         cloud.add_batch(signs, sides_from_sign_to_root(s2r))
         writer.step(cloud, len(signs))

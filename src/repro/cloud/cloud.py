@@ -23,14 +23,14 @@ from repro.core.balancer import balance
 from repro.core.cycles_vectorized import sign_to_root
 from repro.core.parity_batch import balance_batch
 from repro.core.state import BalanceResult
-from repro.errors import EngineError, NotBalancedError, ReproError
+from repro.errors import NotBalancedError, ReproError
 from repro.graph.csr import SignedGraph
 from repro.harary.bipartition import (
     HararyBipartition,
     harary_bipartition,
     sides_from_sign_to_root,
 )
-from repro.perf.compat import Counters, PhaseTimer
+from repro.perf.compat import PhaseTimer
 from repro.perf.journal import get_journal, journal_event
 from repro.perf.registry import collecting, get_registry
 from repro.perf.tracing import span
@@ -44,25 +44,7 @@ __all__ = [
     "sample_cloud",
     "exact_cloud",
     "auto_batch_size",
-    "BATCHED_KERNELS",
 ]
-
-#: Kernels whose balanced states the tree-batched parity engine
-#: reproduces bit-for-bit; any other kernel must run with
-#: ``batch_size=1`` (requesting it with a batch raises instead of
-#: silently substituting a different kernel).
-BATCHED_KERNELS = ("lockstep", "parity")
-
-
-def check_batched_kernel(method: str, kernel: str, batch_size: int) -> None:
-    """Raise :class:`~repro.errors.EngineError` for a batch of a kernel
-    outside :data:`BATCHED_KERNELS`.  The swap chain runs no kernel, so
-    any batch size goes with it."""
-    if method != "swap" and batch_size > 1 and kernel not in BATCHED_KERNELS:
-        raise EngineError(
-            f"kernel {kernel!r} has no batched implementation; use "
-            f"batch_size=1 or one of {BATCHED_KERNELS}"
-        )
 
 
 def _no_phase(_name: str) -> contextlib.nullcontext:
@@ -74,9 +56,7 @@ def balanced_states(
     sampler: TreeSampler,
     indices: range,
     *,
-    kernel: str = "lockstep",
     batch_size: int = 1,
-    counters: Counters | None = None,
     timers: PhaseTimer | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The one state producer behind every campaign driver.
@@ -87,13 +67,15 @@ def balanced_states(
     is the switching function whose existence is Harary's balance
     theorem, so drivers read the Harary sides off it in O(n) with
     :func:`~repro.harary.bipartition.sides_from_sign_to_root`.  The
-    swap chain and the batched parity engine emit both arrays; the
-    per-tree path runs *kernel* on one tree, then one level pass for
-    the state's own sign-to-root.  No kernel flips a tree edge, so
-    that pass needs no labels: only the ``walk`` kernel still runs
-    Alg. 4's labeling, to navigate.  *counters* and *timers* (a legacy
-    :class:`~repro.perf.compat.PhaseTimer`) receive the kernels' work
-    counts and phases.
+    swap chain reads both arrays off its delta state; every other
+    method stacks the chunk's trees (:meth:`TreeSampler.batch`) and
+    runs the batched parity engine, at every batch size including 1.
+    By the §3 parity argument the balanced sign of edge ``(u, v)`` is
+    ``s2r[u] * s2r[v]`` on the tree, the state every cycle kernel
+    (walk, lockstep, parity) reaches, so campaigns run none of those
+    per-tree kernels.  *timers* (a legacy
+    :class:`~repro.perf.compat.PhaseTimer`) receives the
+    ``tree_generation`` and ``cycle_processing`` phases.
     """
     phase = timers.phase if timers is not None else _no_phase
     for lo in range(0, len(indices), batch_size):
@@ -101,22 +83,11 @@ def balanced_states(
         if sampler.method == "swap":
             with phase("tree_generation"), span("tree_sample"):
                 state = sampler.swap_states(chunk)
-        elif batch_size > 1:
-            with phase("tree_generation"), span("tree_sample"):
-                batch = sampler.batch(chunk, counters=counters)
-            with phase("cycle_processing"), span("parity_kernel"):
-                state = balance_batch(graph, batch, counters=counters)
         else:
             with phase("tree_generation"), span("tree_sample"):
-                tree = sampler.tree(chunk[0])
-            result = balance(
-                graph, tree, kernel=kernel,
-                labeling="parallel" if kernel == "walk" else "none",
-                counters=counters, timers=timers,
-            )
-            with phase("harary_and_status"), span("harary"):
-                s2r = sign_to_root(graph, tree, signs=result.signs)
-            state = result.signs[None, :], s2r[None, :]
+                batch = sampler.batch(chunk)
+            with phase("cycle_processing"), span("parity_kernel"):
+                state = balance_batch(graph, batch)
         yield state
 
 
@@ -449,12 +420,10 @@ def sample_cloud(
     graph: SignedGraph,
     num_states: int,
     method: str = "bfs",
-    kernel: str = "lockstep",
     seed: SeedLike = None,
     store_states: bool = False,
     timers: PhaseTimer | None = None,
     batch_size: int | str = 1,
-    counters: Counters | None = None,
     checkpoint_path=None,
     checkpoint_every: int = 0,
     keep_checkpoints: int = 1,
@@ -471,20 +440,16 @@ def sample_cloud(
     itself reads *graph* (pass ``store.graph()`` to sample directly
     off the mapping).
 
-    ``batch_size > 1`` switches to the tree-batched engine: each
-    iteration samples a batch of trees with the stacked BFS kernels,
-    balances all of them with one batched parity pass, derives the
-    Harary sides in O(n) per state from the sign-to-root vectors, and
-    folds the whole batch into the cloud with matrix reductions.  The
-    result is attribute-for-attribute identical to ``batch_size=1``
-    with the same seed (the batched sampler is bit-identical per tree
-    index); only the per-state timing/counter breakdown differs.
-    Neither engine has a labeling phase unless ``kernel="walk"``: both
-    yield each state with its sign-to-root vector (see
-    :func:`balanced_states`) and read the Harary sides off it in O(n).
-    Kernels outside :data:`BATCHED_KERNELS` have no batched
-    implementation and raise when requested with a batch.  ``batch_size="auto"`` picks
-    :func:`auto_batch_size` for the graph.
+    Each iteration samples ``batch_size`` trees (the stacked BFS
+    sampler for ``method="bfs"``), balances all of them with one
+    batched parity pass, derives the Harary sides in O(n) per state
+    from the sign-to-root vectors, and folds the chunk into the cloud
+    with matrix reductions (see :func:`balanced_states`).  The batch
+    size changes the chunking, not the result: every ``batch_size``
+    gives the same cloud, attribute for attribute, with the same seed.
+    No per-tree cycle kernel runs: the state every kernel would reach
+    on a tree is a function of its sign-to-root vector.
+    ``batch_size="auto"`` picks :func:`auto_batch_size` for the graph.
 
     ``method="swap"`` runs the incremental swap-chain engine
     (:mod:`repro.trees.swap_chain`): tree ``k+1`` is derived from tree
@@ -500,13 +465,14 @@ def sample_cloud(
     campaign parameters so :func:`repro.cloud.checkpoint.resume_cloud`
     can validate a later resume against them.
     """
+    if num_states < 0:
+        raise ReproError(f"num_states must be non-negative, got {num_states}")
     if batch_size == "auto":
         batch_size = auto_batch_size(graph.num_vertices)
     if not isinstance(batch_size, int) or batch_size < 1:
         raise ReproError("batch_size must be a positive int or 'auto'")
     if swaps_per_state < 1:
         raise ReproError("swaps_per_state must be positive")
-    check_batched_kernel(method, kernel, batch_size)
     frozen = freeze_seed(seed)
     sampler = TreeSampler(
         graph, method=method, seed=frozen, swaps_per_state=swaps_per_state
@@ -520,7 +486,6 @@ def sample_cloud(
         driver="sequential",
         num_states=num_states,
         method=method,
-        kernel=kernel,
         seed=frozen,
         batch_size=batch_size,
         swaps_per_state=swaps_per_state,
@@ -540,7 +505,6 @@ def sample_cloud(
             checkpoint_path,
             CampaignMeta(
                 method=method,
-                kernel=kernel,
                 seed=frozen,
                 batch_size=batch_size,
                 store_states=store_states,
@@ -552,8 +516,8 @@ def sample_cloud(
         )
     with collecting() as metrics, span("campaign"):
         for signs, s2r in balanced_states(
-            graph, sampler, range(num_states), kernel=kernel,
-            batch_size=batch_size, counters=counters, timers=timers,
+            graph, sampler, range(num_states),
+            batch_size=batch_size, timers=timers,
         ):
             with phase("harary_and_status"), span("harary"):
                 cloud.add_batch(signs, sides_from_sign_to_root(s2r))

@@ -24,9 +24,9 @@ fingerprint, and every task carries the campaign's expected
 fingerprint, so a stale slot (executor reuse after degradation, a
 rebuilt pool, a swapped store file) is detected — and, for
 store-backed workers, healed by reopening the mapping — instead of
-silently computing against the wrong graph.  Within a worker,
-``batch_size > 1`` runs the tree-batched engine on each block,
-stacking the worker's trees into shared vectorized kernels.
+silently computing against the wrong graph.  Within a worker, each
+block stacks ``batch_size`` trees per chunk into shared vectorized
+kernels.
 
 Work-stealing: ``steal_chunks=K`` splits the campaign into K fine
 contiguous blocks (pick ``K ≈ 4–8× workers``) that feed the executor's
@@ -56,11 +56,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cloud.cloud import (
-    FrustrationCloud,
-    balanced_states,
-    check_batched_kernel,
-)
+from repro.cloud.cloud import FrustrationCloud, balanced_states
 from repro.errors import CheckpointError, EngineError, SupervisorError
 from repro.graph.csr import SignedGraph
 from repro.graph.store import GraphStore, graph_fingerprint
@@ -207,7 +203,6 @@ class CampaignTask(BlockTask):
     flight marks and trace shard around it."""
 
     method: str
-    kernel: str
     seed: int
     store_states: bool
     batch_size: int
@@ -223,8 +218,7 @@ class CampaignTask(BlockTask):
         # block shape is correct; a swap block enters the chain at its
         # segment and walks it forward in chunks.
         for signs, s2r in balanced_states(
-            graph, sampler, range(*block), kernel=self.kernel,
-            batch_size=self.batch_size,
+            graph, sampler, range(*block), batch_size=self.batch_size,
         ):
             with span("harary"):
                 cloud.add_batch(signs, sides_from_sign_to_root(s2r))
@@ -381,7 +375,6 @@ def sample_cloud_pool(
     num_states: int,
     workers: int = 2,
     method: str = "bfs",
-    kernel: str = "lockstep",
     seed: SeedLike = 0,
     store_states: bool = False,
     batch_size: int = 1,
@@ -397,10 +390,10 @@ def sample_cloud_pool(
 ) -> FrustrationCloud:
     """Alg. 2 with tree-level process parallelism.
 
-    Equivalent to ``sample_cloud(graph, num_states, method, kernel,
-    seed)`` up to the (unordered) flip-count log.  ``workers=1`` runs
-    in-process without spawning.  ``batch_size > 1`` additionally runs
-    the tree-batched engine inside each worker.
+    Equivalent to ``sample_cloud(graph, num_states, method, seed)`` up
+    to the (unordered) flip-count log.  ``workers=1`` runs in-process
+    without spawning.  ``batch_size`` sets how many trees each worker
+    stacks per chunk.
 
     ``checkpoint_path`` writes a self-describing checkpoint when the
     campaign completes — and, if a block crashes mid-campaign (or the
@@ -477,7 +470,6 @@ def sample_cloud_pool(
         raise EngineError("batch_size must be positive")
     if swaps_per_state < 1:
         raise EngineError("swaps_per_state must be positive")
-    check_batched_kernel(method, kernel, batch_size)
     if steal_chunks is not None and steal_chunks < 1:
         raise EngineError("steal_chunks must be positive")
     frozen = freeze_seed(seed)
@@ -507,7 +499,6 @@ def sample_cloud_pool(
             validate_campaign(
                 meta,
                 method=method,
-                kernel=kernel,
                 seed=frozen,
                 batch_size=batch_size,
                 store_states=store_states,
@@ -546,7 +537,6 @@ def sample_cloud_pool(
 
     campaign = CampaignMeta(
         method=method,
-        kernel=kernel,
         seed=frozen,
         batch_size=batch_size,
         store_states=store_states,
@@ -634,7 +624,6 @@ def sample_cloud_pool(
         num_states=num_states,
         workers=workers,
         method=method,
-        kernel=kernel,
         seed=frozen,
         batch_size=batch_size,
         swaps_per_state=swaps_per_state,
@@ -650,9 +639,8 @@ def sample_cloud_pool(
         if not blocks:
             return _finalize(base)
         task = CampaignTask(
-            method=method, kernel=kernel, seed=frozen,
-            store_states=store_states, batch_size=batch_size,
-            swaps_per_state=swaps_per_state,
+            method=method, seed=frozen, store_states=store_states,
+            batch_size=batch_size, swaps_per_state=swaps_per_state,
         )
         supervisor = CampaignSupervisor(
             graph, blocks, task, seed=frozen, workers=workers,

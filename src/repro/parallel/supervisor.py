@@ -987,7 +987,6 @@ def run_supervised(
     blocks: Sequence[Block],
     *,
     method: str,
-    kernel: str,
     seed: int,
     store_states: bool,
     batch_size: int,
@@ -1022,7 +1021,7 @@ def run_supervised(
     from repro.parallel.pool import CampaignTask
 
     task = CampaignTask(
-        method=method, kernel=kernel, seed=seed, store_states=store_states,
+        method=method, seed=seed, store_states=store_states,
         batch_size=batch_size, swaps_per_state=swaps_per_state,
     )
     return CampaignSupervisor(

@@ -3,7 +3,7 @@
 A *span* is a timed, nested phase of work.  The campaign drivers wrap
 their hot phases in spans forming the hierarchy::
 
-    campaign > block > tree_sample > labeling > parity_kernel
+    campaign > block > tree_sample > parity_kernel
              > harary > checkpoint_write
 
 (sequential campaigns have no ``block`` level; the ``block`` span is

@@ -70,7 +70,6 @@ class GrowthWorker:
         target_states: int,
         grow_step: int = 16,
         method: str = "bfs",
-        kernel: str = "lockstep",
         seed: int = 0,
         batch_size: int = 1,
         swaps_per_state: int = 1,
@@ -105,7 +104,6 @@ class GrowthWorker:
         self.target_states = target_states
         self.grow_step = grow_step
         self.method = method
-        self.kernel = kernel
         self.seed = seed
         self.batch_size = batch_size
         self.swaps_per_state = swaps_per_state
@@ -164,7 +162,6 @@ class GrowthWorker:
         """The self-describing metadata stamped into every checkpoint."""
         return CampaignMeta(
             method=self.method,
-            kernel=self.kernel,
             seed=self.seed,
             batch_size=self.batch_size,
             store_states=self.cloud.store_states,
@@ -244,7 +241,6 @@ class GrowthWorker:
                 self.graph,
                 blocks,
                 method=self.method,
-                kernel=self.kernel,
                 seed=self.seed,
                 store_states=self.cloud.store_states,
                 batch_size=self.batch_size,

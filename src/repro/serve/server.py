@@ -88,10 +88,10 @@ _TEXT = "text/plain; charset=utf-8"
 class ServeConfig:
     """Every knob of the daemon, with production-shaped defaults.
 
-    Campaign parameters (``method``, ``kernel``, ``seed``,
-    ``batch_size``, ``swaps_per_state``) default to ``None`` = "inherit
-    from the recovered checkpoint's campaign, or the historical
-    defaults on a fresh boot"; passing one explicitly on a resume must
+    Campaign parameters (``method``, ``seed``, ``batch_size``,
+    ``swaps_per_state``) default to ``None`` = "inherit from the
+    recovered checkpoint's campaign, or the historical defaults on a
+    fresh boot"; passing one explicitly on a resume must
     agree with the checkpoint or boot fails — silently diverging from
     the recorded campaign would break the byte-identical recovery
     contract.
@@ -106,7 +106,6 @@ class ServeConfig:
     grow: bool = True
     grow_delay_ms: float = 0.0
     method: Optional[str] = None
-    kernel: Optional[str] = None
     seed: Optional[int] = None
     batch_size: Optional[int] = None
     swaps_per_state: Optional[int] = None
@@ -588,7 +587,6 @@ def _boot_cloud(
         resolved = validate_campaign(
             meta,
             method=config.method,
-            kernel=config.kernel,
             seed=config.seed,
             batch_size=config.batch_size,
             store_states=False if meta is None else None,
@@ -604,7 +602,6 @@ def _boot_cloud(
     resolved = validate_campaign(
         None,
         method=config.method,
-        kernel=config.kernel,
         seed=config.seed,
         batch_size=config.batch_size,
         store_states=False,
@@ -683,7 +680,6 @@ def run_server(
             target_states=config.target_states,
             grow_step=config.grow_step,
             method=campaign["method"],
-            kernel=campaign["kernel"],
             seed=campaign["seed"],
             batch_size=campaign["batch_size"],
             swaps_per_state=campaign["swaps_per_state"],

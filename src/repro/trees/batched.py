@@ -13,9 +13,9 @@ per tree.
 ``i`` draws from the ``i``-th spawned child stream, its root draw and
 per-level tie-break draws happen in exactly the sequential order, and
 the batched frontier keeps each tree's offers in the sequential
-frontier order.  The equivalence is what lets the batched cloud engine
-(:func:`repro.cloud.cloud.sample_cloud` with ``batch_size > 1``)
-reproduce the sequential cloud attribute-for-attribute.
+frontier order.  The equivalence is what lets every non-swap campaign
+(:func:`repro.cloud.cloud.balanced_states`) stack its trees here at
+any batch size and get the same cloud attribute for attribute.
 """
 
 from __future__ import annotations
@@ -33,6 +33,12 @@ from repro.trees.tree import SpanningTree
 from repro.util.arrays import concat_ranges
 
 __all__ = ["TreeBatch", "sample_bfs_batch", "spawn_batch"]
+
+#: Half-edge offers one expansion pass may hold.  A level can offer
+#: every half-edge of every tree in the pass, and the offer arrays are
+#: the sampler's peak memory, so wider batches run in passes of
+#: ``_OFFER_BUDGET // 2m`` trees (at least one).
+_OFFER_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -135,8 +141,9 @@ def sample_bfs_batch(
     root: int | None = None,
     counters: Counters | None = None,
 ) -> TreeBatch:
-    """Sample the randomized BFS trees for the given indices in one
-    batched level-synchronous expansion.
+    """Sample the randomized BFS trees for the given indices in
+    batched level-synchronous expansions, ``_OFFER_BUDGET // 2m`` trees
+    per pass.
 
     Tree-by-tree the output is bit-identical to
     ``bfs_tree(graph, root=root, seed=spawn(seed, i))`` — same root
@@ -144,6 +151,23 @@ def sample_bfs_batch(
     child RNG stream and its offers stay in the sequential frontier
     order inside the stacked arrays.
     """
+    indices = list(indices)
+    per_pass = max(1, _OFFER_BUDGET // max(len(graph.adj_vertex), 1))
+    if len(indices) > per_pass:
+        # Trees are independent: sampling them a few at a time gives
+        # the same stack with a cache-sized offer scratch.
+        parts = [
+            sample_bfs_batch(graph, seed, indices[i : i + per_pass],
+                             root=root, counters=counters)
+            for i in range(0, len(indices), per_pass)
+        ]
+        return TreeBatch(
+            roots=np.concatenate([p.roots for p in parts]),
+            parent=np.vstack([p.parent for p in parts]),
+            parent_edge=np.vstack([p.parent_edge for p in parts]),
+            level_of=np.vstack([p.level_of for p in parts]),
+        )
+
     n = graph.num_vertices
     rngs = spawn_batch(seed, indices)
     num_trees = len(rngs)

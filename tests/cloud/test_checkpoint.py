@@ -12,7 +12,9 @@ from repro.cloud.checkpoint import (
     resume_cloud,
     save_cloud,
 )
+from repro.cli import main
 from repro.errors import CheckpointError, ReproError
+from repro.graph.io import write_edgelist
 
 from tests.conftest import make_connected_signed
 
@@ -77,7 +79,7 @@ class TestSaveLoad:
     def test_campaign_metadata_round_trip(self, graph, tmp_path):
         cloud = sample_cloud(graph, 5, seed=3, batch_size=1)
         meta = CampaignMeta(
-            method="bfs", kernel="lockstep", seed=3, batch_size=1,
+            method="bfs", seed=3, batch_size=1,
             store_states=False,
         )
         path = tmp_path / "cloud.npz"
@@ -124,6 +126,48 @@ class TestSaveLoad:
         np.testing.assert_array_equal(
             back.flip_counts()[:-1], cloud.flip_counts()
         )
+
+
+def with_stored_kernel(path):
+    """Rewrite the checkpoint at *path* in the older v2 layout that also
+    recorded the campaign's cycle kernel."""
+    with np.load(path) as data:
+        payload = {key: data[key] for key in data.files}
+    payload["campaign_kernel"] = np.array("walk")
+    np.savez(path, **payload)
+
+
+class TestStoredKernel:
+    """Checkpoints that still record a kernel load, and resume exactly
+    like the uninterrupted campaign: no kernel ever changed a state."""
+
+    def test_resume_cloud(self, graph, tmp_path):
+        path = tmp_path / "old.npz"
+        sample_cloud(graph, 5, seed=7, checkpoint_path=path)
+        with_stored_kernel(path)
+        cloud, meta = load_checkpoint(path, graph)
+        assert meta.method == "bfs" and meta.seed == 7
+        resumed = resume_cloud(cloud, 12)
+        full = sample_cloud(graph, 12, seed=7)
+        for name in ("_majority", "_majority_sq", "_coalition",
+                     "_edge_preserved", "_edge_coside"):
+            np.testing.assert_array_equal(
+                getattr(resumed, name), getattr(full, name)
+            )
+        np.testing.assert_array_equal(resumed.flip_counts(), full.flip_counts())
+
+    def test_cli_resume(self, graph, tmp_path):
+        text, ckpt = tmp_path / "graph.txt", tmp_path / "old.npz"
+        resumed, direct = tmp_path / "resumed.csv", tmp_path / "direct.csv"
+        write_edgelist(graph, text)
+        assert main(["cloud", str(text), "--states", "5", "--seed", "7",
+                     "--checkpoint", str(ckpt)]) == 0
+        with_stored_kernel(ckpt)
+        assert main(["cloud", str(text), "--states", "12",
+                     "--resume", str(ckpt), "--output", str(resumed)]) == 0
+        assert main(["cloud", str(text), "--states", "12", "--seed", "7",
+                     "--output", str(direct)]) == 0
+        assert resumed.read_text() == direct.read_text()
 
 
 class TestResume:

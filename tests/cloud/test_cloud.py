@@ -9,6 +9,7 @@ from repro.core import balance
 from repro.errors import NotBalancedError, ReproError
 from repro.graph.datasets import fig1_sigma
 from repro.graph.generators import cycle_graph
+from repro.perf.journal import journaling, read_journal
 
 from tests.conftest import make_connected_signed
 
@@ -114,19 +115,20 @@ class TestSampleCloud:
         b = sample_cloud(g, 10, seed=9).status()
         np.testing.assert_array_equal(a, b)
 
-    def test_kernel_choice_irrelevant(self):
-        g = make_connected_signed(50, 120, seed=3)
-        a = sample_cloud(g, 8, kernel="lockstep", seed=4).status()
-        b = sample_cloud(g, 8, kernel="parity", seed=4).status()
-        c = sample_cloud(g, 8, kernel="walk", seed=4).status()
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, c)
-
     def test_method_choice_changes_cloud(self):
         g = make_connected_signed(50, 150, seed=3)
         a = sample_cloud(g, 10, method="bfs", seed=4)
         b = sample_cloud(g, 10, method="dfs", seed=4)
         assert not np.array_equal(a.status(), b.status())
+
+    def test_negative_num_states_rejected_up_front(self, tmp_path):
+        g = make_connected_signed(20, 40, seed=1)
+        journal, ckpt = tmp_path / "run.jsonl", tmp_path / "c.npz"
+        with journaling(journal):
+            with pytest.raises(ReproError, match="num_states"):
+                sample_cloud(g, -3, checkpoint_path=ckpt)
+        assert read_journal(journal) == []
+        assert not ckpt.exists()
 
     def test_timers_accumulate(self):
         from repro.perf.compat import PhaseTimer

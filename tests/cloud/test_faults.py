@@ -22,7 +22,7 @@ from repro.cloud.checkpoint import (
     rotated_paths,
     save_cloud,
 )
-from repro.errors import CheckpointError, EngineError
+from repro.errors import CheckpointError
 from repro.util.faults import (
     SimulatedCrash,
     flip_bits,
@@ -202,11 +202,6 @@ class TestResumeValidation:
         with pytest.raises(CheckpointError, match="seed"):
             resume_cloud(cloud, 20, seed=5)
 
-    def test_mismatched_kernel_rejected(self, graph, tmp_path):
-        cloud = self._checkpoint(graph, tmp_path, seed=7, kernel="lockstep")
-        with pytest.raises(CheckpointError, match="kernel"):
-            resume_cloud(cloud, 20, kernel="walk")
-
     def test_mismatched_batch_size_rejected(self, graph, tmp_path):
         cloud = self._checkpoint(graph, tmp_path, seed=7, batch_size=4)
         with pytest.raises(CheckpointError, match="batch_size"):
@@ -215,7 +210,7 @@ class TestResumeValidation:
     def test_explicit_campaign_arg_validates(self, graph, tmp_path):
         cloud = sample_cloud(graph, 8, seed=7)
         stored = CampaignMeta(
-            method="bfs", kernel="lockstep", seed=7, batch_size=1,
+            method="bfs", seed=7, batch_size=1,
             store_states=False,
         )
         with pytest.raises(CheckpointError, match="seed"):
@@ -255,10 +250,3 @@ class TestResumeValidation:
         assert load_cloud(chain[0], graph).num_states == 12
         assert load_cloud(chain[1], graph).num_states == 12  # final + step
         assert load_cloud(chain[2], graph).num_states == 8
-
-    def test_batched_walk_kernel_rejected(self, graph):
-        cloud = sample_cloud(graph, 4, seed=7)
-        with pytest.raises(EngineError, match="batched"):
-            resume_cloud(cloud, 20, kernel="walk", batch_size=4, seed=7)
-        with pytest.raises(EngineError, match="batched"):
-            sample_cloud(graph, 8, kernel="walk", batch_size=4, seed=7)

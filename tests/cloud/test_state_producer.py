@@ -7,6 +7,7 @@ import pytest
 
 from repro.cloud.checkpoint import load_checkpoint, resume_cloud
 from repro.cloud.cloud import FrustrationCloud, balanced_states, sample_cloud
+from repro.core import balancer
 from repro.core.balancer import balance
 from repro.core.state import BalanceResult
 from repro.errors import NotBalancedError
@@ -17,6 +18,20 @@ from repro.trees.sampler import TreeSampler
 from tests.conftest import make_connected_signed
 
 KERNELS = ("walk", "lockstep", "parity")
+METHODS = ("bfs", "bfs-low-degree", "dfs", "wilson")
+
+#: method x oracle kernel x batch size; the default cell (bfs, B=1)
+#: keeps its bare kernel id.
+ORACLE_CELLS = [
+    pytest.param(
+        method, kernel, batch_size,
+        id=kernel if (method, batch_size) == ("bfs", 1)
+        else f"{method}-{kernel}-B{batch_size}",
+    )
+    for method in METHODS
+    for kernel in KERNELS
+    for batch_size in (1, 3)
+]
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +39,10 @@ def graph():
     return make_connected_signed(45, 120, negative_fraction=0.4, seed=23)
 
 
-def oracle_cloud(graph, indices, seed, kernel="lockstep"):
-    """The reference: one ``add_signs`` (generic bipartition) per state."""
-    sampler = TreeSampler(graph, seed=seed)
+def oracle_cloud(graph, indices, seed, kernel="lockstep", method="bfs"):
+    """The reference: one ``add_signs`` (generic bipartition) per state,
+    balanced by a per-tree cycle *kernel*."""
+    sampler = TreeSampler(graph, method=method, seed=seed)
     cloud = FrustrationCloud(graph, store_states=True)
     for i in indices:
         cloud.add_signs(balance(graph, sampler.tree(i), kernel=kernel).signs)
@@ -43,10 +59,13 @@ def assert_same_accumulators(a: FrustrationCloud, b: FrustrationCloud):
     assert a.unique_states() == b.unique_states()
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_pertree_sample_cloud_matches_oracle(graph, kernel):
-    cloud = sample_cloud(graph, 14, kernel=kernel, seed=5, store_states=True)
-    assert_same_accumulators(cloud, oracle_cloud(graph, range(14), 5, kernel))
+@pytest.mark.parametrize("method, kernel, batch_size", ORACLE_CELLS)
+def test_pertree_sample_cloud_matches_oracle(graph, method, kernel, batch_size):
+    cloud = sample_cloud(graph, 14, method=method, seed=5, store_states=True,
+                         batch_size=batch_size)
+    assert_same_accumulators(
+        cloud, oracle_cloud(graph, range(14), 5, kernel, method)
+    )
 
 
 def test_pool_pertree_matches_oracle(graph):
@@ -76,7 +95,7 @@ def test_paths_yield_identical_states(graph):
     batched = list(balanced_states(graph, sampler, range(6), batch_size=6))
     want_signs, want_s2r = batched[0]
     for kernel in KERNELS:
-        chunks = list(balanced_states(graph, sampler, range(6), kernel=kernel))
+        chunks = list(balanced_states(graph, sampler, range(6)))
         assert len(chunks) == 6
         assert np.array_equal(np.vstack([s for s, _ in chunks]), want_signs)
         assert np.array_equal(np.vstack([r for _, r in chunks]), want_s2r)
@@ -86,19 +105,27 @@ def span_names(collector):
     return {event.path.split("/")[-1] for event in collector.events()}
 
 
-@pytest.mark.parametrize("kernel", ("lockstep", "parity"))
-def test_pertree_runs_no_labeling(graph, kernel):
+#: The function behind each per-tree kernel in :func:`balance`.
+KERNEL_FUNCTIONS = {
+    "walk": "process_cycles_serial",
+    "lockstep": "process_cycles_lockstep",
+    "parity": "balance_by_parity",
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_pertree_runs_no_labeling(graph, kernel, monkeypatch):
+    """A campaign runs neither Alg. 4's labeling nor the per-tree
+    *kernel*, which fails here if called."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"the {kernel} kernel ran")
+
+    monkeypatch.setattr(balancer, KERNEL_FUNCTIONS[kernel], refuse)
     with collecting_trace() as collector:
-        sample_cloud(graph, 3, kernel=kernel, seed=0)
+        sample_cloud(graph, 3, seed=0)
     names = span_names(collector)
     assert "labeling" not in names
-    assert {"tree_sample", "harary"} <= names
-
-
-def test_walk_kernel_still_labels(graph):
-    with collecting_trace() as collector:
-        sample_cloud(graph, 2, kernel="walk", seed=0)
-    assert "labeling" in span_names(collector)
+    assert {"tree_sample", "parity_kernel", "harary"} <= names
 
 
 def test_add_result_rejects_tampered_signs(graph):

@@ -133,7 +133,7 @@ class TestSwapCheckpointing:
 
     def test_validate_rejects_mismatched_swaps(self):
         stored = CampaignMeta(
-            method="swap", kernel="lockstep", seed=1, batch_size=8,
+            method="swap", seed=1, batch_size=8,
             store_states=False, swaps_per_state=3,
         )
         with pytest.raises(CheckpointError):

@@ -73,8 +73,6 @@ class TestPool:
             sample_cloud_pool(g, 0)
         with pytest.raises(EngineError):
             sample_cloud_pool(g, 5, workers=0)
-        with pytest.raises(EngineError, match="batched"):
-            sample_cloud_pool(g, 5, kernel="walk", batch_size=2)
 
     def test_final_checkpoint_is_sequentially_resumable(self, tmp_path):
         g = make_connected_signed(30, 60, seed=1)

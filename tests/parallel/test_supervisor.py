@@ -356,7 +356,7 @@ class TestRunSupervisedApi:
         completed, report = run_supervised(
             graph,
             [(0, 6, 2), (1, 6, 2)],
-            method="bfs", kernel="lockstep", seed=7,
+            method="bfs", seed=7,
             store_states=False, batch_size=1, workers=2,
             policy=RetryPolicy(max_retries=1, **FAST),
         )
@@ -397,7 +397,7 @@ class TestInterrupts:
         with pytest.raises(KeyboardInterrupt):
             run_supervised(
                 graph, [(0, 6, 2), (1, 6, 2)],
-                method="bfs", kernel="lockstep", seed=7,
+                method="bfs", seed=7,
                 store_states=False, batch_size=1, workers=1,
                 policy=RetryPolicy(max_retries=2, **FAST),
                 fault=WorkerCrash(1, mode="interrupt"),

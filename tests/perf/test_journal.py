@@ -223,7 +223,7 @@ class TestCampaignJournal:
         with journaling(path):
             completed, report = run_supervised(
                 graph, [(0, 6, 2), (1, 6, 2)],
-                method="bfs", kernel="lockstep", seed=7,
+                method="bfs", seed=7,
                 store_states=False, batch_size=1, workers=2,
                 policy=RetryPolicy(max_retries=3, **FAST), fault=fault,
             )
@@ -242,7 +242,7 @@ class TestCampaignJournal:
         with journaling(path):
             _completed, report = run_supervised(
                 graph, [(0, 6, 2), (1, 6, 2)],
-                method="bfs", kernel="lockstep", seed=7,
+                method="bfs", seed=7,
                 store_states=False, batch_size=1, workers=2,
                 policy=RetryPolicy(max_retries=1, degrade=False, **FAST),
                 fault=fault,

@@ -55,3 +55,37 @@ def test_process_pools_only_in_the_executor():
         if "ProcessPoolExecutor(" in path.read_text(encoding="utf-8")
     )
     assert owners == ["src/repro/parallel/supervisor.py"]
+
+
+def test_campaigns_take_no_kernel():
+    """Walk, lockstep and parity reach the same balanced state on a
+    tree, so no campaign entry point takes a cycle kernel and campaign
+    metadata records none."""
+    import dataclasses
+    import inspect
+
+    from repro.analysis.consensus import analyze_consensus
+    from repro.cloud.checkpoint import (
+        CampaignMeta,
+        resume_cloud,
+        validate_campaign,
+    )
+    from repro.cloud.cloud import balanced_states, sample_cloud
+    from repro.parallel.pool import CampaignTask, sample_cloud_pool
+    from repro.parallel.supervisor import run_supervised
+    from repro.serve.growth import GrowthWorker
+    from repro.serve.server import ServeConfig
+
+    entry_points = (
+        balanced_states, sample_cloud, resume_cloud, validate_campaign,
+        sample_cloud_pool, run_supervised, GrowthWorker, ServeConfig,
+        analyze_consensus,
+    )
+    offenders = [
+        fn.__name__
+        for fn in entry_points
+        if "kernel" in inspect.signature(fn).parameters
+    ]
+    assert not offenders
+    for record in (CampaignMeta, CampaignTask):
+        assert "kernel" not in {f.name for f in dataclasses.fields(record)}

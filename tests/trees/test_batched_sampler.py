@@ -66,6 +66,25 @@ class TestBatchedBfs:
             assert np.array_equal(batch.parent_edge[i], tree.parent_edge)
             assert np.array_equal(batch.level_of[i], tree.level_of)
 
+    @pytest.mark.parametrize("budget", [1, 1000])
+    def test_passes_stack_bit_identically(self, budget, monkeypatch):
+        """A batch wider than the offer budget runs in passes of whole
+        trees (one tree per pass at budget 1, two at 1000 here) and
+        stacks to the same trees."""
+        from repro.trees import batched
+
+        monkeypatch.setattr(batched, "_OFFER_BUDGET", budget)
+        g = make_connected_signed(60, 150, seed=4)
+        sampler = TreeSampler(g, seed=4)
+        batch = sampler.batch(range(3, 8))
+        assert batch.num_trees == 5
+        for b, i in enumerate(range(3, 8)):
+            tree = sampler.tree(i)
+            assert int(batch.roots[b]) == tree.root
+            assert np.array_equal(batch.parent[b], tree.parent)
+            assert np.array_equal(batch.parent_edge[b], tree.parent_edge)
+            assert np.array_equal(batch.level_of[b], tree.level_of)
+
     @pytest.mark.parametrize(
         "n,m,batch", [(12, 18, 3), (60, 150, 8), (60, 150, 32), (150, 600, 16)]
     )
