@@ -4,18 +4,20 @@ A 1000-state campaign on a large graph can run for hours in pure
 Python; production runs need to survive restarts *and* crashes.  The
 checkpoint layer therefore provides three guarantees:
 
-* **Atomic, self-describing writes** (format v2).  :func:`save_cloud`
-  writes the accumulators to a temp file, fsyncs, and publishes with
-  ``os.replace`` — a kill at any instant leaves either the previous
-  checkpoint or the new one, never a torn file.  The payload embeds the
-  campaign metadata (:class:`CampaignMeta`: method, seed, batch
-  size, store_states) next to the graph fingerprint, so a
-  checkpoint fully describes how to continue it.
+* **Atomic, self-describing writes** (format v3).  :func:`save_cloud`
+  writes the accumulators, as int64 whole units, to a temp file,
+  fsyncs, and publishes with ``os.replace`` — a kill at any instant
+  leaves either the previous checkpoint or the new one, never a torn
+  file.  The payload embeds the campaign metadata
+  (:class:`CampaignMeta`: method, seed, batch size, store_states) next
+  to the graph fingerprint, so a checkpoint fully describes how to
+  continue it.  v1/v2 files, which stored float sums, still load.
 * **Rotation + recovery.**  ``save_cloud(..., keep=K)`` rotates the
   last K good checkpoints (``path``, ``path.1``, …) and
   :func:`recover_cloud` falls back to the newest loadable one when the
   latest is truncated or corrupt.  Every array is shape-validated
-  against the graph, so damage surfaces as a clear
+  against the graph and every accumulator bounds-checked against the
+  state count, so damage surfaces as a clear
   :class:`~repro.errors.CheckpointError` instead of a cryptic numpy
   crash deep inside an attribute computation.
 * **Validated resume.**  :func:`resume_cloud` continues a seeded
@@ -39,7 +41,7 @@ from typing import IO, Callable, Iterator, Tuple, Union
 
 import numpy as np
 
-from repro.cloud.cloud import FrustrationCloud, balanced_states
+from repro.cloud.cloud import FrustrationCloud, ingest_states
 from repro.errors import CheckpointError, ReproError
 from repro.graph.csr import SignedGraph
 
@@ -47,7 +49,6 @@ from repro.graph.csr import SignedGraph
 # checkpoints, store files, and in-memory graphs all hash identically;
 # re-exported here for backward compatibility.
 from repro.graph.store import graph_fingerprint
-from repro.harary.bipartition import sides_from_sign_to_root
 from repro.perf.journal import journal_event
 from repro.perf.registry import get_registry
 from repro.perf.tracing import span
@@ -69,8 +70,8 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-_FORMAT_VERSION = 2
-_COMPAT_VERSIONS = (1, 2)
+_FORMAT_VERSION = 3
+_COMPAT_VERSIONS = (1, 2, 3)
 
 # Fault-injection seams (see repro.util.faults): the atomic-write path
 # goes through these module attributes so crash tests can simulate a
@@ -231,9 +232,9 @@ def _payload(
         "num_edges": np.array([cloud.graph.num_edges], dtype=np.int64),
         "num_states": np.array([cloud.num_states], dtype=np.int64),
         "store_states": np.array([int(cloud.store_states)], dtype=np.int64),
-        "majority": cloud._majority,
-        "majority_sq": cloud._majority_sq,
-        "coalition": cloud._coalition,
+        "majority": cloud._majority.astype(np.int64),
+        "majority_sq": cloud._majority_sq.astype(np.int64),
+        "coalition": cloud._coalition.astype(np.int64),
         "edge_preserved": cloud._edge_preserved,
         "edge_coside": cloud._edge_coside,
         "flip_counts": cloud.flip_counts(),
@@ -308,6 +309,31 @@ def _array(data, key: str, shape: tuple, dtype, path: Path) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=dtype)
 
 
+def _accumulator(
+    data, key: str, size: int, unit: int, version: int, path: Path
+) -> np.ndarray:
+    """One accumulator as int64 whole units.  v3 stores integers; a
+    v1/v2 sum is scaled by *unit* and must land within 0.25 of an
+    integer (its float rounding error stays far below that)."""
+    raw = _array(data, key, (size,), None, path)
+    if version >= 3:
+        if not np.issubdtype(raw.dtype, np.integer):
+            raise CheckpointError(
+                f"corrupt checkpoint {path}: {key} has dtype {raw.dtype}, "
+                "expected integers"
+            )
+        return raw.astype(np.int64)
+    scaled = raw.astype(np.float64) * unit
+    whole = np.rint(scaled)
+    off = ~(np.abs(scaled - whole) <= 0.25)
+    if np.any(off):
+        raise CheckpointError(
+            f"corrupt checkpoint {path}: {key} value "
+            f"{float(raw[off][0])!r} is not a whole number of 1/{unit} units"
+        )
+    return whole.astype(np.int64)
+
+
 def _restore(
     data, graph: SignedGraph, path: Path
 ) -> tuple[FrustrationCloud, CampaignMeta | None]:
@@ -341,13 +367,27 @@ def _restore(
     store_states = bool(_scalar(data, "store_states", path))
 
     cloud = FrustrationCloud(graph, store_states=store_states)
-    cloud._majority = _array(data, "majority", (n,), np.float64, path)
-    cloud._majority_sq = _array(data, "majority_sq", (n,), np.float64, path)
-    cloud._coalition = _array(data, "coalition", (n,), np.float64, path)
-    cloud._edge_preserved = _array(
-        data, "edge_preserved", (m,), np.int64, path
+    # Each accumulator's length, unit and largest value per state: v3
+    # stores whole units, v1/v2 stored the sums divided by the unit.
+    others = max(n - 1, 0)
+    accumulators = (
+        ("majority", n, 2, 2),
+        ("majority_sq", n, 4, 4),
+        ("coalition", n, max(others, 1), others),
+        ("edge_preserved", m, 1, 1),
+        ("edge_coside", m, 1, 1),
     )
-    cloud._edge_coside = _array(data, "edge_coside", (m,), np.int64, path)
+    for key, size, unit, per_state in accumulators:
+        values = _accumulator(data, key, size, unit, version, path)
+        bad = ~((values >= 0) & (values <= per_state * num_states))
+        if np.any(bad):
+            raise CheckpointError(
+                f"corrupt checkpoint {path}: {key} holds "
+                f"{int(values[bad][0])}, outside [0, {per_state} * "
+                f"{num_states} states]"
+            )
+        fresh = getattr(cloud, f"_{key}")
+        setattr(cloud, f"_{key}", values.astype(fresh.dtype))
     # Restore flip counts through the standard doubling buffer so the
     # first post-resume append lands in existing headroom instead of
     # forcing an immediate regrow.
@@ -625,7 +665,7 @@ def resume_cloud(
     The next tree index is ``cloud.num_states`` — resuming a
     checkpointed campaign with the same ``(method, seed,
     swaps_per_state)`` therefore produces exactly the states an
-    uninterrupted run would have.  When the cloud came from a v2
+    uninterrupted run would have.  When the cloud came from a v2 or v3
     checkpoint (or *campaign* is passed), parameters left ``None``
     inherit the stored campaign and explicit parameters are validated
     against it; a conflict raises
@@ -681,12 +721,11 @@ def resume_cloud(
     # resume re-enters the chain at the cloud's next index and replays
     # at most segment_length - 1 states to reach it — the states
     # produced are exactly the uninterrupted campaign's.
-    for signs, s2r in balanced_states(
-        cloud.graph, sampler, range(cloud.num_states, target_states),
+    for folded in ingest_states(
+        cloud, sampler, range(cloud.num_states, target_states),
         batch_size=batch_size,
     ):
-        cloud.add_batch(signs, sides_from_sign_to_root(s2r))
-        writer.step(cloud, len(signs))
+        writer.step(cloud, folded)
     if checkpoint_path is not None:
         writer.final(cloud)
     cloud.campaign_meta = meta

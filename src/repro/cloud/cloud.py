@@ -41,6 +41,7 @@ from repro.trees.enumeration import all_spanning_trees
 __all__ = [
     "FrustrationCloud",
     "balanced_states",
+    "ingest_states",
     "sample_cloud",
     "exact_cloud",
     "auto_batch_size",
@@ -59,7 +60,7 @@ def balanced_states(
     batch_size: int = 1,
     timers: PhaseTimer | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The one state producer behind every campaign driver.
+    """The dense state producer behind :func:`ingest_states`.
 
     Yields ``(signs (B, m), s2r (B, n))`` for the tree *indices* in
     order, ``batch_size`` states per chunk: the balanced sign arrays
@@ -89,6 +90,43 @@ def balanced_states(
             with phase("cycle_processing"), span("parity_kernel"):
                 state = balance_batch(graph, batch)
         yield state
+
+
+def ingest_states(
+    cloud: "FrustrationCloud",
+    sampler: TreeSampler,
+    indices: range,
+    *,
+    batch_size: int = 1,
+    timers: PhaseTimer | None = None,
+) -> Iterator[int]:
+    """The one ingest loop of every campaign driver.
+
+    Folds the states of the tree *indices* into *cloud*, ``batch_size``
+    per chunk, and yields each chunk's state count once it is folded
+    (drivers checkpoint and journal between chunks).  Swap-chain states
+    go in as the chain's delta log
+    (:meth:`FrustrationCloud.add_deltas`), at the cost of what each
+    swap changed; every other method, and swap clouds that keep unique
+    states (those need the sign rows), fold the dense chunks of
+    :func:`balanced_states` with :meth:`FrustrationCloud.add_batch`.
+    Both routes give the same cloud, bit for bit.
+    """
+    phase = timers.phase if timers is not None else _no_phase
+    if sampler.method == "swap" and not cloud.store_states:
+        for lo in range(0, len(indices), batch_size):
+            with phase("tree_generation"), span("tree_sample"):
+                log = sampler.swap_deltas(indices[lo : lo + batch_size])
+            with phase("harary_and_status"), span("harary"):
+                cloud.add_deltas(log)
+            yield len(log)
+        return
+    for signs, s2r in balanced_states(
+        cloud.graph, sampler, indices, batch_size=batch_size, timers=timers
+    ):
+        with phase("harary_and_status"), span("harary"):
+            cloud.add_batch(signs, sides_from_sign_to_root(s2r))
+        yield len(signs)
 
 
 def auto_batch_size(num_vertices: int) -> int:
@@ -129,6 +167,13 @@ class FrustrationCloud:
     store_states: bool = False
 
     num_states: int = 0
+    # The vertex accumulators are exact integers: δ_T(v) in half-units
+    # (2 on the larger side, 1 on a tie), δ_T(v)² in quarter-units
+    # (4 or 1), and the sum of v's side size minus one.  They are held
+    # in float64, where every addend and partial sum is an integer
+    # below 2**53, so addition is exact in any order (a merge of any
+    # grouping of blocks gives the same bits) and the attributes
+    # divide once, at read time.
     _majority: np.ndarray = field(init=False, repr=False)
     _majority_sq: np.ndarray = field(init=False, repr=False)
     _coalition: np.ndarray = field(init=False, repr=False)
@@ -177,26 +222,7 @@ class FrustrationCloud:
         """
         signs = np.asarray(signs, dtype=np.int8)
         bip = harary_bipartition(self.graph, signs)
-        n = self.graph.num_vertices
-
-        delta = bip.in_majority()
-        self._majority += delta
-        self._majority_sq += delta * delta
-        size0, size1 = bip.sizes
-        side_size = np.where(bip.side == 0, size0, size1).astype(np.float64)
-        if n > 1:
-            self._coalition += (side_size - 1.0) / (n - 1.0)
-        self._edge_preserved += signs == self.graph.edge_sign
-        self._edge_coside += (
-            bip.side[self.graph.edge_u] == bip.side[self.graph.edge_v]
-        )
-        self._append_flip_counts(
-            np.array([np.count_nonzero(signs != self.graph.edge_sign)])
-        )
-        if self.store_states:
-            key = signs.tobytes()
-            self._unique[key] = self._unique.get(key, 0) + 1
-        self.num_states += 1
+        self.add_batch(signs[None, :], bip.side[None, :])
         return bip
 
     def add_result(self, result: BalanceResult) -> None:
@@ -229,9 +255,9 @@ class FrustrationCloud:
             on the batched parity output).  When omitted, each row goes
             through :meth:`add_signs` and its bipartition oracle.
 
-        The accumulator updates are single ``sum(axis=0)`` reductions
-        over the batch, so the cloud after ``add_batch`` is exactly the
-        cloud after B sequential :meth:`add_signs` calls in row order.
+        The accumulator updates are exact integer reductions over the
+        batch, so the cloud after ``add_batch`` is exactly the cloud
+        after B sequential :meth:`add_signs` calls, in any order.
         Raises :class:`~repro.errors.NotBalancedError` if any row's
         signs are inconsistent with its sides (every positive edge must
         stay inside a side, every negative edge must cross).
@@ -263,23 +289,21 @@ class FrustrationCloud:
 
         size1 = sides.sum(axis=1, dtype=np.int64)
         size0 = n - size1
-        # majority side per state: 0, 1, or -1 on ties (δ = 0.5 for all).
-        maj = np.where(size0 > size1, 0, np.where(size1 > size0, 1, -1))
-        delta = (sides == maj[:, None]).astype(np.float64)
-        delta[maj == -1] = 0.5
-        self._majority += delta.sum(axis=0)
-        self._majority_sq += (delta * delta).sum(axis=0)
-        if n > 1:
-            side_size = np.where(
-                sides == 0, size0[:, None], size1[:, None]
-            ).astype(np.float64)
-            # Accumulate row by row: coalition contributions are inexact
-            # fractions, and bit-identity with sequential ingestion
-            # requires the same left-to-right addition order (the other
-            # accumulators are exact in float64, so batch reductions are
-            # order-safe).
-            for row in (side_size - 1.0) / (n - 1.0):
-                self._coalition += row
+        # Per state, +1 when side 1 is strictly larger, -1 when side 0
+        # is, 0 on a tie.  A vertex scores 2 half-units on the larger
+        # side and 1 on a tie, so its sum over the chunk is
+        # 2 * (lead @ sides) + 2 * (side-0 wins) + ties; in quarter
+        # units the squares are 4 and 1.  Its side size minus one is
+        # size0 - 1 + side * (size1 - size0).  Integer matvecs, exact.
+        lead = np.sign(size1 - size0)
+        ties = int(np.count_nonzero(lead == 0))
+        zero_wins = int(np.count_nonzero(lead < 0))
+        votes, gains = np.stack([lead, size1 - size0]).astype(
+            np.float64
+        ) @ sides.astype(np.float64)
+        self._majority += 2.0 * votes + (2 * zero_wins + ties)
+        self._majority_sq += 4.0 * votes + (4 * zero_wins + ties)
+        self._coalition += gains + float(size0.sum() - num_new)
         # The check above pins coside == (signs > 0), so one exact
         # column sum of the ±1 signs yields both edge counters: per
         # edge, (B + sum) / 2 states kept it positive (co-side), and a
@@ -298,6 +322,44 @@ class FrustrationCloud:
                 self._unique[key] = self._unique.get(key, 0) + 1
         self.num_states += num_new
 
+    def add_deltas(self, log: list) -> None:
+        """Fold a chunk of swap-chain states given as a delta log.
+
+        *log* is :meth:`~repro.trees.swap_chain.SwapChainSampler.deltas`
+        output: per state either its sign-to-root row (a base) or the
+        ``(members, cut)`` pairs of its factor −1 swaps.  The result
+        equals :meth:`add_batch` of the dense ``(signs, s2r)`` rows, bit
+        for bit, at O(|S| + |δ(S)|) per swap plus O(1) per state and one
+        O(n + m) flush per base and per chunk (:class:`_ChainFold`).
+        Each swap's δ(S) is rechecked against its endpoints' new sides,
+        so a listed edge that does not cross S raises
+        :class:`~repro.errors.NotBalancedError` naming its state; every
+        flush checks all edges, so an edge of δ(S) left out of the log
+        raises there, naming the flushed interval.  Unlike
+        :meth:`add_batch`, a failed fold leaves the cloud part-updated:
+        discard it.
+        """
+        if self.store_states:
+            raise ReproError(
+                "a delta log carries no sign rows to store; fold dense "
+                "states into a store_states cloud"
+            )
+        if not log:
+            return
+        if not isinstance(log[0], np.ndarray):
+            raise ReproError("a delta log opens with a sign-to-root row")
+        fold = _ChainFold(self)
+        for b, entry in enumerate(log):
+            if isinstance(entry, np.ndarray):
+                fold.rebase(entry, b)
+            else:
+                for members, cut in entry:
+                    fold.move(members, cut, b)
+            fold.close_state()
+        fold.flush(len(log))
+        self._append_flip_counts(fold.flips)
+        self.num_states += len(log)
+
     # ------------------------------------------------------------------
     # Attributes (defined in §2.3 / the frustration-cloud paper [33])
     # ------------------------------------------------------------------
@@ -309,7 +371,7 @@ class FrustrationCloud:
         """Per-vertex status (§2.3): mean of δ_T(v) over the states,
         where δ is 1 in the larger bipartition, 0.5 on ties, 0 else."""
         self._require_states()
-        return self._majority / self.num_states
+        return self._majority / (2 * self.num_states)
 
     def influence(self) -> np.ndarray:
         """Per-vertex influence: the expected fraction of the *other*
@@ -323,7 +385,10 @@ class FrustrationCloud:
         is monotone in how often large groups side with v.
         """
         self._require_states()
-        return self._coalition / self.num_states
+        others = self.graph.num_vertices - 1
+        if others < 1:
+            return np.zeros_like(self._coalition)
+        return self._coalition / float(others * self.num_states)
 
     def edge_agreement(self) -> np.ndarray:
         """Per-edge agreement: fraction of states preserving the edge's
@@ -362,8 +427,8 @@ class FrustrationCloud:
         across states — 0 for vertices always (or never) in the
         majority, maximal (0.25) for coin-flip vertices."""
         self._require_states()
-        mean = self._majority / self.num_states
-        mean_sq = self._majority_sq / self.num_states
+        mean = self._majority / (2 * self.num_states)
+        mean_sq = self._majority_sq / (4 * self.num_states)
         return np.maximum(mean_sq - mean * mean, 0.0)
 
     def frustration_upper_bound(self) -> int:
@@ -414,6 +479,129 @@ class FrustrationCloud:
         if not self.store_states:
             raise ReproError("cloud was built with store_states=False")
         return len(self._unique)
+
+
+class _ChainFold:
+    """Lazy interval accumulation of swap-chain states into a cloud.
+
+    Between changes a vertex keeps its raw Harary class (``s2r < 0``)
+    and an edge its balanced sign, so every accumulator is a sum of
+    piecewise-constant values.  The fold keeps, per vertex and per
+    edge, only the current value, and per state O(1) running counts
+    since the last base: the states each raw class won strictly, the
+    ties, each class's summed size, and the current class-1 size and
+    flip count.
+
+    A :meth:`flush` charges every entry its current value over the
+    whole interval since the base, one vectorized pass.  So a change
+    at state *b* folds, for the touched entries only, the difference
+    between their old and new value over ``[base, b)``: the new value
+    is overcharged there by the flush, the old one was not charged at
+    all.  Majority, coalition and co-side are symmetric in the side
+    labels, so the raw class stands in for the vertex-0-normalized
+    side.
+    """
+
+    def __init__(self, cloud: FrustrationCloud) -> None:
+        graph = cloud.graph
+        self.cloud = cloud
+        self.first = cloud.num_states
+        self.u, self.v = graph.edge_u, graph.edge_v
+        self.kept = graph.edge_sign > 0
+        self.flips: list[int] = []
+        self.side: np.ndarray | None = None
+        self.positive: np.ndarray | None = None
+
+    def _restart(self) -> None:
+        self.states = 0
+        self.wins = [0, 0]
+        self.ties = 0
+        self.sizes = [0, 0]
+
+    def _gains(self) -> list[tuple[np.ndarray, int, int]]:
+        """Per vertex accumulator, what a whole interval since the base
+        adds on raw class 0 and on raw class 1."""
+        cloud, (w0, w1), t = self.cloud, self.wins, self.ties
+        return [
+            (cloud._majority, 2 * w0 + t, 2 * w1 + t),
+            (cloud._majority_sq, 4 * w0 + t, 4 * w1 + t),
+            (cloud._coalition, self.sizes[0] - self.states,
+             self.sizes[1] - self.states),
+        ]
+
+    def rebase(self, s2r: np.ndarray, b: int) -> None:
+        """State *b* is a whole ``s2r`` row: flush, then restart every
+        entry from it."""
+        if self.side is not None:
+            self.flush(b)
+        self.side = (np.asarray(s2r) < 0).astype(np.int8)
+        self.positive = self.side[self.u] == self.side[self.v]
+        self.ones = int(np.count_nonzero(self.side))
+        self.flipped = int(np.count_nonzero(self.positive != self.kept))
+        self._restart()
+
+    def move(self, members: np.ndarray, cut: np.ndarray, b: int) -> None:
+        """State *b* moved S = *members* to the other class, so exactly
+        the edges *cut* = δ(S) changed sign; each is rechecked against
+        its endpoints' new sides."""
+        was = self.side[members]
+        # +1 leaving class 1, -1 leaving class 0.
+        leaving = 2 * was.astype(np.int64) - 1
+        for acc, gain0, gain1 in self._gains():
+            acc[members] += leaving * (gain1 - gain0)
+        self.side[members] = 1 - was
+        self.ones += len(members) - 2 * int(np.count_nonzero(was))
+
+        cloud, elapsed = self.cloud, self.states
+        positive = self.positive[cut]
+        cloud._edge_coside[cut] += np.where(positive, elapsed, -elapsed)
+        cloud._edge_preserved[cut] += np.where(
+            positive == self.kept[cut], elapsed, -elapsed
+        )
+        now = ~positive
+        self.positive[cut] = now
+        self.flipped += len(cut) - 2 * int(
+            np.count_nonzero(now == self.kept[cut])
+        )
+        side = self.side
+        if np.any(now != (side[self.u[cut]] == side[self.v[cut]])):
+            raise NotBalancedError(
+                f"state {self.first + b} is not balanced under its sides: "
+                "a swap's cut edges disagree with their endpoints"
+            )
+
+    def close_state(self) -> None:
+        """Count the state just completed."""
+        ones = self.ones
+        zeros = len(self.side) - ones
+        self.wins[0] += zeros > ones
+        self.wins[1] += ones > zeros
+        self.ties += ones == zeros
+        self.sizes[0] += zeros
+        self.sizes[1] += ones
+        self.states += 1
+        self.flips.append(self.flipped)
+
+    def flush(self, b: int) -> None:
+        """Charge every entry its current value over the interval since
+        the base, up to state *b* (exclusive), after checking every
+        edge's sign against its endpoints' sides.  The fold keeps no
+        per-state history, so a failure names the interval's states,
+        not the first bad one."""
+        side = self.side
+        if not np.array_equal(self.positive, side[self.u] == side[self.v]):
+            last = self.first + b - 1
+            raise NotBalancedError(
+                f"states {last - self.states + 1}..{last} are not all "
+                "balanced under their sides: an edge's sign disagrees "
+                "with its endpoints at the flush"
+            )
+        for acc, gain0, gain1 in self._gains():
+            acc += float(gain1 - gain0) * side + float(gain0)
+        cloud, elapsed = self.cloud, self.states
+        cloud._edge_coside += self.positive * elapsed
+        cloud._edge_preserved += (self.positive == self.kept) * elapsed
+        self._restart()
 
 
 def sample_cloud(
@@ -478,9 +666,6 @@ def sample_cloud(
         graph, method=method, seed=frozen, swaps_per_state=swaps_per_state
     )
     cloud = FrustrationCloud(graph, store_states=store_states)
-    # Phase timing flows through the metrics registry spans; a legacy
-    # PhaseTimer is honoured when a caller passes one.
-    phase = timers.phase if timers is not None else _no_phase
     journal_event(
         "campaign_started",
         driver="sequential",
@@ -515,18 +700,16 @@ def sample_cloud(
             keep=keep_checkpoints,
         )
     with collecting() as metrics, span("campaign"):
-        for signs, s2r in balanced_states(
-            graph, sampler, range(num_states),
+        for folded in ingest_states(
+            cloud, sampler, range(num_states),
             batch_size=batch_size, timers=timers,
         ):
-            with phase("harary_and_status"), span("harary"):
-                cloud.add_batch(signs, sides_from_sign_to_root(s2r))
             if writer is not None:
-                writer.step(cloud, len(signs))
+                writer.step(cloud, folded)
             # Snapshot when this chunk crossed a multiple of snap_every.
             if (
                 get_journal() is not None
-                and cloud.num_states % snap_every < len(signs)
+                and cloud.num_states % snap_every < folded
             ):
                 journal_event(
                     "convergence",
@@ -535,7 +718,7 @@ def sample_cloud(
                 )
         get_registry().count("cloud.states_total", num_states)
     # Attach this campaign's own metrics window before the final
-    # checkpoint so the v2 payload can embed it.
+    # checkpoint so its payload can embed it.
     cloud.metrics = metrics.snapshot()
     if writer is not None:
         writer.final(cloud)

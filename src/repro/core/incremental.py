@@ -182,9 +182,11 @@ class TreeDeltaState:
 
     def cut_link(
         self, cut_edge: int, link_edge: int, slot: int | None = None
-    ) -> None:
+    ) -> tuple[np.ndarray, int]:
         """Cut tree edge p→c and reconnect its subtree S through the
-        non-tree edge *link_edge* = (u_out, v_in), v_in ∈ S.
+        non-tree edge *link_edge* = (u_out, v_in), v_in ∈ S.  Returns
+        S's members (in their old pre-order) and the uniform sign
+        factor the swap applied to their ``s2r``.
 
         All derived state updates as deltas, in
         O(|S| + deg(u_out) + window + depth) work:
@@ -322,15 +324,26 @@ class TreeDeltaState:
 
         if factor < 0:
             self.s2r[members] = -self.s2r[members]
+        return members, factor
 
     def random_swap(
-        self, rng: np.random.Generator, max_attempts: int = 16
+        self,
+        rng: np.random.Generator,
+        max_attempts: int = 16,
+        moves: list | None = None,
     ) -> bool:
         """One random cut/link swap: a uniform tree-edge slot, then a
         uniform crossing non-tree edge.  Cuts whose subtree no non-tree
         edge re-spans are retried (fresh draws) up to *max_attempts*
         times; returns whether the tree changed.  Graphs with no
-        fundamental cycle (trees) never change."""
+        fundamental cycle (trees) never change.
+
+        A swap whose factor is −1 negates ``s2r`` on S, so S's vertices
+        change Harary class and exactly the cut edges δ(S) change
+        balanced sign; with *moves* given, such a swap appends
+        ``(members, cut)`` — S's vertices and δ(S) — to it.  δ(S) is the
+        crossing candidates already gathered plus the cut edge itself.
+        A factor +1 swap changes no sign and appends nothing."""
         if self.graph.num_fundamental_cycles == 0:
             return False
         for _ in range(max_attempts):
@@ -341,7 +354,9 @@ class TreeDeltaState:
             if not len(cand):
                 continue
             link_edge = int(cand[int(rng.integers(0, len(cand)))])
-            self.cut_link(cut_edge, link_edge, slot=slot)
+            members, factor = self.cut_link(cut_edge, link_edge, slot=slot)
+            if moves is not None and factor < 0:
+                moves.append((members, np.append(cand, cut_edge)))
             return True
         return False
 

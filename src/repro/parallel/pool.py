@@ -56,11 +56,10 @@ from typing import TYPE_CHECKING, Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cloud.cloud import FrustrationCloud, balanced_states
+from repro.cloud.cloud import FrustrationCloud, ingest_states
 from repro.errors import CheckpointError, EngineError, SupervisorError
 from repro.graph.csr import SignedGraph
 from repro.graph.store import GraphStore, graph_fingerprint
-from repro.harary.bipartition import sides_from_sign_to_root
 from repro.parallel.supervisor import (
     BlockTask,
     CampaignSupervisor,
@@ -217,11 +216,10 @@ class CampaignTask(BlockTask):
         # Chain states are pure functions of (seed, index), so any
         # block shape is correct; a swap block enters the chain at its
         # segment and walks it forward in chunks.
-        for signs, s2r in balanced_states(
-            graph, sampler, range(*block), batch_size=self.batch_size,
+        for _folded in ingest_states(
+            cloud, sampler, range(*block), batch_size=self.batch_size,
         ):
-            with span("harary"):
-                cloud.add_batch(signs, sides_from_sign_to_root(s2r))
+            pass
         # Counted inside the envelope's detached window, so the block's
         # state count travels with its snapshot through salvage and
         # resume.

@@ -110,6 +110,14 @@ class TreeSampler:
         get_registry().count("trees.sampled_total", len(indices))
         return self.swap_chain().states(indices)
 
+    def swap_deltas(self, indices) -> list:
+        """The swap chain's delta log for *indices* (``method="swap"``
+        only; see :meth:`SwapChainSampler.deltas`) — the lazy
+        counterpart of :meth:`swap_states`."""
+        indices = list(indices)
+        get_registry().count("trees.sampled_total", len(indices))
+        return self.swap_chain().deltas(indices)
+
     def tree(self, index: int) -> SpanningTree:
         """The *index*-th tree of this sampler's stream."""
         get_registry().count("trees.sampled_total", 1)

@@ -8,10 +8,11 @@ crossing the cut.  :class:`~repro.core.incremental.TreeDeltaState`
 keeps the labeling and ``sign_to_root`` exact under each swap while
 touching only the moved subtree S: its CSR rows, the pre-order ID
 window it moves across and two root paths, O(|S| + vol(S) + window +
-depth).  A state then costs one copy of its ``s2r`` row plus its row
-of the chunk's shared ``s2r[:, u] * s2r[:, v]`` signs gather, instead
-of a full sample + label + parity pipeline: the balanced state falls
-out of ``s2r`` directly, with no parity kernel at all.
+depth).  The balanced state falls out of ``s2r`` directly, with no
+parity kernel at all: :meth:`SwapChainSampler.states` reads dense
+``(signs, s2r)`` rows off it, and :meth:`SwapChainSampler.deltas`
+hands campaigns only what each swap changed, so a state costs its
+swaps plus O(1) instead of an O(n + m) row.
 
 Determinism contract (what the pool/supervisor block protocol relies
 on): the chain is **segmented**.  State ``k`` belongs to the segment
@@ -106,11 +107,13 @@ class SwapChainSampler:
         block protocol records for deterministic resume)."""
         return (index // self.segment_length) * self.segment_length
 
-    def state_at(self, index: int):
+    def state_at(self, index: int, moves: list | None = None):
         """The :class:`~repro.core.incremental.TreeDeltaState` of chain
         state *index*, advancing (or re-basing) the internal state as
         needed.  The returned object is live — it mutates on the next
-        call — so snapshot anything that must persist."""
+        call — so snapshot anything that must persist.  *moves*
+        collects the sign-changing swaps made on the way (see
+        :meth:`~repro.core.incremental.TreeDeltaState.random_swap`)."""
         if index < 0:
             raise EngineError("chain index must be non-negative")
         from repro.core.incremental import TreeDeltaState
@@ -127,7 +130,7 @@ class SwapChainSampler:
             with span("tree_swap"):
                 rng = spawn(self.seed, k)
                 for _ in range(self.swaps_per_state):
-                    self._state.random_swap(rng)
+                    self._state.random_swap(rng, moves=moves)
             self._index = k
         return self._state
 
@@ -162,3 +165,26 @@ class SwapChainSampler:
         # edge is its endpoints' sign-to-root product.
         signs = s2r[:, self.graph.edge_u] * s2r[:, self.graph.edge_v]
         return signs, s2r
+
+    def deltas(self, indices) -> list:
+        """The delta log of chain states *indices*: what
+        :meth:`~repro.cloud.cloud.FrustrationCloud.add_deltas` folds in
+        place of the dense :meth:`states` rows.
+
+        One entry per index.  The first index, and any index the chain
+        re-bases to reach (a new segment, or a step backwards), is a
+        *base*: a copy of the state's ``s2r`` row.  Every other entry
+        is the list of ``(members, cut)`` pairs of the factor −1 swaps
+        since the previous index — S's vertices and δ(S) — by the
+        switching lemma the only vertices that change Harary class and
+        the only edges that change balanced sign.  An empty list is a
+        state whose balanced signs equal its predecessor's.
+        """
+        log: list = []
+        for k in indices:
+            previous = self._state
+            moves: list = []
+            state = self.state_at(int(k), moves)
+            rebased = not log or state is not previous
+            log.append(state.s2r.copy() if rebased else moves)
+        return log

@@ -89,9 +89,11 @@ class TestSaveLoad:
         assert back.campaign_meta == meta
 
     def test_v1_checkpoint_still_loads(self, graph, tmp_path):
-        # A v1 payload (no campaign metadata, exact-length flip buffer)
-        # written by the previous release must remain loadable.
+        # A v1 payload (no campaign metadata, exact-length flip buffer,
+        # float accumulators: the sum of δ, of δ², and of the coalition
+        # fraction) written by an earlier release must remain loadable.
         cloud = sample_cloud(graph, 6, seed=2)
+        n = graph.num_vertices
         path = tmp_path / "v1.npz"
         np.savez_compressed(
             path.open("wb"),
@@ -101,9 +103,9 @@ class TestSaveLoad:
             ),
             num_states=np.array([cloud.num_states]),
             store_states=np.array([0]),
-            majority=cloud._majority,
-            majority_sq=cloud._majority_sq,
-            coalition=cloud._coalition,
+            majority=cloud._majority / 2,
+            majority_sq=cloud._majority_sq / 4,
+            coalition=cloud._coalition / (n - 1),
             edge_preserved=cloud._edge_preserved,
             edge_coside=cloud._edge_coside,
             flip_counts=cloud.flip_counts(),
@@ -111,6 +113,7 @@ class TestSaveLoad:
         back, meta = load_checkpoint(path, graph)
         assert meta is None
         np.testing.assert_array_equal(back.status(), cloud.status())
+        np.testing.assert_array_equal(back.influence(), cloud.influence())
 
     def test_loaded_flip_buffer_has_headroom(self, graph, tmp_path):
         # Restoring into the doubling buffer means the first post-resume
@@ -128,12 +131,124 @@ class TestSaveLoad:
         )
 
 
-def with_stored_kernel(path):
-    """Rewrite the checkpoint at *path* in the older v2 layout that also
-    recorded the campaign's cycle kernel."""
+def rewrite(path, **changes):
+    """Rewrite the checkpoint at *path* with some arrays replaced."""
     with np.load(path) as data:
         payload = {key: data[key] for key in data.files}
-    payload["campaign_kernel"] = np.array("walk")
+    payload.update(changes)
+    np.savez(path.open("wb"), **payload)
+
+
+class TestAccumulatorBounds:
+    """v3 stores whole units; a value no campaign of the stored state
+    count could reach is damage, and the error names the array."""
+
+    @pytest.fixture
+    def saved(self, graph, tmp_path):
+        cloud = sample_cloud(graph, 6, seed=2)
+        path = tmp_path / "c.npz"
+        save_cloud(cloud, path)
+        return cloud, path
+
+    def test_writes_integer_units(self, graph, saved):
+        cloud, path = saved
+        assert load_checkpoint(path, graph)[0].num_states == 6
+        with np.load(path) as data:
+            assert int(data["version"][0]) == 3
+            for key in ("majority", "majority_sq", "coalition"):
+                assert data[key].dtype == np.int64, key
+            np.testing.assert_array_equal(
+                data["majority"], cloud._majority.astype(np.int64)
+            )
+
+    @pytest.mark.parametrize("key, value", [
+        ("majority", 2 * 6 + 1),
+        ("majority", -1),
+        ("majority_sq", 4 * 6 + 1),
+        ("coalition", 6 * 49 + 1),
+        ("coalition", -3),
+        ("edge_preserved", 7),
+        ("edge_coside", -1),
+    ])
+    def test_out_of_bounds_value_names_the_array(
+        self, graph, saved, key, value
+    ):
+        _cloud, path = saved
+        with np.load(path) as data:
+            arr = data[key].copy()
+        arr[3] = value
+        rewrite(path, **{key: arr})
+        with pytest.raises(CheckpointError, match=f": {key} holds {value},"):
+            load_checkpoint(path, graph)
+
+    def test_float_accumulator_in_v3_is_rejected(self, graph, saved):
+        _cloud, path = saved
+        with np.load(path) as data:
+            majority = data["majority"].astype(np.float64)
+        rewrite(path, majority=majority + 0.5)
+        with pytest.raises(CheckpointError, match="majority has dtype"):
+            load_checkpoint(path, graph)
+
+    def _as_v2(self, cloud, path, n):
+        """Rewrite *path* in the v2 units: float sums of δ, δ² and the
+        coalition fraction."""
+        rewrite(
+            path,
+            version=np.array([2]),
+            majority=cloud._majority / 2,
+            majority_sq=cloud._majority_sq / 4,
+            coalition=cloud._coalition / (n - 1),
+        )
+
+    def test_v2_converts_exactly(self, graph, saved):
+        cloud, path = saved
+        self._as_v2(cloud, path, graph.num_vertices)
+        back, _meta = load_checkpoint(path, graph)
+        for name in ("_majority", "_majority_sq", "_coalition"):
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(cloud, name))
+        np.testing.assert_array_equal(back.influence(), cloud.influence())
+
+    @pytest.mark.parametrize("key, unit", [
+        ("majority", 2), ("majority_sq", 4), ("coalition", 49),
+    ])
+    def test_v2_value_off_the_unit_grid_is_rejected(
+        self, graph, saved, key, unit
+    ):
+        cloud, path = saved
+        self._as_v2(cloud, path, graph.num_vertices)
+        with np.load(path) as data:
+            arr = data[key].copy()
+        arr[5] += 0.3 / unit  # 0.3 units from the nearest integer
+        rewrite(path, **{key: arr})
+        with pytest.raises(CheckpointError, match=f"{key} value"):
+            load_checkpoint(path, graph)
+
+    def test_v2_nan_is_rejected(self, graph, saved):
+        cloud, path = saved
+        self._as_v2(cloud, path, graph.num_vertices)
+        with np.load(path) as data:
+            arr = data["coalition"].copy()
+        arr[0] = np.nan
+        rewrite(path, coalition=arr)
+        with pytest.raises(CheckpointError, match="coalition value nan"):
+            load_checkpoint(path, graph)
+
+
+def with_stored_kernel(path):
+    """Rewrite the checkpoint at *path* in the older v2 layout that also
+    recorded the campaign's cycle kernel: float sums of δ, δ² and the
+    coalition fraction."""
+    with np.load(path) as data:
+        payload = {key: data[key] for key in data.files}
+    n = len(payload["majority"])
+    payload.update(
+        version=np.array([2]),
+        majority=payload["majority"] / 2,
+        majority_sq=payload["majority_sq"] / 4,
+        coalition=payload["coalition"] / (n - 1),
+        campaign_kernel=np.array("walk"),
+    )
     np.savez(path, **payload)
 
 

@@ -1,0 +1,122 @@
+"""The determinism contract: a campaign is a function of (graph, seed,
+config), byte for byte.
+
+The cloud's accumulators are exact integers, so however a campaign's
+index range is cut into blocks, in whatever grouping the block clouds
+merge (in index order), at whatever batch size and chunk boundary it
+resumes and over however many workers it runs, the result is one
+``sample_cloud``: the same v3 checkpoint payload and the same serve
+snapshot answers, byte for byte.  Holds for independent BFS trees and
+for the swap chain alike.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cloud.checkpoint import load_checkpoint, resume_cloud, save_cloud
+from repro.cloud.cloud import FrustrationCloud, sample_cloud
+from repro.graph.store import graph_fingerprint
+from repro.parallel.pool import CampaignTask, sample_cloud_pool
+from repro.serve.state import QuerySnapshot, canonical_json
+
+from tests.conftest import make_connected_signed
+
+GRAPH = make_connected_signed(36, 100, seed=21)
+SEED = 13
+
+
+def payload(cloud: FrustrationCloud, path) -> dict:
+    """The v3 checkpoint arrays of *cloud*, minus the run's timings."""
+    save_cloud(cloud, path)
+    with np.load(path) as data:
+        return {
+            key: (data[key].dtype.str, data[key].shape, data[key].tobytes())
+            for key in data.files
+            if key != "metrics_json"
+        }
+
+
+def answers(cloud: FrustrationCloud) -> list[bytes]:
+    """Every body the serve daemon would answer from *cloud*."""
+    snap = QuerySnapshot(cloud, epoch=1, fingerprint=graph_fingerprint(GRAPH))
+    bodies = [snap.info_payload(), snap.frustration_payload(),
+              snap.bipartition_payload(include_members=True)]
+    bodies += [snap.vertex_payload(v) for v in range(snap.num_vertices)]
+    bodies += [snap.edge_payload(e) for e in range(snap.num_edges)]
+    return [canonical_json(body) for body in bodies]
+
+
+def merge_tree(clouds: list, data) -> FrustrationCloud:
+    """Merge the ordered *clouds* along a random binary tree."""
+    if len(clouds) == 1:
+        return clouds[0]
+    split = data.draw(st.integers(1, len(clouds) - 1), label="split")
+    left = merge_tree(clouds[:split], data)
+    left.merge(merge_tree(clouds[split:], data))
+    return left
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from(["bfs", "swap"]),
+    total=st.integers(2, 40),
+    batch_size=st.integers(1, 8),
+    data=st.data(),
+)
+def test_partition_merge_and_resume_match_one_campaign(
+    tmp_path_factory, method, total, batch_size, data
+):
+    work = tmp_path_factory.mktemp("contract")
+    reference = sample_cloud(GRAPH, total, method=method, seed=SEED)
+    want_payload, want_answers = (payload(reference, work / "ref.npz"),
+                                  answers(reference))
+
+    # A random contiguous block partition, each block the pool's own
+    # task, merged along a random tree.
+    cuts = data.draw(
+        st.lists(st.integers(1, total - 1), unique=True, max_size=6),
+        label="cuts",
+    )
+    bounds = [0, *sorted(cuts), total]
+    task = CampaignTask(method=method, seed=SEED, store_states=False,
+                        batch_size=batch_size)
+    merged = merge_tree(
+        [task(GRAPH, (lo, hi, 1)) for lo, hi in zip(bounds, bounds[1:])],
+        data,
+    )
+    assert payload(merged, work / "merged.npz") == want_payload
+    assert answers(merged) == want_answers
+
+    # Stop at a random state, reload the checkpoint, and resume.
+    stop = data.draw(st.integers(1, total), label="stop")
+    path = work / "mid.npz"
+    sample_cloud(GRAPH, stop, method=method, seed=SEED,
+                 batch_size=batch_size, checkpoint_path=path)
+    cloud, _meta = load_checkpoint(path, GRAPH)
+    resumed = resume_cloud(cloud, total)
+    assert payload(resumed, work / "resumed.npz") == want_payload
+    assert answers(resumed) == want_answers
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    method=st.sampled_from(["bfs", "swap"]),
+    workers=st.sampled_from([1, 2]),
+    steal_chunks=st.integers(1, 6),
+    batch_size=st.integers(1, 8),
+)
+def test_pool_matches_one_campaign(tmp_path_factory, method, workers,
+                                   steal_chunks, batch_size):
+    work = tmp_path_factory.mktemp("pool")
+    total = 30
+    reference = sample_cloud(GRAPH, total, method=method, seed=SEED)
+    pooled = sample_cloud_pool(
+        GRAPH, total, workers=workers, method=method, seed=SEED,
+        batch_size=batch_size, steal_chunks=steal_chunks,
+    )
+    assert (payload(pooled, work / "pool.npz")
+            == payload(reference, work / "ref.npz"))
+    assert answers(pooled) == answers(reference)

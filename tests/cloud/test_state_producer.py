@@ -72,8 +72,8 @@ def test_pool_pertree_matches_oracle(graph):
     pooled = sample_cloud_pool(
         graph, 12, workers=2, seed=3, store_states=True, batch_size=1
     )
-    # The pool merges its blocks' clouds in block order; the reference
-    # takes the same shape so the inexact coalition sums line up too.
+    # The pool merges its strided blocks' clouds in block order; the
+    # reference takes the same shape so the flip-count logs line up.
     reference = FrustrationCloud(graph, store_states=True)
     for block in sorted(_remaining_blocks((), 12, 2)):
         reference.merge(oracle_cloud(graph, range(*block), 3))

@@ -27,9 +27,8 @@ import pytest
 from repro.graph.components import largest_connected_component
 from repro.graph.io import save_npz
 from repro.graph.store import graph_fingerprint
-from repro.cloud.cloud import FrustrationCloud
-from repro.serve.growth import GrowthWorker
-from repro.serve.state import QuerySnapshot, SnapshotStore, canonical_json
+from repro.cloud.cloud import sample_cloud
+from repro.serve.state import QuerySnapshot, canonical_json
 from repro.util.faults import kill_process
 
 from tests.conftest import make_connected_signed
@@ -141,26 +140,15 @@ def test_sigkill_then_restart_serves_byte_identical_prefix(
         assert recovered >= 4  # at least one checkpointed round survived
         assert recovered % 4 == 0  # a whole number of growth rounds
 
-        # Rebuild the same prefix in-process *by the same growth
-        # discipline* — rounds of grow_step merged in order.  (The
-        # coalition accumulator sums inexact fractions, so the merge
-        # grouping is part of the byte-identity contract; a sequential
-        # sample_cloud differs in the last float bits.)
+        # The recovered prefix is the campaign's first states, and the
+        # cloud's exact accumulators make every merge grouping of them
+        # one result: a plain sequential campaign is the reference.
         sub, _ = largest_connected_component(graph_file)
         fingerprint = graph_fingerprint(sub)
-        rebuilt = GrowthWorker(
-            sub,
-            FrustrationCloud(sub, store_states=False),
-            SnapshotStore(),
-            fingerprint,
-            target_states=recovered,
-            grow_step=4,
-            seed=SEED,
-        )
-        rebuilt.start()
-        assert rebuilt.join(timeout=60)
         reference = QuerySnapshot(
-            rebuilt.cloud, epoch=1, fingerprint=fingerprint
+            sample_cloud(sub, recovered, seed=SEED),
+            epoch=1,
+            fingerprint=fingerprint,
         )
         for v in range(0, reference.num_vertices, 3):
             status, body = _request(port2, f"/vertex/{v}")
