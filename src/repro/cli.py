@@ -884,9 +884,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steal-chunks", type=int, default=None, metavar="K",
                    help="split the campaign into K fine contiguous "
                         "blocks feeding the shared worker queue (work "
-                        "stealing); default: static one-block-per-worker "
-                        "partitioning, or 8 per worker with "
-                        "--shard-workers")
+                        "stealing); default: one contiguous block per "
+                        "worker, or 8 per worker with --shard-workers")
     p.add_argument("--batch-size", type=_batch_size_arg, default=None,
                    metavar="B",
                    help="balance B spanning trees per chunk (default 1; "

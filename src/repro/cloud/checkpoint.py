@@ -294,6 +294,28 @@ def _scalar(data, key: str, path: Path) -> int:
     return int(np.ravel(arr)[0])
 
 
+def _block_rows(data, key: str, path: Path) -> tuple | None:
+    """The ``(start, stop, step)`` rows stored under *key* (``None``
+    when absent); a row no campaign could have run is damage."""
+    if key not in data.files:
+        return None
+    blocks = data[key]
+    if blocks.ndim != 2 or blocks.shape[1] != 3:
+        raise CheckpointError(
+            f"corrupt checkpoint {path}: {key} has shape {blocks.shape}, "
+            "expected (k, 3)"
+        )
+    rows = tuple(tuple(int(x) for x in row) for row in blocks.tolist())
+    for start, stop, step in rows:
+        if step < 1 or not 0 <= start <= stop:
+            raise CheckpointError(
+                f"corrupt checkpoint {path}: {key} holds block "
+                f"{(start, stop, step)}, expected 0 <= start <= stop "
+                "and step >= 1"
+            )
+    return rows
+
+
 def _array(data, key: str, shape: tuple, dtype, path: Path) -> np.ndarray:
     try:
         arr = data[key]
@@ -438,28 +460,10 @@ def _restore(
 
     meta: CampaignMeta | None = None
     if version >= 2 and "campaign_method" in data.files:
-        done_blocks = None
-        if "campaign_done_blocks" in data.files:
-            blocks = data["campaign_done_blocks"]
-            if blocks.ndim != 2 or blocks.shape[1] != 3:
-                raise CheckpointError(
-                    f"corrupt checkpoint {path}: campaign_done_blocks has "
-                    f"shape {blocks.shape}, expected (k, 3)"
-                )
-            done_blocks = tuple(
-                tuple(int(x) for x in row) for row in blocks.tolist()
-            )
-        quarantined_blocks = None
-        if "campaign_quarantined_blocks" in data.files:
-            blocks = data["campaign_quarantined_blocks"]
-            if blocks.ndim != 2 or blocks.shape[1] != 3:
-                raise CheckpointError(
-                    f"corrupt checkpoint {path}: campaign_quarantined_blocks "
-                    f"has shape {blocks.shape}, expected (k, 3)"
-                )
-            quarantined_blocks = tuple(
-                tuple(int(x) for x in row) for row in blocks.tolist()
-            )
+        done_blocks = _block_rows(data, "campaign_done_blocks", path)
+        quarantined_blocks = _block_rows(
+            data, "campaign_quarantined_blocks", path
+        )
         # Older files also carry a campaign_kernel key.  No kernel ever
         # changed a campaign's states, so it is ignored.
         meta = CampaignMeta(

@@ -442,6 +442,13 @@ class FrustrationCloud:
         """Flip count of every ingested state, in ingestion order."""
         return self._flip_counts[: self._flip_len].copy()
 
+    def reorder_flip_counts(self, order: np.ndarray) -> None:
+        """Permute the flip-count log: entry ``i`` becomes the old
+        entry ``order[i]`` (the pool puts a merged log back in
+        campaign-index order this way)."""
+        log = self._flip_counts[: self._flip_len]
+        log[:] = log[order]
+
     def merge(self, other: "FrustrationCloud") -> None:
         """Fold another cloud over the *same* graph into this one.
 

@@ -5,9 +5,11 @@ different workers (§3.3's opening observation).  This driver does that
 over the package's one block executor (:mod:`repro.parallel.
 supervisor`): each worker builds and balances a block of tree indices
 (:class:`CampaignTask`), accumulates a local :class:`FrustrationCloud`,
-and the parent merges the per-block clouds in sorted block order —
-producing results equivalent to the sequential
-:func:`repro.cloud.sample_cloud` for the same seed (tested), because
+and the parent merges the per-block clouds in sorted block order.
+Every campaign — fresh, work-stealing, swap or resumed — is cut by one
+planner (:func:`plan_blocks`) into contiguous step-1 blocks, so the
+merge replays the sequential :func:`repro.cloud.sample_cloud` for the
+same seed byte for byte, flip-count log included (tested), because
 :class:`TreeSampler` hands out tree *i* deterministically.
 
 The graph reaches each worker exactly once, through the executor's
@@ -28,11 +30,12 @@ silently computing against the wrong graph.  Within a worker, each
 block stacks ``batch_size`` trees per chunk into shared vectorized
 kernels.
 
-Work-stealing: ``steal_chunks=K`` splits the campaign into K fine
-contiguous blocks (pick ``K ≈ 4–8× workers``) that feed the executor's
-shared queue; idle workers pull the next block the moment they finish
-one, so a straggler block delays only itself instead of serializing
-the whole tail the way a static one-block-per-worker split does.  The
+Work-stealing: without ``steal_chunks`` there is one contiguous block
+per worker; ``steal_chunks=K`` cuts the campaign into K finer ones
+(pick ``K ≈ 4–8× workers``) that feed the executor's shared queue.
+Idle workers pull the next block the moment they finish one, so a
+straggler block delays only itself instead of serializing the whole
+tail.  The
 executor journals which worker ran each block and a ``steal_summary``
 event with the per-worker block/state tallies, so imbalance is visible
 after the fact.
@@ -41,8 +44,8 @@ Crash safety: when ``checkpoint_path`` is given and a block crashes,
 the parent salvages every block that *did* complete into an atomic
 checkpoint whose campaign metadata records exactly which
 ``(start, stop, step)`` blocks it contains; ``resume_from`` later
-reruns only the missing indices and merges them in, so a crashed
-campaign loses at most the in-flight blocks.  Sequential
+plans blocks over only the missing indices and merges them in, so a
+crashed campaign loses at most the in-flight blocks.  Sequential
 :func:`~repro.cloud.checkpoint.resume_cloud` refuses such salvage
 checkpoints (they are not a contiguous prefix of the campaign).
 """
@@ -207,11 +210,15 @@ class CampaignTask(BlockTask):
     batch_size: int
     swaps_per_state: int = 1
 
-    def __call__(self, graph: SignedGraph, block: Block) -> FrustrationCloud:
-        sampler = TreeSampler(
+    def sampler(self, graph: SignedGraph) -> TreeSampler:
+        """The campaign's tree sampler over *graph*."""
+        return TreeSampler(
             graph, method=self.method, seed=self.seed,
             swaps_per_state=self.swaps_per_state,
         )
+
+    def __call__(self, graph: SignedGraph, block: Block) -> FrustrationCloud:
+        sampler = self.sampler(graph)
         cloud = FrustrationCloud(graph, store_states=self.store_states)
         # Chain states are pure functions of (seed, index), so any
         # block shape is correct; a swap block enters the chain at its
@@ -231,141 +238,85 @@ class CampaignTask(BlockTask):
         segment its start index enters at."""
         fields = {"states": cloud.num_states}
         if self.method == "swap":
-            fields["chain_segment_start"] = _chain_segment_start(block[0])
+            chain = self.sampler(cloud.graph).swap_chain()
+            fields["chain_segment_start"] = chain.segment_base(block[0])
         return fields
-
-
-def _merge_intervals(done: Sequence[Block]) -> list[tuple[int, int]]:
-    intervals = sorted((s, e) for s, e, _ in done)
-    merged: list[tuple[int, int]] = []
-    for s, e in intervals:
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return merged
-
-
-def _compress_runs(indices: np.ndarray) -> list[Block]:
-    """Greedily compress a sorted index array into arithmetic blocks."""
-    blocks: list[Block] = []
-    i, n = 0, len(indices)
-    while i < n:
-        if i == n - 1:
-            blocks.append((int(indices[i]), int(indices[i]) + 1, 1))
-            break
-        step = int(indices[i + 1] - indices[i])
-        j = i + 1
-        while j + 1 < n and int(indices[j + 1] - indices[j]) == step:
-            j += 1
-        blocks.append((int(indices[i]), int(indices[j]) + 1, step))
-        i = j + 1
-    return blocks
-
-
-def _remaining_blocks(
-    done: Sequence[Block], target: int, workers: int
-) -> list[Block]:
-    """The campaign indices of ``[0, target)`` not covered by *done*,
-    as ``(start, stop, step)`` blocks ready to hand to workers.
-
-    Fast paths keep the common shapes compact: no prior work (fresh
-    strided split), a contiguous prefix (strided tail), and
-    same-stride salvage blocks (per-residue tails).  Anything else
-    falls back to materializing the remaining set once in the parent
-    and compressing it into arithmetic runs.
-    """
-    target = int(target)
-    done = [
-        (int(s), int(e), int(st)) for s, e, st in done if int(e) > int(s)
-    ]
-    if not done:
-        return [(w, target, workers) for w in range(min(workers, target))]
-    steps = {st for _s, _e, st in done}
-    if steps == {1}:
-        merged = _merge_intervals(done)
-        if len(merged) == 1 and merged[0][0] == 0:
-            start = min(merged[0][1], target)
-            return [
-                (start + w, target, workers)
-                for w in range(min(workers, target - start))
-            ]
-    elif len(steps) == 1:
-        stride = steps.pop()
-        stops: dict[int, int] = {}
-        for s, e, _st in done:
-            r = s % stride
-            stops[r] = max(stops.get(r, 0), e)
-        remaining: list[Block] = []
-        for r in range(stride):
-            if r in stops:
-                behind = max(stops[r] - r, 0)
-                nxt = r + stride * ((behind + stride - 1) // stride)
-            else:
-                nxt = r
-            if nxt < target:
-                remaining.append((nxt, target, stride))
-        return remaining
-    covered = np.zeros(target, dtype=bool)
-    for s, e, st in done:
-        covered[s:e:st] = True
-    return _compress_runs(np.nonzero(~covered)[0])
 
 
 def _block_len(block: Block) -> int:
     return len(range(*block))
 
 
-def _contiguous_blocks(target: int, workers: int) -> list[Block]:
-    """Split ``[0, target)`` into up to *workers* contiguous step-1
-    blocks of near-equal size.
-
-    The strided split is pathological for the swap chain: a stride-w
-    block touches every w-th index, and reaching index ``k`` means
-    walking the chain through all of ``k``'s segment predecessors — so
-    each worker would replay almost the whole chain.  Contiguous blocks
-    keep the replay to at most ``segment_length - 1`` states per block.
-    """
-    workers = min(workers, target)
+def _contiguous_blocks(target: int, pieces: int) -> list[Block]:
+    """Split ``[0, target)`` into up to *pieces* contiguous step-1
+    blocks of near-equal size (the planner's no-done-blocks case)."""
+    pieces = min(pieces, target)
     blocks: list[Block] = []
     lo = 0
-    for w in range(workers):
-        hi = lo + (target - lo) // (workers - w)
+    for w in range(pieces):
+        hi = lo + (target - lo) // (pieces - w)
         if hi > lo:
             blocks.append((lo, hi, 1))
         lo = hi
     return blocks
 
 
-def _split_blocks(blocks: Sequence[Block], num_chunks: int) -> list[Block]:
-    """Subdivide *blocks* into about *num_chunks* same-stride pieces.
+def _uncovered_runs(
+    done: Sequence[Block], target: int
+) -> list[tuple[int, int]]:
+    """The maximal runs of ``[0, target)`` no *done* block covers.
 
-    Used by the work-stealing path on resume: the remaining blocks
-    (arbitrary strides from a salvage checkpoint) are split
-    proportionally to their index counts so the executor queue holds
-    fine-grained work.  Zero-length inputs are dropped, never emitted.
+    Step-1 rows cost O(1) each; strided rows (salvage checkpoints of
+    older versions) are expanded index by index.
     """
-    blocks = [b for b in blocks if _block_len(b) > 0]
-    total = sum(_block_len(b) for b in blocks)
-    if total == 0 or num_chunks <= len(blocks):
-        return list(blocks)
-    out: list[Block] = []
-    for start, _stop, step in blocks:
-        n = _block_len((start, _stop, step))
-        share = max(1, round(num_chunks * n / total))
-        lo = 0
-        for w in range(share):
-            hi = lo + (n - lo) // (share - w)
-            if hi > lo:
-                out.append((start + lo * step, start + hi * step, step))
-            lo = hi
-    return out
+    covered = sorted(
+        run
+        for start, stop, step in done
+        for run in (
+            [(start, stop)] if step == 1
+            else [(i, i + 1) for i in range(start, min(stop, target), step)]
+        )
+    )
+    runs: list[tuple[int, int]] = []
+    lo = 0
+    for start, stop in covered:
+        start = min(start, target)
+        if start > lo:
+            runs.append((lo, start))
+        lo = max(lo, stop)
+    if lo < target:
+        runs.append((lo, target))
+    return runs
 
 
-def _chain_segment_start(index: int, segment_length: int = 256) -> int:
-    """The swap-chain segment start covering *index* (recorded on block
-    journal events so operators can see a block's chain entry point)."""
-    return index - index % segment_length
+def plan_blocks(
+    done: Sequence[Block], target: int, pieces: int
+) -> list[Block]:
+    """Cut the indices of ``[0, target)`` no *done* block covers into
+    *pieces* near-equal contiguous step-1 blocks, in index order.
+
+    The uncovered indices are cut as if they were one range (so with
+    nothing done this is :func:`_contiguous_blocks`), and a piece that
+    would span a covered index is split there instead.  Contiguous
+    blocks merged in index order reproduce the sequential campaign's
+    flip-count log, and keep each swap block's chain replay to at most
+    ``segment_length - 1`` states.
+    """
+    runs = _uncovered_runs(done, target)
+    blocks: list[Block] = []
+    run, offset = 0, 0  # the run holding virtual index `offset`
+    for lo, hi, _step in _contiguous_blocks(
+        sum(stop - start for start, stop in runs), pieces
+    ):
+        while lo < hi:
+            start, stop = runs[run]
+            size = stop - start
+            take = min(hi, offset + size)
+            blocks.append((start + lo - offset, start + take - offset, 1))
+            lo = take
+            if take == offset + size:
+                run, offset = run + 1, offset + size
+    return blocks
 
 
 def sample_cloud_pool(
@@ -388,10 +339,11 @@ def sample_cloud_pool(
 ) -> FrustrationCloud:
     """Alg. 2 with tree-level process parallelism.
 
-    Equivalent to ``sample_cloud(graph, num_states, method, seed)`` up
-    to the (unordered) flip-count log.  ``workers=1`` runs in-process
-    without spawning.  ``batch_size`` sets how many trees each worker
-    stacks per chunk.
+    Equivalent to ``sample_cloud(graph, num_states, method, seed)``,
+    byte for byte (with ``store_states``, a resume that fills a hole in
+    a salvage checkpoint lists the hole's newly seen unique states
+    last).  ``workers=1`` runs in-process without spawning.
+    ``batch_size`` sets how many trees each worker stacks per chunk.
 
     ``checkpoint_path`` writes a self-describing checkpoint when the
     campaign completes — and, if a block crashes mid-campaign (or the
@@ -401,7 +353,7 @@ def sample_cloud_pool(
     the salvage is written).  ``resume_from`` loads such a checkpoint
     (falling back through its rotation backups), validates the campaign
     parameters against the stored metadata, reruns only the missing
-    index blocks, and merges.  *fault* is a fault-injection hook for
+    indices, and merges.  *fault* is a fault-injection hook for
     the crash tests (see :class:`repro.util.faults.WorkerCrash`); it is
     invoked in the worker with each ``(start, stop, step)`` block
     before processing.
@@ -432,12 +384,14 @@ def sample_cloud_pool(
     still used for the parent-side merge and checkpointing) — pass
     ``store.graph()`` as *graph* to guarantee it.
 
-    ``steal_chunks=K`` enables work-stealing: the campaign is split
-    into K fine contiguous blocks (recommend ``4–8 × workers``) that
-    feed the executor's shared queue, so idle workers immediately pull
-    the next block and stragglers delay only themselves.  Results stay
-    bit-identical to the sequential campaign — blocks merge in sorted
-    index order regardless of which worker ran them.
+    The campaign (or, on resume, its missing indices) is cut into one
+    contiguous block per worker.  ``steal_chunks=K`` enables
+    work-stealing: K finer contiguous blocks (recommend ``4–8 ×
+    workers``) feed the executor's shared queue, so idle workers
+    immediately pull the next block and stragglers delay only
+    themselves.  Results stay bit-identical to the sequential campaign
+    either way — blocks merge in sorted index order regardless of which
+    worker ran them.
 
     ``flight_dir`` arms a crash flight recorder in every worker process
     (and uses the parent's, if one is installed, for in-process
@@ -502,7 +456,6 @@ def sample_cloud_pool(
                 store_states=store_states,
                 swaps_per_state=swaps_per_state,
             )
-            prior_blocks = meta.done_blocks or ((0, base.num_states, 1),)
             recorded = meta.graph_store
             if recorded is not None and os.path.exists(recorded):
                 # The original campaign ran against a packed store; if
@@ -516,22 +469,10 @@ def sample_cloud_pool(
                         "(fingerprint mismatch); refusing to resume "
                         "against it"
                     )
-        else:
-            prior_blocks = ((0, base.num_states, 1),)
-        blocks = _remaining_blocks(prior_blocks, num_states, workers)
-        if steal_chunks is not None:
-            blocks = _split_blocks(blocks, steal_chunks)
-    elif steal_chunks is not None:
-        # Work-stealing: many fine contiguous blocks feed the shared
-        # executor queue; contiguous also keeps swap-chain replay
-        # bounded (see _contiguous_blocks).
-        blocks = _contiguous_blocks(num_states, steal_chunks)
-    elif method == "swap":
-        # Contiguous partition: strided blocks would make every swap
-        # worker replay nearly the whole chain (see _contiguous_blocks).
-        blocks = _contiguous_blocks(num_states, workers)
-    else:
-        blocks = _remaining_blocks((), num_states, workers)
+        prior_blocks = (
+            meta.done_blocks if meta is not None else None
+        ) or ((0, base.num_states, 1),)
+    blocks = plan_blocks(prior_blocks, num_states, steal_chunks or workers)
 
     campaign = CampaignMeta(
         method=method,
@@ -578,8 +519,21 @@ def sample_cloud_pool(
         if snap:
             get_registry().merge_snapshot(snap)
             merged.metrics = None
-        for _block, local in sorted(completed, key=lambda pair: pair[0][0]):
+        ordered = sorted(completed, key=lambda pair: pair[0][0])
+        for _block, local in ordered:
             merged.merge(local)
+        if base is not None and ordered:
+            # The base lists its states' flip counts in index order,
+            # holes and all; keep the merged log in index order too, so
+            # filling a hole reproduces the sequential log.
+            index = np.concatenate([
+                np.unique(np.concatenate([
+                    np.arange(s, min(e, num_states), st)
+                    for s, e, st in prior_blocks
+                ])),
+                *(np.arange(*block) for block, _c in ordered),
+            ])
+            merged.reorder_flip_counts(np.argsort(index, kind="stable"))
         return merged
 
     def _partial_campaign(

@@ -7,21 +7,23 @@ Each round:
 1. checks the circuit breaker — when queries are degraded the round is
    shed (the worker sleeps instead of sampling), mirroring the
    supervisor's in-process degradation ledger;
-2. runs the next contiguous block of tree indices through the existing
+2. runs the next contiguous range of tree indices (one block per
+   worker, cut by :func:`repro.parallel.pool.plan_blocks`) through the
    self-healing supervisor (:func:`repro.parallel.supervisor.
    run_supervised`) so growth inherits its retry/backoff ladder — and
    its new ``stop_event`` rung, which lets a SIGTERM drain interrupt a
    round between blocks;
-3. merges the completed block, writes an atomic rotated checkpoint
+3. merges the completed blocks, writes an atomic rotated checkpoint
    (the daemon's crash-only persistence: a SIGKILL at any instant
    leaves a loadable chain), and publishes a fresh read-only
    :class:`~repro.serve.state.QuerySnapshot`.
 
-One block per round keeps the recovered-prefix invariant trivially
-true: the checkpoint chain only ever holds contiguous prefixes of the
-campaign, so a restarted daemon resumes from ``cloud.num_states`` and
-reproduces the exact states an uninterrupted run would have — which is
-what makes recovered query answers byte-identical.
+Merging a round only once all its blocks completed keeps the
+recovered-prefix invariant trivially true: the checkpoint chain only
+ever holds contiguous prefixes of the campaign, so a restarted daemon
+resumes from ``cloud.num_states`` and reproduces the exact states an
+uninterrupted run would have — which is what makes recovered query
+answers byte-identical.
 
 Checkpoint failures (e.g. a full disk) degrade, not crash: the round's
 states still publish, the failure is journaled/counted, and the worker
@@ -36,6 +38,7 @@ from repro.cloud.checkpoint import CampaignMeta, save_cloud
 from repro.cloud.cloud import FrustrationCloud
 from repro.errors import CheckpointError, ServeError
 from repro.graph.csr import SignedGraph
+from repro.parallel.pool import plan_blocks
 from repro.parallel.supervisor import RetryPolicy, run_supervised
 from repro.perf.flight import flight_clear_inflight, flight_mark_inflight
 from repro.perf.journal import journal_event
@@ -84,10 +87,9 @@ class GrowthWorker:
     ) -> None:
         """Configure a worker growing *cloud* to *target_states*.
 
-        ``workers > 1`` fans each round's block over the supervised
-        process pool (the round is split into per-worker sub-blocks so
-        the pool rung actually engages); ``flight_dir`` rides into the
-        supervisor so pool workers arm flight recorders there.
+        ``workers > 1`` fans each round over the supervised process
+        pool, one contiguous block per worker; ``flight_dir`` rides
+        into the supervisor so pool workers arm flight recorders there.
         """
         if grow_step < 1:
             raise ServeError(f"grow_step must be >= 1, got {grow_step}")
@@ -203,34 +205,15 @@ class GrowthWorker:
             self.checkpoint()
 
     # -- growth loop ----------------------------------------------------
-    def _round_blocks(self, start: int, stop: int) -> list:
-        """Split one round's index range into supervised blocks.
-
-        ``workers == 1`` keeps the historical single block.  With more
-        workers the range is chunked so the supervisor's pool rung
-        engages (it requires more than one block) and the round's
-        spans come back from real worker processes.  The round only
-        merges when *every* chunk completed, so chunking cannot break
-        the contiguous-prefix checkpoint invariant.
-        """
-        count = stop - start
-        chunks = min(self.workers, count)
-        if chunks <= 1:
-            return [(start, stop, 1)]
-        size = -(-count // chunks)  # ceil
-        blocks = []
-        lo = start
-        while lo < stop:
-            hi = min(stop, lo + size)
-            blocks.append((lo, hi, 1))
-            lo = hi
-        return blocks
-
     def _grow_round(self) -> bool:
         """Run one supervised round; True when states were merged."""
         start = self.cloud.num_states
         stop = min(self.target_states, start + self.grow_step)
-        blocks = self._round_blocks(start, stop)
+        # One contiguous block per worker: the supervisor's pool rung
+        # needs more than one block to engage, and the round merges
+        # only when every block completed, so the checkpoint still
+        # holds a contiguous prefix.
+        blocks = plan_blocks(((0, start, 1),), stop, self.workers)
         # Dump-before-compute: a SIGKILL mid-round leaves a flight
         # dump naming exactly this block range as in-flight.
         flight_mark_inflight(

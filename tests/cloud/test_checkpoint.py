@@ -235,6 +235,49 @@ class TestAccumulatorBounds:
             load_checkpoint(path, graph)
 
 
+class TestBlockRows:
+    """``done_blocks`` / ``quarantined_blocks`` rows no campaign could
+    have run are damage, refused at load rather than at resume."""
+
+    @pytest.fixture
+    def salvage(self, graph, tmp_path):
+        cloud = sample_cloud(graph, 6, seed=2)
+        path = tmp_path / "salvage.npz"
+        save_cloud(cloud, path, campaign=CampaignMeta(
+            method="bfs", seed=2, batch_size=1, store_states=False,
+            done_blocks=((0, 6, 1),), quarantined_blocks=((6, 8, 1),),
+        ))
+        return path
+
+    @pytest.mark.parametrize("key", [
+        "campaign_done_blocks", "campaign_quarantined_blocks",
+    ])
+    @pytest.mark.parametrize("row", [
+        (0, 6, 0), (0, 6, -1), (-1, 6, 1), (6, 0, 1),
+    ])
+    def test_malformed_row_is_rejected(self, graph, salvage, key, row):
+        rewrite(salvage, **{key: np.array([row], dtype=np.int64)})
+        with pytest.raises(CheckpointError, match=f"{key} holds block"):
+            load_checkpoint(salvage, graph)
+
+    def test_step_zero_row_fails_the_pool_resume_cleanly(
+        self, graph, salvage
+    ):
+        from repro.parallel.pool import sample_cloud_pool
+
+        rewrite(salvage, campaign_done_blocks=np.array(
+            [(0, 6, 0)], dtype=np.int64
+        ))
+        with pytest.raises(CheckpointError):
+            sample_cloud_pool(graph, 8, workers=1, seed=2,
+                              resume_from=salvage)
+
+    def test_well_formed_rows_load(self, graph, salvage):
+        _cloud, meta = load_checkpoint(salvage, graph)
+        assert meta.done_blocks == ((0, 6, 1),)
+        assert meta.quarantined_blocks == ((6, 8, 1),)
+
+
 def with_stored_kernel(path):
     """Rewrite the checkpoint at *path* in the older v2 layout that also
     recorded the campaign's cycle kernel: float sums of δ, δ² and the

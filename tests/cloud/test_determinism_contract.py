@@ -4,7 +4,8 @@ config), byte for byte.
 The cloud's accumulators are exact integers, so however a campaign's
 index range is cut into blocks, in whatever grouping the block clouds
 merge (in index order), at whatever batch size and chunk boundary it
-resumes and over however many workers it runs, the result is one
+resumes (from a sequential checkpoint or a pool's salvage) and over
+however many workers it runs, the result is one
 ``sample_cloud``: the same v3 checkpoint payload and the same serve
 snapshot answers, byte for byte.  Holds for independent BFS trees and
 for the swap chain alike.
@@ -13,14 +14,21 @@ for the swap chain alike.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.checkpoint import load_checkpoint, resume_cloud, save_cloud
 from repro.cloud.cloud import FrustrationCloud, sample_cloud
 from repro.graph.store import graph_fingerprint
-from repro.parallel.pool import CampaignTask, sample_cloud_pool
+from repro.errors import EngineError
+from repro.parallel.pool import (
+    CampaignTask,
+    _contiguous_blocks,
+    sample_cloud_pool,
+)
 from repro.serve.state import QuerySnapshot, canonical_json
+from repro.util.faults import WorkerCrash
 
 from tests.conftest import make_connected_signed
 
@@ -105,7 +113,7 @@ def test_partition_merge_and_resume_match_one_campaign(
 @given(
     method=st.sampled_from(["bfs", "swap"]),
     workers=st.sampled_from([1, 2]),
-    steal_chunks=st.integers(1, 6),
+    steal_chunks=st.none() | st.integers(1, 6),
     batch_size=st.integers(1, 8),
 )
 def test_pool_matches_one_campaign(tmp_path_factory, method, workers,
@@ -120,3 +128,48 @@ def test_pool_matches_one_campaign(tmp_path_factory, method, workers,
     assert (payload(pooled, work / "pool.npz")
             == payload(reference, work / "ref.npz"))
     assert answers(pooled) == answers(reference)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    method=st.sampled_from(["bfs", "swap"]),
+    stop=st.integers(1, 29),
+    batch_size=st.integers(1, 8),
+)
+def test_pool_resume_of_a_sequential_checkpoint_matches_one_campaign(
+    tmp_path_factory, method, stop, batch_size
+):
+    work = tmp_path_factory.mktemp("pool-resume")
+    total = 30
+    reference = sample_cloud(GRAPH, total, method=method, seed=SEED)
+    path = work / "mid.npz"
+    sample_cloud(GRAPH, stop, method=method, seed=SEED,
+                 batch_size=batch_size, checkpoint_path=path)
+    resumed = sample_cloud_pool(
+        GRAPH, total, workers=2, method=method, seed=SEED,
+        batch_size=batch_size, resume_from=path,
+    )
+    assert (payload(resumed, work / "resumed.npz")
+            == payload(reference, work / "ref.npz"))
+    assert answers(resumed) == answers(reference)
+
+
+@pytest.mark.parametrize("method", ["bfs", "swap"])
+def test_pool_salvage_resume_matches_one_campaign(tmp_path, method):
+    # The middle block crashes, so the salvage checkpoint has a hole
+    # that the resume fills after the blocks on either side of it.
+    total = 30
+    reference = sample_cloud(GRAPH, total, method=method, seed=SEED)
+    path = tmp_path / "salvage.npz"
+    with pytest.raises(EngineError, match="salvaged"):
+        sample_cloud_pool(
+            GRAPH, total, workers=3, method=method, seed=SEED,
+            checkpoint_path=path,
+            fault=WorkerCrash(_contiguous_blocks(total, 3)[1][0]),
+        )
+    resumed = sample_cloud_pool(
+        GRAPH, total, workers=2, method=method, seed=SEED, resume_from=path,
+    )
+    assert (payload(resumed, tmp_path / "resumed.npz")
+            == payload(reference, tmp_path / "ref.npz"))
+    assert answers(resumed) == answers(reference)

@@ -4,14 +4,28 @@ import numpy as np
 import pytest
 
 from repro.cloud import FrustrationCloud, sample_cloud
-from repro.cloud.checkpoint import recover_cloud, resume_cloud
+from repro.cloud.checkpoint import (
+    CampaignMeta,
+    recover_cloud,
+    resume_cloud,
+    save_cloud,
+)
 from repro.core import balance
 from repro.errors import CheckpointError, EngineError, ReproError
 from repro.graph.build import from_edges
-from repro.parallel.pool import _remaining_blocks, sample_cloud_pool
-from repro.util.faults import WorkerCrash
+from repro.parallel.pool import (
+    CampaignTask,
+    _contiguous_blocks,
+    plan_blocks,
+    sample_cloud_pool,
+)
+from repro.util.faults import SimulatedCrash, WorkerCrash
 
 from tests.conftest import make_connected_signed
+
+# The blocks a fresh 12-state, 3-worker campaign runs; the fault tests
+# aim at the middle one (FIRST, MIDDLE, LAST).
+FIRST, MIDDLE, LAST = _contiguous_blocks(12, 3)
 
 
 class TestMerge:
@@ -83,44 +97,58 @@ class TestPool:
         resumed = resume_cloud(cloud, 15)
         seq = sample_cloud(g, 15, seed=5)
         np.testing.assert_allclose(seq.status(), resumed.status())
-        assert sorted(resumed.flip_counts()) == sorted(seq.flip_counts())
+        np.testing.assert_array_equal(
+            resumed.flip_counts(), seq.flip_counts()
+        )
 
 
 class TestRemainingBlocks:
-    def test_fresh_split_is_strided(self):
-        assert _remaining_blocks((), 10, 3) == [
-            (0, 10, 3), (1, 10, 3), (2, 10, 3)
-        ]
-        assert _remaining_blocks((), 2, 8) == [(0, 2, 8), (1, 2, 8)]
+    """The blocks :func:`plan_blocks` cuts a campaign's remaining
+    indices into: contiguous, step 1, in index order."""
 
-    def test_prefix_resume_strides_the_tail(self):
-        assert _remaining_blocks(((0, 6, 1),), 12, 2) == [
-            (6, 12, 2), (7, 12, 2)
-        ]
-        assert _remaining_blocks(((0, 12, 1),), 12, 2) == []
+    def test_fresh_split_is_contiguous(self):
+        assert plan_blocks((), 10, 3) == [(0, 3, 1), (3, 6, 1), (6, 10, 1)]
+        assert plan_blocks((), 2, 8) == [(0, 1, 1), (1, 2, 1)]
+        assert plan_blocks((), 0, 3) == []
+
+    def test_prefix_resume_splits_the_tail(self):
+        assert plan_blocks(((0, 6, 1),), 12, 2) == [(6, 9, 1), (9, 12, 1)]
+        assert plan_blocks(((0, 12, 1),), 12, 2) == []
 
     def test_salvage_resume_fills_missing_residues(self):
+        # Strided rows, as older versions wrote them to salvage
+        # checkpoints, leave single-index gaps.
         done = ((0, 12, 3), (2, 12, 3))
-        assert _remaining_blocks(done, 12, 3) == [(1, 12, 3)]
-        # Extending the target also extends the completed residues.
-        assert _remaining_blocks(done, 15, 3) == [
-            (12, 15, 3), (1, 15, 3), (14, 15, 3)
+        assert plan_blocks(done, 12, 3) == [
+            (1, 2, 1), (4, 5, 1), (7, 8, 1), (10, 11, 1)
         ]
+        # Extending the target adds the tail beyond the stored rows.
+        assert plan_blocks(done, 15, 3)[-1] == (12, 15, 1)
 
-    def test_mixed_shapes_fall_back_to_run_compression(self):
+    def test_mixed_shapes_never_span_a_covered_index(self):
         done = ((0, 4, 1), (5, 12, 3))
-        remaining = _remaining_blocks(done, 12, 2)
-        got = sorted(i for b in remaining for i in range(*b))
-        assert got == [4, 6, 7, 9, 10]
+        assert plan_blocks(done, 12, 2) == [
+            (4, 5, 1), (6, 7, 1), (7, 8, 1), (9, 11, 1)
+        ]
 
     def test_blocks_cover_exactly_the_campaign(self):
         for done in [(), ((0, 7, 1),), ((1, 20, 4), (3, 20, 4))]:
-            blocks = _remaining_blocks(done, 20, 4)
+            blocks = plan_blocks(done, 20, 4)
             covered = sorted(
                 list(i for b in done for i in range(*b))
                 + [i for b in blocks for i in range(*b)]
             )
             assert covered == list(range(20))
+
+    def test_step_one_done_blocks_plan_without_the_index_range(self):
+        # A resume of a huge campaign plans from its interval list
+        # alone: nothing of size `target` is materialized.
+        done = ((0, 10**15, 1), (10**15 + 5, 2 * 10**15, 1))
+        assert plan_blocks(done, 2 * 10**15 + 3, 2) == [
+            (10**15, 10**15 + 4, 1),
+            (10**15 + 4, 10**15 + 5, 1),
+            (2 * 10**15, 2 * 10**15 + 3, 1),
+        ]
 
 
 class TestSalvage:
@@ -130,10 +158,10 @@ class TestSalvage:
         with pytest.raises(EngineError, match="salvaged"):
             sample_cloud_pool(
                 g, 12, workers=3, seed=9, checkpoint_path=ckpt,
-                fault=WorkerCrash(1),
+                fault=WorkerCrash(MIDDLE[0]),
             )
         cloud, meta, _src = recover_cloud(ckpt, g)
-        assert meta.done_blocks == ((0, 12, 3), (2, 12, 3))
+        assert meta.done_blocks == (FIRST, LAST)
         assert cloud.num_states == 8
         # Resume reruns only the missing block and matches sequential.
         finished = sample_cloud_pool(g, 12, workers=3, seed=9, resume_from=ckpt)
@@ -144,6 +172,33 @@ class TestSalvage:
             seq.edge_agreement(), finished.edge_agreement()
         )
         assert finished.num_states == 12
+        np.testing.assert_array_equal(
+            finished.flip_counts(), seq.flip_counts()
+        )
+
+    @pytest.mark.parametrize("method", ["bfs", "swap"])
+    def test_resume_from_strided_done_blocks(self, tmp_path, method):
+        # Older versions split pools into strided blocks and recorded
+        # them as such in salvage checkpoints; those still resume to
+        # the sequential campaign's state set.
+        g = make_connected_signed(30, 60, seed=3)
+        done = ((0, 12, 3), (2, 12, 3))
+        task = CampaignTask(method=method, seed=9, store_states=False,
+                            batch_size=1)
+        salvage = task(g, done[0])
+        salvage.merge(task(g, done[1]))
+        ckpt = tmp_path / "strided.npz"
+        save_cloud(salvage, ckpt, campaign=CampaignMeta(
+            method=method, seed=9, batch_size=1, store_states=False,
+            done_blocks=done,
+        ))
+        finished = sample_cloud_pool(
+            g, 14, workers=2, method=method, seed=9, resume_from=ckpt
+        )
+        seq = sample_cloud(g, 14, method=method, seed=9)
+        assert finished.num_states == 14
+        np.testing.assert_array_equal(seq.status(), finished.status())
+        np.testing.assert_array_equal(seq.influence(), finished.influence())
         assert sorted(finished.flip_counts()) == sorted(seq.flip_counts())
 
     def test_sequential_resume_refuses_salvage_checkpoint(self, tmp_path):
@@ -152,7 +207,7 @@ class TestSalvage:
         with pytest.raises(EngineError):
             sample_cloud_pool(
                 g, 12, workers=3, seed=9, checkpoint_path=ckpt,
-                fault=WorkerCrash(1),
+                fault=WorkerCrash(MIDDLE[0]),
             )
         cloud, _meta, _src = recover_cloud(ckpt, g)
         with pytest.raises(CheckpointError, match="salvaged pool blocks"):
@@ -164,7 +219,7 @@ class TestSalvage:
         with pytest.raises(EngineError):
             sample_cloud_pool(
                 g, 12, workers=3, seed=9, checkpoint_path=ckpt,
-                fault=WorkerCrash(1),
+                fault=WorkerCrash(MIDDLE[0]),
             )
         with pytest.raises(CheckpointError, match="seed"):
             sample_cloud_pool(g, 12, workers=3, seed=4, resume_from=ckpt)
@@ -172,7 +227,9 @@ class TestSalvage:
     def test_no_checkpoint_path_still_raises(self):
         g = make_connected_signed(20, 40, seed=3)
         with pytest.raises(EngineError, match="crashed"):
-            sample_cloud_pool(g, 12, workers=3, seed=9, fault=WorkerCrash(1))
+            sample_cloud_pool(
+                g, 12, workers=3, seed=9, fault=WorkerCrash(MIDDLE[0])
+            )
 
     def test_hard_worker_death_is_survivable(self, tmp_path):
         # os._exit kills the process outright: the executor reports a
@@ -203,14 +260,16 @@ class TestSalvage:
         with pytest.raises(EngineError, match="salvaged"):
             sample_cloud_pool(
                 g, 12, workers=3, seed=9, batch_size=2,
-                checkpoint_path=ckpt, fault=WorkerCrash(1),
+                checkpoint_path=ckpt, fault=WorkerCrash(MIDDLE[0]),
             )
         finished = sample_cloud_pool(
             g, 12, workers=3, seed=9, batch_size=2, resume_from=ckpt
         )
         seq = sample_cloud(g, 12, seed=9)
         np.testing.assert_allclose(seq.status(), finished.status())
-        assert sorted(finished.flip_counts()) == sorted(seq.flip_counts())
+        np.testing.assert_array_equal(
+            finished.flip_counts(), seq.flip_counts()
+        )
 
 
 class _CrashExcept:
@@ -223,36 +282,37 @@ class _CrashExcept:
 
     def __call__(self, block):
         if int(block[0]) != self.keep:
-            from repro.util.faults import SimulatedCrash
-
             raise SimulatedCrash(f"crash on {block}")
 
 
 class TestSequentialSalvage:
     def test_in_process_crash_salvages_earlier_blocks(self, tmp_path):
-        # Stage 1: pool crash leaves a checkpoint with only (0, 12, 3)
-        # done, so a workers=1 resume walks TWO blocks in-process.
+        # Stage 1: pool crash leaves a checkpoint with only FIRST done,
+        # so a workers=1 resume cut into two blocks walks TWO blocks
+        # in-process.
         g = make_connected_signed(30, 60, seed=3)
         ckpt = tmp_path / "seq.npz"
         with pytest.raises(EngineError):
             sample_cloud_pool(
                 g, 12, workers=3, seed=9, checkpoint_path=ckpt,
-                fault=_CrashExcept(0),
+                fault=_CrashExcept(FIRST[0]),
             )
         _cloud, meta, _src = recover_cloud(ckpt, g)
-        assert meta.done_blocks == ((0, 12, 3),)
+        assert meta.done_blocks == (FIRST,)
 
-        # Stage 2: in the sequential path, block (1, 12, 3) completes
-        # and then (2, 12, 3) crashes.  The salvage checkpoint must
-        # keep (1, 12, 3)'s work — this is the bug the pool path never
-        # had and the in-process path used to.
+        # Stage 2: in the sequential path, block MIDDLE completes and
+        # then LAST crashes.  The salvage checkpoint must keep MIDDLE's
+        # work — this is the bug the pool path never had and the
+        # in-process path used to.
+        assert plan_blocks((FIRST,), 12, 2) == [MIDDLE, LAST]
         with pytest.raises(EngineError, match="salvaged"):
             sample_cloud_pool(
                 g, 12, workers=1, seed=9, checkpoint_path=ckpt,
-                resume_from=ckpt, fault=WorkerCrash(2),
+                resume_from=ckpt, steal_chunks=2,
+                fault=WorkerCrash(LAST[0]),
             )
         cloud, meta, _src = recover_cloud(ckpt, g)
-        assert meta.done_blocks == ((0, 12, 3), (1, 12, 3))
+        assert meta.done_blocks == (FIRST, MIDDLE)
         assert cloud.num_states == 8
 
         finished = sample_cloud_pool(g, 12, workers=1, seed=9,
@@ -277,10 +337,10 @@ class TestInterruptSalvage:
         with pytest.raises(KeyboardInterrupt):
             sample_cloud_pool(
                 g, 12, workers=3, seed=9, checkpoint_path=ckpt,
-                fault=WorkerCrash(1, mode="interrupt", delay=2.0),
+                fault=WorkerCrash(MIDDLE[0], mode="interrupt", delay=2.0),
             )
         cloud, meta, _src = recover_cloud(ckpt, g)
-        assert meta.done_blocks == ((0, 12, 3), (2, 12, 3))
+        assert meta.done_blocks == (FIRST, LAST)
         assert cloud.num_states == 8
 
         finished = sample_cloud_pool(g, 12, workers=3, seed=9,
@@ -297,14 +357,14 @@ class TestInterruptSalvage:
         with pytest.raises(EngineError):
             sample_cloud_pool(
                 g, 12, workers=3, seed=9, checkpoint_path=ckpt,
-                fault=_CrashExcept(0),
+                fault=_CrashExcept(FIRST[0]),
             )
         with pytest.raises(KeyboardInterrupt):
             sample_cloud_pool(
                 g, 12, workers=1, seed=9, checkpoint_path=ckpt,
-                resume_from=ckpt,
-                fault=WorkerCrash(2, mode="interrupt"),
+                resume_from=ckpt, steal_chunks=2,
+                fault=WorkerCrash(LAST[0], mode="interrupt"),
             )
         cloud, meta, _src = recover_cloud(ckpt, g)
-        assert meta.done_blocks == ((0, 12, 3), (1, 12, 3))
+        assert meta.done_blocks == (FIRST, MIDDLE)
         assert cloud.num_states == 8

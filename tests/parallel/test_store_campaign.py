@@ -27,8 +27,8 @@ from repro.parallel.pool import (
     _init_worker,
     _init_worker_store,
     _reset_worker_slot,
-    _split_blocks,
     _worker_graph,
+    plan_blocks,
     sample_cloud_pool,
 )
 from repro.parallel.supervisor import RetryPolicy
@@ -37,6 +37,9 @@ from repro.util.faults import WorkerCrash
 from tests.conftest import make_connected_signed
 
 FAST = dict(backoff_base=0.0, jitter=0.0)
+
+# The blocks a 12-state, 3-worker campaign runs; faults aim at MIDDLE.
+FIRST, MIDDLE, LAST = _contiguous_blocks(12, 3)
 
 
 @pytest.fixture(scope="module")
@@ -56,17 +59,15 @@ def sequential(graph):
 
 
 def assert_same_cloud(expected, got):
-    # status() and flip counts are exact; the float accumulators are
-    # merged per block, so their summation association (not their
-    # values) differs from the sequential left fold — same tolerance
-    # the existing pool tests use.
+    # The accumulators are exact integers and contiguous blocks merge
+    # in index order, so every attribute and the flip-count log match.
     np.testing.assert_array_equal(expected.status(), got.status())
-    np.testing.assert_allclose(expected.influence(), got.influence())
-    np.testing.assert_allclose(
+    np.testing.assert_array_equal(expected.influence(), got.influence())
+    np.testing.assert_array_equal(
         expected.edge_agreement(), got.edge_agreement()
     )
     assert got.num_states == expected.num_states
-    assert sorted(got.flip_counts()) == sorted(expected.flip_counts())
+    np.testing.assert_array_equal(expected.flip_counts(), got.flip_counts())
 
 
 class TestStoreEquivalence:
@@ -178,7 +179,7 @@ class TestCrashRebuild:
         sup = sample_cloud_pool(
             graph, 12, workers=3, seed=7, graph_store=store,
             policy=RetryPolicy(max_retries=3, **FAST),
-            fault=_ExitOnce(1, tmp_path),
+            fault=_ExitOnce(MIDDLE[0], tmp_path),
         )
         assert_same_cloud(sequential, sup)
         report = sup.run_report
@@ -188,7 +189,9 @@ class TestCrashRebuild:
     def test_flaky_store_campaign_heals(
         self, graph, store, sequential, tmp_path
     ):
-        fault = WorkerCrash(1, mode="flaky", fails=2, counter_dir=tmp_path)
+        fault = WorkerCrash(
+            MIDDLE[0], mode="flaky", fails=2, counter_dir=tmp_path
+        )
         sup = sample_cloud_pool(
             graph, 12, workers=3, seed=7, graph_store=store,
             policy=RetryPolicy(max_retries=2, **FAST), fault=fault,
@@ -206,7 +209,7 @@ class TestStoreResume:
         with pytest.raises(EngineError, match="salvaged"):
             sample_cloud_pool(
                 graph, 12, workers=3, seed=7, graph_store=store,
-                checkpoint_path=ckpt, fault=WorkerCrash(1),
+                checkpoint_path=ckpt, fault=WorkerCrash(MIDDLE[0]),
             )
         _cloud, meta, _src = recover_cloud(ckpt, graph)
         assert meta.graph_store == str(store.path)
@@ -226,7 +229,7 @@ class TestStoreResume:
         with pytest.raises(EngineError, match="salvaged"):
             sample_cloud_pool(
                 graph, 12, workers=3, seed=7, graph_store=store,
-                checkpoint_path=ckpt, fault=WorkerCrash(1),
+                checkpoint_path=ckpt, fault=WorkerCrash(MIDDLE[0]),
             )
         finished = sample_cloud_pool(
             graph, 12, workers=3, seed=7, resume_from=ckpt
@@ -242,7 +245,7 @@ class TestStoreResume:
         with pytest.raises(EngineError, match="salvaged"):
             sample_cloud_pool(
                 graph, 12, workers=3, seed=7, graph_store=spath,
-                checkpoint_path=ckpt, fault=WorkerCrash(1),
+                checkpoint_path=ckpt, fault=WorkerCrash(MIDDLE[0]),
             )
         other = make_connected_signed(18, 24, seed=4)
         GraphStore.pack(other, spath)
@@ -302,39 +305,65 @@ class TestWorkerSlot:
             _worker_graph("f" * 64)
 
 
+def parent_contiguous_blocks(target, workers):
+    """The contiguous split as the package cut it before the planner
+    existed, kept as an oracle: the planner's no-done-blocks case must
+    cut exactly these blocks."""
+    workers = min(workers, target)
+    blocks = []
+    lo = 0
+    for w in range(workers):
+        hi = lo + (target - lo) // (workers - w)
+        if hi > lo:
+            blocks.append((lo, hi, 1))
+        lo = hi
+    return blocks
+
+
+def assert_plan(done, target, pieces):
+    """The planner's contract for one ``(done, target, pieces)``."""
+    blocks = plan_blocks(done, target, pieces)
+    covered = {i for b in done for i in range(*b)}
+    assert all(step == 1 for _start, _stop, step in blocks)
+    assert all(stop > start for start, stop, _step in blocks)
+    assert all(
+        not covered.intersection(range(*b)) for b in blocks
+    ), "a block spans a covered index"
+    got = [i for b in blocks for i in range(*b)]
+    assert got == [i for i in range(target) if i not in covered]
+    return blocks
+
+
 class TestSplitBlocks:
+    """:func:`plan_blocks` cutting a resume's missing indices into
+    work-stealing pieces."""
+
     def test_splits_cover_exactly(self):
-        blocks = [(0, 30, 3), (1, 30, 3), (2, 30, 3)]
-        split = _split_blocks(blocks, 12)
-        want = sorted(i for b in blocks for i in range(*b))
-        got = sorted(i for b in split for i in range(*b))
-        assert got == want
+        blocks = assert_plan(((0, 30, 3),), 30, 12)
+        assert len(blocks) == 12
 
     def test_no_empty_chunks(self):
         for num_chunks in (1, 2, 7, 50):
-            split = _split_blocks([(0, 10, 1)], num_chunks)
-            assert all(len(range(*b)) > 0 for b in split)
+            assert_plan(((0, 3, 1),), 10, num_chunks)
 
     def test_single_chunk_identity(self):
-        assert _split_blocks([(2, 20, 4)], 1) == [(2, 20, 4)]
+        assert plan_blocks(((0, 2, 1),), 20, 1) == [(2, 20, 1)]
 
     def test_drops_empty_input_blocks(self):
-        assert _split_blocks([(5, 5, 1), (0, 4, 1)], 4) == [
-            (0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)
+        assert plan_blocks(((5, 5, 1), (0, 4, 1)), 8, 4) == [
+            (4, 5, 1), (5, 6, 1), (6, 7, 1), (7, 8, 1)
         ]
 
-    def test_strided_blocks_preserve_stride(self):
-        split = _split_blocks([(1, 25, 3)], 4)
-        for start, _stop, step in split:
-            assert step == 3
-            assert (start - 1) % 3 == 0
-        got = sorted(i for b in split for i in range(*b))
-        assert got == list(range(1, 25, 3))
+    def test_blocks_have_step_one(self):
+        # Older salvage checkpoints hold strided rows; the plan around
+        # them is still step-1 blocks, split at every covered index.
+        blocks = assert_plan(((1, 25, 3),), 25, 4)
+        assert blocks[:3] == [(0, 1, 1), (2, 4, 1), (5, 6, 1)]
 
 
 class TestBlockProperties:
-    """No zero-length blocks, ever: the steal planner must not enqueue
-    empty work items for the executor (or the journal) to count."""
+    """No zero-length blocks, ever: the planner must not enqueue empty
+    work items for the executor (or the journal) to count."""
 
     @given(
         target=st.integers(min_value=0, max_value=300),
@@ -343,6 +372,8 @@ class TestBlockProperties:
     @settings(max_examples=100, deadline=None)
     def test_contiguous_blocks_cover_without_empties(self, target, workers):
         blocks = _contiguous_blocks(target, workers)
+        assert blocks == parent_contiguous_blocks(target, workers)
+        assert blocks == plan_blocks((), target, workers)
         assert all(stop > start for start, stop, _step in blocks)
         assert len(blocks) <= workers
         got = sorted(i for b in blocks for i in range(*b))
@@ -350,18 +381,15 @@ class TestBlockProperties:
 
     @given(
         target=st.integers(min_value=0, max_value=200),
-        workers=st.integers(min_value=1, max_value=10),
+        prefix=st.integers(min_value=0, max_value=200),
         chunks=st.integers(min_value=1, max_value=60),
     )
     @settings(max_examples=100, deadline=None)
     def test_split_blocks_cover_without_empties(
-        self, target, workers, chunks
+        self, target, prefix, chunks
     ):
-        blocks = _contiguous_blocks(target, workers)
-        split = _split_blocks(blocks, chunks)
-        assert all(len(range(*b)) > 0 for b in split)
-        got = sorted(i for b in split for i in range(*b))
-        assert got == list(range(target))
+        blocks = assert_plan(((0, min(prefix, target), 1),), target, chunks)
+        assert len(blocks) <= chunks
 
     @given(
         starts=st.lists(
@@ -373,15 +401,10 @@ class TestBlockProperties:
             min_size=0,
             max_size=6,
         ),
+        target=st.integers(min_value=0, max_value=60),
         chunks=st.integers(min_value=1, max_value=40),
     )
     @settings(max_examples=100, deadline=None)
-    def test_split_preserves_arbitrary_strided_residues(
-        self, starts, chunks
-    ):
-        blocks = [(s, s + n * step, step) for s, n, step in starts]
-        split = _split_blocks(blocks, chunks)
-        assert all(len(range(*b)) > 0 for b in split)
-        want = sorted(i for b in blocks for i in range(*b))
-        got = sorted(i for b in split for i in range(*b))
-        assert got == want
+    def test_plan_covers_arbitrary_done_rows(self, starts, target, chunks):
+        done = [(s, s + n * step, step) for s, n, step in starts]
+        assert_plan(done, target, chunks)

@@ -18,7 +18,7 @@ import pytest
 from repro.cloud import sample_cloud
 from repro.cloud.checkpoint import recover_cloud
 from repro.errors import SupervisorError
-from repro.parallel.pool import sample_cloud_pool
+from repro.parallel.pool import _contiguous_blocks, sample_cloud_pool
 from repro.parallel.supervisor import (
     FaultEvent,
     RetryPolicy,
@@ -32,6 +32,9 @@ from tests.conftest import make_connected_signed
 # Fast, jitter-free policies keep the fault tests deterministic and the
 # suite quick; production defaults are exercised separately.
 FAST = dict(backoff_base=0.0, jitter=0.0)
+
+# The blocks a 12-state, 3-worker campaign runs; faults aim at MIDDLE.
+FIRST, MIDDLE, LAST = _contiguous_blocks(12, 3)
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +125,7 @@ class TestFaultFree:
         assert report.retries == 0
         assert report.timeouts == 0
         assert report.events == []
-        assert sorted(report.completed) == [(0, 12, 3), (1, 12, 3), (2, 12, 3)]
+        assert sorted(report.completed) == [FIRST, MIDDLE, LAST]
 
     def test_workers_one_supervised(self, graph, sequential):
         sup = sample_cloud_pool(
@@ -139,7 +142,9 @@ class TestFlaky:
     ):
         """Acceptance: a block failing twice then succeeding completes
         unaided, bit-identical to the fault-free run."""
-        fault = WorkerCrash(1, mode="flaky", fails=2, counter_dir=tmp_path)
+        fault = WorkerCrash(
+            MIDDLE[0], mode="flaky", fails=2, counter_dir=tmp_path
+        )
         sup = sample_cloud_pool(
             graph, num_states=12, seed=7, workers=3,
             policy=RetryPolicy(max_retries=2, **FAST), fault=fault,
@@ -150,7 +155,7 @@ class TestFlaky:
         assert report.retries == 2
         kinds = [e.kind for e in report.events]
         assert kinds.count("failure") == 2
-        assert all(e.block == (1, 12, 3) for e in report.events)
+        assert all(e.block == MIDDLE for e in report.events)
 
     def test_flaky_in_process(self, graph, sequential, tmp_path):
         # workers=1 runs one block (0, 12, 1); fault block 0 so the
@@ -173,24 +178,26 @@ class TestHungWorker:
         t0 = time.monotonic()
         sup = sample_cloud_pool(
             graph, num_states=12, seed=7, workers=3,
-            policy=pol, fault=WorkerCrash(1, mode="hang", delay=60.0),
+            policy=pol, fault=WorkerCrash(MIDDLE[0], mode="hang", delay=60.0),
         )
         elapsed = time.monotonic() - t0
         report = sup.run_report
         # budget: (max_retries + 1) attempts x block_timeout, plus
         # generous slack for pool rebuilds — far below the 60 s nap.
         assert elapsed < 0.75 * 2 + 10.0
-        assert report.quarantined_blocks == ((1, 12, 3),)
+        assert report.quarantined_blocks == (MIDDLE,)
         assert report.timeouts == 2
         assert sup.num_states == 8
         assert not report.ok
 
     def test_slow_block_within_timeout_is_not_a_fault(self, graph, sequential):
+        t0 = time.monotonic()
         sup = sample_cloud_pool(
             graph, num_states=12, seed=7, workers=3,
             policy=RetryPolicy(max_retries=1, block_timeout=30.0, **FAST),
-            fault=WorkerCrash(1, mode="slow", delay=0.3),
+            fault=WorkerCrash(MIDDLE[0], mode="slow", delay=0.3),
         )
+        assert time.monotonic() - t0 >= 0.3  # the slow fault fired
         np.testing.assert_array_equal(sequential.status(), sup.status())
         assert sup.run_report.ok
         assert sup.run_report.timeouts == 0
@@ -207,14 +214,14 @@ class TestQuarantineCheckpoint:
         pol = RetryPolicy(max_retries=1, block_timeout=0.75, **FAST)
         sup = sample_cloud_pool(
             graph, num_states=12, seed=7, workers=3,
-            policy=pol, fault=WorkerCrash(1, mode="hang", delay=60.0),
+            policy=pol, fault=WorkerCrash(MIDDLE[0], mode="hang", delay=60.0),
             checkpoint_path=ck,
         )
         assert sup.num_states == 8
         recovered, meta, _source = recover_cloud(ck, graph)
         assert recovered.num_states == 8
-        assert meta.done_blocks == ((0, 12, 3), (2, 12, 3))
-        assert meta.quarantined_blocks == ((1, 12, 3),)
+        assert meta.done_blocks == (FIRST, LAST)
+        assert meta.quarantined_blocks == (MIDDLE,)
 
         finished = sample_cloud_pool(
             graph, num_states=12, seed=7, workers=3, resume_from=ck,
@@ -228,10 +235,10 @@ class TestBrokenPool:
         pol = RetryPolicy(max_retries=1, degrade=False, **FAST)
         sup = sample_cloud_pool(
             graph, num_states=12, seed=7, workers=3,
-            policy=pol, fault=WorkerCrash(1, mode="exit"),
+            policy=pol, fault=WorkerCrash(MIDDLE[0], mode="exit"),
         )
         report = sup.run_report
-        assert report.quarantined_blocks == ((1, 12, 3),)
+        assert report.quarantined_blocks == (MIDDLE,)
         assert report.pool_rebuilds >= 1
         assert sup.num_states == 8
 
@@ -241,21 +248,21 @@ class TestDegradationLadder:
         sup = sample_cloud_pool(
             graph, num_states=12, seed=7, workers=3,
             policy=RetryPolicy(max_retries=1, degrade=True, **FAST),
-            fault=_PoolOnlyCrash(1),
+            fault=_PoolOnlyCrash(MIDDLE[0]),
         )
         np.testing.assert_array_equal(sequential.status(), sup.status())
         report = sup.run_report
         assert report.ok
-        assert report.degraded == [(1, 12, 3)]
+        assert report.degraded == [MIDDLE]
         assert "degrade" in [e.kind for e in report.events]
 
     def test_no_degrade_quarantines_instead(self, graph):
         sup = sample_cloud_pool(
             graph, num_states=12, seed=7, workers=3,
             policy=RetryPolicy(max_retries=1, degrade=False, **FAST),
-            fault=_PoolOnlyCrash(1),
+            fault=_PoolOnlyCrash(MIDDLE[0]),
         )
-        assert sup.run_report.quarantined_blocks == ((1, 12, 3),)
+        assert sup.run_report.quarantined_blocks == (MIDDLE,)
         assert sup.run_report.degraded == []
         assert sup.num_states == 8
 
@@ -265,12 +272,12 @@ class TestDegradationLadder:
         sup = sample_cloud_pool(
             graph, num_states=12, seed=7, workers=3,
             policy=RetryPolicy(max_retries=1, degrade=True, **FAST),
-            fault=WorkerCrash(1, mode="raise"),
+            fault=WorkerCrash(MIDDLE[0], mode="raise"),
         )
         report = sup.run_report
         kinds = [e.kind for e in report.events]
         assert "degrade" in kinds
-        assert report.quarantined_blocks == ((1, 12, 3),)
+        assert report.quarantined_blocks == (MIDDLE,)
         assert report.degraded == []
 
 
@@ -279,19 +286,20 @@ class TestDeadline:
         self, graph, tmp_path
     ):
         ck = tmp_path / "deadline.npz"
+        done, slow = _contiguous_blocks(8, 2)
         pol = RetryPolicy(max_retries=2, deadline=3.0, **FAST)
         sup = sample_cloud_pool(
             graph, num_states=8, seed=7, workers=2,
-            policy=pol, fault=WorkerCrash(1, mode="slow", delay=20.0),
+            policy=pol, fault=WorkerCrash(slow[0], mode="slow", delay=20.0),
             checkpoint_path=ck,
         )
         report = sup.run_report
         assert report.deadline_hit
         assert not report.ok
-        assert (1, 8, 2) in report.remaining
+        assert slow in report.remaining
 
         _recovered, meta, _source = recover_cloud(ck, graph)
-        assert meta.done_blocks == ((0, 8, 2),)
+        assert meta.done_blocks == (done,)
 
         finished = sample_cloud_pool(
             graph, num_states=8, seed=7, workers=2, resume_from=ck,
@@ -319,12 +327,12 @@ class TestRunReport:
         sup = sample_cloud_pool(
             graph, num_states=12, seed=7, workers=3,
             policy=RetryPolicy(max_retries=1, block_timeout=0.75, **FAST),
-            fault=WorkerCrash(1, mode="hang", delay=60.0),
+            fault=WorkerCrash(MIDDLE[0], mode="hang", delay=60.0),
         )
         report = sup.run_report
         data = json.loads(report.to_json())
         assert data["ok"] is False
-        assert [1, 12, 3] in [q["block"] for q in data["quarantined"]]
+        assert list(MIDDLE) in [q["block"] for q in data["quarantined"]]
         assert data["timeouts"] == report.timeouts
         assert data["policy"]["block_timeout"] == 0.75
         assert all("kind" in e and "t" in e for e in data["events"])
@@ -335,9 +343,9 @@ class TestRunReport:
 
     def test_summary_mentions_quarantine_and_counts(self):
         report = RunReport(policy=RetryPolicy(), blocks_total=3)
-        report.completed = [(0, 12, 3), (2, 12, 3)]
+        report.completed = [FIRST, LAST]
         report.quarantined = [
-            {"block": (1, 12, 3), "attempts": 2, "error": "boom"}
+            {"block": MIDDLE, "attempts": 2, "error": "boom"}
         ]
         text = report.summary()
         assert "2/3 blocks completed" in text
@@ -387,10 +395,10 @@ class TestInterrupts:
             sample_cloud_pool(
                 graph, num_states=12, seed=7, workers=3, policy=policy,
                 checkpoint_path=ck,
-                fault=WorkerCrash(1, mode="interrupt", delay=1.0),
+                fault=WorkerCrash(MIDDLE[0], mode="interrupt", delay=1.0),
             )
         recovered, meta, _source = recover_cloud(ck, graph)
-        assert meta.done_blocks == ((0, 12, 3), (2, 12, 3))
+        assert meta.done_blocks == (FIRST, LAST)
         assert recovered.num_states == 8
 
     def test_in_process_interrupt_propagates(self, graph):

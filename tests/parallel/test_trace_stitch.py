@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EngineError
-from repro.parallel.pool import sample_cloud_pool
+from repro.parallel.pool import _contiguous_blocks, sample_cloud_pool
 from repro.parallel.supervisor import RetryPolicy
 from repro.perf.registry import reset_global_registry
 from repro.perf.tracing import (
@@ -43,6 +43,9 @@ from repro.util.faults import SimulatedCrash, WorkerCrash
 from tests.conftest import make_connected_signed
 
 FAST = dict(backoff_base=0.0, jitter=0.0)
+
+# The middle block of a 12-state, 3-worker campaign: the fault target.
+MIDDLE = _contiguous_blocks(12, 3)[1]
 
 
 @pytest.fixture(autouse=True)
@@ -122,7 +125,7 @@ class TestStitchedCampaigns:
             sample_cloud_pool(
                 graph, 12, workers=3, seed=7,
                 policy=RetryPolicy(max_retries=1, degrade=True, **FAST),
-                fault=_PoolOnlyCrash(1),
+                fault=_PoolOnlyCrash(MIDDLE[0]),
             )
         events = trace.events()
         _assert_stitched(events)
@@ -135,7 +138,7 @@ class TestStitchedCampaigns:
             with pytest.raises(EngineError, match="salvaged"):
                 sample_cloud_pool(
                     graph, 12, workers=3, seed=9,
-                    checkpoint_path=ck, fault=WorkerCrash(1),
+                    checkpoint_path=ck, fault=WorkerCrash(MIDDLE[0]),
                 )
         events = trace.events()
         # The two completed blocks' worker spans were absorbed at
@@ -148,7 +151,7 @@ class TestStitchedCampaigns:
         with pytest.raises(EngineError, match="salvaged"):
             sample_cloud_pool(
                 graph, 12, workers=3, seed=9,
-                checkpoint_path=ck, fault=WorkerCrash(1),
+                checkpoint_path=ck, fault=WorkerCrash(MIDDLE[0]),
             )
         # Resume toward a *larger* target so more than one block
         # remains and the pool rung (hence shard shipping) engages.
