@@ -7,23 +7,32 @@ carry little information about election outcomes.  This module provides
 that comparator: normalized-Laplacian spectral embedding (on the
 unsigned adjacency, as standard spectral clustering uses) plus k-means,
 and a signed-Laplacian variant for completeness.
+
+SciPy is imported inside the functions that use it, so importing
+:mod:`repro` (which re-exports this module) loads no SciPy: about 30 MB
+of resident memory that campaigns, the CLI, the serve daemon and pool
+workers never need unless they run a spectral analysis.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.cluster.vq import kmeans2
 
 from repro.errors import ReproError
 from repro.graph.csr import SignedGraph
 from repro.rng import SeedLike, as_generator
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 __all__ = ["spectral_embedding", "spectral_clusters", "cluster_outcome_table"]
 
 
 def _adjacency(graph: SignedGraph, signed: bool) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     n = graph.num_vertices
     data = graph.edge_sign.astype(np.float64) if signed else np.ones(
         graph.num_edges
@@ -50,6 +59,9 @@ def spectral_embedding(
     n = graph.num_vertices
     if dim >= n:
         raise ReproError(f"embedding dim {dim} must be < n = {n}")
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     adj = _adjacency(graph, signed=signed)
     deg = np.abs(adj).sum(axis=1).A.ravel()
     d_inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
@@ -72,6 +84,8 @@ def spectral_clusters(
     seed: SeedLike = 0,
 ) -> np.ndarray:
     """K-means labels over the spectral embedding (k clusters)."""
+    from scipy.cluster.vq import kmeans2
+
     dim = k if dim is None else dim
     emb = spectral_embedding(graph, dim=dim, signed=signed, seed=seed)
     # Row-normalize (Ng–Jordan–Weiss) for stability.

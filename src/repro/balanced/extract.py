@@ -48,7 +48,7 @@ import numpy as np
 from repro.errors import BalancedSearchError
 from repro.graph.csr import SignedGraph
 from repro.perf.tracing import span
-from repro.util.arrays import gather_adjacency
+from repro.util.arrays import csr_positions, gather_adjacency
 
 __all__ = [
     "BalancedSubgraph",
@@ -190,7 +190,7 @@ def peel_to_tolerance(
         order = np.argsort(-bad[over], kind="stable")
         gone = over[order[:k]]
         alive[gone] = False
-        pos, _ = gather_adjacency(graph.indptr, gone)
+        pos = csr_positions(graph.indptr, gone)
         nbr = graph.adj_vertex[pos]
         hit = np.flatnonzero(alive[nbr] & ~sat[graph.adj_edge[pos]])
         bad -= np.bincount(nbr[hit], minlength=n)

@@ -46,7 +46,7 @@ from repro.errors import GraphFormatError, ReproError
 from repro.graph.csr import SignedGraph
 from repro.perf.tracing import span
 from repro.trees.tree import SpanningTree
-from repro.util.arrays import gather_adjacency
+from repro.util.arrays import csr_positions
 
 __all__ = ["IncrementalBalancer", "TreeDeltaState"]
 
@@ -174,7 +174,7 @@ class TreeDeltaState:
         therefore never a candidate (a swap always changes the tree)."""
         lo, hi = self.subtree_range(child)
         graph = self.graph
-        pos, _ = gather_adjacency(graph.indptr, self.order[lo : hi + 1])
+        pos = csr_positions(graph.indptr, self.order[lo : hi + 1])
         far = self.new_id[graph.adj_vertex[pos]]
         edges = graph.adj_edge[pos]
         leaves = ((far < lo) | (far > hi)) & ~self.in_tree[edges]

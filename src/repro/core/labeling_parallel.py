@@ -25,7 +25,7 @@ from repro.core.labeling import Labeling
 from repro.perf.compat import Counters
 from repro.perf.registry import get_registry
 from repro.trees.tree import SpanningTree
-from repro.util.arrays import concat_ranges
+from repro.util.arrays import csr_positions
 
 __all__ = ["label_tree_parallel"]
 
@@ -66,13 +66,11 @@ def label_tree_parallel(
         # Gather all children of this level, grouped by parent and
         # (within a parent) in ascending vertex-id order — the same
         # order the serial pre-order uses.
-        starts = child_ptr[members]
-        counts = child_ptr[members + 1] - starts
+        counts = child_ptr[members + 1] - child_ptr[members]
         total = int(counts.sum())
         if total == 0:
             continue
-        offsets = np.repeat(starts, counts) + concat_ranges(counts)
-        kids = child_list[offsets]
+        kids = child_list[csr_positions(child_ptr, members)]
         parents = np.repeat(members, counts)
 
         # Exclusive prefix sum of earlier-sibling sizes within each

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.graph.build import csr_from_undirected
 from repro.graph.csr import SignedGraph
-from repro.util.arrays import gather_adjacency
+from repro.util.arrays import csr_positions
 
 __all__ = [
     "connected_components",
@@ -43,7 +43,7 @@ def connected_components(graph: SignedGraph) -> np.ndarray:
         frontier = np.array([seed], dtype=np.int64)
         while len(frontier):
             # Gather all neighbors of the frontier in one shot.
-            offsets, _ = gather_adjacency(graph.indptr, frontier)
+            offsets = csr_positions(graph.indptr, frontier)
             if len(offsets) == 0:
                 break
             nbrs = graph.adj_vertex[offsets]

@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import DisconnectedGraphError
 from repro.graph.csr import SignedGraph
 from repro.rng import SeedLike, as_generator
-from repro.util.arrays import gather_adjacency
+from repro.util.arrays import csr_positions
 
 __all__ = ["eccentricity", "double_sweep_diameter", "diameter_bounds"]
 
@@ -31,7 +31,7 @@ def _bfs_levels(graph: SignedGraph, source: int) -> np.ndarray:
     frontier = np.array([source], dtype=np.int64)
     level = 0
     while len(frontier):
-        pos, _src = gather_adjacency(graph.indptr, frontier)
+        pos = csr_positions(graph.indptr, frontier)
         if len(pos) == 0:
             break
         nbrs = graph.adj_vertex[pos]

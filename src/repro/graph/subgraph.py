@@ -79,9 +79,9 @@ def k_core(graph: SignedGraph, k: int) -> Tuple[SignedGraph, np.ndarray]:
         doomed_ids = np.nonzero(doomed)[0]
         alive[doomed_ids] = False
         # Gather all half-edges of doomed vertices in one shot.
-        from repro.util.arrays import gather_adjacency
+        from repro.util.arrays import csr_positions
 
-        pos, _src = gather_adjacency(graph.indptr, doomed_ids)
+        pos = csr_positions(graph.indptr, doomed_ids)
         nbrs = graph.adj_vertex[pos]
         np.subtract.at(degree, nbrs, 1)
         degree[doomed_ids] = 0

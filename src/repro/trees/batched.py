@@ -30,7 +30,7 @@ from repro.errors import DisconnectedGraphError, EngineError
 from repro.graph.csr import SignedGraph
 from repro.perf.compat import Counters
 from repro.trees.tree import SpanningTree
-from repro.util.arrays import concat_ranges
+from repro.util.arrays import csr_positions
 
 __all__ = ["TreeBatch", "sample_bfs_batch", "spawn_batch"]
 
@@ -182,22 +182,38 @@ def sample_bfs_batch(
         roots = np.full(num_trees, int(root), dtype=np.int64)
 
     size = num_trees * n
-    parent = np.full(size, -1, dtype=np.int64)
-    parent_edge = np.full(size, -1, dtype=np.int64)
-    level = np.full(size, -1, dtype=np.int64)
-    discovered = np.zeros(size, dtype=bool)
-
-    # Flattened tree-vertex ids g = b * n + v.  The frontier stays
-    # sorted ascending, i.e. grouped by tree with each tree's vertices
-    # in the same (ascending) order the sequential BFS produces.
+    two_m = len(graph.adj_vertex)
+    # Flattened tree-vertex ids g = b * n + v over a flattened CSR:
+    # tree b's copy of the adjacency sits at [b * 2m, (b + 1) * 2m) and
+    # names its neighbours by flat id, so one gather turns an offer's
+    # position into its flat target (B·2m entries, under the offer
+    # budget's 2 MB).  A single tree indexes the graph's own arrays.
     offsets = np.arange(num_trees, dtype=np.int64) * n
+    half_base = np.arange(num_trees, dtype=np.int64) * two_m
+    if num_trees == 1:
+        flat_indptr, flat_adj = graph.indptr, graph.adj_vertex
+    else:
+        flat_indptr = np.empty(size + 1, dtype=np.int64)
+        flat_indptr[:-1] = (graph.indptr[:-1] + half_base[:, None]).ravel()
+        flat_indptr[-1] = num_trees * two_m
+        flat_adj = (graph.adj_vertex + offsets[:, None]).ravel()
+        tree_bounds = np.append(half_base, num_trees * two_m)
+
+    # The flat half-edge position of each vertex's winning offer (−1
+    # at the roots); edge ids and parents are read off it once, after
+    # the loop.
+    parent_half = np.full(size, -1, dtype=np.int64)
+    level = np.full(size, -1, dtype=np.int64)
+    undiscovered = np.ones(size, dtype=bool)
+
+    # The frontier stays sorted ascending, i.e. grouped by tree with
+    # each tree's vertices in the same (ascending) order the sequential
+    # BFS produces, so the gathered offer positions ascend too.
     frontier = offsets + roots
-    discovered[frontier] = True
+    undiscovered[frontier] = False
     level[frontier] = 0
-    reached = np.ones(num_trees, dtype=np.int64)
     depth = 0
 
-    degs = graph.degrees
     # Winner-selection scratch, sized B·n but allocated once per call
     # and only ever written at offered slots before being read — no
     # per-level (B, n) scratch is materialized.
@@ -206,32 +222,25 @@ def sample_bfs_batch(
 
     while len(frontier):
         depth += 1
-        tree_of, verts = np.divmod(frontier, n)
-
-        starts = graph.indptr[verts]
-        counts = degs[verts]
-        pos = np.repeat(starts, counts) + concat_ranges(counts)
-        if len(pos) == 0:
-            break
-        src_tree = np.repeat(tree_of, counts)
-
-        g_target = src_tree * n + graph.adj_vertex[pos]
-        fresh = ~discovered[g_target]
+        pos = csr_positions(flat_indptr, frontier)
+        g_target = flat_adj[pos]
+        fresh = undiscovered[g_target].nonzero()[0]
         g_target = g_target[fresh]
-        src_tree = src_tree[fresh]
         pos = pos[fresh]
         if len(g_target) == 0:
             break
 
         # Per-tree tie-break keys, drawn from each tree's own stream in
         # one call per (tree, level) — exactly the sequential draw.
-        offers_per_tree = np.bincount(src_tree, minlength=num_trees)
-        keys = np.empty(len(g_target), dtype=np.float64)
-        cursor = 0
-        for t in np.nonzero(offers_per_tree)[0]:
-            k = int(offers_per_tree[t])
-            keys[cursor : cursor + k] = rngs[t].random(k)
-            cursor += k
+        # Offers ascend by flat position, so tree b's are one slice.
+        if num_trees == 1:
+            keys = rngs[0].random(len(g_target))
+        else:
+            cuts = np.searchsorted(pos, tree_bounds)
+            keys = np.empty(len(g_target), dtype=np.float64)
+            for t in np.flatnonzero(cuts[1:] > cuts[:-1]):
+                lo, hi = int(cuts[t]), int(cuts[t + 1])
+                keys[lo:hi] = rngs[t].random(hi - lo)
 
         # Uniform winner per (tree, target) without sorting the offers:
         # repeated last-write-wins scatters converge on the minimum key
@@ -241,41 +250,61 @@ def sample_bfs_batch(
         # toward the earliest offer — the same winner the sequential
         # lexsort picks.
         best_key[g_target] = keys
-        alive = np.nonzero(keys < best_key[g_target])[0]
+        alive = (keys < best_key[g_target]).nonzero()[0]
         while len(alive):
             best_key[g_target[alive]] = keys[alive]
             alive = alive[keys[alive] < best_key[g_target[alive]]]
-        cand = np.nonzero(keys == best_key[g_target])[0]
+        cand = (keys == best_key[g_target]).nonzero()[0]
         rev = cand[::-1]
         best_offer[g_target[rev]] = rev
         win = cand[best_offer[g_target[cand]] == cand]
-        # Keep the new frontier ascending (the sequential offer order of
-        # the next level); this sorts only the winners, far fewer than
-        # the offers the old full argsort covered.
-        win = win[np.argsort(g_target[win], kind="stable")]
 
-        new_g = g_target[win]
-        pos_w = pos[win]
-        # Recover the winning offers' source vertices from their CSR
-        # positions (cheap: only |new frontier| searchsorted lookups).
-        parent[new_g] = np.searchsorted(graph.indptr, pos_w, side="right") - 1
-        parent_edge[new_g] = graph.adj_edge[pos_w]
-        discovered[new_g] = True
-        level[new_g] = depth
-        reached += np.bincount(src_tree[win], minlength=num_trees)
+        # The new frontier, ascending (the sequential offer order of
+        # the next level).  A dense level is read back with one scan of
+        # ``level``; a sparse one sorts its winning targets, which are
+        # distinct.  Only levels with more than size / 8 winners scan,
+        # and the winners of all levels sum to at most size, so the
+        # scans cost at most 8·B·n in total (deep sparse graphs never
+        # pay O(n · depth)).
+        if 8 * len(win) > size:
+            level[g_target[win]] = depth
+            new_g = np.flatnonzero(level == depth)
+            win = best_offer[new_g]
+        else:
+            new_g = np.sort(g_target[win])
+            win = best_offer[new_g]
+            level[new_g] = depth
+        parent_half[new_g] = pos[win]
+        undiscovered[new_g] = False
         frontier = new_g
         if counters is not None:
             counters.parallel_region("batch.bfs_round", len(new_g))
 
+    reached = n - undiscovered.reshape(num_trees, n).sum(axis=1)
     if np.any(reached != n):
         b = int(np.nonzero(reached != n)[0][0])
         raise DisconnectedGraphError(
             f"BFS from root {int(roots[b])} reached {int(reached[b])} of "
             f"{n} vertices; extract the largest connected component first"
         )
+
+    # Edge ids from the winning half-edges, then each parent as the
+    # edge's other endpoint: u + v − child.  Roots keep −1.
+    if n == 1:
+        parent = np.full((num_trees, 1), -1, dtype=np.int64)
+        parent_edge = parent.copy()
+    else:
+        rows = np.arange(num_trees)
+        half = parent_half.reshape(num_trees, n) - half_base[:, None]
+        half[rows, roots] = 0
+        parent_edge = graph.adj_edge[half]
+        parent = (graph.edge_u[parent_edge] + graph.edge_v[parent_edge]
+                  - np.arange(n, dtype=np.int64))
+        parent_edge[rows, roots] = -1
+        parent[rows, roots] = -1
     return TreeBatch(
         roots=roots,
-        parent=parent.reshape(num_trees, n),
-        parent_edge=parent_edge.reshape(num_trees, n),
+        parent=parent,
+        parent_edge=parent_edge,
         level_of=level.reshape(num_trees, n),
     )

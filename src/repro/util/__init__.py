@@ -4,6 +4,6 @@
 rather than re-exported here — production code never needs it.
 """
 
-from repro.util.arrays import concat_ranges, gather_adjacency
+from repro.util.arrays import concat_ranges, csr_positions, gather_adjacency
 
-__all__ = ["concat_ranges", "gather_adjacency"]
+__all__ = ["concat_ranges", "csr_positions", "gather_adjacency"]

@@ -169,3 +169,19 @@ def test_top_level_reexports():
         "IncrementalBalancer",
     ):
         assert hasattr(repro, name)
+
+
+def test_import_loads_no_scipy():
+    """SciPy is loaded by the spectral functions that use it, not by
+    ``import repro``: campaigns, the CLI and pool workers never pay it."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = "import sys, repro, repro.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.arrays import concat_ranges, gather_adjacency
+from repro.util.arrays import concat_ranges, csr_positions, gather_adjacency
 
 from tests.conftest import make_connected_signed
 
@@ -37,6 +37,36 @@ class TestConcatRanges:
         counts = np.asarray(counts, dtype=np.int64)
         expect = [i for c in counts for i in range(c)]
         np.testing.assert_array_equal(concat_ranges(counts), expect)
+
+
+class TestCsrPositions:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=5), min_size=1,
+                 max_size=12),
+        st.lists(st.integers(min_value=0, max_value=11), max_size=20),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_repeat_formula(self, degrees, picks):
+        """Zero-degree rows, unsorted and repeated vertices, and the
+        empty set all agree with ``repeat(starts) + concat_ranges``."""
+        indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+        vertices = np.asarray(
+            [p % len(degrees) for p in picks], dtype=np.int64
+        )
+        starts = indptr[vertices]
+        counts = indptr[vertices + 1] - starts
+        expect = np.repeat(starts, counts) + concat_ranges(counts)
+        got = csr_positions(indptr, vertices)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expect)
+
+    def test_empty_and_all_zero_rows(self):
+        indptr = np.array([0, 0, 3, 3], dtype=np.int64)
+        assert len(csr_positions(indptr, np.array([], dtype=np.int64))) == 0
+        assert len(csr_positions(indptr, np.array([0, 2, 0]))) == 0
+        np.testing.assert_array_equal(
+            csr_positions(indptr, np.array([2, 1, 0, 1])), [0, 1, 2, 0, 1, 2]
+        )
 
 
 class TestGatherAdjacency:

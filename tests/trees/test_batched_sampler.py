@@ -5,7 +5,16 @@ import pytest
 
 from repro.errors import DisconnectedGraphError, EngineError
 from repro.graph.build import from_edges
+from repro.graph.generators import (
+    chung_lu_signed,
+    cycle_graph,
+    ensure_connected,
+    grid_graph,
+)
+from repro.perf.compat import Counters
+from repro.rng import spawn
 from repro.trees.batched import TreeBatch, sample_bfs_batch, spawn_batch
+from repro.trees.bfs import bfs_tree
 from repro.trees.sampler import TreeSampler
 
 from tests.conftest import make_connected_signed
@@ -145,6 +154,72 @@ class TestBatchedBfs:
         batch = sample_bfs_batch(g, 0, [0, 1, 2])
         assert np.all(batch.roots == 0)
         assert np.all(batch.level_of == 0)
+
+
+def _frontier_graph(kind):
+    if kind == "cycle":
+        return cycle_graph([1, -1] * 60)
+    if kind == "grid":
+        return grid_graph(12, 12, seed=3)
+    return ensure_connected(chung_lu_signed(300, 900, seed=5), seed=5)
+
+
+class TestFrontierBranches:
+    """The new frontier is read back two ways: a scan of the level
+    array when a level's winners exceed size / 8, a sort of the winners
+    otherwise.  Both must give the sequential frontier order."""
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3, 32])
+    @pytest.mark.parametrize("kind", ["cycle", "grid", "hubs"])
+    def test_bit_identical_on_both_branches(self, kind, batch, pinned):
+        g = _frontier_graph(kind)
+        n = g.num_vertices
+        root = int(np.argmax(g.degrees)) if pinned else None
+        counters = Counters()
+        trees = sample_bfs_batch(g, 11, range(batch), root=root,
+                                 counters=counters)
+        sampler = TreeSampler(g, seed=11, root=root)
+        for i in range(batch):
+            tree = sampler.tree(i)
+            assert int(trees.roots[i]) == tree.root
+            assert np.array_equal(trees.parent[i], tree.parent)
+            assert np.array_equal(trees.parent_edge[i], tree.parent_edge)
+            assert np.array_equal(trees.level_of[i], tree.level_of)
+
+        # One pass holds the whole batch here, so each round's winners
+        # are compared with the pass size the kernel compares them with.
+        rounds = [k for name, k in counters.regions
+                  if name == "batch.bfs_round"]
+        assert len(rounds) == trees.num_levels - 1
+        scanned = [8 * k > batch * n for k in rounds]
+        if kind == "hubs":
+            # Hub levels scan; the thin first and last levels sort.
+            assert any(scanned) and not all(scanned)
+        else:
+            # Deep, thin levels never pay a scan of the B·n level array.
+            assert not any(scanned)
+
+    def test_isolated_root_raises_naming_first_short_tree(self):
+        """Every tree of a graph with an isolated vertex falls short;
+        the error names the batch's first tree, as ``bfs_tree`` would,
+        whether that tree is rooted at the isolated vertex or not."""
+        edges = [(0, 1, 1), (1, 2, -1), (2, 3, 1), (3, 0, 1)]
+        g = from_edges(edges, num_vertices=5)
+        isolated = next(
+            i for i in range(100) if int(spawn(3, i).integers(0, 5)) == 4
+        )
+        other = next(
+            i for i in range(100) if int(spawn(3, i).integers(0, 5)) != 4
+        )
+        for indices, reached in (([isolated, other], 1),
+                                 ([other, isolated, other + 1], 4)):
+            with pytest.raises(DisconnectedGraphError) as batched:
+                sample_bfs_batch(g, 3, indices)
+            with pytest.raises(DisconnectedGraphError) as sequential:
+                bfs_tree(g, seed=spawn(3, indices[0]))
+            assert str(batched.value) == str(sequential.value)
+            assert f"reached {reached} of 5 vertices" in str(batched.value)
 
 
 class TestNonBfsFallback:
