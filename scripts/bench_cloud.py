@@ -6,7 +6,8 @@ Writes ``BENCH_cloud.json``: states/sec for the sequential driver
 swap-chain engine at several graph sizes and batch sizes — plus an
 exact seed-for-seed consensus-attribute identity check for the batched
 BFS rows (bit-identical by contract) and a frustration-bound tolerance
-check for the swap rows (statistically equivalent by contract).  This
+check for the swap rows (a sanity bar: swap clouds estimate a
+different cloud, see EXPERIMENTS.md).  This
 file tracks the perf trajectory for the cloud pipeline — re-run after
 optimizations and compare.
 
@@ -70,7 +71,8 @@ def attributes_identical(a, b) -> bool:
 
 def frustration_within_tol(a, b, rtol: float = FRUSTRATION_RTOL) -> bool:
     """The swap rows' acceptance bar: frustration upper bounds agree
-    within *rtol* (swap clouds are statistically, not bit, equivalent)."""
+    within *rtol* (a sanity bar: swap clouds estimate a different
+    cloud from BFS clouds, see EXPERIMENTS.md)."""
     lo, hi = a.frustration_upper_bound(), b.frustration_upper_bound()
     return abs(hi - lo) <= max(5, rtol * max(lo, 1))
 

@@ -203,10 +203,11 @@ def _run_cloud_campaign(args, sub, policy):
 
     Factored out of :func:`_cmd_cloud` so the observability scopes
     (``--journal`` / ``--trace-out``) can wrap exactly the campaign.
+    One driver call: on ``--resume``, parameters the user did not spell
+    out are inherited from (and explicit ones validated against) the
+    checkpoint's campaign.
     """
-    from repro.cloud import sample_cloud
-    from repro.cloud.cloud import auto_batch_size
-    from repro.parallel.pool import sample_cloud_pool
+    from repro.parallel.pool import run_campaign
 
     if args.shard_workers is not None:
         if args.shard_workers < 1:
@@ -221,85 +222,25 @@ def _run_cloud_campaign(args, sub, policy):
             # Enough chunks that a straggler block delays only itself.
             args.steal_chunks = min(8 * args.shard_workers, args.states)
     store = _resolve_graph_store(args, sub)
-
-    # Fresh campaigns fall back to the historical defaults; on --resume,
-    # parameters the user did not spell out are inherited from (and
-    # explicit ones validated against) the checkpoint's campaign.
-    method = args.method if args.method is not None else "bfs"
-    seed = args.seed if args.seed is not None else 0
-    # --batch-size auto resolves against the (sub)graph up front so
-    # every driver — and the checkpoint metadata — sees a concrete int.
-    if args.batch_size == "auto":
-        args.batch_size = auto_batch_size(sub.num_vertices)
-        print(f"auto batch size: {args.batch_size}")
-    batch_size = args.batch_size if args.batch_size is not None else 1
-    swaps = (
-        args.swaps_per_state if args.swaps_per_state is not None else 1
-    )
+    resume = None
     if args.resume:
-        from repro.cloud.checkpoint import (
-            recover_cloud,
-            resume_cloud,
-            validate_campaign,
-        )
+        from repro.cloud.checkpoint import recover_cloud
 
-        cloud, meta, source = recover_cloud(args.resume, sub)
-        print(f"resuming from {source} ({cloud.num_states} states)")
-        if meta is not None and meta.done_blocks is not None:
-            # Pool-salvage checkpoint: rerun only the missing blocks.
-            params = validate_campaign(
-                meta, method=args.method, seed=args.seed,
-                batch_size=args.batch_size,
-                swaps_per_state=args.swaps_per_state,
-            )
-            return sample_cloud_pool(
-                sub, args.states, workers=max(args.workers, 1),
-                method=params["method"], seed=params["seed"],
-                batch_size=params["batch_size"],
-                store_states=params["store_states"],
-                swaps_per_state=params["swaps_per_state"],
-                checkpoint_path=args.checkpoint,
-                keep_checkpoints=args.keep_checkpoints,
-                resume_from=source,
-                policy=policy,
-                graph_store=store,
-                steal_chunks=args.steal_chunks,
-                flight_dir=args.flight_dir,
-            )
-        return resume_cloud(
-            cloud,
-            args.states,
-            method=args.method,
-            seed=args.seed,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            batch_size=args.batch_size,
-            keep_checkpoints=args.keep_checkpoints,
-            swaps_per_state=args.swaps_per_state,
-        )
-    if args.workers > 1 or policy is not None or store is not None:
-        # A retry policy routes even --workers 1 through the pool
-        # driver: the supervisor's in-process ladder lives there.
-        return sample_cloud_pool(
-            sub, args.states, workers=args.workers,
-            method=method, seed=seed,
-            batch_size=batch_size,
-            swaps_per_state=swaps,
-            checkpoint_path=args.checkpoint,
-            keep_checkpoints=args.keep_checkpoints,
-            policy=policy,
-            graph_store=store,
-            steal_chunks=args.steal_chunks,
-            flight_dir=args.flight_dir,
-        )
-    return sample_cloud(
-        sub, args.states, method=method, seed=seed,
-        batch_size=batch_size,
-        swaps_per_state=swaps,
+        resume, _meta, source = recover_cloud(args.resume, sub)
+        print(f"resuming from {source} ({resume.num_states} states)")
+    cloud = run_campaign(
+        sub, args.states, workers=args.workers, method=args.method,
+        seed=args.seed, batch_size=args.batch_size,
+        swaps_per_state=args.swaps_per_state,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
-        keep_checkpoints=args.keep_checkpoints,
+        keep_checkpoints=args.keep_checkpoints, resume_from=resume,
+        policy=policy, graph_store=store, steal_chunks=args.steal_chunks,
+        flight_dir=args.flight_dir,
     )
+    if args.batch_size == "auto":
+        print(f"auto batch size: {cloud.campaign_meta.batch_size}")
+    return cloud
 
 
 def _cmd_cloud(args) -> int:
@@ -859,7 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="tree sampling method (default bfs; 'swap' derives "
                         "each tree from the previous one by edge swaps — "
-                        "much faster, statistically equivalent; with "
+                        "faster per state, but estimates a different cloud "
+                        "(EXPERIMENTS.md); with "
                         "--resume, inherited from the checkpoint's campaign)")
     p.add_argument("--tree-method", dest="method", choices=_tree_methods,
                    help="alias for --method")
@@ -902,8 +844,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "write; on a pool-worker crash, completed blocks "
                         "are salvaged here)")
     p.add_argument("--checkpoint-every", type=int, default=0,
-                   help="re-checkpoint every N new states (sequential "
-                        "campaigns; pools checkpoint on completion/crash)")
+                   help="re-checkpoint every N new states, at any worker "
+                        "count: blocks are cut to at most N states and "
+                        "the running cloud is written on block "
+                        "boundaries (default: on completion or crash)")
     p.add_argument("--keep-checkpoints", type=int, default=2, metavar="K",
                    help="rotate the last K good checkpoints "
                         "(path, path.1, ...; default 2)")

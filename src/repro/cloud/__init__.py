@@ -17,7 +17,6 @@ from repro.cloud.convergence import (
 from repro.cloud.branch_bound import frustration_branch_bound
 from repro.cloud.checkpoint import (
     CampaignMeta,
-    CheckpointWriter,
     graph_fingerprint,
     load_checkpoint,
     load_cloud,
@@ -82,7 +81,6 @@ __all__ = [
     "resume_cloud",
     "validate_campaign",
     "CampaignMeta",
-    "CheckpointWriter",
     "graph_fingerprint",
     "vertex_attribute_table",
     "edge_attribute_table",

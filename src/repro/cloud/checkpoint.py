@@ -21,7 +21,8 @@ checkpoint layer therefore provides three guarantees:
   :class:`~repro.errors.CheckpointError` instead of a cryptic numpy
   crash deep inside an attribute computation.
 * **Validated resume.**  :func:`resume_cloud` continues a seeded
-  campaign from state ``cloud.num_states`` onward, bit-identical to an
+  campaign over the indices it has not run (a prefix checkpoint's tail,
+  or the holes of a salvage checkpoint), byte for byte the
   uninterrupted run (tested under fault injection — see
   :mod:`repro.util.faults`).  When the checkpoint carries campaign
   metadata, resume parameters left as ``None`` are inherited from it
@@ -41,8 +42,8 @@ from typing import IO, Callable, Iterator, Tuple, Union
 
 import numpy as np
 
-from repro.cloud.cloud import FrustrationCloud, ingest_states
-from repro.errors import CheckpointError, ReproError
+from repro.cloud.cloud import FrustrationCloud
+from repro.errors import CheckpointError
 from repro.graph.csr import SignedGraph
 
 # Canonical fingerprint lives with the on-disk graph store so that
@@ -52,12 +53,9 @@ from repro.graph.store import graph_fingerprint
 from repro.perf.journal import journal_event
 from repro.perf.registry import get_registry
 from repro.perf.tracing import span
-from repro.rng import freeze_seed
-from repro.trees.sampler import TreeSampler
 
 __all__ = [
     "CampaignMeta",
-    "CheckpointWriter",
     "save_cloud",
     "load_cloud",
     "load_checkpoint",
@@ -245,7 +243,9 @@ def _payload(
         # allow_pickle, keeping the checkpoint pickle-free.
         payload["metrics_json"] = np.array(json.dumps(metrics))
     if cloud.store_states:
-        keys = list(cloud._unique.keys())
+        # Canonical order (by sign bytes), so the payload does not
+        # depend on the order blocks merged.
+        keys = sorted(cloud._unique)
         payload["unique_signs"] = (
             np.stack([np.frombuffer(k, dtype=np.int8) for k in keys])
             if keys
@@ -613,45 +613,6 @@ def validate_campaign(
     return resolved
 
 
-class CheckpointWriter:
-    """Periodic atomic checkpointer bound to one campaign.
-
-    A ``None`` path makes every method a no-op, so campaign drivers can
-    call it unconditionally.
-    """
-
-    def __init__(
-        self,
-        path: PathLike | None,
-        campaign: CampaignMeta | None = None,
-        every: int = 0,
-        keep: int = 1,
-    ) -> None:
-        self.path = Path(path) if path is not None else None
-        self.campaign = campaign
-        self.every = every
-        self.keep = keep
-        self._since = 0
-
-    def step(self, cloud: FrustrationCloud, new_states: int) -> None:
-        """Record *new_states* freshly ingested states; write a rotated
-        checkpoint whenever ``every`` of them accumulate."""
-        if self.path is None:
-            return
-        self._since += new_states
-        if self.every > 0 and self._since >= self.every:
-            self.write(cloud)
-
-    def write(self, cloud: FrustrationCloud) -> None:
-        """Write a checkpoint now (atomic, rotated)."""
-        if self.path is None:
-            return
-        save_cloud(cloud, self.path, campaign=self.campaign, keep=self.keep)
-        self._since = 0
-
-    final = write
-
-
 def resume_cloud(
     cloud: FrustrationCloud,
     target_states: int,
@@ -659,78 +620,36 @@ def resume_cloud(
     seed: int | None = None,
     checkpoint_path: PathLike | None = None,
     checkpoint_every: int = 0,
-    batch_size: int | None = None,
+    batch_size: int | str | None = None,
     keep_checkpoints: int = 1,
     campaign: CampaignMeta | None = None,
     swaps_per_state: int | None = None,
 ) -> FrustrationCloud:
     """Continue a seeded campaign until ``target_states`` states.
 
-    The next tree index is ``cloud.num_states`` — resuming a
-    checkpointed campaign with the same ``(method, seed,
-    swaps_per_state)`` therefore produces exactly the states an
-    uninterrupted run would have.  When the cloud came from a v2 or v3
-    checkpoint (or *campaign* is passed), parameters left ``None``
-    inherit the stored campaign and explicit parameters are validated
-    against it; a conflict raises
+    This is the one campaign driver
+    (:func:`repro.parallel.pool.run_campaign`) resuming from *cloud*,
+    which it extends in place: the indices its campaign has not run —
+    the tail past a prefix checkpoint, or the holes of a salvage
+    checkpoint's ``done_blocks`` — are sampled and merged, so resuming
+    with the same ``(method, seed, swaps_per_state)`` produces exactly
+    the uninterrupted campaign, checkpoint byte for byte.  When the
+    cloud came from a v2 or v3 checkpoint (or *campaign* is passed),
+    parameters left ``None`` inherit the stored campaign and explicit
+    parameters are validated against it; a conflict raises
     :class:`~repro.errors.CheckpointError` instead of silently
     diverging.  Optionally re-checkpoints every ``checkpoint_every``
     new states (atomic writes, rotating ``keep_checkpoints`` files).
     ``batch_size`` sets how many trees each chunk stacks: it moves
-    the checkpoint boundaries, not the states.
+    the chunk boundaries, not the states.
     """
-    stored = campaign if campaign is not None else getattr(
-        cloud, "campaign_meta", None
+    from repro.parallel.pool import run_campaign
+
+    if campaign is not None:
+        cloud.campaign_meta = campaign
+    return run_campaign(
+        cloud.graph, target_states, method=method, seed=seed,
+        batch_size=batch_size, swaps_per_state=swaps_per_state,
+        checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
+        keep_checkpoints=keep_checkpoints, resume_from=cloud,
     )
-    if stored is not None and stored.done_blocks is not None:
-        raise CheckpointError(
-            "checkpoint holds salvaged pool blocks, not a contiguous "
-            "prefix of the campaign; finish it with "
-            "sample_cloud_pool(..., resume_from=...) or the CLI "
-            "`cloud --resume --workers`"
-        )
-    params = validate_campaign(
-        stored,
-        method=method,
-        seed=seed,
-        batch_size=batch_size,
-        store_states=cloud.store_states,
-        swaps_per_state=swaps_per_state,
-    )
-    method = params["method"]
-    batch_size = params["batch_size"]
-    swaps_per_state = params["swaps_per_state"]
-    if batch_size < 1:
-        raise ReproError("batch_size must be positive")
-    if target_states < cloud.num_states:
-        raise ReproError(
-            f"cloud already has {cloud.num_states} states > target {target_states}"
-        )
-    frozen = freeze_seed(params["seed"])
-    meta = CampaignMeta(
-        method=method,
-        seed=frozen,
-        batch_size=batch_size,
-        store_states=cloud.store_states,
-        swaps_per_state=swaps_per_state,
-    )
-    writer = CheckpointWriter(
-        checkpoint_path, meta, every=checkpoint_every, keep=keep_checkpoints
-    )
-    sampler = TreeSampler(
-        cloud.graph, method=method, seed=frozen,
-        swaps_per_state=swaps_per_state,
-    )
-    # Swap-chain states are a pure function of (seed, index), so a
-    # resume re-enters the chain at the cloud's next index and replays
-    # at most segment_length - 1 states to reach it — the states
-    # produced are exactly the uninterrupted campaign's.
-    for folded in ingest_states(
-        cloud, sampler, range(cloud.num_states, target_states),
-        batch_size=batch_size,
-    ):
-        writer.step(cloud, folded)
-    if checkpoint_path is not None:
-        writer.final(cloud)
-    cloud.campaign_meta = meta
-    return cloud

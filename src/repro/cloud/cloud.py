@@ -13,7 +13,6 @@ states is opt-in for the small-graph experiments that need Fig. 2's
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator
 
@@ -31,8 +30,6 @@ from repro.harary.bipartition import (
     sides_from_sign_to_root,
 )
 from repro.perf.compat import PhaseTimer
-from repro.perf.journal import get_journal, journal_event
-from repro.perf.registry import collecting, get_registry
 from repro.perf.tracing import span
 from repro.rng import SeedLike, freeze_seed
 from repro.trees.sampler import TreeSampler
@@ -48,17 +45,12 @@ __all__ = [
 ]
 
 
-def _no_phase(_name: str) -> contextlib.nullcontext:
-    return contextlib.nullcontext()
-
-
 def balanced_states(
     graph: SignedGraph,
     sampler: TreeSampler,
     indices: range,
     *,
     batch_size: int = 1,
-    timers: PhaseTimer | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The dense state producer behind :func:`ingest_states`.
 
@@ -74,20 +66,17 @@ def balanced_states(
     By the §3 parity argument the balanced sign of edge ``(u, v)`` is
     ``s2r[u] * s2r[v]`` on the tree, the state every cycle kernel
     (walk, lockstep, parity) reaches, so campaigns run none of those
-    per-tree kernels.  *timers* (a legacy
-    :class:`~repro.perf.compat.PhaseTimer`) receives the
-    ``tree_generation`` and ``cycle_processing`` phases.
+    per-tree kernels.
     """
-    phase = timers.phase if timers is not None else _no_phase
     for lo in range(0, len(indices), batch_size):
         chunk = indices[lo : lo + batch_size]
         if sampler.method == "swap":
-            with phase("tree_generation"), span("tree_sample"):
+            with span("tree_sample"):
                 state = sampler.swap_states(chunk)
         else:
-            with phase("tree_generation"), span("tree_sample"):
+            with span("tree_sample"):
                 batch = sampler.batch(chunk)
-            with phase("cycle_processing"), span("parity_kernel"):
+            with span("parity_kernel"):
                 state = balance_batch(graph, batch)
         yield state
 
@@ -98,33 +87,31 @@ def ingest_states(
     indices: range,
     *,
     batch_size: int = 1,
-    timers: PhaseTimer | None = None,
 ) -> Iterator[int]:
-    """The one ingest loop of every campaign driver.
+    """The one ingest loop, run by every campaign's block task
+    (:class:`~repro.parallel.pool.CampaignTask`).
 
     Folds the states of the tree *indices* into *cloud*, ``batch_size``
-    per chunk, and yields each chunk's state count once it is folded
-    (drivers checkpoint and journal between chunks).  Swap-chain states
-    go in as the chain's delta log
+    per chunk, and yields each chunk's state count once it is folded.
+    Swap-chain states go in as the chain's delta log
     (:meth:`FrustrationCloud.add_deltas`), at the cost of what each
     swap changed; every other method, and swap clouds that keep unique
     states (those need the sign rows), fold the dense chunks of
     :func:`balanced_states` with :meth:`FrustrationCloud.add_batch`.
     Both routes give the same cloud, bit for bit.
     """
-    phase = timers.phase if timers is not None else _no_phase
     if sampler.method == "swap" and not cloud.store_states:
         for lo in range(0, len(indices), batch_size):
-            with phase("tree_generation"), span("tree_sample"):
+            with span("tree_sample"):
                 log = sampler.swap_deltas(indices[lo : lo + batch_size])
-            with phase("harary_and_status"), span("harary"):
+            with span("harary"):
                 cloud.add_deltas(log)
             yield len(log)
         return
     for signs, s2r in balanced_states(
-        cloud.graph, sampler, indices, batch_size=batch_size, timers=timers
+        cloud.graph, sampler, indices, batch_size=batch_size
     ):
-        with phase("harary_and_status"), span("harary"):
+        with span("harary"):
             cloud.add_batch(signs, sides_from_sign_to_root(s2r))
         yield len(signs)
 
@@ -611,6 +598,14 @@ class _ChainFold:
         self._restart()
 
 
+#: The legacy :class:`PhaseTimer` phase each campaign span fills.
+_TIMER_PHASES = {
+    "tree_sample": "tree_generation",
+    "parity_kernel": "cycle_processing",
+    "harary": "harary_and_status",
+}
+
+
 def sample_cloud(
     graph: SignedGraph,
     num_states: int,
@@ -628,111 +623,65 @@ def sample_cloud(
     """Alg. 2: sample ``num_states`` spanning trees, balance each, and
     accumulate the Harary bipartitions into a cloud.
 
-    ``graph_store`` (a path or an open
-    :class:`~repro.graph.store.GraphStore`) records the packed store
-    file the campaign's graph came from in its checkpoint metadata, so
-    pool resumes can cross-check the store; the sequential engine
-    itself reads *graph* (pass ``store.graph()`` to sample directly
-    off the mapping).
-
-    Each iteration samples ``batch_size`` trees (the stacked BFS
-    sampler for ``method="bfs"``), balances all of them with one
-    batched parity pass, derives the Harary sides in O(n) per state
-    from the sign-to-root vectors, and folds the chunk into the cloud
-    with matrix reductions (see :func:`balanced_states`).  The batch
-    size changes the chunking, not the result: every ``batch_size``
-    gives the same cloud, attribute for attribute, with the same seed.
-    No per-tree cycle kernel runs: the state every kernel would reach
-    on a tree is a function of its sign-to-root vector.
-    ``batch_size="auto"`` picks :func:`auto_batch_size` for the graph.
+    This is the one campaign driver
+    (:func:`repro.parallel.pool.run_campaign`) at one worker, in this
+    process.  Each chunk of ``batch_size`` trees (the stacked BFS
+    sampler for ``method="bfs"``) is balanced with one batched parity
+    pass, the Harary sides come off the sign-to-root vectors in O(n)
+    per state, and the chunk folds into the cloud with matrix
+    reductions (see :func:`balanced_states`).  The batch size changes
+    the chunking, not the result: every ``batch_size`` gives the same
+    cloud, attribute for attribute, with the same seed.  No per-tree
+    cycle kernel runs: the state every kernel would reach on a tree is
+    a function of its sign-to-root vector.  ``batch_size="auto"`` picks
+    :func:`auto_batch_size` for the graph.
 
     ``method="swap"`` runs the incremental swap-chain engine
     (:mod:`repro.trees.swap_chain`): tree ``k+1`` is derived from tree
     ``k`` by ``swaps_per_state`` cut/link edge swaps, and both the
     balanced signs and the Harary sides are read straight off the
     chain's delta state — no labeling pass, no parity kernel.  Swap
-    clouds are deterministic in the seed but *statistically* (not
-    bit-for-bit) equivalent to BFS clouds; see EXPERIMENTS.md.
+    clouds are deterministic in the seed but do not estimate the BFS
+    cloud.  ``bfs`` estimates the cloud over randomized-BFS trees (the
+    paper's Alg. 2), ``wilson`` the all-trees cloud over uniform
+    spanning trees.  The chain's stationary law is uniform too, but
+    each segment starts from a fresh BFS tree and makes one swap per
+    state, far fewer than the chain needs to mix on a large graph, so
+    a swap cloud lies between the two, with correlated states; see
+    EXPERIMENTS.md.
 
     ``checkpoint_path`` writes a self-describing crash-safe checkpoint
     (atomic write, rotating ``keep_checkpoints`` files) every
     ``checkpoint_every`` states and once at the end, embedding the
     campaign parameters so :func:`repro.cloud.checkpoint.resume_cloud`
-    can validate a later resume against them.
+    can validate a later resume against them.  ``graph_store`` (a path
+    or an open :class:`~repro.graph.store.GraphStore` holding *graph*)
+    is recorded in that metadata, so resumes can cross-check the store.
+    *timers* (a legacy :class:`~repro.perf.compat.PhaseTimer`) receives
+    the campaign's ``tree_generation``, ``cycle_processing`` and
+    ``harary_and_status`` phases from its metrics window.
     """
+    from repro.parallel.pool import run_campaign
+    from repro.perf.export import span_stats
+
     if num_states < 0:
         raise ReproError(f"num_states must be non-negative, got {num_states}")
-    if batch_size == "auto":
-        batch_size = auto_batch_size(graph.num_vertices)
-    if not isinstance(batch_size, int) or batch_size < 1:
-        raise ReproError("batch_size must be a positive int or 'auto'")
-    if swaps_per_state < 1:
-        raise ReproError("swaps_per_state must be positive")
-    frozen = freeze_seed(seed)
-    sampler = TreeSampler(
-        graph, method=method, seed=frozen, swaps_per_state=swaps_per_state
+    cloud = run_campaign(
+        graph, num_states, method=method, seed=freeze_seed(seed),
+        store_states=store_states, batch_size=batch_size,
+        swaps_per_state=swaps_per_state, checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every,
+        keep_checkpoints=keep_checkpoints, graph_store=graph_store,
     )
-    cloud = FrustrationCloud(graph, store_states=store_states)
-    journal_event(
-        "campaign_started",
-        driver="sequential",
-        num_states=num_states,
-        method=method,
-        seed=frozen,
-        batch_size=batch_size,
-        swaps_per_state=swaps_per_state,
-        vertices=graph.num_vertices,
-        edges=graph.num_edges,
-    )
-    # Convergence snapshots: ~16 per campaign, only when journaling.
-    snap_every = max(1, num_states // 16)
-    writer = None
-    if checkpoint_path is not None:
-        from repro.cloud.checkpoint import CampaignMeta, CheckpointWriter
-
-        store_path = None
-        if graph_store is not None:
-            store_path = str(getattr(graph_store, "path", graph_store))
-        writer = CheckpointWriter(
-            checkpoint_path,
-            CampaignMeta(
-                method=method,
-                seed=frozen,
-                batch_size=batch_size,
-                store_states=store_states,
-                swaps_per_state=swaps_per_state,
-                graph_store=store_path,
-            ),
-            every=checkpoint_every,
-            keep=keep_checkpoints,
-        )
-    with collecting() as metrics, span("campaign"):
-        for folded in ingest_states(
-            cloud, sampler, range(num_states),
-            batch_size=batch_size, timers=timers,
-        ):
-            if writer is not None:
-                writer.step(cloud, folded)
-            # Snapshot when this chunk crossed a multiple of snap_every.
-            if (
-                get_journal() is not None
-                and cloud.num_states % snap_every < folded
-            ):
-                journal_event(
-                    "convergence",
-                    states=cloud.num_states,
-                    frustration_upper_bound=cloud.frustration_upper_bound(),
-                )
-        get_registry().count("cloud.states_total", num_states)
-    # Attach this campaign's own metrics window before the final
-    # checkpoint so its payload can embed it.
-    cloud.metrics = metrics.snapshot()
-    if writer is not None:
-        writer.final(cloud)
-        cloud.campaign_meta = writer.campaign
-    journal_event(
-        "campaign_completed", driver="sequential", states=cloud.num_states
-    )
+    if checkpoint_path is None:
+        # Only a checkpointed campaign pins its parameters for
+        # resume_cloud; an in-memory cloud resumes under any batch size.
+        del cloud.campaign_meta
+    if timers is not None:
+        for path, (seconds, calls) in span_stats(cloud.metrics).items():
+            phase = _TIMER_PHASES.get(path.rsplit("/", 1)[-1])
+            if phase is not None:
+                timers.add(phase, seconds, calls)
     return cloud
 
 

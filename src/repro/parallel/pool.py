@@ -1,16 +1,16 @@
-"""Process-pool cloud sampling — real cross-tree parallelism.
+"""The one campaign driver, and process-pool cloud sampling.
 
 The simplest parallelization of Alg. 2 runs different trees on
-different workers (§3.3's opening observation).  This driver does that
-over the package's one block executor (:mod:`repro.parallel.
-supervisor`): each worker builds and balances a block of tree indices
-(:class:`CampaignTask`), accumulates a local :class:`FrustrationCloud`,
-and the parent merges the per-block clouds in sorted block order.
-Every campaign — fresh, work-stealing, swap or resumed — is cut by one
-planner (:func:`plan_blocks`) into contiguous step-1 blocks, so the
-merge replays the sequential :func:`repro.cloud.sample_cloud` for the
-same seed byte for byte, flip-count log included (tested), because
-:class:`TreeSampler` hands out tree *i* deterministically.
+different workers (§3.3's opening observation).  :func:`run_campaign`,
+behind every cloud campaign, does that over the package's one block
+executor (:mod:`repro.parallel.supervisor`): one planner
+(:func:`plan_blocks`) cuts the campaign into contiguous step-1 blocks,
+each is balanced into a local :class:`FrustrationCloud`
+(:class:`CampaignTask`), and the parent merges each completed block
+into one running cloud exactly once.  :class:`TreeSampler` hands out
+tree *i* deterministically and the accumulators are exact integers,
+so a campaign of any worker count writes the sequential checkpoint
+byte for byte (tested).
 
 The graph reaches each worker exactly once, through the executor's
 *initializer*, and blocks travel as three integers ``(start, stop,
@@ -40,26 +40,27 @@ executor journals which worker ran each block and a ``steal_summary``
 event with the per-worker block/state tallies, so imbalance is visible
 after the fact.
 
-Crash safety: when ``checkpoint_path`` is given and a block crashes,
+Crash safety: ``checkpoint_every=k`` caps blocks at k states and
+checkpoints the running cloud each time k more have merged, at any
+worker count.  When a block crashes (or the campaign is interrupted),
 the parent salvages every block that *did* complete into an atomic
 checkpoint whose campaign metadata records exactly which
-``(start, stop, step)`` blocks it contains; ``resume_from`` later
+``(start, stop, step)`` blocks it contains; a resume —
+``resume_from``, ``resume_cloud`` or ``repro cloud --resume`` — later
 plans blocks over only the missing indices and merges them in, so a
-crashed campaign loses at most the in-flight blocks.  Sequential
-:func:`~repro.cloud.checkpoint.resume_cloud` refuses such salvage
-checkpoints (they are not a contiguous prefix of the campaign).
+crashed campaign loses at most the in-flight blocks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cloud.cloud import FrustrationCloud, ingest_states
+from repro.cloud.cloud import FrustrationCloud, auto_batch_size, ingest_states
 from repro.errors import CheckpointError, EngineError, SupervisorError
 from repro.graph.csr import SignedGraph
 from repro.graph.store import GraphStore, graph_fingerprint
@@ -69,7 +70,7 @@ from repro.parallel.supervisor import (
     RetryPolicy,
 )
 from repro.perf.flight import install_flight_recorder, set_flight_recorder
-from repro.perf.journal import journal_event
+from repro.perf.journal import get_journal, journal_event
 from repro.perf.registry import collecting, get_registry
 from repro.perf.tracing import set_trace_collector, span
 from repro.rng import SeedLike, freeze_seed
@@ -78,7 +79,9 @@ from repro.trees.sampler import TreeSampler
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
 
-__all__ = ["sample_cloud_pool"]
+    from repro.cloud.checkpoint import CampaignMeta
+
+__all__ = ["run_campaign", "sample_cloud_pool"]
 
 Block = Tuple[int, int, int]
 StoreLike = Union[str, "Path", GraphStore]
@@ -199,10 +202,10 @@ def _worker_graph(fingerprint: str | None) -> SignedGraph:
 @dataclass(frozen=True)
 class CampaignTask(BlockTask):
     """Balance the tree indices ``range(*block)`` and return the local
-    cloud — the block task of every cloud campaign (the pool driver
-    here and serve growth).  Pure compute: the executor's envelope
-    (:mod:`repro.parallel.supervisor`) adds the span, metrics window,
-    flight marks and trace shard around it."""
+    cloud — the block task of every cloud campaign (the one driver,
+    :func:`run_campaign`, and serve growth).  Pure compute: the
+    executor's envelope (:mod:`repro.parallel.supervisor`) adds the
+    span, metrics window, flight marks and trace shard around it."""
 
     method: str
     seed: int
@@ -211,11 +214,21 @@ class CampaignTask(BlockTask):
     swaps_per_state: int = 1
 
     def sampler(self, graph: SignedGraph) -> TreeSampler:
-        """The campaign's tree sampler over *graph*."""
-        return TreeSampler(
-            graph, method=self.method, seed=self.seed,
-            swaps_per_state=self.swaps_per_state,
-        )
+        """The campaign's tree sampler over *graph*.  This task object
+        keeps it between blocks, so consecutive in-process blocks of a
+        swap campaign walk on along the chain instead of replaying its
+        segment; it never travels to a pool worker."""
+        sampler = self.__dict__.get("_sampler")
+        if sampler is None or sampler.graph is not graph:
+            sampler = TreeSampler(
+                graph, method=self.method, seed=self.seed,
+                swaps_per_state=self.swaps_per_state,
+            )
+            object.__setattr__(self, "_sampler", sampler)
+        return sampler
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_sampler"}
 
     def __call__(self, graph: SignedGraph, block: Block) -> FrustrationCloud:
         sampler = self.sampler(graph)
@@ -290,24 +303,27 @@ def _uncovered_runs(
 
 
 def plan_blocks(
-    done: Sequence[Block], target: int, pieces: int
+    done: Sequence[Block], target: int, pieces: int, most: int = 0
 ) -> list[Block]:
     """Cut the indices of ``[0, target)`` no *done* block covers into
     *pieces* near-equal contiguous step-1 blocks, in index order.
 
     The uncovered indices are cut as if they were one range (so with
     nothing done this is :func:`_contiguous_blocks`), and a piece that
-    would span a covered index is split there instead.  Contiguous
-    blocks merged in index order reproduce the sequential campaign's
-    flip-count log, and keep each swap block's chain replay to at most
-    ``segment_length - 1`` states.
+    would span a covered index is split there instead.  ``most > 0``
+    adds pieces until none holds more than *most* states (the
+    campaign's ``checkpoint_every``, so checkpoints fall on block
+    boundaries).  Contiguous blocks merged in index order reproduce the
+    sequential campaign's flip-count log, and keep each swap block's
+    chain replay to at most ``segment_length - 1`` states.
     """
     runs = _uncovered_runs(done, target)
+    total = sum(stop - start for start, stop in runs)
+    if most > 0:
+        pieces = max(pieces, -(-total // most))
     blocks: list[Block] = []
     run, offset = 0, 0  # the run holding virtual index `offset`
-    for lo, hi, _step in _contiguous_blocks(
-        sum(stop - start for start, stop in runs), pieces
-    ):
+    for lo, hi, _step in _contiguous_blocks(total, pieces):
         while lo < hi:
             start, stop = runs[run]
             size = stop - start
@@ -319,41 +335,159 @@ def plan_blocks(
     return blocks
 
 
-def sample_cloud_pool(
+@dataclass
+class _RunningCloud:
+    """A campaign's one running cloud and its checkpoint.
+
+    Each completed block is merged in exactly once, in completion
+    order (:meth:`fold`).  Every checkpoint — periodic, final, salvage
+    or partial — is one :meth:`write`, which first lays the flip-count
+    log out in campaign-index order."""
+
+    cloud: FrustrationCloud
+    target: int
+    campaign: "CampaignMeta"
+    path: object = None
+    every: int = 0
+    keep: int = 1
+    #: Blocks whose flip counts lead the log, in index order.
+    done: list = field(default_factory=list)
+    #: Blocks merged since, in merge order.
+    fresh: list = field(default_factory=list)
+    since: int = 0  # states merged since the last periodic write
+    ran: int = 0  # blocks this run completed
+
+    def fold(self, block: Block, local: FrustrationCloud) -> None:
+        """Merge one completed block; journal a convergence snapshot
+        and write a periodic checkpoint when one is due."""
+        if self.cloud.num_states or self.done or (
+            local.graph is not self.cloud.graph
+        ):
+            self.cloud.merge(local)
+        else:
+            # A fresh campaign's first in-process block becomes the
+            # running cloud: no O(n + m) merge into zeros.
+            self.cloud = local
+        self.fresh.append(block)
+        self.since += local.num_states
+        self.ran += 1
+        if get_journal() is not None:
+            journal_event(
+                "convergence",
+                states=self.cloud.num_states,
+                frustration_upper_bound=self.cloud.frustration_upper_bound(),
+            )
+        if self.path is not None and 0 < self.every <= self.since:
+            self.write(partial=False)
+
+    def _index_order(self) -> None:
+        fresh, self.fresh = self.fresh, []
+        # Blocks that merged in index order, each past everything held
+        # (every in-process run), need no permutation.
+        last = max(
+            (range(*b)[-1] for b in self.done if _block_len(b)), default=-1
+        )
+        in_order = True
+        for start, stop, _step in fresh:
+            in_order, last = in_order and start > last, stop - 1
+        if not in_order:
+            # The held log lists its indices in order, holes and all
+            # (older salvage checkpoints hold strided rows).
+            held = np.unique(np.concatenate([np.empty(0, np.int64), *(
+                np.arange(s, min(e, self.target), st)
+                for s, e, st in self.done
+            )]))
+            index = np.concatenate([held, *(np.arange(*b) for b in fresh)])
+            self.cloud.reorder_flip_counts(np.argsort(index, kind="stable"))
+        self.done = sorted(self.done + fresh)
+
+    def write(
+        self, partial: bool, quarantined: tuple | None = None
+    ) -> "CampaignMeta":
+        """Checkpoint the running cloud (when there is a path) and
+        return its campaign metadata.  A periodic or final write whose
+        blocks are exactly ``[0, num_states)`` records no
+        ``done_blocks``; salvage and partial writes always list them."""
+        from repro.cloud.checkpoint import save_cloud
+
+        self._index_order()
+        meta = self.campaign
+        if partial or _uncovered_runs(self.done, self.cloud.num_states):
+            meta = dataclasses.replace(
+                meta, done_blocks=tuple(self.done),
+                quarantined_blocks=quarantined,
+            )
+        if self.path is not None:
+            self.cloud.metrics = get_registry().snapshot()
+            save_cloud(self.cloud, self.path, campaign=meta, keep=self.keep)
+        self.since = 0
+        return meta
+
+    def salvage(self) -> bool:
+        """Write every merged block with its ``done_blocks``; False when
+        there is nothing to save or nowhere to put it."""
+        if self.path is None or not (self.done or self.fresh):
+            return False
+        self.write(partial=True)
+        journal_event(
+            "salvage_written", blocks=self.ran, states=self.cloud.num_states,
+            path=str(self.path),
+        )
+        return True
+
+
+def run_campaign(
     graph: SignedGraph,
     num_states: int,
-    workers: int = 2,
-    method: str = "bfs",
-    seed: SeedLike = 0,
-    store_states: bool = False,
-    batch_size: int = 1,
+    *,
+    workers: int = 1,
+    method: str | None = None,
+    seed: SeedLike = None,
+    store_states: bool | None = None,
+    batch_size: int | str | None = None,
+    swaps_per_state: int | None = None,
     checkpoint_path=None,
+    checkpoint_every: int = 0,
     keep_checkpoints: int = 1,
     resume_from=None,
     fault: Callable[[Block], None] | None = None,
     policy: "RetryPolicy | None" = None,
-    swaps_per_state: int = 1,
     graph_store: StoreLike | None = None,
     steal_chunks: int | None = None,
     flight_dir: str | None = None,
 ) -> FrustrationCloud:
-    """Alg. 2 with tree-level process parallelism.
+    """The one campaign driver: Alg. 2 over ``num_states`` tree indices,
+    cut by :func:`plan_blocks` and run on the supervisor's ladder.
 
-    Equivalent to ``sample_cloud(graph, num_states, method, seed)``,
-    byte for byte (with ``store_states``, a resume that fills a hole in
-    a salvage checkpoint lists the hole's newly seen unique states
-    last).  ``workers=1`` runs in-process without spawning.
-    ``batch_size`` sets how many trees each worker stacks per chunk.
+    :func:`~repro.cloud.cloud.sample_cloud` is this driver at one
+    worker, :func:`~repro.cloud.checkpoint.resume_cloud` is it resuming
+    a loaded cloud, :func:`sample_cloud_pool` is it at any worker count,
+    and ``repro cloud`` calls it directly.  Every worker count gives
+    ``sample_cloud(graph, num_states, method, seed)`` byte for byte,
+    checkpoint included; ``workers=1`` runs in-process without
+    spawning.  Campaign parameters (``method``, ``seed``,
+    ``store_states``, ``batch_size``, ``swaps_per_state``) left
+    ``None`` inherit the stored campaign on resume and take the
+    defaults (``bfs``, seed 0, no stored states, batch size 1, one swap
+    per state) otherwise; explicit ones are validated against the
+    stored campaign (:func:`~repro.cloud.checkpoint.validate_campaign`).
+    ``batch_size`` sets how many trees each block stacks per chunk;
+    ``"auto"`` resolves once, to :func:`auto_batch_size`.
 
     ``checkpoint_path`` writes a self-describing checkpoint when the
-    campaign completes — and, if a block crashes mid-campaign (or the
-    campaign is interrupted), a *salvage* checkpoint holding every block
-    that did complete (the raised :class:`~repro.errors.EngineError`
-    names it; a :class:`KeyboardInterrupt` is re-raised unchanged after
-    the salvage is written).  ``resume_from`` loads such a checkpoint
-    (falling back through its rotation backups), validates the campaign
-    parameters against the stored metadata, reruns only the missing
-    indices, and merges.  *fault* is a fault-injection hook for
+    campaign completes and, with ``checkpoint_every=k``, each time k
+    more states have merged (the campaign is then cut into blocks of at
+    most k states, so every worker count checkpoints on block
+    boundaries).  If a block crashes mid-campaign (or the campaign is
+    interrupted), a *salvage* checkpoint holds every block that did
+    complete (the raised :class:`~repro.errors.EngineError` names it; a
+    :class:`KeyboardInterrupt` is re-raised unchanged after the salvage
+    is written).  A checkpoint whose blocks are not one prefix of the
+    campaign records them as ``done_blocks``.  ``resume_from`` loads a
+    checkpoint (falling back through its rotation backups) or takes a
+    loaded cloud, validates the campaign parameters against the stored
+    metadata, reruns only the missing indices, and merges (a loaded
+    cloud is extended in place).  *fault* is a fault-injection hook for
     the crash tests (see :class:`repro.util.faults.WorkerCrash`); it is
     invoked in the worker with each ``(start, stop, step)`` block
     before processing.
@@ -390,8 +524,8 @@ def sample_cloud_pool(
     workers``) feed the executor's shared queue, so idle workers
     immediately pull the next block and stragglers delay only
     themselves.  Results stay bit-identical to the sequential campaign
-    either way — blocks merge in sorted index order regardless of which
-    worker ran them.
+    either way — the merged cloud's accumulators are exact integers and
+    its flip-count log is put in index order before every write.
 
     ``flight_dir`` arms a crash flight recorder in every worker process
     (and uses the parent's, if one is installed, for in-process
@@ -410,22 +544,34 @@ def sample_cloud_pool(
     from repro.cloud.checkpoint import (
         CampaignMeta,
         recover_cloud,
-        save_cloud,
         validate_campaign,
     )
 
-    if num_states < 1:
-        raise EngineError("num_states must be positive")
+    if num_states < 0:
+        raise EngineError(f"num_states must be non-negative, got {num_states}")
     if workers < 1:
         raise EngineError("workers must be positive")
-    if batch_size < 1:
-        raise EngineError("batch_size must be positive")
-    if swaps_per_state < 1:
-        raise EngineError("swaps_per_state must be positive")
     if steal_chunks is not None and steal_chunks < 1:
         raise EngineError("steal_chunks must be positive")
-    frozen = freeze_seed(seed)
-    fingerprint = graph_fingerprint(graph)
+    base, stored = None, None
+    if isinstance(resume_from, FrustrationCloud):
+        base, stored = resume_from, getattr(resume_from, "campaign_meta", None)
+        graph = base.graph
+    elif resume_from is not None:
+        base, stored, _source = recover_cloud(resume_from, graph)
+    if batch_size == "auto":
+        batch_size = auto_batch_size(graph.num_vertices)
+    if store_states is None and base is not None:
+        store_states = base.store_states
+    params = validate_campaign(
+        stored, method=method, batch_size=batch_size,
+        seed=None if seed is None else freeze_seed(seed),
+        store_states=store_states, swaps_per_state=swaps_per_state,
+    )
+    if not isinstance(params["batch_size"], int) or params["batch_size"] < 1:
+        raise EngineError("batch_size must be a positive int or 'auto'")
+    task = CampaignTask(**params)
+    task.sampler(graph)  # rejects an unknown method or swaps_per_state < 1
 
     store: GraphStore | None = None
     if graph_store is not None:
@@ -435,230 +581,167 @@ def sample_cloud_pool(
                 if isinstance(graph_store, GraphStore)
                 else GraphStore.open(graph_store)
             )
-            if store.fingerprint != fingerprint:
-                raise EngineError(
-                    f"graph store {store.path} holds a different graph "
-                    f"(fingerprint {store.fingerprint[:12]}...) than the "
-                    "one passed to sample_cloud_pool; pass store.graph() "
-                    "to guarantee agreement"
-                )
-
-    base: FrustrationCloud | None = None
-    prior_blocks: tuple[Block, ...] = ()
-    if resume_from is not None:
-        base, meta, _source = recover_cloud(resume_from, graph)
-        if meta is not None:
-            validate_campaign(
-                meta,
-                method=method,
-                seed=frozen,
-                batch_size=batch_size,
-                store_states=store_states,
-                swaps_per_state=swaps_per_state,
-            )
-            recorded = meta.graph_store
-            if recorded is not None and os.path.exists(recorded):
-                # The original campaign ran against a packed store; if
-                # it is still around, its header must describe the same
-                # graph we are about to continue with (a repacked store
-                # means someone changed the graph under the campaign).
-                if GraphStore.read_header(recorded).fingerprint != fingerprint:
-                    raise CheckpointError(
-                        f"checkpoint records graph store {recorded}, whose "
-                        "current contents hold a different graph "
-                        "(fingerprint mismatch); refusing to resume "
-                        "against it"
-                    )
-        prior_blocks = (
-            meta.done_blocks if meta is not None else None
-        ) or ((0, base.num_states, 1),)
-    blocks = plan_blocks(prior_blocks, num_states, steal_chunks or workers)
-
-    campaign = CampaignMeta(
-        method=method,
-        seed=frozen,
-        batch_size=batch_size,
-        store_states=store_states,
-        swaps_per_state=swaps_per_state,
-        graph_store=str(store.path) if store is not None else None,
+    prior: tuple[Block, ...] = ()
+    if base is not None:
+        prior = (stored.done_blocks if stored is not None else None) or (
+            (0, base.num_states, 1),
+        )
+    blocks = plan_blocks(
+        prior, num_states, steal_chunks or workers, checkpoint_every
     )
     base_states = base.num_states if base is not None else 0
-    expected = base_states + sum(_block_len(b) for b in blocks)
-    if expected != num_states:
+    remaining = sum(_block_len(b) for b in blocks)
+    if base_states + remaining != num_states:
         raise CheckpointError(
             f"resume accounting mismatch: checkpoint holds {base_states} "
-            f"states and {sum(_block_len(b) for b in blocks)} remain, but "
-            f"the target is {num_states} (was the checkpoint produced by a "
-            "larger campaign?)"
+            f"states and {remaining} remain, but the target is "
+            f"{num_states} (was the checkpoint produced by a larger "
+            "campaign?)"
         )
 
-    def _finalize(cloud: FrustrationCloud) -> FrustrationCloud:
-        cloud.metrics = get_registry().snapshot()
-        if checkpoint_path is not None:
-            save_cloud(
-                cloud, checkpoint_path, campaign=campaign,
-                keep=keep_checkpoints,
-            )
-        cloud.campaign_meta = campaign
-        return cloud
-
-    def _merge_completed(
-        completed: list[tuple[Block, FrustrationCloud]],
-    ) -> FrustrationCloud:
-        """Fold completed block clouds into the resume base in sorted
-        block order — the order is what makes a healed campaign
-        bit-identical to a fault-free one.  The resume base's restored
-        metrics snapshot is folded into the active registry once (the
-        executor already absorbed every block's)."""
-        merged = (
-            base
-            if base is not None
-            else FrustrationCloud(graph, store_states=store_states)
+    # Hash the graph only when something checks it: pool workers, a
+    # store, or a resume whose recorded store is still around.
+    recorded = stored.graph_store if stored is not None else None
+    if recorded is not None and not os.path.exists(recorded):
+        recorded = None
+    fingerprint = None
+    if store is not None or recorded is not None or (
+        workers > 1 and len(blocks) > 1
+    ):
+        fingerprint = graph_fingerprint(graph)
+    if store is not None and store.fingerprint != fingerprint:
+        raise EngineError(
+            f"graph store {store.path} holds a different graph "
+            f"(fingerprint {store.fingerprint[:12]}...) than the one "
+            "passed to the campaign; pass store.graph() to guarantee "
+            "agreement"
         )
-        snap = getattr(merged, "metrics", None)
-        if snap:
-            get_registry().merge_snapshot(snap)
-            merged.metrics = None
-        ordered = sorted(completed, key=lambda pair: pair[0][0])
-        for _block, local in ordered:
-            merged.merge(local)
-        if base is not None and ordered:
-            # The base lists its states' flip counts in index order,
-            # holes and all; keep the merged log in index order too, so
-            # filling a hole reproduces the sequential log.
-            index = np.concatenate([
-                np.unique(np.concatenate([
-                    np.arange(s, min(e, num_states), st)
-                    for s, e, st in prior_blocks
-                ])),
-                *(np.arange(*block) for block, _c in ordered),
-            ])
-            merged.reorder_flip_counts(np.argsort(index, kind="stable"))
-        return merged
-
-    def _partial_campaign(
-        done: Sequence[Block],
-        quarantined: tuple[Block, ...] | None = None,
-    ) -> CampaignMeta:
-        return dataclasses.replace(
-            campaign,
-            done_blocks=tuple(sorted(prior_blocks + tuple(done))),
-            quarantined_blocks=quarantined,
+    if recorded is not None and (
+        GraphStore.read_header(recorded).fingerprint != fingerprint
+    ):
+        # A repacked store means someone changed the graph under the
+        # campaign.
+        raise CheckpointError(
+            f"checkpoint records graph store {recorded}, whose current "
+            "contents hold a different graph (fingerprint mismatch); "
+            "refusing to resume against it"
         )
 
-    def _salvage(
-        completed: list[tuple[Block, FrustrationCloud]],
-    ) -> FrustrationCloud | None:
-        """Checkpoint every completed block (plus the resume base) with
-        its ``done_blocks`` recorded; returns the salvage cloud, or
-        ``None`` when there is nothing to save or nowhere to put it."""
-        if checkpoint_path is None or not (completed or base is not None):
-            return None
-        salvage = _merge_completed(completed)
-        salvage.metrics = get_registry().snapshot()
-        save_cloud(
-            salvage,
-            checkpoint_path,
-            campaign=_partial_campaign(tuple(b for b, _c in completed)),
-            keep=keep_checkpoints,
-        )
-        journal_event(
-            "salvage_written",
-            blocks=len(completed),
-            states=salvage.num_states,
-            path=str(checkpoint_path),
-        )
-        return salvage
-
+    running = _RunningCloud(
+        base if base is not None
+        else FrustrationCloud(graph, store_states=task.store_states),
+        num_states,
+        CampaignMeta(
+            **params,
+            graph_store=str(store.path) if store is not None else None,
+        ),
+        checkpoint_path, checkpoint_every, keep_checkpoints, list(prior),
+    )
+    driver = "sequential" if workers == 1 else "pool"
     journal_event(
         "campaign_started",
-        driver="pool",
+        driver=driver,
         num_states=num_states,
         workers=workers,
-        method=method,
-        seed=frozen,
-        batch_size=batch_size,
-        swaps_per_state=swaps_per_state,
+        method=task.method,
+        seed=task.seed,
+        batch_size=task.batch_size,
+        swaps_per_state=task.swaps_per_state,
         resumed_states=base_states,
         blocks=len(blocks),
         vertices=graph.num_vertices,
         edges=graph.num_edges,
-        graph_store=str(store.path) if store is not None else None,
+        graph_store=running.campaign.graph_store,
         steal_chunks=steal_chunks,
     )
-
-    def _campaign() -> FrustrationCloud:
-        if not blocks:
-            return _finalize(base)
-        task = CampaignTask(
-            method=method, seed=frozen, store_states=store_states,
-            batch_size=batch_size, swaps_per_state=swaps_per_state,
-        )
-        supervisor = CampaignSupervisor(
-            graph, blocks, task, seed=frozen, workers=workers,
-            policy=policy if policy is not None else _NO_RETRY,
-            fault=fault, graph_store=store, flight_dir=flight_dir,
-        )
-        try:
-            completed, report = supervisor.run()
-        except BaseException:
-            # An interrupt (parent-side ^C, or one raised by a block):
-            # the ladder consumes block faults, so anything escaping is
-            # a stop request — salvage and re-raise unchanged.
-            _salvage(supervisor.completed)
-            raise
-        if report.ok:
-            result = _finalize(_merge_completed(completed))
-            if policy is not None:
-                result.run_report = report
-            return result
-        if policy is None:
+    report = None
+    with collecting() as metrics, span("campaign"):
+        # A resume base's restored metrics join this campaign's window
+        # once; every block's snapshot is absorbed by the executor.
+        get_registry().merge_snapshot(getattr(base, "metrics", None))
+        if base is not None:
+            base.metrics = None
+        if blocks:
+            supervisor = CampaignSupervisor(
+                graph, blocks, task, seed=task.seed, workers=workers,
+                policy=policy if policy is not None else _NO_RETRY,
+                fault=fault, graph_store=store, flight_dir=flight_dir,
+                fingerprint=fingerprint, on_complete=running.fold,
+            )
+            try:
+                _blocks, report = supervisor.run()
+            except BaseException:
+                # An interrupt (parent-side ^C, or one raised by a
+                # block): the ladder consumes block faults, so anything
+                # escaping is a stop request — salvage, re-raise as is.
+                running.salvage()
+                raise
+        cloud = running.cloud
+        if report is None or report.ok:
+            cloud.campaign_meta = running.write(partial=False)
+        elif policy is None:
             # No-retry contract: a crashed block fails the campaign,
             # after every completed block is salvaged for resume_from.
             failed = min(report.quarantined, key=lambda q: q["block"])
             detail = f"pool block {failed['block']} crashed: {failed['error']}"
-            salvage = _salvage(completed)
-            if salvage is not None:
+            if running.salvage():
                 raise EngineError(
-                    f"{detail}; salvaged {len(completed)} completed "
-                    f"block(s) ({salvage.num_states} states) to "
-                    f"{checkpoint_path} — finish with "
-                    "sample_cloud_pool(..., resume_from=...)"
+                    f"{detail}; salvaged {running.ran} completed block(s) "
+                    f"({cloud.num_states} states) to {checkpoint_path} — "
+                    "finish with sample_cloud_pool(..., resume_from=...)"
                 )
             raise EngineError(detail)
-        # Quarantined or deadline-abandoned blocks: return the partial
-        # cloud with done_blocks (and the quarantine list) checkpointed
-        # and recorded, so resume_from re-attempts exactly the rest.
-        merged = _merge_completed(completed)
-        if merged.num_states == 0:
+        elif cloud.num_states == 0:
             raise SupervisorError(
                 f"supervised campaign produced no states ({report.summary()})",
                 report=report,
             )
-        meta = _partial_campaign(
-            tuple(b for b, _c in completed),
-            report.quarantined_blocks or None,
-        )
-        if checkpoint_path is not None:
-            merged.metrics = get_registry().snapshot()
-            save_cloud(
-                merged, checkpoint_path, campaign=meta, keep=keep_checkpoints
+        else:
+            # Quarantined or deadline-abandoned blocks: the partial
+            # cloud records done_blocks (and the quarantine list), so
+            # resume_from re-attempts exactly the rest.
+            cloud.campaign_meta = running.write(
+                partial=True, quarantined=report.quarantined_blocks or None
             )
-        merged.campaign_meta = meta
-        merged.run_report = report
-        return merged
-
-    with collecting() as metrics, span("campaign"):
-        cloud = _campaign()
-    journal_event(
-        "campaign_completed", driver="pool", states=cloud.num_states
-    )
-    # The campaign window (worker snapshots merged in, plus the closed
-    # campaign span) supersedes whatever _finalize embedded in the
-    # checkpoint moments earlier.
-    snap = metrics.snapshot()
-    cloud.metrics = snap
-    report = getattr(cloud, "run_report", None)
-    if report is not None:
-        report.metrics = snap
+    journal_event("campaign_completed", driver=driver, states=cloud.num_states)
+    # The closed campaign window supersedes what the checkpoint embedded.
+    cloud.metrics = metrics.snapshot()
+    if policy is not None and report is not None:
+        report.metrics = cloud.metrics
+        cloud.run_report = report
     return cloud
+
+
+def sample_cloud_pool(
+    graph: SignedGraph,
+    num_states: int,
+    workers: int = 2,
+    method: str | None = "bfs",
+    seed: SeedLike = 0,
+    store_states: bool | None = False,
+    batch_size: int | str | None = 1,
+    checkpoint_path=None,
+    keep_checkpoints: int = 1,
+    resume_from=None,
+    fault: Callable[[Block], None] | None = None,
+    policy: "RetryPolicy | None" = None,
+    swaps_per_state: int | None = 1,
+    graph_store: StoreLike | None = None,
+    steal_chunks: int | None = None,
+    flight_dir: str | None = None,
+    checkpoint_every: int = 0,
+) -> FrustrationCloud:
+    """Alg. 2 with tree-level process parallelism: :func:`run_campaign`
+    at *workers* workers, for a positive ``num_states``.  See
+    :func:`run_campaign` for the parameters."""
+    if num_states < 1:
+        raise EngineError("num_states must be positive")
+    return run_campaign(
+        graph, num_states, workers=workers, method=method, seed=seed,
+        store_states=store_states, batch_size=batch_size,
+        swaps_per_state=swaps_per_state, checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every,
+        keep_checkpoints=keep_checkpoints, resume_from=resume_from,
+        fault=fault, policy=policy, graph_store=graph_store,
+        steal_chunks=steal_chunks, flight_dir=flight_dir,
+    )

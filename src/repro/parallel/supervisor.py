@@ -58,10 +58,10 @@ Determinism: a block's result depends only on its ``(start, stop,
 step)`` indices and the task's parameters (:class:`~repro.trees.
 sampler.TreeSampler` hands out tree *i* deterministically), so retries,
 pool rebuilds, and in-process degradation cannot change what a block
-computes — only *whether* it completes.  Callers merge completed
-blocks in sorted block order, so a campaign that heals is bit-identical
-to one that never faulted (tested in
-``tests/parallel/test_supervisor.py``).
+computes — only *whether* it completes.  The campaign driver merges
+blocks into exact integer accumulators and lays the flip-count log out
+in index order, so a campaign that heals is bit-identical to one that
+never faulted (tested in ``tests/parallel/test_supervisor.py``).
 
 Every fault, retry, backoff, teardown, degradation, and quarantine is
 recorded as a :class:`FaultEvent` in the :class:`RunReport`, which
@@ -86,7 +86,7 @@ from typing import Any, Callable, NamedTuple, Sequence, Tuple
 from repro.errors import SupervisorError
 from repro.graph.csr import SignedGraph
 from repro.perf.flight import get_flight_recorder
-from repro.perf.journal import journal_event
+from repro.perf.journal import get_journal, journal_event
 from repro.perf.registry import collecting, get_registry
 from repro.perf.tracectx import TraceContext, current_trace, trace_scope
 from repro.perf.tracing import (
@@ -412,9 +412,14 @@ class CampaignSupervisor:
     *seed* keys the deterministic backoff jitter.  ``graph_store`` (a
     path or an open :class:`~repro.graph.store.GraphStore` holding
     *graph*) switches workers to the zero-copy initializer.
+    *fingerprint* is the caller's hash of *graph*; without one the
+    graph is hashed only when workers or a store need it.
     ``stop_event`` requests a cooperative stop (see
     :func:`run_supervised`); ``flight_dir`` arms a flight recorder in
-    every worker process.
+    every worker process.  ``on_complete(block, result)`` takes each
+    block's result the moment it completes (the campaign driver folds
+    it into its running cloud); :attr:`completed` then holds the block
+    with ``None`` in place of the result.
     """
 
     def __init__(
@@ -430,10 +435,16 @@ class CampaignSupervisor:
         graph_store=None,
         stop_event: "threading.Event | None" = None,
         flight_dir: str | None = None,
+        fingerprint: str | None = None,
+        on_complete: Callable[[Block, Any], None] | None = None,
     ) -> None:
         from repro.graph.store import GraphStore, graph_fingerprint
 
         self.graph = graph
+        self.blocks = [tuple(int(x) for x in b) for b in blocks]
+        # The pool rung engages only when there is parallel work; one
+        # worker or one block runs the in-process ladder.
+        self.pooled = workers > 1 and len(self.blocks) > 1
         # Zero-copy mode: workers map the packed store file instead of
         # receiving a pickled graph, and every pool rebuild reopens the
         # mapping (a header read) instead of re-pickling.  The campaign
@@ -443,7 +454,9 @@ class CampaignSupervisor:
         if graph_store is not None and not isinstance(graph_store, GraphStore):
             graph_store = GraphStore.open(graph_store)
         self.graph_store: GraphStore | None = graph_store
-        self.fingerprint = graph_fingerprint(graph)
+        if fingerprint is None and (self.pooled or graph_store is not None):
+            fingerprint = graph_fingerprint(graph)
+        self.fingerprint = fingerprint
         if graph_store is not None and (
             graph_store.fingerprint != self.fingerprint
         ):
@@ -451,7 +464,6 @@ class CampaignSupervisor:
                 f"graph store {graph_store.path} holds a different graph "
                 "than the one being supervised (fingerprint mismatch)"
             )
-        self.blocks = [tuple(int(x) for x in b) for b in blocks]
         self.task = task
         self.seed = seed
         self.workers = workers
@@ -459,9 +471,7 @@ class CampaignSupervisor:
         self.fault = fault
         self.stop_event = stop_event
         self.flight_dir = flight_dir
-        # The pool rung engages only when there is parallel work; one
-        # worker or one block runs the in-process ladder.
-        self.pooled = workers > 1 and len(self.blocks) > 1
+        self.on_complete = on_complete
         # The ambient trace context (the campaign span's, or a serve
         # request's) at construction time is what every pool task's
         # block span chains under; None when no trace is being
@@ -538,13 +548,18 @@ class CampaignSupervisor:
         collector = get_trace_collector()
         if outcome.shard and collector is not None:
             absorb_shard(collector, outcome.shard)
-        self.completed.append((block, outcome.result))
+        result = outcome.result
         self.ran_on.append((block, outcome.pid))
-        journal_event(
-            "block_completed", block=block[0], stop=block[1], step=block[2],
-            worker=outcome.pid,
-            **self.task.journal_fields(block, outcome.result),
-        )
+        if get_journal() is not None:
+            journal_event(
+                "block_completed", block=block[0], stop=block[1],
+                step=block[2], worker=outcome.pid,
+                **self.task.journal_fields(block, result),
+            )
+        if self.on_complete is not None:
+            self.on_complete(block, result)
+            result = None
+        self.completed.append((block, result))
 
     def _steal_summary(self) -> None:
         """Journal the per-worker block/state tallies of a pooled run

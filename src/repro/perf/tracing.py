@@ -6,9 +6,9 @@ their hot phases in spans forming the hierarchy::
     campaign > block > tree_sample > parity_kernel
              > harary > checkpoint_write
 
-(sequential campaigns have no ``block`` level; the ``block`` span is
-the root inside a pool worker, whose snapshot merges back under the
-parent's ``campaign``).
+(in-process blocks nest under ``campaign``; the ``block`` span is
+the root inside a pool worker, whose snapshot merges back into the
+parent's ``campaign`` window).
 
 Each span records three things into the *active*
 :class:`~repro.perf.registry.MetricsRegistry` (resolved at span entry,

@@ -154,21 +154,29 @@ def test_pool_resume_of_a_sequential_checkpoint_matches_one_campaign(
     assert answers(resumed) == answers(reference)
 
 
-@pytest.mark.parametrize("method", ["bfs", "swap"])
-def test_pool_salvage_resume_matches_one_campaign(tmp_path, method):
+@pytest.mark.parametrize("method, store_states", [
+    pytest.param("bfs", False, id="bfs"),
+    pytest.param("swap", False, id="swap"),
+    pytest.param("bfs", True, id="bfs-store_states"),
+    pytest.param("swap", True, id="swap-store_states"),
+])
+def test_pool_salvage_resume_matches_one_campaign(tmp_path, method,
+                                                  store_states):
     # The middle block crashes, so the salvage checkpoint has a hole
     # that the resume fills after the blocks on either side of it.
     total = 30
-    reference = sample_cloud(GRAPH, total, method=method, seed=SEED)
+    reference = sample_cloud(GRAPH, total, method=method, seed=SEED,
+                             store_states=store_states)
     path = tmp_path / "salvage.npz"
     with pytest.raises(EngineError, match="salvaged"):
         sample_cloud_pool(
             GRAPH, total, workers=3, method=method, seed=SEED,
-            checkpoint_path=path,
+            store_states=store_states, checkpoint_path=path,
             fault=WorkerCrash(_contiguous_blocks(total, 3)[1][0]),
         )
     resumed = sample_cloud_pool(
-        GRAPH, total, workers=2, method=method, seed=SEED, resume_from=path,
+        GRAPH, total, workers=2, method=method, seed=SEED,
+        store_states=store_states, resume_from=path,
     )
     assert (payload(resumed, tmp_path / "resumed.npz")
             == payload(reference, tmp_path / "ref.npz"))

@@ -6,10 +6,14 @@ import pytest
 from repro.cloud import FrustrationCloud, sample_cloud
 from repro.cloud.checkpoint import (
     CampaignMeta,
+    load_checkpoint,
+    load_cloud,
     recover_cloud,
     resume_cloud,
+    rotated_paths,
     save_cloud,
 )
+from repro.cloud.cloud import auto_batch_size
 from repro.core import balance
 from repro.errors import CheckpointError, EngineError, ReproError
 from repro.graph.build import from_edges
@@ -22,6 +26,14 @@ from repro.parallel.pool import (
 from repro.util.faults import SimulatedCrash, WorkerCrash
 
 from tests.conftest import make_connected_signed
+
+def _payload(cloud, path) -> dict:
+    """The checkpoint arrays of *cloud*, minus the run's timings."""
+    save_cloud(cloud, path)
+    with np.load(path) as data:
+        return {key: data[key].tobytes() for key in data.files
+                if key != "metrics_json"}
+
 
 # The blocks a fresh 12-state, 3-worker campaign runs; the fault tests
 # aim at the middle one (FIRST, MIDDLE, LAST).
@@ -100,6 +112,44 @@ class TestPool:
         np.testing.assert_array_equal(
             resumed.flip_counts(), seq.flip_counts()
         )
+
+
+    def test_auto_batch_size_resolves_once(self, tmp_path):
+        g = make_connected_signed(40, 100, seed=1)
+        auto = auto_batch_size(g.num_vertices)
+        pool = sample_cloud_pool(g, 8, seed=5, batch_size="auto")
+        assert pool.campaign_meta.batch_size == auto
+        ckpt = tmp_path / "auto.npz"
+        sample_cloud(g, 4, seed=5, batch_size="auto", checkpoint_path=ckpt)
+        resumed = resume_cloud(load_cloud(ckpt, g), 8, batch_size="auto")
+        assert resumed.campaign_meta.batch_size == auto
+        assert _payload(resumed, tmp_path / "r.npz") == _payload(
+            pool, tmp_path / "p.npz"
+        )
+
+
+class TestPeriodicCheckpoints:
+    def test_pool_chain_falls_on_block_boundaries_and_resumes(
+        self, tmp_path
+    ):
+        g = make_connected_signed(30, 60, seed=4)
+        ckpt = tmp_path / "run.npz"
+        pooled = sample_cloud_pool(
+            g, 15, workers=2, seed=3, checkpoint_path=ckpt,
+            checkpoint_every=3, keep_checkpoints=3,
+        )
+        want = _payload(sample_cloud(g, 15, seed=3), tmp_path / "one.npz")
+        assert _payload(pooled, tmp_path / "pooled.npz") == want
+        chain = rotated_paths(ckpt)
+        assert len(chain) == 3
+        for k, path in enumerate(chain):
+            cloud, meta = load_checkpoint(path, g)
+            assert cloud.num_states % 3 == 0
+            assert all(
+                len(range(*block)) <= 3 for block in meta.done_blocks or ()
+            )
+            resumed = resume_cloud(cloud, 15)
+            assert _payload(resumed, tmp_path / f"{k}.npz") == want
 
 
 class TestRemainingBlocks:
@@ -201,7 +251,9 @@ class TestSalvage:
         np.testing.assert_array_equal(seq.influence(), finished.influence())
         assert sorted(finished.flip_counts()) == sorted(seq.flip_counts())
 
-    def test_sequential_resume_refuses_salvage_checkpoint(self, tmp_path):
+    def test_sequential_resume_fills_salvage_checkpoint(self, tmp_path):
+        # resume_cloud runs the one campaign driver, so it fills the
+        # salvage checkpoint's hole like the pool resume does.
         g = make_connected_signed(30, 60, seed=3)
         ckpt = tmp_path / "salvage.npz"
         with pytest.raises(EngineError):
@@ -210,8 +262,11 @@ class TestSalvage:
                 fault=WorkerCrash(MIDDLE[0]),
             )
         cloud, _meta, _src = recover_cloud(ckpt, g)
-        with pytest.raises(CheckpointError, match="salvaged pool blocks"):
-            resume_cloud(cloud, 12)
+        resumed = resume_cloud(cloud, 12)
+        assert resumed.campaign_meta.done_blocks is None
+        assert _payload(resumed, tmp_path / "resumed.npz") == _payload(
+            sample_cloud(g, 12, seed=9), tmp_path / "one.npz"
+        )
 
     def test_salvage_validates_campaign_on_resume(self, tmp_path):
         g = make_connected_signed(30, 60, seed=3)

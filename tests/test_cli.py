@@ -139,6 +139,31 @@ class TestCommands:
         ) == 0
         assert csv_resumed.read_text() == csv_direct.read_text()
 
+    def test_cloud_resume_with_workers_runs_the_pool(
+        self, graph_file, tmp_path
+    ):
+        from repro.perf.journal import read_journal
+
+        path, _g = graph_file
+        ckpt = tmp_path / "cloud.npz"
+        assert main(
+            ["cloud", path, "--states", "4", "--checkpoint", str(ckpt)]
+        ) == 0
+        journal, resumed = tmp_path / "run.jsonl", tmp_path / "resumed.csv"
+        assert main(
+            ["cloud", path, "--states", "12", "--resume", str(ckpt),
+             "--workers", "2", "--journal", str(journal),
+             "--output", str(resumed)]
+        ) == 0
+        started = [event for event in read_journal(journal)
+                   if event["kind"] == "campaign_started"]
+        assert [event["driver"] for event in started] == ["pool"]
+        direct = tmp_path / "direct.csv"
+        assert main(
+            ["cloud", path, "--states", "12", "--output", str(direct)]
+        ) == 0
+        assert resumed.read_text() == direct.read_text()
+
     def test_cloud_checkpoint_rotation(self, graph_file, tmp_path):
         path, _g = graph_file
         ckpt = tmp_path / "cloud.npz"

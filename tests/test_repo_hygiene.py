@@ -89,3 +89,25 @@ def test_campaigns_take_no_kernel():
     assert not offenders
     for record in (CampaignMeta, CampaignTask):
         assert "kernel" not in {f.name for f in dataclasses.fields(record)}
+
+
+def test_one_ingest_loop_caller():
+    """Every campaign folds its states through one block task: a second
+    caller of ``ingest_states`` would be a second campaign driver with
+    its own checkpoint and salvage code."""
+    import ast
+
+    callers = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner in ast.walk(tree):
+            if not isinstance(owner, (ast.ClassDef, ast.FunctionDef)):
+                continue
+            for node in ast.walk(owner):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "ingest_states"
+                    and owner.name != "__call__"
+                ):
+                    callers.append(owner.name)
+    assert callers == ["CampaignTask"]

@@ -148,8 +148,8 @@ class TestChainDeterminism:
 
 
 class TestSwapCloudStatistics:
-    """Swap clouds are statistically — not bit-for-bit — equivalent to
-    independent-BFS clouds; the bounds here are deliberately loose."""
+    """Swap clouds estimate a different cloud from independent-BFS
+    clouds (EXPERIMENTS.md); these loose bounds are sanity checks."""
 
     def test_frustration_bound_close_to_bfs(self):
         g = make_connected_signed(150, 450, seed=12)
