@@ -9,8 +9,8 @@ already owns:
   eigenvalues certify near-balanced splits, so its sign pattern is the
   natural analog of the eigenvector rounding in arXiv:2002.00775.
 * :func:`tree_sides` — sign-to-root switchings of random spanning
-  trees (:func:`repro.core.parity_batch.sign_to_root_batch` over
-  :func:`repro.trees.batched.sample_bfs_batch`).  Each row satisfies
+  trees (the ``sign_to_root`` rows that
+  :func:`repro.trees.batched.sample_bfs_batch` writes).  Each row satisfies
   every tree edge by construction, giving diverse deterministic
   restarts with the exact per-index reproducibility the cloud engine
   guarantees.
@@ -57,11 +57,9 @@ def tree_sides(
     function of ``(seed, indices[i])`` — independent of how many other
     restarts run, or where.
     """
-    from repro.core.parity_batch import sign_to_root_batch
     from repro.trees.batched import sample_bfs_batch
 
-    batch = sample_bfs_batch(graph, seed, list(indices))
-    return sign_to_root_batch(graph, batch)
+    return sample_bfs_batch(graph, seed, list(indices)).sign_to_root
 
 
 def seed_assignments(

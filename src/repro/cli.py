@@ -230,16 +230,13 @@ def _run_cloud_campaign(args, sub, policy):
         print(f"resuming from {source} ({resume.num_states} states)")
     cloud = run_campaign(
         sub, args.states, workers=args.workers, method=args.method,
-        seed=args.seed, batch_size=args.batch_size,
-        swaps_per_state=args.swaps_per_state,
+        seed=args.seed, swaps_per_state=args.swaps_per_state,
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
         keep_checkpoints=args.keep_checkpoints, resume_from=resume,
         policy=policy, graph_store=store, steal_chunks=args.steal_chunks,
         flight_dir=args.flight_dir,
     )
-    if args.batch_size == "auto":
-        print(f"auto batch size: {cloud.campaign_meta.batch_size}")
     return cloud
 
 
@@ -657,7 +654,6 @@ def _cmd_serve(args) -> int:
         grow_delay_ms=args.grow_delay_ms,
         method=args.method,
         seed=args.seed,
-        batch_size=args.batch_size,
         swaps_per_state=args.swaps_per_state,
         checkpoint=args.checkpoint,
         keep_checkpoints=args.keep_checkpoints,
@@ -753,19 +749,13 @@ def _cmd_balanced(args) -> int:
 
 
 # ----------------------------------------------------------------------
-def _batch_size_arg(value: str):
-    """--batch-size accepts a positive int or the literal 'auto'."""
-    if value == "auto":
-        return "auto"
-    try:
-        parsed = int(value)
-    except ValueError:
+def _batch_size_arg(value: str) -> str:
+    """--batch-size is ignored but still a positive int or 'auto'."""
+    if value != "auto" and not (value.isdigit() and int(value) > 0):
         raise argparse.ArgumentTypeError(
-            f"invalid batch size {value!r}: expected an integer or 'auto'"
+            f"invalid batch size {value!r}: expected a positive int or 'auto'"
         )
-    if parsed < 1:
-        raise argparse.ArgumentTypeError("batch size must be positive")
-    return parsed
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -830,10 +820,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "worker, or 8 per worker with --shard-workers")
     p.add_argument("--batch-size", type=_batch_size_arg, default=None,
                    metavar="B",
-                   help="balance B spanning trees per chunk (default 1; "
-                        "B changes the chunking, not the results; 'auto' "
-                        "picks a cache-sized batch for the graph; with "
-                        "--resume, inherited from the checkpoint)")
+                   help="accepted and ignored: the engine picks its own "
+                        "chunks, which never change the results (a "
+                        "positive int or 'auto')")
     p.add_argument("--seed", type=int, default=None,
                    help="campaign seed (default 0; with --resume, inherited "
                         "from the checkpoint's campaign)")
@@ -854,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume",
                    help="resume a campaign from an NPZ checkpoint, falling "
                         "back to its newest loadable rotation backup; "
-                        "mismatched --method/--seed/--batch-size fail loudly")
+                        "mismatched --method/--seed fail loudly")
     p.add_argument("--retries", type=int, default=None, metavar="N",
                    help="run under the self-healing supervisor: retry each "
                         "failed block up to N times with exponential "
@@ -1054,8 +1043,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "checkpoint's campaign, else bfs)")
     p.add_argument("--seed", type=int, default=None,
                    help="campaign seed (default: inherit, else 0)")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="trees per chunk (default: inherit, else 1)")
+    p.add_argument("--batch-size", type=_batch_size_arg, default=None,
+                   help="accepted and ignored: the engine picks its own "
+                        "chunks")
     p.add_argument("--swaps-per-state", type=int, default=None,
                    help="edge swaps per state for --method swap")
     p.add_argument("--checkpoint", metavar="PATH",

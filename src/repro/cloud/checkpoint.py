@@ -9,7 +9,7 @@ checkpoint layer therefore provides three guarantees:
   fsyncs, and publishes with ``os.replace`` — a kill at any instant
   leaves either the previous checkpoint or the new one, never a torn
   file.  The payload embeds the campaign metadata
-  (:class:`CampaignMeta`: method, seed, batch size, store_states) next
+  (:class:`CampaignMeta`: method, seed, store_states, swap stride) next
   to the graph fingerprint, so a checkpoint fully describes how to
   continue it.  v1/v2 files, which stored float sums, still load.
 * **Rotation + recovery.**  ``save_cloud(..., keep=K)`` rotates the
@@ -99,7 +99,6 @@ class CampaignMeta:
 
     method: str
     seed: int
-    batch_size: int
     store_states: bool
     # Swap-chain stride (method="swap" only); 1 for every other method,
     # and the implicit value of checkpoints written before the chain
@@ -230,10 +229,12 @@ def _payload(
         "num_edges": np.array([cloud.graph.num_edges], dtype=np.int64),
         "num_states": np.array([cloud.num_states], dtype=np.int64),
         "store_states": np.array([int(cloud.store_states)], dtype=np.int64),
+        # majority_sq and edge_preserved are derived from the others;
+        # they are written so every v3 reader finds its arrays.
         "majority": cloud._majority.astype(np.int64),
-        "majority_sq": cloud._majority_sq.astype(np.int64),
+        "majority_sq": cloud._majority_sq_units().astype(np.int64),
         "coalition": cloud._coalition.astype(np.int64),
-        "edge_preserved": cloud._edge_preserved,
+        "edge_preserved": cloud._preserved_counts(),
         "edge_coside": cloud._edge_coside,
         "flip_counts": cloud.flip_counts(),
     }
@@ -257,9 +258,6 @@ def _payload(
     if campaign is not None:
         payload["campaign_method"] = np.array(campaign.method)
         payload["campaign_seed"] = np.array([campaign.seed], dtype=np.int64)
-        payload["campaign_batch_size"] = np.array(
-            [campaign.batch_size], dtype=np.int64
-        )
         payload["campaign_store_states"] = np.array(
             [int(campaign.store_states)], dtype=np.int64
         )
@@ -399,6 +397,7 @@ def _restore(
         ("edge_preserved", m, 1, 1),
         ("edge_coside", m, 1, 1),
     )
+    stored = {}
     for key, size, unit, per_state in accumulators:
         values = _accumulator(data, key, size, unit, version, path)
         bad = ~((values >= 0) & (values <= per_state * num_states))
@@ -408,14 +407,25 @@ def _restore(
                 f"{int(values[bad][0])}, outside [0, {per_state} * "
                 f"{num_states} states]"
             )
-        fresh = getattr(cloud, f"_{key}")
-        setattr(cloud, f"_{key}", values.astype(fresh.dtype))
+        stored[key] = values
+    cloud._majority = stored["majority"].astype(np.float64)
+    cloud._coalition = stored["coalition"].astype(np.float64)
+    cloud._edge_coside, cloud.num_states = stored["edge_coside"], num_states
+    # The derived arrays must agree with the cloud's accumulators
+    # (2 * majority - majority_sq is one tie count for every vertex).
+    sq = stored["majority_sq"]
+    cloud._ties = int(2 * stored["majority"][0] - sq[0]) if n else 0
+    ok = 0 <= cloud._ties <= num_states
+    for key, derived in (("majority_sq", cloud._majority_sq_units()),
+                         ("edge_preserved", cloud._preserved_counts())):
+        if not (ok and np.array_equal(stored[key], derived)):
+            raise CheckpointError(f"corrupt checkpoint {path}: {key} "
+                                  "disagrees with the accumulators")
     # Restore flip counts through the standard doubling buffer so the
     # first post-resume append lands in existing headroom instead of
     # forcing an immediate regrow.
     flips = _array(data, "flip_counts", (num_states,), np.int64, path)
     cloud._append_flip_counts(flips)
-    cloud.num_states = num_states
     if store_states:
         try:
             signs = data["unique_signs"]
@@ -464,12 +474,12 @@ def _restore(
         quarantined_blocks = _block_rows(
             data, "campaign_quarantined_blocks", path
         )
-        # Older files also carry a campaign_kernel key.  No kernel ever
-        # changed a campaign's states, so it is ignored.
+        # Older files also carry campaign_kernel and campaign_batch_size
+        # keys.  Neither ever changed a campaign's states, so both are
+        # ignored.
         meta = CampaignMeta(
             method=str(data["campaign_method"][()]),
             seed=_scalar(data, "campaign_seed", path),
-            batch_size=_scalar(data, "campaign_batch_size", path),
             store_states=bool(_scalar(data, "campaign_store_states", path)),
             # Checkpoints written before the swap-chain engine carry no
             # swaps_per_state key; their campaigns implicitly used 1.
@@ -563,7 +573,6 @@ def recover_cloud(
 _CAMPAIGN_DEFAULTS = {
     "method": "bfs",
     "seed": 0,
-    "batch_size": 1,
     "store_states": False,
     "swaps_per_state": 1,
 }
@@ -574,7 +583,6 @@ def validate_campaign(
     *,
     method: str | None = None,
     seed: int | None = None,
-    batch_size: int | None = None,
     store_states: bool | None = None,
     swaps_per_state: int | None = None,
 ) -> dict:
@@ -584,13 +592,12 @@ def validate_campaign(
     historical default when the checkpoint has no metadata).  A
     parameter that is explicitly given *and* disagrees with the stored
     campaign raises :class:`~repro.errors.CheckpointError` — resuming
-    with a different ``(method, seed, batch_size, swaps_per_state)``
+    with a different ``(method, seed, swaps_per_state)``
     would silently diverge from the original run.
     """
     given = {
         "method": method,
         "seed": seed,
-        "batch_size": batch_size,
         "store_states": store_states,
         "swaps_per_state": swaps_per_state,
     }
@@ -640,16 +647,16 @@ def resume_cloud(
     :class:`~repro.errors.CheckpointError` instead of silently
     diverging.  Optionally re-checkpoints every ``checkpoint_every``
     new states (atomic writes, rotating ``keep_checkpoints`` files).
-    ``batch_size`` sets how many trees each chunk stacks: it moves
-    the chunk boundaries, not the states.
+    ``batch_size`` is accepted and ignored: the engine picks its chunks.
     """
-    from repro.parallel.pool import run_campaign
+    from repro.parallel.pool import accept_batch_size, run_campaign
 
+    accept_batch_size(batch_size)
     if campaign is not None:
         cloud.campaign_meta = campaign
     return run_campaign(
         cloud.graph, target_states, method=method, seed=seed,
-        batch_size=batch_size, swaps_per_state=swaps_per_state,
+        swaps_per_state=swaps_per_state,
         checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
         keep_checkpoints=keep_checkpoints, resume_from=cloud,
     )

@@ -41,8 +41,20 @@ __all__ = [
     "ingest_states",
     "sample_cloud",
     "exact_cloud",
-    "auto_batch_size",
 ]
+
+#: Bytes of ``(chunk, m)`` int8 sign rows one dense chunk stacks, and
+#: swap-chain states per lazy-fold flush: the engine's chunking (see
+#: ``docs/performance_model.md``).  Chunks move no bits.
+_CHUNK_BYTES = 1 << 21
+_SWAP_CHUNK = 32
+
+
+def _chunk_size(method: str, num_edges: int) -> int:
+    """States per chunk of a *method* campaign on *num_edges* edges."""
+    if method == "swap":
+        return _SWAP_CHUNK
+    return max(1, _CHUNK_BYTES // max(num_edges, 1))
 
 
 def balanced_states(
@@ -61,9 +73,10 @@ def balanced_states(
     theorem, so drivers read the Harary sides off it in O(n) with
     :func:`~repro.harary.bipartition.sides_from_sign_to_root`.  The
     swap chain reads both arrays off its delta state; every other
-    method stacks the chunk's trees (:meth:`TreeSampler.batch`) and
-    runs the batched parity engine, at every batch size including 1.
-    By the §3 parity argument the balanced sign of edge ``(u, v)`` is
+    method stacks the chunk's trees (:meth:`TreeSampler.batch`, whose
+    BFS writes each sign-to-root row as it discovers the vertices) and
+    gathers the signs off those rows (:func:`balance_batch`).  By the
+    §3 parity argument the balanced sign of edge ``(u, v)`` is
     ``s2r[u] * s2r[v]`` on the tree, the state every cycle kernel
     (walk, lockstep, parity) reaches, so campaigns run none of those
     per-tree kernels.
@@ -86,54 +99,37 @@ def ingest_states(
     sampler: TreeSampler,
     indices: range,
     *,
-    batch_size: int = 1,
+    _chunk: int | None = None,
 ) -> Iterator[int]:
     """The one ingest loop, run by every campaign's block task
     (:class:`~repro.parallel.pool.CampaignTask`).
 
-    Folds the states of the tree *indices* into *cloud*, ``batch_size``
-    per chunk, and yields each chunk's state count once it is folded.
+    Folds the states of the tree *indices* into *cloud* in chunks the
+    engine picks (:func:`_chunk_size`; ``_chunk`` overrides it, for the
+    tests that vary it), and yields each chunk's state count once it
+    is folded.
     Swap-chain states go in as the chain's delta log
     (:meth:`FrustrationCloud.add_deltas`), at the cost of what each
     swap changed; every other method, and swap clouds that keep unique
     states (those need the sign rows), fold the dense chunks of
     :func:`balanced_states` with :meth:`FrustrationCloud.add_batch`.
-    Both routes give the same cloud, bit for bit.
+    Both routes give the same cloud, bit for bit, at any chunk size.
     """
+    chunk = _chunk or _chunk_size(sampler.method, cloud.graph.num_edges)
     if sampler.method == "swap" and not cloud.store_states:
-        for lo in range(0, len(indices), batch_size):
+        for lo in range(0, len(indices), chunk):
             with span("tree_sample"):
-                log = sampler.swap_deltas(indices[lo : lo + batch_size])
+                log = sampler.swap_deltas(indices[lo : lo + chunk])
             with span("harary"):
                 cloud.add_deltas(log)
             yield len(log)
         return
     for signs, s2r in balanced_states(
-        cloud.graph, sampler, indices, batch_size=batch_size
+        cloud.graph, sampler, indices, batch_size=chunk
     ):
         with span("harary"):
             cloud.add_batch(signs, sides_from_sign_to_root(s2r))
         yield len(signs)
-
-
-def auto_batch_size(num_vertices: int) -> int:
-    """A good default batch size for a graph of *num_vertices*.
-
-    The batched engine's working set is a handful of ``(B, n)`` arrays;
-    states/sec climbs with B until those arrays fall out of cache, then
-    falls off a cliff (BENCH_cloud.json: 4000 vertices peaks near B=32,
-    12000 vertices is already past the cliff at B=64).  Targeting
-    ``B * n ≈ 2**17`` flattened slots keeps the working set around a
-    megabyte; the result is clamped to the [8, 64] power-of-two range
-    so tiny graphs still amortize per-level overhead and huge graphs
-    keep a useful batch.
-    """
-    if num_vertices < 1:
-        raise ReproError("num_vertices must be positive")
-    b = 2**17 // max(num_vertices, 1)
-    b = max(8, min(64, b))
-    # Round down to a power of two (stable, cache-friendly shapes).
-    return 1 << (b.bit_length() - 1)
 
 
 @dataclass
@@ -154,18 +150,17 @@ class FrustrationCloud:
     store_states: bool = False
 
     num_states: int = 0
-    # The vertex accumulators are exact integers: δ_T(v) in half-units
-    # (2 on the larger side, 1 on a tie), δ_T(v)² in quarter-units
-    # (4 or 1), and the sum of v's side size minus one.  They are held
-    # in float64, where every addend and partial sum is an integer
-    # below 2**53, so addition is exact in any order (a merge of any
-    # grouping of blocks gives the same bits) and the attributes
-    # divide once, at read time.
+    # The accumulators are independent exact integers: δ_T(v) in
+    # half-units (2 on the larger side, 1 on a tie), the sum of v's
+    # side size minus one, each edge's co-side count and the tied
+    # states.  The vertex sums are held in float64, where every addend
+    # and partial sum is an integer below 2**53, so addition is exact
+    # in any order (a merge of any grouping of blocks gives the same
+    # bits) and the attributes divide once, at read time.
     _majority: np.ndarray = field(init=False, repr=False)
-    _majority_sq: np.ndarray = field(init=False, repr=False)
     _coalition: np.ndarray = field(init=False, repr=False)
-    _edge_preserved: np.ndarray = field(init=False, repr=False)
     _edge_coside: np.ndarray = field(init=False, repr=False)
+    _ties: int = field(init=False, repr=False)
     _flip_counts: np.ndarray = field(init=False, repr=False)
     _flip_len: int = field(init=False, repr=False)
     _unique: Dict[bytes, int] = field(init=False, repr=False)
@@ -173,10 +168,9 @@ class FrustrationCloud:
     def __post_init__(self) -> None:
         n, m = self.graph.num_vertices, self.graph.num_edges
         self._majority = np.zeros(n, dtype=np.float64)
-        self._majority_sq = np.zeros(n, dtype=np.float64)
         self._coalition = np.zeros(n, dtype=np.float64)
-        self._edge_preserved = np.zeros(m, dtype=np.int64)
         self._edge_coside = np.zeros(m, dtype=np.int64)
+        self._ties = 0
         # Flip counts live in a doubling preallocated buffer so batch
         # ingestion and long campaigns never pay per-state list growth.
         self._flip_counts = np.zeros(64, dtype=np.int64)
@@ -279,9 +273,9 @@ class FrustrationCloud:
         # Per state, +1 when side 1 is strictly larger, -1 when side 0
         # is, 0 on a tie.  A vertex scores 2 half-units on the larger
         # side and 1 on a tie, so its sum over the chunk is
-        # 2 * (lead @ sides) + 2 * (side-0 wins) + ties; in quarter
-        # units the squares are 4 and 1.  Its side size minus one is
-        # size0 - 1 + side * (size1 - size0).  Integer matvecs, exact.
+        # 2 * (lead @ sides) + 2 * (side-0 wins) + ties.  Its side size
+        # minus one is size0 - 1 + side * (size1 - size0).  Integer
+        # matvecs, exact.
         lead = np.sign(size1 - size0)
         ties = int(np.count_nonzero(lead == 0))
         zero_wins = int(np.count_nonzero(lead < 0))
@@ -289,17 +283,12 @@ class FrustrationCloud:
             np.float64
         ) @ sides.astype(np.float64)
         self._majority += 2.0 * votes + (2 * zero_wins + ties)
-        self._majority_sq += 4.0 * votes + (4 * zero_wins + ties)
         self._coalition += gains + float(size0.sum() - num_new)
+        self._ties += ties
         # The check above pins coside == (signs > 0), so one exact
-        # column sum of the ±1 signs yields both edge counters: per
-        # edge, (B + sum) / 2 states kept it positive (co-side), and a
-        # state preserves the input sign iff it kept it at that sign.
-        positive = (num_new + signs.sum(axis=0, dtype=np.int64)) // 2
-        self._edge_coside += positive
-        self._edge_preserved += np.where(
-            self.graph.edge_sign > 0, positive, num_new - positive
-        )
+        # column sum of the ±1 signs counts, per edge, the (B + sum) / 2
+        # states that kept it positive (co-side).
+        self._edge_coside += (num_new + signs.sum(axis=0, dtype=np.int64)) // 2
         self._append_flip_counts(
             (signs != self.graph.edge_sign).sum(axis=1, dtype=np.int64)
         )
@@ -381,7 +370,18 @@ class FrustrationCloud:
         """Per-edge agreement: fraction of states preserving the edge's
         original sentiment (never-flipped edges score 1.0)."""
         self._require_states()
-        return self._edge_preserved / self.num_states
+        return self._preserved_counts() / self.num_states
+
+    def _preserved_counts(self) -> np.ndarray:
+        """States keeping each edge's input sign: the co-side count of
+        a positive edge, the rest of a negative one."""
+        return np.where(self.graph.edge_sign > 0, self._edge_coside,
+                        self.num_states - self._edge_coside)
+
+    def _majority_sq_units(self) -> np.ndarray:
+        """Σ δ_T(v)² in quarter-units (4 on the larger side, 1 on a
+        tie): ``2 · majority − ties``."""
+        return 2.0 * self._majority - self._ties
 
     def vertex_agreement(self) -> np.ndarray:
         """Per-vertex agreement: mean agreement of incident edges."""
@@ -415,7 +415,7 @@ class FrustrationCloud:
         majority, maximal (0.25) for coin-flip vertices."""
         self._require_states()
         mean = self._majority / (2 * self.num_states)
-        mean_sq = self._majority_sq / (4 * self.num_states)
+        mean_sq = self._majority_sq_units() / (4 * self.num_states)
         return np.maximum(mean_sq - mean * mean, 0.0)
 
     def frustration_upper_bound(self) -> int:
@@ -450,10 +450,9 @@ class FrustrationCloud:
         if self.store_states != other.store_states:
             raise ReproError("cannot merge clouds with different store_states")
         self._majority += other._majority
-        self._majority_sq += other._majority_sq
         self._coalition += other._coalition
-        self._edge_preserved += other._edge_preserved
         self._edge_coside += other._edge_coside
+        self._ties += other._ties
         self._append_flip_counts(other.flip_counts())
         if self.store_states:
             for key, count in other._unique.items():
@@ -518,7 +517,6 @@ class _ChainFold:
         cloud, (w0, w1), t = self.cloud, self.wins, self.ties
         return [
             (cloud._majority, 2 * w0 + t, 2 * w1 + t),
-            (cloud._majority_sq, 4 * w0 + t, 4 * w1 + t),
             (cloud._coalition, self.sizes[0] - self.states,
              self.sizes[1] - self.states),
         ]
@@ -549,9 +547,6 @@ class _ChainFold:
         cloud, elapsed = self.cloud, self.states
         positive = self.positive[cut]
         cloud._edge_coside[cut] += np.where(positive, elapsed, -elapsed)
-        cloud._edge_preserved[cut] += np.where(
-            positive == self.kept[cut], elapsed, -elapsed
-        )
         now = ~positive
         self.positive[cut] = now
         self.flipped += len(cut) - 2 * int(
@@ -594,7 +589,7 @@ class _ChainFold:
             acc += float(gain1 - gain0) * side + float(gain0)
         cloud, elapsed = self.cloud, self.states
         cloud._edge_coside += self.positive * elapsed
-        cloud._edge_preserved += (self.positive == self.kept) * elapsed
+        cloud._ties += self.ties
         self._restart()
 
 
@@ -625,16 +620,16 @@ def sample_cloud(
 
     This is the one campaign driver
     (:func:`repro.parallel.pool.run_campaign`) at one worker, in this
-    process.  Each chunk of ``batch_size`` trees (the stacked BFS
-    sampler for ``method="bfs"``) is balanced with one batched parity
-    pass, the Harary sides come off the sign-to-root vectors in O(n)
-    per state, and the chunk folds into the cloud with matrix
-    reductions (see :func:`balanced_states`).  The batch size changes
-    the chunking, not the result: every ``batch_size`` gives the same
-    cloud, attribute for attribute, with the same seed.  No per-tree
-    cycle kernel runs: the state every kernel would reach on a tree is
-    a function of its sign-to-root vector.  ``batch_size="auto"`` picks
-    :func:`auto_batch_size` for the graph.
+    process.  The engine stacks its own chunks of trees (the batched
+    BFS sampler for ``method="bfs"``, which writes each tree's
+    sign-to-root as it goes); each chunk's balanced signs are one
+    gather off those rows, the Harary sides come off them in O(n) per
+    state, and the chunk folds into the cloud with matrix reductions
+    (see :func:`balanced_states`).  No per-tree cycle kernel runs: the
+    state every kernel would reach on a tree is a function of its
+    sign-to-root vector.  ``batch_size`` (a positive int or ``"auto"``)
+    is accepted and ignored: the chunking never changed a result, and
+    the engine now picks it.
 
     ``method="swap"`` runs the incremental swap-chain engine
     (:mod:`repro.trees.swap_chain`): tree ``k+1`` is derived from tree
@@ -661,21 +656,22 @@ def sample_cloud(
     the campaign's ``tree_generation``, ``cycle_processing`` and
     ``harary_and_status`` phases from its metrics window.
     """
-    from repro.parallel.pool import run_campaign
+    from repro.parallel.pool import accept_batch_size, run_campaign
     from repro.perf.export import span_stats
 
     if num_states < 0:
         raise ReproError(f"num_states must be non-negative, got {num_states}")
+    accept_batch_size(batch_size)
     cloud = run_campaign(
         graph, num_states, method=method, seed=freeze_seed(seed),
-        store_states=store_states, batch_size=batch_size,
+        store_states=store_states,
         swaps_per_state=swaps_per_state, checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
         keep_checkpoints=keep_checkpoints, graph_store=graph_store,
     )
     if checkpoint_path is None:
         # Only a checkpointed campaign pins its parameters for
-        # resume_cloud; an in-memory cloud resumes under any batch size.
+        # resume_cloud.
         del cloud.campaign_meta
     if timers is not None:
         for path, (seconds, calls) in span_stats(cloud.metrics).items():

@@ -11,7 +11,7 @@ from repro.core.cycles_vectorized import (
     process_cycles_lockstep,
     sign_to_root,
 )
-from repro.core.parity_batch import balance_batch, sign_to_root_batch
+from repro.core.parity_batch import balance_batch
 from repro.core.balancer import balance, balance_forest
 from repro.core.baseline import balance_baseline
 from repro.core.incremental import IncrementalBalancer
@@ -30,7 +30,6 @@ __all__ = [
     "balance_by_parity",
     "sign_to_root",
     "balance_batch",
-    "sign_to_root_batch",
     "balance",
     "balance_forest",
     "balance_baseline",

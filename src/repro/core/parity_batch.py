@@ -1,18 +1,17 @@
 """Batched parity balancing: B spanning trees per kernel invocation.
 
 The O(m) closed form of :func:`repro.core.cycles_vectorized.balance_by_parity`
-extends naturally to a batch: stack the B sign-to-root vectors into a
-``(B, n)`` array computed with *shared* top-down level passes (all
-trees' vertices at level ``l`` update together), then evaluate every
-balanced state at once as
+extends naturally to a batch: the B sign-to-root vectors arrive with the
+trees (:func:`repro.trees.batched.sample_bfs_batch` writes them as each
+vertex is discovered), and every balanced state follows at once as
 
     ``signs[b, e] = s2r[b, u_e] * s2r[b, v_e]``
 
 which holds for tree edges by construction (``s2r[child] =
 s2r[parent] * sign``) and for non-tree edges by the fundamental-cycle
-parity argument of §3.  This is the Python analog of the paper's
-cross-tree parallelism: one set of vectorized kernels amortizes the
-interpreter overhead over the whole batch.
+parity argument of §3: the balanced state is the switching of the
+all-positive signature by ``s2r``.  This is the Python analog of the
+paper's cross-tree parallelism: one gather over the whole batch.
 """
 
 from __future__ import annotations
@@ -24,36 +23,7 @@ from repro.perf.compat import Counters
 from repro.perf.registry import get_registry
 from repro.trees.batched import TreeBatch
 
-__all__ = ["sign_to_root_batch", "balance_batch"]
-
-
-def sign_to_root_batch(
-    graph: SignedGraph,
-    batch: TreeBatch,
-    counters: Counters | None = None,
-) -> np.ndarray:
-    """Per-vertex ±1 root-path sign products for every tree in *batch*.
-
-    Returns a ``(B, n)`` int8 array; row ``b`` equals
-    ``sign_to_root(graph, tree_b)``.  One level pass updates the
-    level-``l`` vertices of *all* B trees together, so the number of
-    Python-level iterations is the batch's maximum depth, not the sum
-    of depths.
-    """
-    num_trees, n = batch.parent.shape
-    s2r = np.ones(num_trees * n, dtype=np.int8)
-    order, level_ptr = batch.flat_levels
-    flat_parent = batch.flat_parent
-    flat_parent_edge = batch.parent_edge.ravel()
-    sign = graph.edge_sign
-    for lvl in range(1, batch.num_levels):
-        members = order[level_ptr[lvl] : level_ptr[lvl + 1]]
-        s2r[members] = (
-            s2r[flat_parent[members]] * sign[flat_parent_edge[members]]
-        )
-        if counters is not None:
-            counters.parallel_region("parity.top_down", len(members))
-    return s2r.reshape(num_trees, n)
+__all__ = ["balance_batch"]
 
 
 def balance_batch(
@@ -65,11 +35,11 @@ def balance_batch(
 
     Returns ``(signs, s2r)``: ``signs`` is ``(B, m)`` int8, row ``b``
     identical to the ``new_signs`` of any single-tree kernel on tree
-    ``b``; ``s2r`` is the ``(B, n)`` sign-to-root array (from which the
-    Harary bipartitions follow in O(n), see
+    ``b``; ``s2r`` is the batch's ``(B, n)`` sign-to-root array (from
+    which the Harary bipartitions follow in O(n), see
     :func:`repro.harary.bipartition.sides_from_sign_to_root`).
     """
-    s2r = sign_to_root_batch(graph, batch, counters=counters)
+    s2r = batch.sign_to_root
     signs = s2r[:, graph.edge_u] * s2r[:, graph.edge_v]
     num_cycles = batch.num_trees * (
         graph.num_edges - (graph.num_vertices - 1)

@@ -79,6 +79,15 @@ class SignedGraph:
         deg.setflags(write=False)
         return deg
 
+    @cached_property
+    def half_twin(self) -> np.ndarray:
+        """Position of each half-edge's reverse (cached): the two
+        half-edges of an edge sum to its first plus last position."""
+        pos = np.arange(len(self.adj_edge), dtype=np.int64)
+        ends = np.empty((2, self.num_edges), dtype=np.int64)
+        ends[0, self.adj_edge[::-1]], ends[1, self.adj_edge] = pos[::-1], pos
+        return ends[:, self.adj_edge].sum(axis=0) - pos
+
     def degree(self, v: int | None = None) -> np.ndarray | int:
         """Degree of vertex *v*, or the full degree array if ``v is None``."""
         if v is None:

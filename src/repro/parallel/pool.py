@@ -27,8 +27,8 @@ fingerprint, so a stale slot (executor reuse after degradation, a
 rebuilt pool, a swapped store file) is detected — and, for
 store-backed workers, healed by reopening the mapping — instead of
 silently computing against the wrong graph.  Within a worker, each
-block stacks ``batch_size`` trees per chunk into shared vectorized
-kernels.
+block stacks its trees in the engine's chunks, and its cloud travels
+back without the graph, which the parent already holds.
 
 Work-stealing: without ``steal_chunks`` there is one contiguous block
 per worker; ``steal_chunks=K`` cuts the campaign into K finer ones
@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cloud.cloud import FrustrationCloud, auto_batch_size, ingest_states
+from repro.cloud.cloud import FrustrationCloud, ingest_states
 from repro.errors import CheckpointError, EngineError, SupervisorError
 from repro.graph.csr import SignedGraph
 from repro.graph.store import GraphStore, graph_fingerprint
@@ -210,7 +210,6 @@ class CampaignTask(BlockTask):
     method: str
     seed: int
     store_states: bool
-    batch_size: int
     swaps_per_state: int = 1
 
     def sampler(self, graph: SignedGraph) -> TreeSampler:
@@ -236,14 +235,20 @@ class CampaignTask(BlockTask):
         # Chain states are pure functions of (seed, index), so any
         # block shape is correct; a swap block enters the chain at its
         # segment and walks it forward in chunks.
-        for _folded in ingest_states(
-            cloud, sampler, range(*block), batch_size=self.batch_size,
-        ):
+        for _folded in ingest_states(cloud, sampler, range(*block)):
             pass
         # Counted inside the envelope's detached window, so the block's
         # state count travels with its snapshot through salvage and
         # resume.
         get_registry().count("cloud.states_total", cloud.num_states)
+        return cloud
+
+    def pack(self, cloud: FrustrationCloud) -> FrustrationCloud:
+        cloud.graph = None  # the parent holds it; most of the pickle
+        return cloud
+
+    def unpack(self, graph: SignedGraph, cloud: FrustrationCloud):
+        cloud.graph = graph
         return cloud
 
     def journal_fields(self, block: Block, cloud: FrustrationCloud) -> dict:
@@ -254,6 +259,16 @@ class CampaignTask(BlockTask):
             chain = self.sampler(cloud.graph).swap_chain()
             fields["chain_segment_start"] = chain.segment_base(block[0])
         return fields
+
+
+def accept_batch_size(batch_size) -> None:
+    """Campaigns accept and ignore ``batch_size`` (the engine picks its
+    chunks); a value no earlier release accepted still raises."""
+    if not (batch_size in (None, "auto") or (
+        isinstance(batch_size, (int, np.integer))
+        and not isinstance(batch_size, bool) and batch_size >= 1
+    )):
+        raise EngineError("batch_size must be a positive int or 'auto'")
 
 
 def _block_len(block: Block) -> int:
@@ -360,13 +375,11 @@ class _RunningCloud:
     def fold(self, block: Block, local: FrustrationCloud) -> None:
         """Merge one completed block; journal a convergence snapshot
         and write a periodic checkpoint when one is due."""
-        if self.cloud.num_states or self.done or (
-            local.graph is not self.cloud.graph
-        ):
+        if self.cloud.num_states or self.done:
             self.cloud.merge(local)
         else:
-            # A fresh campaign's first in-process block becomes the
-            # running cloud: no O(n + m) merge into zeros.
+            # A fresh campaign's first block becomes the running cloud:
+            # no O(n + m) merge into zeros.
             self.cloud = local
         self.fresh.append(block)
         self.since += local.num_states
@@ -444,7 +457,6 @@ def run_campaign(
     method: str | None = None,
     seed: SeedLike = None,
     store_states: bool | None = None,
-    batch_size: int | str | None = None,
     swaps_per_state: int | None = None,
     checkpoint_path=None,
     checkpoint_every: int = 0,
@@ -466,13 +478,12 @@ def run_campaign(
     ``sample_cloud(graph, num_states, method, seed)`` byte for byte,
     checkpoint included; ``workers=1`` runs in-process without
     spawning.  Campaign parameters (``method``, ``seed``,
-    ``store_states``, ``batch_size``, ``swaps_per_state``) left
-    ``None`` inherit the stored campaign on resume and take the
-    defaults (``bfs``, seed 0, no stored states, batch size 1, one swap
-    per state) otherwise; explicit ones are validated against the
-    stored campaign (:func:`~repro.cloud.checkpoint.validate_campaign`).
-    ``batch_size`` sets how many trees each block stacks per chunk;
-    ``"auto"`` resolves once, to :func:`auto_batch_size`.
+    ``store_states``, ``swaps_per_state``) left ``None`` inherit the
+    stored campaign on resume and take the defaults (``bfs``, seed 0,
+    no stored states, one swap per state) otherwise; explicit ones are
+    validated against the stored campaign
+    (:func:`~repro.cloud.checkpoint.validate_campaign`).  Each block
+    stacks its trees in chunks the engine picks, which move no bits.
 
     ``checkpoint_path`` writes a self-describing checkpoint when the
     campaign completes and, with ``checkpoint_every=k``, each time k
@@ -559,17 +570,13 @@ def run_campaign(
         graph = base.graph
     elif resume_from is not None:
         base, stored, _source = recover_cloud(resume_from, graph)
-    if batch_size == "auto":
-        batch_size = auto_batch_size(graph.num_vertices)
     if store_states is None and base is not None:
         store_states = base.store_states
     params = validate_campaign(
-        stored, method=method, batch_size=batch_size,
+        stored, method=method,
         seed=None if seed is None else freeze_seed(seed),
         store_states=store_states, swaps_per_state=swaps_per_state,
     )
-    if not isinstance(params["batch_size"], int) or params["batch_size"] < 1:
-        raise EngineError("batch_size must be a positive int or 'auto'")
     task = CampaignTask(**params)
     task.sampler(graph)  # rejects an unknown method or swaps_per_state < 1
 
@@ -645,7 +652,6 @@ def run_campaign(
         workers=workers,
         method=task.method,
         seed=task.seed,
-        batch_size=task.batch_size,
         swaps_per_state=task.swaps_per_state,
         resumed_states=base_states,
         blocks=len(blocks),
@@ -733,12 +739,14 @@ def sample_cloud_pool(
 ) -> FrustrationCloud:
     """Alg. 2 with tree-level process parallelism: :func:`run_campaign`
     at *workers* workers, for a positive ``num_states``.  See
-    :func:`run_campaign` for the parameters."""
+    :func:`run_campaign` for the parameters; ``batch_size`` is accepted
+    and ignored (:func:`accept_batch_size`)."""
     if num_states < 1:
         raise EngineError("num_states must be positive")
+    accept_batch_size(batch_size)
     return run_campaign(
         graph, num_states, workers=workers, method=method, seed=seed,
-        store_states=store_states, batch_size=batch_size,
+        store_states=store_states,
         swaps_per_state=swaps_per_state, checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
         keep_checkpoints=keep_checkpoints, resume_from=resume_from,

@@ -311,13 +311,23 @@ class BlockTask:
 
     ``what`` names the unit of work in the block's span and its
     flight-recorder mark.  :meth:`journal_fields` adds task-specific
-    fields to the block's ``block_completed`` journal event.
+    fields to the block's ``block_completed`` journal event.  A pool
+    worker ships its result through :meth:`pack`, and the parent takes
+    every result in through :meth:`unpack` over its own graph.
     """
 
     what = "block"
 
     def __call__(self, graph: SignedGraph, block: Block) -> Any:
         raise NotImplementedError
+
+    def pack(self, result: Any) -> Any:
+        """*result* as a pool worker ships it to the parent."""
+        return result
+
+    def unpack(self, graph: SignedGraph, result: Any) -> Any:
+        """A block's *result* back in the parent, over its *graph*."""
+        return result
 
     def journal_fields(self, block: Block, result: Any) -> dict:
         """Extra ``block_completed`` fields for *block*'s *result*."""
@@ -381,12 +391,14 @@ def _run_in_worker(
 
     graph = _worker_graph(fingerprint)
     if trace is None:
-        return _envelope(task, fault, graph, block)
-    with collecting_trace(_SHARD_MAX_EVENTS) as shard, trace_scope(
-        TraceContext.from_dict(trace)
-    ):
         outcome = _envelope(task, fault, graph, block)
-    return outcome._replace(shard=collector_shard(shard))
+    else:
+        with collecting_trace(_SHARD_MAX_EVENTS) as shard, trace_scope(
+            TraceContext.from_dict(trace)
+        ):
+            outcome = _envelope(task, fault, graph, block)
+        outcome = outcome._replace(shard=collector_shard(shard))
+    return outcome._replace(result=task.pack(outcome.result))
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -548,7 +560,7 @@ class CampaignSupervisor:
         collector = get_trace_collector()
         if outcome.shard and collector is not None:
             absorb_shard(collector, outcome.shard)
-        result = outcome.result
+        result = self.task.unpack(self.graph, outcome.result)
         self.ran_on.append((block, outcome.pid))
         if get_journal() is not None:
             journal_event(
@@ -1004,7 +1016,6 @@ def run_supervised(
     method: str,
     seed: int,
     store_states: bool,
-    batch_size: int,
     workers: int,
     policy: RetryPolicy,
     fault: Callable[[Block], None] | None = None,
@@ -1037,7 +1048,7 @@ def run_supervised(
 
     task = CampaignTask(
         method=method, seed=seed, store_states=store_states,
-        batch_size=batch_size, swaps_per_state=swaps_per_state,
+        swaps_per_state=swaps_per_state,
     )
     return CampaignSupervisor(
         graph, blocks, task, seed=seed, workers=workers, policy=policy,

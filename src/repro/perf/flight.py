@@ -109,12 +109,14 @@ class FlightRecorder:
         self.dump()
 
     def clear_inflight(self, **fields: Any) -> None:
-        """The in-flight work finished normally; recorded but not
-        urgent enough to force a dump (the next one clears it)."""
+        """The in-flight work finished normally: recorded and dumped at
+        once, so the last dump of a process that ended cleanly never
+        names finished work as in flight."""
         with self._lock:
             self._inflight = None
         if fields:
             self.record("completed", **fields)
+        self.dump()
 
     # -- dumping -------------------------------------------------------
 

@@ -74,7 +74,6 @@ class GrowthWorker:
         grow_step: int = 16,
         method: str = "bfs",
         seed: int = 0,
-        batch_size: int = 1,
         swaps_per_state: int = 1,
         checkpoint_path=None,
         keep_checkpoints: int = 2,
@@ -107,7 +106,6 @@ class GrowthWorker:
         self.grow_step = grow_step
         self.method = method
         self.seed = seed
-        self.batch_size = batch_size
         self.swaps_per_state = swaps_per_state
         self.checkpoint_path = checkpoint_path
         self.keep_checkpoints = keep_checkpoints
@@ -165,7 +163,6 @@ class GrowthWorker:
         return CampaignMeta(
             method=self.method,
             seed=self.seed,
-            batch_size=self.batch_size,
             store_states=self.cloud.store_states,
             swaps_per_state=self.swaps_per_state,
         )
@@ -226,7 +223,6 @@ class GrowthWorker:
                 method=self.method,
                 seed=self.seed,
                 store_states=self.cloud.store_states,
-                batch_size=self.batch_size,
                 workers=self.workers,
                 policy=self.policy,
                 swaps_per_state=self.swaps_per_state,

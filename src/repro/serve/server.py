@@ -88,8 +88,8 @@ _TEXT = "text/plain; charset=utf-8"
 class ServeConfig:
     """Every knob of the daemon, with production-shaped defaults.
 
-    Campaign parameters (``method``, ``seed``, ``batch_size``,
-    ``swaps_per_state``) default to ``None`` = "inherit from the
+    Campaign parameters (``method``, ``seed``, ``swaps_per_state``)
+    default to ``None`` = "inherit from the
     recovered checkpoint's campaign, or the historical defaults on a
     fresh boot"; passing one explicitly on a resume must
     agree with the checkpoint or boot fails — silently diverging from
@@ -107,7 +107,6 @@ class ServeConfig:
     grow_delay_ms: float = 0.0
     method: Optional[str] = None
     seed: Optional[int] = None
-    batch_size: Optional[int] = None
     swaps_per_state: Optional[int] = None
     # -- persistence ----------------------------------------------------
     checkpoint: Optional[Path] = None
@@ -588,7 +587,6 @@ def _boot_cloud(
             meta,
             method=config.method,
             seed=config.seed,
-            batch_size=config.batch_size,
             store_states=False if meta is None else None,
             swaps_per_state=config.swaps_per_state,
         )
@@ -603,7 +601,6 @@ def _boot_cloud(
         None,
         method=config.method,
         seed=config.seed,
-        batch_size=config.batch_size,
         store_states=False,
         swaps_per_state=config.swaps_per_state,
     )
@@ -681,7 +678,6 @@ def run_server(
             grow_step=config.grow_step,
             method=campaign["method"],
             seed=campaign["seed"],
-            batch_size=campaign["batch_size"],
             swaps_per_state=campaign["swaps_per_state"],
             checkpoint_path=config.checkpoint,
             keep_checkpoints=config.keep_checkpoints,

@@ -14,15 +14,19 @@ per tree.
 per-level tie-break draws happen in exactly the sequential order, and
 the batched frontier keeps each tree's offers in the sequential
 frontier order.  The equivalence is what lets every non-swap campaign
-(:func:`repro.cloud.cloud.balanced_states`) stack its trees here at
-any batch size and get the same cloud attribute for attribute.
+(:func:`repro.cloud.cloud.balanced_states`) stack its trees here in
+any chunks and get the same cloud attribute for attribute.
+
+The BFS also writes each tree's sign-to-root (the switching that
+balances it; Zaslavsky, arXiv 1701.07963) as it discovers each vertex,
+and finds a level's offers from the undiscovered side when those own
+fewer half-edges than the frontier (direction-optimizing BFS).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +42,7 @@ __all__ = ["TreeBatch", "sample_bfs_batch", "spawn_batch"]
 #: every half-edge of every tree in the pass, and the offer arrays are
 #: the sampler's peak memory, so wider batches run in passes of
 #: ``_OFFER_BUDGET // 2m`` trees (at least one).
-_OFFER_BUDGET = 1 << 18
+_OFFER_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -49,13 +53,16 @@ class TreeBatch:
     corresponding fields of :class:`~repro.trees.tree.SpanningTree`
     would: ``parent[b, v]`` is the BFS parent of ``v`` (−1 at the
     root), ``parent_edge[b, v]`` the undirected edge id to that parent,
-    ``level_of[b, v]`` the BFS depth.
+    ``level_of[b, v]`` the BFS depth, and ``sign_to_root[b, v]`` the
+    ±1 product of the input edge signs on the tree path from the root
+    (:func:`~repro.core.cycles_vectorized.sign_to_root`).
     """
 
     roots: np.ndarray        # (B,) root vertex per tree
     parent: np.ndarray       # (B, n)
     parent_edge: np.ndarray  # (B, n)
     level_of: np.ndarray     # (B, n)
+    sign_to_root: np.ndarray  # (B, n) int8
 
     @property
     def num_trees(self) -> int:
@@ -70,31 +77,6 @@ class TreeBatch:
         """Deepest level across the batch, plus one."""
         return int(self.level_of.max()) + 1 if self.level_of.size else 0
 
-    @cached_property
-    def flat_levels(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(order, level_ptr)`` over *flattened* tree-vertex ids.
-
-        ``order`` lists all ``B * n`` flattened ids (``b * n + v``)
-        sorted by BFS level; ``level_ptr[l] : level_ptr[l + 1]`` slices
-        the ids at level ``l`` across every tree in the batch — the
-        iteration structure of the batched top-down parity pass.
-        """
-        flat = self.level_of.ravel()
-        order = np.argsort(flat, kind="stable").astype(np.int64)
-        counts = np.bincount(flat, minlength=self.num_levels)
-        level_ptr = np.zeros(self.num_levels + 1, dtype=np.int64)
-        np.cumsum(counts, out=level_ptr[1:])
-        return order, level_ptr
-
-    @cached_property
-    def flat_parent(self) -> np.ndarray:
-        """Flattened parent pointers: ``b * n + parent[b, v]`` (−1 kept
-        at the roots), indexable against any ``(B * n,)`` array."""
-        offsets = np.arange(self.num_trees, dtype=np.int64)[:, None]
-        flat = self.parent + offsets * self.num_vertices
-        flat[self.parent < 0] = -1
-        return flat.ravel()
-
     def to_tree(self, graph: SignedGraph, b: int) -> SpanningTree:
         """Materialize tree *b* as a validated :class:`SpanningTree`."""
         return SpanningTree.from_parents(
@@ -102,8 +84,13 @@ class TreeBatch:
         )
 
     @classmethod
-    def from_trees(cls, trees: Sequence[SpanningTree]) -> "TreeBatch":
-        """Stack individually sampled trees (the non-BFS fallback)."""
+    def from_trees(
+        cls, graph: SignedGraph, trees: Sequence[SpanningTree]
+    ) -> "TreeBatch":
+        """Stack individually sampled trees of *graph* (the non-BFS
+        fallback), with each tree's sign-to-root."""
+        from repro.core.cycles_vectorized import sign_to_root
+
         if not trees:
             raise EngineError("cannot build an empty TreeBatch")
         return cls(
@@ -111,6 +98,7 @@ class TreeBatch:
             parent=np.stack([t.parent for t in trees]),
             parent_edge=np.stack([t.parent_edge for t in trees]),
             level_of=np.stack([t.level_of for t in trees]),
+            sign_to_root=np.stack([sign_to_root(graph, t) for t in trees]),
         )
 
 
@@ -149,30 +137,65 @@ def sample_bfs_batch(
     ``bfs_tree(graph, root=root, seed=spawn(seed, i))`` — same root
     draws, same parent tie-breaks — because every tree keeps its own
     child RNG stream and its offers stay in the sequential frontier
-    order inside the stacked arrays.
+    order inside the stacked arrays; its ``sign_to_root`` row is
+    :func:`~repro.core.cycles_vectorized.sign_to_root` of that tree.
     """
-    indices = list(indices)
-    per_pass = max(1, _OFFER_BUDGET // max(len(graph.adj_vertex), 1))
-    if len(indices) > per_pass:
-        # Trees are independent: sampling them a few at a time gives
-        # the same stack with a cache-sized offer scratch.
-        parts = [
-            sample_bfs_batch(graph, seed, indices[i : i + per_pass],
-                             root=root, counters=counters)
-            for i in range(0, len(indices), per_pass)
-        ]
-        return TreeBatch(
-            roots=np.concatenate([p.roots for p in parts]),
-            parent=np.vstack([p.parent for p in parts]),
-            parent_edge=np.vstack([p.parent_edge for p in parts]),
-            level_of=np.vstack([p.level_of for p in parts]),
-        )
-
-    n = graph.num_vertices
     rngs = spawn_batch(seed, indices)
-    num_trees = len(rngs)
-    if num_trees == 0:
+    if not rngs:
         raise EngineError("need at least one tree index")
+    # Trees are independent: sampling them a few at a time gives the
+    # same stack with a cache-sized offer scratch.  Every pass reads a
+    # prefix of one flattened CSR, built once for the widest pass.
+    two_m = len(graph.adj_vertex)
+    width = min(len(rngs), max(1, _OFFER_BUDGET // max(two_m, 1)))
+    csr = _flat_csr(graph, width)
+    parts = [
+        _bfs_pass(graph, csr, rngs[i : i + width], root, counters)
+        for i in range(0, len(rngs), width)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return TreeBatch(*(
+        np.concatenate([getattr(p, f.name) for p in parts])
+        for f in fields(TreeBatch)
+    ))
+
+
+def _flat_csr(graph: SignedGraph, width: int) -> tuple:
+    """``(indptr, target, source, twin)`` of *width* stacked copies of
+    *graph* over flat ids ``g = b * n + v``: copy b's half-edges sit at
+    ``[b * 2m, (b + 1) * 2m)`` and name their ends by flat id, and the
+    first k copies of each array are a prefix of it."""
+    n, two_m = graph.num_vertices, len(graph.adj_vertex)
+    source = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    if width == 1:
+        return graph.indptr, graph.adj_vertex, source, graph.half_twin
+    shift = np.arange(width, dtype=np.int64)[:, None]
+    return (
+        np.append(graph.indptr[:-1] + shift * two_m, width * two_m),
+        (graph.adj_vertex + shift * n).ravel(),
+        (source + shift * n).ravel(),
+        (graph.half_twin + shift * two_m).ravel(),
+    )
+
+
+def _bfs_pass(
+    graph: SignedGraph,
+    csr: tuple,
+    rngs: list,
+    root: int | None,
+    counters: Counters | None,
+) -> TreeBatch:
+    """One level-synchronous expansion of the trees drawn by *rngs*,
+    on the first ``len(rngs)`` copies of the flat *csr*."""
+    n = graph.num_vertices
+    num_trees = len(rngs)
+    size = num_trees * n
+    two_m = len(graph.adj_vertex)
+    indptr, adj, source, twin = csr
+    adj, source = adj[: num_trees * two_m], source[: num_trees * two_m]
+    offsets = np.arange(num_trees, dtype=np.int64) * n
+    tree_bounds = np.arange(num_trees + 1, dtype=np.int64) * two_m
 
     if root is None:
         roots = np.asarray(
@@ -181,29 +204,11 @@ def sample_bfs_batch(
     else:
         roots = np.full(num_trees, int(root), dtype=np.int64)
 
-    size = num_trees * n
-    two_m = len(graph.adj_vertex)
-    # Flattened tree-vertex ids g = b * n + v over a flattened CSR:
-    # tree b's copy of the adjacency sits at [b * 2m, (b + 1) * 2m) and
-    # names its neighbours by flat id, so one gather turns an offer's
-    # position into its flat target (B·2m entries, under the offer
-    # budget's 2 MB).  A single tree indexes the graph's own arrays.
-    offsets = np.arange(num_trees, dtype=np.int64) * n
-    half_base = np.arange(num_trees, dtype=np.int64) * two_m
-    if num_trees == 1:
-        flat_indptr, flat_adj = graph.indptr, graph.adj_vertex
-    else:
-        flat_indptr = np.empty(size + 1, dtype=np.int64)
-        flat_indptr[:-1] = (graph.indptr[:-1] + half_base[:, None]).ravel()
-        flat_indptr[-1] = num_trees * two_m
-        flat_adj = (graph.adj_vertex + offsets[:, None]).ravel()
-        tree_bounds = np.append(half_base, num_trees * two_m)
-
-    # The flat half-edge position of each vertex's winning offer (−1
-    # at the roots); edge ids and parents are read off it once, after
-    # the loop.
-    parent_half = np.full(size, -1, dtype=np.int64)
+    # Each vertex's flat parent and parent edge (−1 at the roots).
+    parent = np.full(size, -1, dtype=np.int64)
+    parent_edge = np.full(size, -1, dtype=np.int64)
     level = np.full(size, -1, dtype=np.int64)
+    sign_to_root = np.ones(size, dtype=np.int8)
     undiscovered = np.ones(size, dtype=bool)
 
     # The frontier stays sorted ascending, i.e. grouped by tree with
@@ -213,20 +218,36 @@ def sample_bfs_batch(
     undiscovered[frontier] = False
     level[frontier] = 0
     depth = 0
+    left = size - num_trees  # undiscovered vertices
 
-    # Winner-selection scratch, sized B·n but allocated once per call
-    # and only ever written at offered slots before being read — no
-    # per-level (B, n) scratch is materialized.
-    best_key = np.empty(size, dtype=np.float64)
+    # Winner-selection scratch, sized B·n but allocated once per pass —
+    # no per-level (B, n) scratch is materialized.  A vertex is offered
+    # at one level only, the one that discovers it, so its key slot
+    # starts at +inf and is never reset; offer slots are written before
+    # they are read.
+    best_key = np.full(size, np.inf)
     best_offer = np.empty(size, dtype=np.int64)
 
     while len(frontier):
         depth += 1
-        pos = csr_positions(flat_indptr, frontier)
-        g_target = flat_adj[pos]
-        fresh = undiscovered[g_target].nonzero()[0]
-        g_target = g_target[fresh]
-        pos = pos[fresh]
+        if left < len(frontier):
+            # A frontier larger than the undiscovered vertices: its
+            # offers are found from the other side.  A vertex
+            # discovered before the previous level has no undiscovered
+            # neighbour, so every discovered neighbour of an
+            # undiscovered vertex is in the frontier, and the reverses
+            # of those half-edges are exactly the frontier's fresh
+            # offers, put in position order by one sort.
+            back = csr_positions(indptr, np.flatnonzero(undiscovered))
+            back = back[~undiscovered[adj[back]]]
+            pos = np.sort(twin[back])
+            g_target = adj[pos]
+        else:
+            pos = csr_positions(indptr, frontier)
+            g_target = adj[pos]
+            fresh = undiscovered[g_target].nonzero()[0]
+            g_target = g_target[fresh]
+            pos = pos[fresh]
         if len(g_target) == 0:
             break
 
@@ -236,24 +257,17 @@ def sample_bfs_batch(
         if num_trees == 1:
             keys = rngs[0].random(len(g_target))
         else:
-            cuts = np.searchsorted(pos, tree_bounds)
+            cuts = np.searchsorted(pos, tree_bounds).tolist()
             keys = np.empty(len(g_target), dtype=np.float64)
-            for t in np.flatnonzero(cuts[1:] > cuts[:-1]):
-                lo, hi = int(cuts[t]), int(cuts[t + 1])
-                keys[lo:hi] = rngs[t].random(hi - lo)
+            for t, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                if hi > lo:
+                    keys[lo:hi] = rngs[t].random(hi - lo)
 
         # Uniform winner per (tree, target) without sorting the offers:
-        # repeated last-write-wins scatters converge on the minimum key
-        # per target (each round keeps only the offers still strictly
-        # below the stored champion, halving the field in expectation),
-        # then a reversed scatter of the minimum-key offers breaks ties
-        # toward the earliest offer — the same winner the sequential
-        # lexsort picks.
-        best_key[g_target] = keys
-        alive = (keys < best_key[g_target]).nonzero()[0]
-        while len(alive):
-            best_key[g_target[alive]] = keys[alive]
-            alive = alive[keys[alive] < best_key[g_target[alive]]]
+        # the minimum key per target, then a reversed scatter of the
+        # minimum-key offers breaks ties toward the earliest offer —
+        # the same winner the sequential lexsort picks.
+        np.minimum.at(best_key, g_target, keys)
         cand = (keys == best_key[g_target]).nonzero()[0]
         rev = cand[::-1]
         best_offer[g_target[rev]] = rev
@@ -269,16 +283,22 @@ def sample_bfs_batch(
         if 8 * len(win) > size:
             level[g_target[win]] = depth
             new_g = np.flatnonzero(level == depth)
-            win = best_offer[new_g]
         else:
             new_g = np.sort(g_target[win])
-            win = best_offer[new_g]
             level[new_g] = depth
-        parent_half[new_g] = pos[win]
+        # Each winner's parent and edge come off its winning half-edge
+        # (copy b's half-edges start at b * 2m), and its sign-to-root
+        # is its parent's (set a level ago) times the edge's sign.
+        half = pos[best_offer[new_g]]
+        src, edge = source[half], graph.adj_edge[half % two_m]
+        parent[new_g], parent_edge[new_g] = src, edge
+        sign_to_root[new_g] = sign_to_root[src] * graph.edge_sign[edge]
         undiscovered[new_g] = False
         frontier = new_g
+        left -= len(new_g)
         if counters is not None:
             counters.parallel_region("batch.bfs_round", len(new_g))
+            counters.parallel_region("parity.top_down", len(new_g))
 
     reached = n - undiscovered.reshape(num_trees, n).sum(axis=1)
     if np.any(reached != n):
@@ -288,23 +308,13 @@ def sample_bfs_batch(
             f"{n} vertices; extract the largest connected component first"
         )
 
-    # Edge ids from the winning half-edges, then each parent as the
-    # edge's other endpoint: u + v − child.  Roots keep −1.
-    if n == 1:
-        parent = np.full((num_trees, 1), -1, dtype=np.int64)
-        parent_edge = parent.copy()
-    else:
-        rows = np.arange(num_trees)
-        half = parent_half.reshape(num_trees, n) - half_base[:, None]
-        half[rows, roots] = 0
-        parent_edge = graph.adj_edge[half]
-        parent = (graph.edge_u[parent_edge] + graph.edge_v[parent_edge]
-                  - np.arange(n, dtype=np.int64))
-        parent_edge[rows, roots] = -1
-        parent[rows, roots] = -1
+    # Parents back to per-tree ids; roots keep −1.
+    parent = parent.reshape(num_trees, n) - offsets[:, None]
+    parent[np.arange(num_trees), roots] = -1
     return TreeBatch(
         roots=roots,
         parent=parent,
-        parent_edge=parent_edge,
+        parent_edge=parent_edge.reshape(num_trees, n),
         level_of=level.reshape(num_trees, n),
+        sign_to_root=sign_to_root.reshape(num_trees, n),
     )

@@ -157,4 +157,6 @@ class TreeSampler:
             )
         # The fallback stacks individually sampled trees; tree() already
         # counts each, so no batch-level count here.
-        return TreeBatch.from_trees([self.tree(i) for i in indices])
+        return TreeBatch.from_trees(
+            self.graph, [self.tree(i) for i in indices]
+        )

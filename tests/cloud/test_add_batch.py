@@ -39,13 +39,13 @@ def test_edge_counters_match_boolean_sums(graph, batch, seed):
     both_sides = np.vstack([sides[:1], sides])
     coside = both_sides[:, graph.edge_u] == both_sides[:, graph.edge_v]
     np.testing.assert_array_equal(
-        cloud._edge_preserved, (both == graph.edge_sign).sum(axis=0)
+        cloud.edge_agreement(),
+        (both == graph.edge_sign).sum(axis=0) / len(both),
     )
     np.testing.assert_array_equal(cloud._edge_coside, coside.sum(axis=0))
     np.testing.assert_array_equal(
         cloud.flip_counts(), (both != graph.edge_sign).sum(axis=1)
     )
-    assert cloud._edge_preserved.dtype == np.int64
     assert cloud._edge_coside.dtype == np.int64
 
 

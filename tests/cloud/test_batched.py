@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.cloud import FrustrationCloud, sample_cloud
-from repro.core.parity_batch import balance_batch, sign_to_root_batch
+from repro.core.parity_batch import balance_batch
 from repro.core.cycles_vectorized import sign_to_root
 from repro.errors import NotBalancedError, ReproError
 from repro.harary.bipartition import sides_from_sign_to_root
@@ -39,7 +39,7 @@ class TestBatchedParityKernel:
         g = make_connected_signed(50, 130, seed=4)
         sampler = TreeSampler(g, seed=21)
         batch = sampler.batch(8)
-        s2r = sign_to_root_batch(g, batch)
+        s2r = batch.sign_to_root
         for i in range(8):
             assert np.array_equal(s2r[i], sign_to_root(g, sampler.tree(i)))
 
@@ -97,13 +97,17 @@ class TestSeedForSeedEquivalence:
         assert_clouds_identical(whole, a)
         assert_clouds_identical(whole, left)
 
-    def test_phase_timer_has_batched_phases(self):
+    def test_phase_timer_has_batched_phases(self, monkeypatch):
+        from repro.cloud import cloud as cloud_module
+
         g = make_connected_signed(25, 60, seed=13)
+        # An engine chunk of 4 states.
+        monkeypatch.setattr(cloud_module, "_CHUNK_BYTES", 4 * g.num_edges)
         timers = PhaseTimer()
-        sample_cloud(g, 8, seed=1, batch_size=4, timers=timers)
+        sample_cloud(g, 8, seed=1, timers=timers)
         for phase in ("tree_generation", "cycle_processing", "harary_and_status"):
             assert timers.seconds.get(phase, 0.0) > 0.0
-        assert timers.counts["tree_generation"] == 2  # two batches of 4
+        assert timers.counts["tree_generation"] == 2  # two chunks of 4
 
     def test_non_bfs_method_falls_back(self):
         g = make_connected_signed(20, 50, seed=14)

@@ -79,7 +79,7 @@ class TestSaveLoad:
     def test_campaign_metadata_round_trip(self, graph, tmp_path):
         cloud = sample_cloud(graph, 5, seed=3, batch_size=1)
         meta = CampaignMeta(
-            method="bfs", seed=3, batch_size=1,
+            method="bfs", seed=3,
             store_states=False,
         )
         path = tmp_path / "cloud.npz"
@@ -94,6 +94,10 @@ class TestSaveLoad:
         # fraction) written by an earlier release must remain loadable.
         cloud = sample_cloud(graph, 6, seed=2)
         n = graph.num_vertices
+        save_cloud(cloud, tmp_path / "v3.npz")
+        with np.load(tmp_path / "v3.npz") as v3:
+            majority_sq = v3["majority_sq"]
+            edge_preserved = v3["edge_preserved"]
         path = tmp_path / "v1.npz"
         np.savez_compressed(
             path.open("wb"),
@@ -104,9 +108,9 @@ class TestSaveLoad:
             num_states=np.array([cloud.num_states]),
             store_states=np.array([0]),
             majority=cloud._majority / 2,
-            majority_sq=cloud._majority_sq / 4,
+            majority_sq=majority_sq / 4,
             coalition=cloud._coalition / (n - 1),
-            edge_preserved=cloud._edge_preserved,
+            edge_preserved=edge_preserved,
             edge_coside=cloud._edge_coside,
             flip_counts=cloud.flip_counts(),
         )
@@ -189,14 +193,28 @@ class TestAccumulatorBounds:
         with pytest.raises(CheckpointError, match="majority has dtype"):
             load_checkpoint(path, graph)
 
+    @pytest.mark.parametrize("key", ["majority_sq", "edge_preserved"])
+    def test_derived_array_must_agree(self, graph, saved, key):
+        """majority_sq and edge_preserved follow from the other arrays;
+        an in-bounds value off that derivation is damage too."""
+        _cloud, path = saved
+        with np.load(path) as data:
+            arr = data[key].copy()
+        arr[3] += 1 if arr[3] == 0 else -1
+        rewrite(path, **{key: arr})
+        with pytest.raises(CheckpointError, match=f"{key} disagrees"):
+            load_checkpoint(path, graph)
+
     def _as_v2(self, cloud, path, n):
         """Rewrite *path* in the v2 units: float sums of δ, δ² and the
         coalition fraction."""
+        with np.load(path) as data:
+            majority_sq = data["majority_sq"]
         rewrite(
             path,
             version=np.array([2]),
             majority=cloud._majority / 2,
-            majority_sq=cloud._majority_sq / 4,
+            majority_sq=majority_sq / 4,
             coalition=cloud._coalition / (n - 1),
         )
 
@@ -204,10 +222,13 @@ class TestAccumulatorBounds:
         cloud, path = saved
         self._as_v2(cloud, path, graph.num_vertices)
         back, _meta = load_checkpoint(path, graph)
-        for name in ("_majority", "_majority_sq", "_coalition"):
+        for name in ("_majority", "_coalition"):
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(cloud, name))
+        assert back._ties == cloud._ties
         np.testing.assert_array_equal(back.influence(), cloud.influence())
+        np.testing.assert_array_equal(back.status_volatility(),
+                                      cloud.status_volatility())
 
     @pytest.mark.parametrize("key, unit", [
         ("majority", 2), ("majority_sq", 4), ("coalition", 49),
@@ -244,7 +265,7 @@ class TestBlockRows:
         cloud = sample_cloud(graph, 6, seed=2)
         path = tmp_path / "salvage.npz"
         save_cloud(cloud, path, campaign=CampaignMeta(
-            method="bfs", seed=2, batch_size=1, store_states=False,
+            method="bfs", seed=2, store_states=False,
             done_blocks=((0, 6, 1),), quarantined_blocks=((6, 8, 1),),
         ))
         return path
@@ -307,10 +328,13 @@ class TestStoredKernel:
         assert meta.method == "bfs" and meta.seed == 7
         resumed = resume_cloud(cloud, 12)
         full = sample_cloud(graph, 12, seed=7)
-        for name in ("_majority", "_majority_sq", "_coalition",
-                     "_edge_preserved", "_edge_coside"):
+        for name in ("_majority", "_coalition", "_edge_coside"):
             np.testing.assert_array_equal(
                 getattr(resumed, name), getattr(full, name)
+            )
+        for name in ("status_volatility", "edge_agreement"):
+            np.testing.assert_array_equal(
+                getattr(resumed, name)(), getattr(full, name)()
             )
         np.testing.assert_array_equal(resumed.flip_counts(), full.flip_counts())
 

@@ -136,7 +136,10 @@ class TestSampleCloud:
         g = make_connected_signed(40, 100, seed=1)
         timers = PhaseTimer()
         sample_cloud(g, 5, seed=0, timers=timers)
-        assert timers.counts["tree_generation"] == 5
+        sample_cloud(g, 3, seed=1, timers=timers)
+        # One engine chunk per campaign here: the engine stacks many
+        # more than five states of a 100-edge graph per chunk.
+        assert timers.counts["tree_generation"] == 2
         assert "harary_and_status" in timers.seconds
 
     def test_status_converges_on_balanced_graph(self):

@@ -3,7 +3,7 @@ config), byte for byte.
 
 The cloud's accumulators are exact integers, so however a campaign's
 index range is cut into blocks, in whatever grouping the block clouds
-merge (in index order), at whatever batch size and chunk boundary it
+merge (in index order), at whatever engine chunk and block boundary it
 resumes (from a sequential checkpoint or a pool's salvage) and over
 however many workers it runs, the result is one
 ``sample_cloud``: the same v3 checkpoint payload and the same serve
@@ -13,21 +13,25 @@ for the swap chain alike.
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.checkpoint import load_checkpoint, resume_cloud, save_cloud
-from repro.cloud.cloud import FrustrationCloud, sample_cloud
+from repro.cloud import cloud as cloud_module
+from repro.cloud.cloud import FrustrationCloud, ingest_states, sample_cloud
 from repro.graph.store import graph_fingerprint
 from repro.errors import EngineError
 from repro.parallel.pool import (
-    CampaignTask,
     _contiguous_blocks,
     sample_cloud_pool,
 )
 from repro.serve.state import QuerySnapshot, canonical_json
+from repro.trees.sampler import TreeSampler
 from repro.util.faults import WorkerCrash
 
 from tests.conftest import make_connected_signed
@@ -45,6 +49,25 @@ def payload(cloud: FrustrationCloud, path) -> dict:
             for key in data.files
             if key != "metrics_json"
         }
+
+
+@contextlib.contextmanager
+def engine_chunks(chunk: int):
+    """Campaigns in this block fold *chunk* states per engine chunk,
+    whatever the method (pool workers fork under the patch)."""
+    with mock.patch.object(cloud_module, "_CHUNK_BYTES",
+                           chunk * GRAPH.num_edges), \
+            mock.patch.object(cloud_module, "_SWAP_CHUNK", chunk):
+        yield
+
+
+def block_cloud(method: str, lo: int, hi: int, chunk: int):
+    """One contiguous block's cloud, folded *chunk* states at a time."""
+    cloud = FrustrationCloud(GRAPH)
+    sampler = TreeSampler(GRAPH, method=method, seed=SEED)
+    for _folded in ingest_states(cloud, sampler, range(lo, hi), _chunk=chunk):
+        pass
+    return cloud
 
 
 def answers(cloud: FrustrationCloud) -> list[bytes]:
@@ -71,11 +94,11 @@ def merge_tree(clouds: list, data) -> FrustrationCloud:
 @given(
     method=st.sampled_from(["bfs", "swap"]),
     total=st.integers(2, 40),
-    batch_size=st.integers(1, 8),
+    chunk=st.integers(1, 8),
     data=st.data(),
 )
 def test_partition_merge_and_resume_match_one_campaign(
-    tmp_path_factory, method, total, batch_size, data
+    tmp_path_factory, method, total, chunk, data
 ):
     work = tmp_path_factory.mktemp("contract")
     reference = sample_cloud(GRAPH, total, method=method, seed=SEED)
@@ -89,10 +112,9 @@ def test_partition_merge_and_resume_match_one_campaign(
         label="cuts",
     )
     bounds = [0, *sorted(cuts), total]
-    task = CampaignTask(method=method, seed=SEED, store_states=False,
-                        batch_size=batch_size)
     merged = merge_tree(
-        [task(GRAPH, (lo, hi, 1)) for lo, hi in zip(bounds, bounds[1:])],
+        [block_cloud(method, lo, hi, chunk)
+         for lo, hi in zip(bounds, bounds[1:])],
         data,
     )
     assert payload(merged, work / "merged.npz") == want_payload
@@ -101,8 +123,9 @@ def test_partition_merge_and_resume_match_one_campaign(
     # Stop at a random state, reload the checkpoint, and resume.
     stop = data.draw(st.integers(1, total), label="stop")
     path = work / "mid.npz"
-    sample_cloud(GRAPH, stop, method=method, seed=SEED,
-                 batch_size=batch_size, checkpoint_path=path)
+    with engine_chunks(chunk):
+        sample_cloud(GRAPH, stop, method=method, seed=SEED,
+                     checkpoint_path=path)
     cloud, _meta = load_checkpoint(path, GRAPH)
     resumed = resume_cloud(cloud, total)
     assert payload(resumed, work / "resumed.npz") == want_payload
@@ -114,17 +137,18 @@ def test_partition_merge_and_resume_match_one_campaign(
     method=st.sampled_from(["bfs", "swap"]),
     workers=st.sampled_from([1, 2]),
     steal_chunks=st.none() | st.integers(1, 6),
-    batch_size=st.integers(1, 8),
+    chunk=st.integers(1, 8),
 )
 def test_pool_matches_one_campaign(tmp_path_factory, method, workers,
-                                   steal_chunks, batch_size):
+                                   steal_chunks, chunk):
     work = tmp_path_factory.mktemp("pool")
     total = 30
     reference = sample_cloud(GRAPH, total, method=method, seed=SEED)
-    pooled = sample_cloud_pool(
-        GRAPH, total, workers=workers, method=method, seed=SEED,
-        batch_size=batch_size, steal_chunks=steal_chunks,
-    )
+    with engine_chunks(chunk):
+        pooled = sample_cloud_pool(
+            GRAPH, total, workers=workers, method=method, seed=SEED,
+            steal_chunks=steal_chunks,
+        )
     assert (payload(pooled, work / "pool.npz")
             == payload(reference, work / "ref.npz"))
     assert answers(pooled) == answers(reference)
@@ -134,21 +158,22 @@ def test_pool_matches_one_campaign(tmp_path_factory, method, workers,
 @given(
     method=st.sampled_from(["bfs", "swap"]),
     stop=st.integers(1, 29),
-    batch_size=st.integers(1, 8),
+    chunk=st.integers(1, 8),
 )
 def test_pool_resume_of_a_sequential_checkpoint_matches_one_campaign(
-    tmp_path_factory, method, stop, batch_size
+    tmp_path_factory, method, stop, chunk
 ):
     work = tmp_path_factory.mktemp("pool-resume")
     total = 30
     reference = sample_cloud(GRAPH, total, method=method, seed=SEED)
     path = work / "mid.npz"
-    sample_cloud(GRAPH, stop, method=method, seed=SEED,
-                 batch_size=batch_size, checkpoint_path=path)
-    resumed = sample_cloud_pool(
-        GRAPH, total, workers=2, method=method, seed=SEED,
-        batch_size=batch_size, resume_from=path,
-    )
+    with engine_chunks(chunk):
+        sample_cloud(GRAPH, stop, method=method, seed=SEED,
+                     checkpoint_path=path)
+        resumed = sample_cloud_pool(
+            GRAPH, total, workers=2, method=method, seed=SEED,
+            resume_from=path,
+        )
     assert (payload(resumed, work / "resumed.npz")
             == payload(reference, work / "ref.npz"))
     assert answers(resumed) == answers(reference)

@@ -202,15 +202,21 @@ class TestResumeValidation:
         with pytest.raises(CheckpointError, match="seed"):
             resume_cloud(cloud, 20, seed=5)
 
-    def test_mismatched_batch_size_rejected(self, graph, tmp_path):
+    def test_batch_size_ignored_on_resume(self, graph, tmp_path):
+        """``batch_size`` is not campaign config: a resume under any
+        value continues the stored campaign exactly."""
         cloud = self._checkpoint(graph, tmp_path, seed=7, batch_size=4)
-        with pytest.raises(CheckpointError, match="batch_size"):
-            resume_cloud(cloud, 20, batch_size=2)
+        resumed = resume_cloud(cloud, 20, batch_size=2)
+        full = sample_cloud(graph, 20, seed=7)
+        np.testing.assert_array_equal(full.status(), resumed.status())
+        np.testing.assert_array_equal(
+            full.flip_counts(), resumed.flip_counts()
+        )
 
     def test_explicit_campaign_arg_validates(self, graph, tmp_path):
         cloud = sample_cloud(graph, 8, seed=7)
         stored = CampaignMeta(
-            method="bfs", seed=7, batch_size=1,
+            method="bfs", seed=7,
             store_states=False,
         )
         with pytest.raises(CheckpointError, match="seed"):

@@ -27,8 +27,7 @@ from tests.conftest import make_connected_signed
 
 ATTRIBUTES = ("status", "influence", "status_volatility", "edge_agreement",
               "edge_coside", "vertex_agreement", "flip_counts")
-ACCUMULATORS = ("_majority", "_majority_sq", "_coalition",
-                "_edge_preserved", "_edge_coside")
+ACCUMULATORS = ("_majority", "_coalition", "_edge_coside")
 
 
 def assert_same_cloud(a: FrustrationCloud, b: FrustrationCloud) -> None:
@@ -36,6 +35,7 @@ def assert_same_cloud(a: FrustrationCloud, b: FrustrationCloud) -> None:
     for name in ACCUMULATORS:
         lhs, rhs = getattr(a, name), getattr(b, name)
         assert lhs.dtype == rhs.dtype and np.array_equal(lhs, rhs), name
+    assert a._ties == b._ties
     for name in ATTRIBUTES:
         lhs, rhs = getattr(a, name)(), getattr(b, name)()
         assert lhs.dtype == rhs.dtype and np.array_equal(lhs, rhs), name
@@ -55,8 +55,7 @@ def dense_cloud(graph, indices, batch_size, **chain) -> FrustrationCloud:
 def lazy_cloud(graph, indices, batch_size, **chain) -> FrustrationCloud:
     sampler = TreeSampler(graph, method="swap", **chain)
     cloud = FrustrationCloud(graph)
-    folded = list(ingest_states(cloud, sampler, indices,
-                                batch_size=batch_size))
+    folded = list(ingest_states(cloud, sampler, indices, _chunk=batch_size))
     assert sum(folded) == len(indices)
     return cloud
 

@@ -51,10 +51,12 @@ def oracle_cloud(graph, indices, seed, kernel="lockstep", method="bfs"):
 
 def assert_same_accumulators(a: FrustrationCloud, b: FrustrationCloud):
     assert a.num_states == b.num_states
-    for name in ("_majority", "_majority_sq", "_coalition",
-                 "_edge_preserved", "_edge_coside"):
+    for name in ("_majority", "_coalition", "_edge_coside"):
         lhs, rhs = getattr(a, name), getattr(b, name)
         assert lhs.dtype == rhs.dtype and np.array_equal(lhs, rhs), name
+    assert a._ties == b._ties
+    for name in ("status_volatility", "edge_agreement"):
+        assert np.array_equal(getattr(a, name)(), getattr(b, name)()), name
     assert np.array_equal(a.flip_counts(), b.flip_counts())
     assert a.unique_states() == b.unique_states()
 

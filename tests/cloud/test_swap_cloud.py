@@ -1,4 +1,5 @@
-"""Swap-method campaigns: drivers, checkpointing, and auto batch size."""
+"""Swap-method campaigns: drivers, checkpointing, and the engine's chunks
+(``batch_size`` is accepted and ignored)."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from repro.cloud.checkpoint import (
     resume_cloud,
     validate_campaign,
 )
-from repro.cloud.cloud import auto_batch_size, sample_cloud
+from repro.cloud import cloud as cloud_module
+from repro.cloud.cloud import sample_cloud
 from repro.errors import CheckpointError, ReproError
 from repro.parallel.pool import sample_cloud_pool
 
@@ -32,28 +34,29 @@ def _attrs(cloud):
 
 class TestAutoBatchSize:
     def test_targets_cache_sized_batches(self):
-        assert auto_batch_size(1000) == 64
-        assert auto_batch_size(4000) == 32
-        assert auto_batch_size(12000) == 8
-        # clamps: tiny graphs cap at 64, huge graphs floor at 8
-        assert auto_batch_size(10) == 64
-        assert auto_batch_size(10**6) == 8
+        """The engine picks the chunks: dense chunks stack as many sign
+        rows as fit its byte budget (at least one), swap flushes every
+        32 states."""
+        chunk = cloud_module._chunk_size
+        budget = cloud_module._CHUNK_BYTES
+        for m in (10, 20_000, 160_000, budget, 4 * budget):
+            rows = chunk("bfs", m)
+            assert rows >= 1 and (rows == 1 or rows * m <= budget)
+            assert (rows + 1) * m > budget
+            assert chunk("wilson", m) == rows
+            assert chunk("swap", m) == 32
 
-    def test_power_of_two(self):
-        for n in (100, 3000, 5000, 9000, 20000):
-            b = auto_batch_size(n)
-            assert b & (b - 1) == 0 and 8 <= b <= 64
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ReproError):
-            auto_batch_size(0)
+    def test_rejects_nonpositive(self, graph):
+        for bad in (0, -3):
+            with pytest.raises(ReproError):
+                sample_cloud(graph, 4, batch_size=bad)
+            with pytest.raises(ReproError):
+                sample_cloud_pool(graph, 4, workers=1, batch_size=bad)
 
     def test_sample_cloud_accepts_auto(self, graph):
         auto = sample_cloud(graph, 20, seed=3, batch_size="auto")
-        explicit = sample_cloud(
-            graph, 20, seed=3, batch_size=auto_batch_size(graph.num_vertices)
-        )
-        for a, b in zip(_attrs(auto), _attrs(explicit)):
+        default = sample_cloud(graph, 20, seed=3)
+        for a, b in zip(_attrs(auto), _attrs(default)):
             assert np.array_equal(a, b)
 
     def test_rejects_garbage_batch_size(self, graph):
@@ -68,12 +71,14 @@ class TestSwapCampaigns:
         for x, y in zip(_attrs(a), _attrs(b)):
             assert np.array_equal(x, y)
 
-    def test_independent_of_batch_size(self, graph):
-        """Batch size is an execution detail: the chain's states are a
-        pure function of (seed, index)."""
-        a = sample_cloud(graph, 60, method="swap", seed=5, batch_size=4)
-        b = sample_cloud(graph, 60, method="swap", seed=5, batch_size=32)
-        c = sample_cloud(graph, 60, method="swap", seed=5, batch_size=1)
+    def test_independent_of_batch_size(self, graph, monkeypatch):
+        """The engine's chunk is an execution detail: the chain's states
+        are a pure function of (seed, index)."""
+        clouds = []
+        for chunk in (4, 32, 1):
+            monkeypatch.setattr(cloud_module, "_SWAP_CHUNK", chunk)
+            clouds.append(sample_cloud(graph, 60, method="swap", seed=5))
+        a, b, c = clouds
         for x, y, z in zip(_attrs(a), _attrs(b), _attrs(c)):
             assert np.array_equal(x, y)
             assert np.array_equal(x, z)
@@ -133,7 +138,7 @@ class TestSwapCheckpointing:
 
     def test_validate_rejects_mismatched_swaps(self):
         stored = CampaignMeta(
-            method="swap", seed=1, batch_size=8,
+            method="swap", seed=1,
             store_states=False, swaps_per_state=3,
         )
         with pytest.raises(CheckpointError):

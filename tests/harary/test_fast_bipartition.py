@@ -47,10 +47,7 @@ def test_fast_sides_batch_shape(seed):
     """Batched (B, n) input yields the per-row single-state answer."""
     g = make_connected_signed(15, 30, seed=seed % 31)
     sampler = TreeSampler(g, seed=seed)
-    batch = sampler.batch(4)
-    from repro.core.parity_batch import sign_to_root_batch
-
-    s2r = sign_to_root_batch(g, batch)
+    s2r = sampler.batch(4).sign_to_root
     sides = sides_from_sign_to_root(s2r)
     assert sides.shape == s2r.shape
     for b in range(4):

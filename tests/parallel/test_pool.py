@@ -13,7 +13,6 @@ from repro.cloud.checkpoint import (
     rotated_paths,
     save_cloud,
 )
-from repro.cloud.cloud import auto_batch_size
 from repro.core import balance
 from repro.errors import CheckpointError, EngineError, ReproError
 from repro.graph.build import from_edges
@@ -72,6 +71,27 @@ class TestMerge:
             a.merge(b)
 
 
+class TestBlockShipping:
+    @pytest.mark.parametrize("method", ["bfs", "swap"])
+    def test_block_result_ships_without_the_graph(self, method, tmp_path):
+        """A pool block's cloud travels back without the graph the
+        parent already holds, and merges to the same cloud."""
+        import pickle
+
+        g = make_connected_signed(300, 1500, seed=3)
+        task = CampaignTask(method=method, seed=4, store_states=False)
+        block = task(g, (0, 40, 1))
+        shipped = pickle.dumps(task.pack(block))
+        assert len(shipped) < len(pickle.dumps(g))
+        landed = task.unpack(g, pickle.loads(shipped))
+        assert landed.graph is g
+        landed.merge(task(g, (40, 64, 1)))
+        seq = sample_cloud(g, 64, method=method, seed=4)
+        assert _payload(landed, tmp_path / "m.npz") == _payload(
+            seq, tmp_path / "s.npz"
+        )
+
+
 class TestPool:
     def test_single_worker_matches_sequential(self):
         g = make_connected_signed(40, 100, seed=1)
@@ -114,18 +134,21 @@ class TestPool:
         )
 
 
-    def test_auto_batch_size_resolves_once(self, tmp_path):
+    def test_batch_size_is_accepted_and_ignored(self, tmp_path):
+        """Every campaign entry point takes ``batch_size`` and drops it:
+        the checkpoint records no batch size, and any value gives the
+        default campaign's payload."""
         g = make_connected_signed(40, 100, seed=1)
-        auto = auto_batch_size(g.num_vertices)
         pool = sample_cloud_pool(g, 8, seed=5, batch_size="auto")
-        assert pool.campaign_meta.batch_size == auto
+        assert not hasattr(pool.campaign_meta, "batch_size")
         ckpt = tmp_path / "auto.npz"
-        sample_cloud(g, 4, seed=5, batch_size="auto", checkpoint_path=ckpt)
+        sample_cloud(g, 4, seed=5, batch_size=3, checkpoint_path=ckpt)
+        with np.load(ckpt) as data:
+            assert "campaign_batch_size" not in data.files
         resumed = resume_cloud(load_cloud(ckpt, g), 8, batch_size="auto")
-        assert resumed.campaign_meta.batch_size == auto
         assert _payload(resumed, tmp_path / "r.npz") == _payload(
-            pool, tmp_path / "p.npz"
-        )
+            sample_cloud_pool(g, 8, seed=5, workers=1), tmp_path / "p.npz"
+        ) == _payload(pool, tmp_path / "q.npz")
 
 
 class TestPeriodicCheckpoints:
@@ -233,13 +256,12 @@ class TestSalvage:
         # the sequential campaign's state set.
         g = make_connected_signed(30, 60, seed=3)
         done = ((0, 12, 3), (2, 12, 3))
-        task = CampaignTask(method=method, seed=9, store_states=False,
-                            batch_size=1)
+        task = CampaignTask(method=method, seed=9, store_states=False)
         salvage = task(g, done[0])
         salvage.merge(task(g, done[1]))
         ckpt = tmp_path / "strided.npz"
         save_cloud(salvage, ckpt, campaign=CampaignMeta(
-            method=method, seed=9, batch_size=1, store_states=False,
+            method=method, seed=9, store_states=False,
             done_blocks=done,
         ))
         finished = sample_cloud_pool(

@@ -365,7 +365,7 @@ class TestRunSupervisedApi:
             graph,
             [(0, 6, 2), (1, 6, 2)],
             method="bfs", seed=7,
-            store_states=False, batch_size=1, workers=2,
+            store_states=False, workers=2,
             policy=RetryPolicy(max_retries=1, **FAST),
         )
         assert report.ok
@@ -406,7 +406,7 @@ class TestInterrupts:
             run_supervised(
                 graph, [(0, 6, 2), (1, 6, 2)],
                 method="bfs", seed=7,
-                store_states=False, batch_size=1, workers=1,
+                store_states=False, workers=1,
                 policy=RetryPolicy(max_retries=2, **FAST),
                 fault=WorkerCrash(1, mode="interrupt"),
             )

@@ -22,7 +22,7 @@ def test_pre_set_stop_event_abandons_everything():
     stop.set()
     completed, report = run_supervised(
         graph, _blocks(40, 4), method="bfs", seed=2,
-        store_states=False, batch_size=1, workers=1,
+        store_states=False, workers=1,
         policy=RetryPolicy(), stop_event=stop,
     )
     assert completed == []
@@ -45,7 +45,7 @@ def test_stop_mid_campaign_keeps_completed_prefix_valid():
     for block in _blocks(12, 4):
         completed, report = run_supervised(
             graph, [block], method="bfs", seed=2,
-            store_states=False, batch_size=1, workers=1,
+            store_states=False, workers=1,
             policy=RetryPolicy(), stop_event=stop,
         )
         if report.stopped:
@@ -71,7 +71,7 @@ def test_no_stop_event_behaves_as_before():
     graph = make_connected_signed(12, 10, seed=2)
     completed, report = run_supervised(
         graph, _blocks(8, 4), method="bfs", seed=2,
-        store_states=False, batch_size=1, workers=1, policy=RetryPolicy(),
+        store_states=False, workers=1, policy=RetryPolicy(),
     )
     assert report.ok and not report.stopped
     assert len(completed) == 2

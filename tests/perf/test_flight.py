@@ -74,6 +74,18 @@ class TestRecorder:
         assert doc["events"][-1]["kind"] == "completed"
         assert doc["events"][-1]["ok"] is True
 
+    def test_clear_inflight_dumps_at_once(self, tmp_path):
+        """A clean finish rewrites the dump: a post-mortem can tell a
+        finished worker from one killed mid-block."""
+        path = tmp_path / "f.json"
+        rec = FlightRecorder(str(path), autodump_every=0)
+        rec.mark_inflight(what="block", block=[9, 12, 1])
+        assert read_flight_dump(str(path))["inflight"]["block"] == [9, 12, 1]
+        rec.clear_inflight(what="block", block=[9, 12, 1])
+        doc = read_flight_dump(str(path))
+        assert doc["inflight"] is None
+        assert doc["events"][-1]["kind"] == "completed"
+
     def test_autodump_every_n_events(self, tmp_path):
         path = tmp_path / "f.json"
         rec = FlightRecorder(str(path), autodump_every=3)

@@ -224,7 +224,7 @@ class TestCampaignJournal:
             completed, report = run_supervised(
                 graph, [(0, 6, 2), (1, 6, 2)],
                 method="bfs", seed=7,
-                store_states=False, batch_size=1, workers=2,
+                store_states=False, workers=2,
                 policy=RetryPolicy(max_retries=3, **FAST), fault=fault,
             )
         assert report.ok
@@ -243,7 +243,7 @@ class TestCampaignJournal:
             _completed, report = run_supervised(
                 graph, [(0, 6, 2), (1, 6, 2)],
                 method="bfs", seed=7,
-                store_states=False, batch_size=1, workers=2,
+                store_states=False, workers=2,
                 policy=RetryPolicy(max_retries=1, degrade=False, **FAST),
                 fault=fault,
             )

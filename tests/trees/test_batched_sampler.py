@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.cycles_vectorized import sign_to_root
 from repro.errors import DisconnectedGraphError, EngineError
 from repro.graph.build import from_edges
 from repro.graph.generators import (
     chung_lu_signed,
+    complete_signed,
     cycle_graph,
     ensure_connected,
     grid_graph,
@@ -236,23 +238,72 @@ class TestNonBfsFallback:
 
     def test_from_trees_rejects_empty(self):
         with pytest.raises(EngineError):
-            TreeBatch.from_trees([])
+            TreeBatch.from_trees(make_connected_signed(5, 6, seed=1), [])
 
 
-class TestFlatLevels:
-    def test_flat_levels_cover_all_vertices(self):
-        g = make_connected_signed(30, 70, seed=8)
-        batch = TreeSampler(g, seed=1).batch(5)
-        order, ptr = batch.flat_levels
-        assert len(order) == 5 * g.num_vertices
-        assert ptr[0] == 0 and ptr[-1] == len(order)
-        flat_levels = batch.level_of.ravel()[order]
-        assert np.all(np.diff(flat_levels) >= 0)
+def _star(leaves):
+    return from_edges(
+        [(0, v, 1 if v % 3 else -1) for v in range(1, leaves + 1)]
+    )
 
-    def test_flat_parent_roots_negative(self):
-        g = make_connected_signed(20, 40, seed=9)
-        batch = TreeSampler(g, seed=2).batch(3)
-        flat = batch.flat_parent
-        n = g.num_vertices
+
+def _path(n):
+    return from_edges(
+        [(v, v + 1, -1 if v % 4 == 1 else 1) for v in range(n - 1)]
+    )
+
+
+class TestSignToRoot:
+    """The BFS writes each vertex's sign-to-root as it discovers it; every
+    row must equal the level pass over the sequential ``bfs_tree``."""
+
+    @staticmethod
+    def assert_rows_match(g, seed, indices, **kwargs):
+        batch = sample_bfs_batch(g, seed, indices, **kwargs)
+        assert batch.sign_to_root.dtype == np.int8
+        for b, i in enumerate(indices):
+            tree = bfs_tree(g, root=kwargs.get("root"), seed=spawn(seed, i))
+            assert np.array_equal(batch.sign_to_root[b], sign_to_root(g, tree))
+        return batch
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("kind", ["path", "star", "complete"])
+    def test_matches_sequential_sign_to_root(self, kind, batch):
+        g = {
+            "path": lambda: _path(40),
+            "star": lambda: _star(30),
+            "complete": lambda: complete_signed(
+                12, negative_fraction=0.4, seed=2
+            ),
+        }[kind]()
+        self.assert_rows_match(g, 7, list(range(batch)))
+
+    def test_er_late_levels_gather_from_the_undiscovered_side(self):
+        """On an ER graph the late frontiers outnumber the undiscovered
+        vertices, so their offers come from the undiscovered side; the
+        thin early levels gather from the frontier."""
+        g = make_connected_signed(600, 3000, seed=12)
+        batch = self.assert_rows_match(g, 3, [0, 1, 2])
+        level = batch.level_of[0]
+        bottom_up = [
+            np.count_nonzero(level > depth) < np.count_nonzero(level == depth)
+            for depth in range(int(level.max()))
+        ]
+        assert any(bottom_up) and not all(bottom_up)
+
+    def test_batch_wider_than_one_pass(self, monkeypatch):
+        from repro.trees import batched
+
+        g = make_connected_signed(80, 240, seed=5)
+        monkeypatch.setattr(batched, "_OFFER_BUDGET", 3 * len(g.adj_vertex))
+        self.assert_rows_match(g, 9, list(range(4, 15)))
+
+    def test_pinned_root_and_fallback_rows(self):
+        g = make_connected_signed(50, 120, seed=6)
+        self.assert_rows_match(g, 2, [0, 5], root=3)
+        sampler = TreeSampler(g, method="wilson", seed=2)
+        batch = sampler.batch(3)
         for b in range(3):
-            assert flat[b * n + int(batch.roots[b])] == -1
+            assert np.array_equal(
+                batch.sign_to_root[b], sign_to_root(g, sampler.tree(b))
+            )
