@@ -229,13 +229,13 @@ def _payload(
         "num_edges": np.array([cloud.graph.num_edges], dtype=np.int64),
         "num_states": np.array([cloud.num_states], dtype=np.int64),
         "store_states": np.array([int(cloud.store_states)], dtype=np.int64),
-        # majority_sq and edge_preserved are derived from the others;
-        # they are written so every v3 reader finds its arrays.
+        # majority_sq is derived from majority and the tie count; it
+        # is written so every v3 reader finds its arrays.
         "majority": cloud._majority.astype(np.int64),
         "majority_sq": cloud._majority_sq_units().astype(np.int64),
         "coalition": cloud._coalition.astype(np.int64),
-        "edge_preserved": cloud._preserved_counts(),
-        "edge_coside": cloud._edge_coside,
+        "edge_preserved": cloud._edge_preserved.astype(np.int64),
+        "edge_coside": cloud._edge_coside.astype(np.int64),
         "flip_counts": cloud.flip_counts(),
     }
     metrics = getattr(cloud, "metrics", None)
@@ -411,13 +411,17 @@ def _restore(
     cloud._majority = stored["majority"].astype(np.float64)
     cloud._coalition = stored["coalition"].astype(np.float64)
     cloud._edge_coside, cloud.num_states = stored["edge_coside"], num_states
-    # The derived arrays must agree with the cloud's accumulators
+    cloud._edge_preserved = stored["edge_preserved"]
+    cloud._fit_counts(num_states)
+    # The dependent arrays must agree with the cloud's accumulators
     # (2 * majority - majority_sq is one tie count for every vertex).
     sq = stored["majority_sq"]
     cloud._ties = int(2 * stored["majority"][0] - sq[0]) if n else 0
     ok = 0 <= cloud._ties <= num_states
+    preserved = np.where(graph.edge_sign > 0, cloud._edge_coside,
+                         num_states - cloud._edge_coside)
     for key, derived in (("majority_sq", cloud._majority_sq_units()),
-                         ("edge_preserved", cloud._preserved_counts())):
+                         ("edge_preserved", preserved)):
         if not (ok and np.array_equal(stored[key], derived)):
             raise CheckpointError(f"corrupt checkpoint {path}: {key} "
                                   "disagrees with the accumulators")

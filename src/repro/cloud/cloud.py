@@ -14,7 +14,7 @@ states is opt-in for the small-graph experiments that need Fig. 2's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator
+from typing import Dict, Iterator
 
 import numpy as np
 
@@ -43,18 +43,18 @@ __all__ = [
     "exact_cloud",
 ]
 
-#: Bytes of ``(chunk, m)`` int8 sign rows one dense chunk stacks, and
-#: swap-chain states per lazy-fold flush: the engine's chunking (see
-#: ``docs/performance_model.md``).  Chunks move no bits.
-_CHUNK_BYTES = 1 << 21
+#: Bytes of one dense chunk's states, m + 25n each (the ``(m,)`` int8
+#: sign row and the tree's four ``(n,)`` TreeBatch rows), and swap
+#: states per flush: the engine's chunks, which move no bits.
+_CHUNK_BYTES = 1 << 23
 _SWAP_CHUNK = 32
 
 
-def _chunk_size(method: str, num_edges: int) -> int:
-    """States per chunk of a *method* campaign on *num_edges* edges."""
+def _chunk_size(method: str, graph: SignedGraph) -> int:
+    """States per chunk of a *method* campaign on *graph*."""
     if method == "swap":
         return _SWAP_CHUNK
-    return max(1, _CHUNK_BYTES // max(num_edges, 1))
+    return max(1, _CHUNK_BYTES // (graph.num_edges + 25 * graph.num_vertices))
 
 
 def balanced_states(
@@ -115,7 +115,7 @@ def ingest_states(
     :func:`balanced_states` with :meth:`FrustrationCloud.add_batch`.
     Both routes give the same cloud, bit for bit, at any chunk size.
     """
-    chunk = _chunk or _chunk_size(sampler.method, cloud.graph.num_edges)
+    chunk = _chunk or _chunk_size(sampler.method, cloud.graph)
     if sampler.method == "swap" and not cloud.store_states:
         for lo in range(0, len(indices), chunk):
             with span("tree_sample"):
@@ -150,16 +150,17 @@ class FrustrationCloud:
     store_states: bool = False
 
     num_states: int = 0
-    # The accumulators are independent exact integers: δ_T(v) in
-    # half-units (2 on the larger side, 1 on a tie), the sum of v's
-    # side size minus one, each edge's co-side count and the tied
-    # states.  The vertex sums are held in float64, where every addend
-    # and partial sum is an integer below 2**53, so addition is exact
-    # in any order (a merge of any grouping of blocks gives the same
-    # bits) and the attributes divide once, at read time.
+    # The accumulators are exact integers: δ_T(v) in half-units (2 on
+    # the larger side, 1 on a tie), the sum of v's side size minus one,
+    # the states that kept / preserved each edge's sign (int32 while
+    # that holds them) and the tied states.  The vertex sums are
+    # float64, where every addend and partial sum is an integer below
+    # 2**53, so addition is exact in any order (a merge of any grouping
+    # of blocks gives the same bits); attributes divide at read time.
     _majority: np.ndarray = field(init=False, repr=False)
     _coalition: np.ndarray = field(init=False, repr=False)
     _edge_coside: np.ndarray = field(init=False, repr=False)
+    _edge_preserved: np.ndarray = field(init=False, repr=False)
     _ties: int = field(init=False, repr=False)
     _flip_counts: np.ndarray = field(init=False, repr=False)
     _flip_len: int = field(init=False, repr=False)
@@ -169,7 +170,8 @@ class FrustrationCloud:
         n, m = self.graph.num_vertices, self.graph.num_edges
         self._majority = np.zeros(n, dtype=np.float64)
         self._coalition = np.zeros(n, dtype=np.float64)
-        self._edge_coside = np.zeros(m, dtype=np.int64)
+        self._edge_coside = np.zeros(m, dtype=np.int32)
+        self._edge_preserved = np.zeros_like(self._edge_coside)
         self._ties = 0
         # Flip counts live in a doubling preallocated buffer so batch
         # ingestion and long campaigns never pay per-state list growth.
@@ -190,6 +192,12 @@ class FrustrationCloud:
             self._flip_counts = grown
         self._flip_counts[self._flip_len : need] = values
         self._flip_len = need
+
+    def _fit_counts(self, states: int) -> None:
+        """Exact per-edge counts: int32 while *states* fit it, else int64."""
+        dtype = np.int32 if states <= np.iinfo(np.int32).max else np.int64
+        self._edge_coside = self._edge_coside.astype(dtype, copy=False)
+        self._edge_preserved = self._edge_preserved.astype(dtype, copy=False)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -286,9 +294,15 @@ class FrustrationCloud:
         self._coalition += gains + float(size0.sum() - num_new)
         self._ties += ties
         # The check above pins coside == (signs > 0), so one exact
-        # column sum of the ±1 signs counts, per edge, the (B + sum) / 2
-        # states that kept it positive (co-side).
-        self._edge_coside += (num_new + signs.sum(axis=0, dtype=np.int64)) // 2
+        # column sum of the ±1 signs yields both edge counters: per
+        # edge, (B + sum) / 2 states kept it positive (co-side), and a
+        # state preserves the input sign iff it kept it at that sign.
+        positive = (num_new + signs.sum(axis=0, dtype=np.int64)) // 2
+        self._fit_counts(self.num_states + num_new)
+        self._edge_coside += positive
+        self._edge_preserved += np.where(
+            self.graph.edge_sign > 0, positive, num_new - positive
+        )
         self._append_flip_counts(
             (signs != self.graph.edge_sign).sum(axis=1, dtype=np.int64)
         )
@@ -324,6 +338,7 @@ class FrustrationCloud:
             return
         if not isinstance(log[0], np.ndarray):
             raise ReproError("a delta log opens with a sign-to-root row")
+        self._fit_counts(self.num_states + len(log))
         fold = _ChainFold(self)
         for b, entry in enumerate(log):
             if isinstance(entry, np.ndarray):
@@ -370,13 +385,7 @@ class FrustrationCloud:
         """Per-edge agreement: fraction of states preserving the edge's
         original sentiment (never-flipped edges score 1.0)."""
         self._require_states()
-        return self._preserved_counts() / self.num_states
-
-    def _preserved_counts(self) -> np.ndarray:
-        """States keeping each edge's input sign: the co-side count of
-        a positive edge, the rest of a negative one."""
-        return np.where(self.graph.edge_sign > 0, self._edge_coside,
-                        self.num_states - self._edge_coside)
+        return self._edge_preserved / self.num_states
 
     def _majority_sq_units(self) -> np.ndarray:
         """Σ δ_T(v)² in quarter-units (4 on the larger side, 1 on a
@@ -449,9 +458,11 @@ class FrustrationCloud:
         assert_same_structure(self.graph, other.graph)
         if self.store_states != other.store_states:
             raise ReproError("cannot merge clouds with different store_states")
+        self._fit_counts(self.num_states + other.num_states)
         self._majority += other._majority
         self._coalition += other._coalition
         self._edge_coside += other._edge_coside
+        self._edge_preserved += other._edge_preserved
         self._ties += other._ties
         self._append_flip_counts(other.flip_counts())
         if self.store_states:
@@ -547,6 +558,9 @@ class _ChainFold:
         cloud, elapsed = self.cloud, self.states
         positive = self.positive[cut]
         cloud._edge_coside[cut] += np.where(positive, elapsed, -elapsed)
+        cloud._edge_preserved[cut] += np.where(
+            positive == self.kept[cut], elapsed, -elapsed
+        )
         now = ~positive
         self.positive[cut] = now
         self.flipped += len(cut) - 2 * int(
@@ -589,6 +603,7 @@ class _ChainFold:
             acc += float(gain1 - gain0) * side + float(gain0)
         cloud, elapsed = self.cloud, self.states
         cloud._edge_coside += self.positive * elapsed
+        cloud._edge_preserved += (self.positive == self.kept) * elapsed
         cloud._ties += self.ties
         self._restart()
 

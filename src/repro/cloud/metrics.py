@@ -20,8 +20,6 @@ Beyond the paper's status attribute, this module derives:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.cloud.cloud import FrustrationCloud

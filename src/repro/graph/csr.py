@@ -19,7 +19,7 @@ it, matching the paper's single-copy design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Tuple
 
@@ -86,7 +86,9 @@ class SignedGraph:
         pos = np.arange(len(self.adj_edge), dtype=np.int64)
         ends = np.empty((2, self.num_edges), dtype=np.int64)
         ends[0, self.adj_edge[::-1]], ends[1, self.adj_edge] = pos[::-1], pos
-        return ends[:, self.adj_edge].sum(axis=0) - pos
+        twin = ends[:, self.adj_edge].sum(axis=0) - pos
+        twin.setflags(write=False)
+        return twin
 
     def degree(self, v: int | None = None) -> np.ndarray | int:
         """Degree of vertex *v*, or the full degree array if ``v is None``."""

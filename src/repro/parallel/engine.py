@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass
 from typing import Protocol
 
-import numpy as np
-
 from repro.core.balancer import balance
 from repro.errors import EngineError
 from repro.graph.csr import SignedGraph

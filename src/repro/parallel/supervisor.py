@@ -311,9 +311,10 @@ class BlockTask:
 
     ``what`` names the unit of work in the block's span and its
     flight-recorder mark.  :meth:`journal_fields` adds task-specific
-    fields to the block's ``block_completed`` journal event.  A pool
-    worker ships its result through :meth:`pack`, and the parent takes
-    every result in through :meth:`unpack` over its own graph.
+    fields to the block's ``block_completed`` journal event.  Every
+    block's result passes through :meth:`pack` where it ran (a pool
+    worker ships the packed result) and through :meth:`unpack` in the
+    parent, over the parent's graph.
     """
 
     what = "block"
@@ -369,7 +370,7 @@ def _envelope(
         result = task(graph, block)
     if recorder is not None:
         recorder.clear_inflight(what=task.what, block=list(block))
-    return _Outcome(result, metrics.snapshot(), None, os.getpid())
+    return _Outcome(task.pack(result), metrics.snapshot(), None, os.getpid())
 
 
 def _run_in_worker(
@@ -391,14 +392,12 @@ def _run_in_worker(
 
     graph = _worker_graph(fingerprint)
     if trace is None:
+        return _envelope(task, fault, graph, block)
+    with collecting_trace(_SHARD_MAX_EVENTS) as shard, trace_scope(
+        TraceContext.from_dict(trace)
+    ):
         outcome = _envelope(task, fault, graph, block)
-    else:
-        with collecting_trace(_SHARD_MAX_EVENTS) as shard, trace_scope(
-            TraceContext.from_dict(trace)
-        ):
-            outcome = _envelope(task, fault, graph, block)
-        outcome = outcome._replace(shard=collector_shard(shard))
-    return outcome._replace(result=task.pack(outcome.result))
+    return outcome._replace(shard=collector_shard(shard))
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:

@@ -46,7 +46,34 @@ def test_edge_counters_match_boolean_sums(graph, batch, seed):
     np.testing.assert_array_equal(
         cloud.flip_counts(), (both != graph.edge_sign).sum(axis=1)
     )
-    assert cloud._edge_coside.dtype == np.int64
+    assert cloud._edge_coside.dtype == np.int32
+
+
+def test_edge_counters_widen_before_they_overflow(graph):
+    """Per-edge counts are int32 while every count fits; the fold that
+    would take the cloud past 2**31 - 1 states widens them to int64
+    first, so the counts stay exact."""
+    signs, sides = _balanced_batch(graph, 3, seed=5)
+    cloud = FrustrationCloud(graph)
+    cloud.add_batch(signs, sides)
+    top = np.iinfo(np.int32).max
+    cloud.num_states = top - 3  # as if the cloud had folded that many
+    before = cloud._edge_coside.astype(np.int64)
+    cloud.add_batch(signs, sides)
+    assert cloud._edge_coside.dtype == np.int32  # exactly 2**31 - 1
+    cloud.add_batch(signs[:1], sides[:1])
+    assert cloud._edge_coside.dtype == cloud._edge_preserved.dtype == np.int64
+    coside = sides[:, graph.edge_u] == sides[:, graph.edge_v]
+    np.testing.assert_array_equal(
+        cloud._edge_coside, before + coside.sum(axis=0) + coside[0]
+    )
+    other = FrustrationCloud(graph)
+    other.add_batch(signs, sides)
+    other.num_states = top
+    other.merge(FrustrationCloud(graph))
+    assert other._edge_coside.dtype == np.int32
+    other.merge(cloud)
+    assert other._edge_coside.dtype == np.int64
 
 
 @pytest.mark.parametrize("bad_row", [0, 3, 6])

@@ -102,7 +102,7 @@ class TestSeedForSeedEquivalence:
 
         g = make_connected_signed(25, 60, seed=13)
         # An engine chunk of 4 states.
-        monkeypatch.setattr(cloud_module, "_CHUNK_BYTES", 4 * g.num_edges)
+        monkeypatch.setattr(cloud_module, "_chunk_size", lambda *_: 4)
         timers = PhaseTimer()
         sample_cloud(g, 8, seed=1, timers=timers)
         for phase in ("tree_generation", "cycle_processing", "harary_and_status"):

@@ -55,9 +55,8 @@ def payload(cloud: FrustrationCloud, path) -> dict:
 def engine_chunks(chunk: int):
     """Campaigns in this block fold *chunk* states per engine chunk,
     whatever the method (pool workers fork under the patch)."""
-    with mock.patch.object(cloud_module, "_CHUNK_BYTES",
-                           chunk * GRAPH.num_edges), \
-            mock.patch.object(cloud_module, "_SWAP_CHUNK", chunk):
+    with mock.patch.object(cloud_module, "_chunk_size",
+                           lambda method, graph: chunk):
         yield
 
 

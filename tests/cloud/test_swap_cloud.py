@@ -1,6 +1,8 @@
 """Swap-method campaigns: drivers, checkpointing, and the engine's chunks
 (``batch_size`` is accepted and ignored)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -34,17 +36,20 @@ def _attrs(cloud):
 
 class TestAutoBatchSize:
     def test_targets_cache_sized_batches(self):
-        """The engine picks the chunks: dense chunks stack as many sign
-        rows as fit its byte budget (at least one), swap flushes every
-        32 states."""
+        """The engine picks the chunks: dense chunks stack as many
+        states (sign row plus tree rows, m + 25n bytes) as fit its byte
+        budget (at least one), swap flushes every 32 states."""
         chunk = cloud_module._chunk_size
         budget = cloud_module._CHUNK_BYTES
-        for m in (10, 20_000, 160_000, budget, 4 * budget):
-            rows = chunk("bfs", m)
-            assert rows >= 1 and (rows == 1 or rows * m <= budget)
-            assert (rows + 1) * m > budget
-            assert chunk("wilson", m) == rows
-            assert chunk("swap", m) == 32
+        for n, m in ((5, 10), (4_000, 20_000), (2_000, 2_000),
+                     (32_000, 160_000), (10, budget), (10, 4 * budget)):
+            g = SimpleNamespace(num_vertices=n, num_edges=m)
+            per_state = m + 25 * n
+            rows = chunk("bfs", g)
+            assert rows >= 1 and (rows == 1 or rows * per_state <= budget)
+            assert (rows + 1) * per_state > budget
+            assert chunk("wilson", g) == rows
+            assert chunk("swap", g) == 32
 
     def test_rejects_nonpositive(self, graph):
         for bad in (0, -3):

@@ -72,6 +72,16 @@ class TestAdjacency:
             assert u < v
             assert s in (-1, 1)
 
+    def test_half_twin_is_the_reverse_half_edge(self, sample):
+        twin = sample.half_twin
+        source = np.repeat(np.arange(sample.num_vertices), sample.degrees)
+        pos = np.arange(len(twin))
+        assert np.array_equal(twin[twin], pos) and np.all(twin != pos)
+        assert np.array_equal(sample.adj_edge[twin], sample.adj_edge)
+        assert np.array_equal(sample.adj_vertex[twin], source)
+        # Cached and shared by every later BFS on the graph.
+        assert sample.half_twin is twin and not twin.flags.writeable
+
 
 class TestDerivedGraphs:
     def test_with_signs_shares_structure(self, sample):
