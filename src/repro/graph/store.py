@@ -78,14 +78,10 @@ def graph_fingerprint(graph: SignedGraph) -> str:
     This is the same fingerprint the checkpoint layer embeds in every
     campaign checkpoint (:mod:`repro.cloud.checkpoint` re-exports it),
     so a checkpoint, a store file, and an in-memory graph can all be
-    cross-checked against each other.
+    cross-checked against each other.  It is hashed once per graph
+    (:attr:`SignedGraph.fingerprint`): a graph's arrays never change.
     """
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(graph.indptr).tobytes())
-    h.update(np.ascontiguousarray(graph.edge_u).tobytes())
-    h.update(np.ascontiguousarray(graph.edge_v).tobytes())
-    h.update(np.ascontiguousarray(graph.edge_sign).tobytes())
-    return h.hexdigest()
+    return graph.fingerprint
 
 
 def _align_up(offset: int, align: int = _ALIGN) -> int:

@@ -672,7 +672,7 @@ def run_campaign(
                 graph, blocks, task, seed=task.seed, workers=workers,
                 policy=policy if policy is not None else _NO_RETRY,
                 fault=fault, graph_store=store, flight_dir=flight_dir,
-                fingerprint=fingerprint, on_complete=running.fold,
+                on_complete=running.fold,
             )
             try:
                 _blocks, report = supervisor.run()

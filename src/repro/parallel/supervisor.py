@@ -422,15 +422,22 @@ class CampaignSupervisor:
 
     *seed* keys the deterministic backoff jitter.  ``graph_store`` (a
     path or an open :class:`~repro.graph.store.GraphStore` holding
-    *graph*) switches workers to the zero-copy initializer.
-    *fingerprint* is the caller's hash of *graph*; without one the
-    graph is hashed only when workers or a store need it.
+    *graph*) switches workers to the zero-copy initializer.  The graph
+    is hashed only when workers or a store need it.
     ``stop_event`` requests a cooperative stop (see
     :func:`run_supervised`); ``flight_dir`` arms a flight recorder in
     every worker process.  ``on_complete(block, result)`` takes each
     block's result the moment it completes (the campaign driver folds
     it into its running cloud); :attr:`completed` then holds the block
     with ``None`` in place of the result.
+
+    ``keep_pool=True`` lets the process pool outlive the run: *pool*
+    (an executor a previous run of the same graph, workers and
+    ``flight_dir`` left behind, or ``None``) is used instead of a fresh
+    one, a clean run leaves it running, and :attr:`pool` afterwards
+    holds the pool to pass to the next run — the same one, the one
+    rebuilt after a break, or ``None`` when it was torn down.  The
+    caller shuts it down.
     """
 
     def __init__(
@@ -446,8 +453,9 @@ class CampaignSupervisor:
         graph_store=None,
         stop_event: "threading.Event | None" = None,
         flight_dir: str | None = None,
-        fingerprint: str | None = None,
         on_complete: Callable[[Block, Any], None] | None = None,
+        pool: ProcessPoolExecutor | None = None,
+        keep_pool: bool = False,
     ) -> None:
         from repro.graph.store import GraphStore, graph_fingerprint
 
@@ -465,9 +473,10 @@ class CampaignSupervisor:
         if graph_store is not None and not isinstance(graph_store, GraphStore):
             graph_store = GraphStore.open(graph_store)
         self.graph_store: GraphStore | None = graph_store
-        if fingerprint is None and (self.pooled or graph_store is not None):
-            fingerprint = graph_fingerprint(graph)
-        self.fingerprint = fingerprint
+        self.fingerprint = (
+            graph_fingerprint(graph)
+            if self.pooled or graph_store is not None else None
+        )
         if graph_store is not None and (
             graph_store.fingerprint != self.fingerprint
         ):
@@ -505,7 +514,8 @@ class CampaignSupervisor:
         self.suspects: deque[tuple[Block, int]] = deque()
         # Blocks that exhausted pool retries and degrade in-process.
         self.degrade_queue: deque[tuple[Block, int]] = deque()
-        self.pool: ProcessPoolExecutor | None = None
+        self.pool = pool
+        self.keep_pool = keep_pool
         # Monotonic origin for every duration; the one-and-only
         # wall-clock read anchors the report in calendar time.
         self.start = time.monotonic()
@@ -721,14 +731,17 @@ class CampaignSupervisor:
         # anyway: a slot left behind by an earlier executor in this
         # process must not survive into in-process or degraded reuse.
         _reset_worker_slot()
+        clean = False
         try:
             if self.pooled:
                 self._run_pooled()
             else:
                 self._run_inprocess()
             self._run_degraded()
+            clean = True
         finally:
-            self._teardown_pool()
+            if not (clean and self.keep_pool):
+                self._teardown_pool()
             self.report.completed = sorted(b for b, _c in self.completed)
             self.report.wall_seconds = round(
                 time.monotonic() - self.start, 4
@@ -958,8 +971,9 @@ class CampaignSupervisor:
                     if interrupt is not None:
                         raise interrupt
         # Every block settled: the workers are idle, so let them exit
-        # cleanly instead of killing them.
-        self._teardown_pool(graceful=True)
+        # cleanly instead of killing them (or keep them for the next run).
+        if not self.keep_pool:
+            self._teardown_pool(graceful=True)
 
     def _run_inprocess(self) -> None:
         """Sequential ladder for ``workers == 1`` (or a single block):

@@ -9,10 +9,13 @@ Each round:
    supervisor's in-process degradation ledger;
 2. runs the next contiguous range of tree indices (one block per
    worker, cut by :func:`repro.parallel.pool.plan_blocks`) through the
-   self-healing supervisor (:func:`repro.parallel.supervisor.
-   run_supervised`) so growth inherits its retry/backoff ladder — and
-   its new ``stop_event`` rung, which lets a SIGTERM drain interrupt a
-   round between blocks;
+   self-healing supervisor (:class:`repro.parallel.supervisor.
+   CampaignSupervisor`) so growth inherits its retry/backoff ladder —
+   and its ``stop_event`` rung, which lets a SIGTERM drain interrupt a
+   round between blocks.  With ``workers > 1`` every round reuses one
+   process pool, kept for the worker's lifetime (rebuilt by the
+   supervisor when it breaks) and shut down by :meth:`GrowthWorker.stop`
+   and the drain;
 3. merges the completed blocks, writes an atomic rotated checkpoint
    (the daemon's crash-only persistence: a SIGKILL at any instant
    leaves a loadable chain), and publishes a fresh read-only
@@ -38,8 +41,8 @@ from repro.cloud.checkpoint import CampaignMeta, save_cloud
 from repro.cloud.cloud import FrustrationCloud
 from repro.errors import CheckpointError, ServeError
 from repro.graph.csr import SignedGraph
-from repro.parallel.pool import plan_blocks
-from repro.parallel.supervisor import RetryPolicy, run_supervised
+from repro.parallel.pool import CampaignTask, plan_blocks
+from repro.parallel.supervisor import CampaignSupervisor, RetryPolicy
 from repro.perf.flight import flight_clear_inflight, flight_mark_inflight
 from repro.perf.journal import journal_event
 from repro.perf.registry import get_registry
@@ -115,6 +118,13 @@ class GrowthWorker:
         self.max_round_failures = max_round_failures
         self.workers = workers
         self.flight_dir = str(flight_dir) if flight_dir is not None else None
+        self._task = CampaignTask(
+            method=method, seed=seed, store_states=cloud.store_states,
+            swaps_per_state=swaps_per_state,
+        )
+        # The rounds' process pool (workers > 1), built by the first
+        # pooled round and handed from round to round.
+        self._pool = None
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._failures = 0
@@ -145,9 +155,19 @@ class GrowthWorker:
         self._thread.start()
 
     def stop(self, timeout: float | None = None) -> bool:
-        """Request a cooperative stop and join; True when joined."""
+        """Request a cooperative stop and join; True when joined, and
+        then the rounds' process pool is shut down too."""
         self._stop.set()
-        return self.join(timeout)
+        joined = self.join(timeout)
+        if joined:
+            with self._round_lock:
+                self._close_pool()
+        return joined
+
+    def _close_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
     def join(self, timeout: float | None = None) -> bool:
         """Wait (without stopping) for the worker thread to finish;
@@ -192,7 +212,8 @@ class GrowthWorker:
             )
 
     def final_checkpoint(self) -> None:
-        """Checkpoint under the round lock, for the drain.
+        """Checkpoint under the round lock, for the drain, and shut
+        the rounds' process pool down.
 
         ``stop()`` may time out while a round is still merging blocks;
         taking the lock first makes the final checkpoint wait for that
@@ -200,6 +221,7 @@ class GrowthWorker:
         """
         with self._round_lock:
             self.checkpoint()
+            self._close_pool()
 
     # -- growth loop ----------------------------------------------------
     def _grow_round(self) -> bool:
@@ -217,18 +239,16 @@ class GrowthWorker:
             what="growth_round", block_start=start, block_stop=stop
         )
         with span("serve_growth_round"):
-            completed, report = run_supervised(
-                self.graph,
-                blocks,
-                method=self.method,
-                seed=self.seed,
-                store_states=self.cloud.store_states,
-                workers=self.workers,
-                policy=self.policy,
-                swaps_per_state=self.swaps_per_state,
-                stop_event=self._stop,
-                flight_dir=self.flight_dir,
+            supervisor = CampaignSupervisor(
+                self.graph, blocks, self._task, seed=self.seed,
+                workers=self.workers, policy=self.policy,
+                stop_event=self._stop, flight_dir=self.flight_dir,
+                pool=self._pool, keep_pool=True,
             )
+            try:
+                completed, report = supervisor.run()
+            finally:
+                self._pool = supervisor.pool
         flight_clear_inflight(
             what="growth_round", block_start=start, block_stop=stop,
             ok=report.ok, completed=len(completed),
@@ -314,6 +334,8 @@ class GrowthWorker:
                     self._stop.wait(self.round_delay)
             elif not self._stop.is_set() and not self.abandoned:
                 self._stop.wait(_SHED_POLL)
+        with self._round_lock:
+            self._close_pool()
         if self.cloud.num_states >= self.target_states:
             journal_event(
                 "serve_growth_completed", states=self.cloud.num_states

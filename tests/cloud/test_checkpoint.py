@@ -1,11 +1,14 @@
 """Tests for cloud checkpoint/resume."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.cloud import sample_cloud
 from repro.cloud.checkpoint import (
     CampaignMeta,
+    _payload,
     graph_fingerprint,
     load_checkpoint,
     load_cloud,
@@ -35,6 +38,27 @@ class TestFingerprint:
     def test_sensitive_to_structure(self, graph):
         other = make_connected_signed(50, 121, seed=0)
         assert graph_fingerprint(graph) != graph_fingerprint(other)
+
+    def test_equal_graphs_built_apart_agree(self, graph):
+        twin = make_connected_signed(50, 120, seed=0)
+        assert twin is not graph
+        assert graph_fingerprint(twin) == graph_fingerprint(graph)
+
+    def test_hashed_once_per_graph(self, graph, monkeypatch):
+        import hashlib
+
+        first = graph_fingerprint(graph)
+        # A second hash of the same graph would call sha256 and fail.
+        monkeypatch.setattr(hashlib, "sha256", None)
+        assert graph_fingerprint(graph) == first
+
+    def test_checkpoint_for_resigned_graph_rejected(self, graph, tmp_path):
+        # with_signs shares the CSR arrays but not the cached hash.
+        path = tmp_path / "cloud.npz"
+        save_cloud(sample_cloud(graph, 3, seed=0), path)
+        flipped = graph.with_signs(-graph.edge_sign)
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            load_cloud(path, flipped)
 
 
 class TestSaveLoad:
@@ -133,6 +157,77 @@ class TestSaveLoad:
         np.testing.assert_array_equal(
             back.flip_counts()[:-1], cloud.flip_counts()
         )
+
+
+def arrays(path):
+    """Every array of the NPZ file at *path*: name -> (dtype, shape,
+    bytes)."""
+    with np.load(path) as data:
+        return {key: (data[key].dtype.str, data[key].shape,
+                      data[key].tobytes())
+                for key in data.files}
+
+
+class TestWriter:
+    """``save_cloud`` writes the zip ``np.savez_compressed`` writes,
+    member for member, deflated at level 1 instead of 6."""
+
+    @pytest.fixture(params=["bfs", "swap", "store_states", "salvage"])
+    def case(self, request, graph):
+        kind = request.param
+        if kind == "salvage":
+            meta = CampaignMeta(
+                method="bfs", seed=3, store_states=False,
+                done_blocks=((0, 4, 1), (8, 12, 1)),
+                quarantined_blocks=((4, 8, 1),),
+            )
+            return sample_cloud(graph, 8, seed=3), meta
+        method = "swap" if kind == "swap" else "bfs"
+        store = kind == "store_states"
+        cloud = sample_cloud(graph, 9, seed=3, method=method,
+                             store_states=store)
+        return cloud, CampaignMeta(method=method, seed=3, store_states=store)
+
+    def test_every_member_is_deflated(self, case, tmp_path):
+        cloud, meta = case
+        path = tmp_path / "c.npz"
+        save_cloud(cloud, path, campaign=meta)
+        with zipfile.ZipFile(path) as archive:
+            members = archive.infolist()
+        assert members
+        assert all(m.compress_type == zipfile.ZIP_DEFLATED for m in members)
+
+    def test_arrays_equal_savez_compressed(self, case, tmp_path):
+        cloud, meta = case
+        path, reference = tmp_path / "c.npz", tmp_path / "reference.npz"
+        save_cloud(cloud, path, campaign=meta)
+        np.savez_compressed(reference, **_payload(cloud, meta))
+        got = arrays(path)
+        assert got == arrays(reference)
+        if cloud.store_states:
+            assert "unique_signs" in got
+        if meta.done_blocks is not None:
+            assert "campaign_done_blocks" in got
+
+    def test_savez_compressed_file_resumes_byte_for_byte(
+        self, graph, tmp_path
+    ):
+        """A checkpoint deflated at level 6 by ``np.savez_compressed``
+        (the earlier writer) loads, and resumes to the uninterrupted
+        campaign's checkpoint arrays (all but ``metrics_json``, which
+        holds timings)."""
+        meta = CampaignMeta(method="bfs", seed=7, store_states=False)
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, **_payload(sample_cloud(graph, 5, seed=7),
+                                            meta))
+        cloud, stored = load_checkpoint(old, graph)
+        assert stored == meta
+        resume_cloud(cloud, 12, checkpoint_path=tmp_path / "resumed.npz")
+        sample_cloud(graph, 12, seed=7, checkpoint_path=tmp_path / "full.npz")
+        resumed, full = (arrays(tmp_path / name)
+                         for name in ("resumed.npz", "full.npz"))
+        del resumed["metrics_json"], full["metrics_json"]
+        assert resumed == full
 
 
 def rewrite(path, **changes):

@@ -18,8 +18,13 @@ import pytest
 from repro.cloud import sample_cloud
 from repro.cloud.checkpoint import recover_cloud
 from repro.errors import SupervisorError
-from repro.parallel.pool import _contiguous_blocks, sample_cloud_pool
+from repro.parallel.pool import (
+    CampaignTask,
+    _contiguous_blocks,
+    sample_cloud_pool,
+)
 from repro.parallel.supervisor import (
+    CampaignSupervisor,
     FaultEvent,
     RetryPolicy,
     RunReport,
@@ -61,6 +66,22 @@ class _PoolOnlyCrash:
             and os.getpid() != self.parent_pid
         ):
             raise SimulatedCrash(f"pool-only failure on {block}")
+
+
+class _ExitOnce:
+    """Picklable fault that kills the first pool worker to run any
+    block (hard exit), then lets every later attempt through."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def __call__(self, block):
+        try:
+            fd = os.open(self.marker, os.O_CREAT | os.O_EXCL)
+        except FileExistsError:
+            return
+        os.close(fd)
+        os._exit(1)
 
 
 class TestRetryPolicy:
@@ -371,6 +392,44 @@ class TestRunSupervisedApi:
         assert report.ok
         assert sorted(b for b, _c in completed) == [(0, 6, 2), (1, 6, 2)]
         assert sum(c.num_states for _b, c in completed) == 6
+
+
+class TestKeptPool:
+    """``keep_pool=True``: a clean run leaves its pool running and
+    hands it back; a pool that breaks is rebuilt and the rebuilt one is
+    handed back instead."""
+
+    def _run(self, graph, pool, fault=None):
+        supervisor = CampaignSupervisor(
+            graph, [(0, 6, 2), (1, 6, 2)],
+            CampaignTask(method="bfs", seed=7, store_states=False),
+            seed=7, workers=2, policy=RetryPolicy(max_retries=1, **FAST),
+            fault=fault, pool=pool, keep_pool=True,
+        )
+        completed, report = supervisor.run()
+        assert report.ok and len(completed) == 2
+        return supervisor.pool, report
+
+    def test_clean_runs_share_one_pool(self, graph):
+        pool, _report = self._run(graph, None)
+        try:
+            again, report = self._run(graph, pool)
+            assert again is pool and report.pool_rebuilds == 0
+        finally:
+            pool.shutdown()
+
+    def test_broken_pool_is_rebuilt_and_handed_back(self, graph, tmp_path):
+        pool, _report = self._run(graph, None)
+        rebuilt, report = self._run(
+            graph, pool, fault=_ExitOnce(tmp_path / "exited")
+        )
+        try:
+            assert report.pool_rebuilds == 1
+            assert rebuilt is not None and rebuilt is not pool
+            again, report = self._run(graph, rebuilt)
+            assert again is rebuilt and report.pool_rebuilds == 0
+        finally:
+            rebuilt.shutdown()
 
 
 class TestInterrupts:

@@ -154,3 +154,40 @@ def test_bad_parameters(graph):
         _worker(graph, grow_step=0)
     with pytest.raises(ServeError):
         _worker(graph, target_states=-1)
+
+
+def test_pooled_rounds_reuse_one_pool(graph, tmp_path):
+    """With two workers every round runs on one process pool, built
+    once, and the grown checkpoint equals the one-worker daemon's,
+    array for array."""
+    from repro.perf.journal import journaling, read_journal
+
+    grown = {}
+    for workers in (1, 2):
+        path = tmp_path / f"ck{workers}.npz"
+        journal = tmp_path / f"j{workers}.jsonl"
+        worker, _ = _worker(graph, checkpoint_path=path, target_states=20,
+                            grow_step=6, workers=workers)
+        with journaling(journal):
+            worker.start()
+            assert worker.join(timeout=60)
+            assert worker.stop(timeout=10)
+        assert worker._pool is None
+        kinds = [e["kind"] for e in read_journal(journal)]
+        assert kinds.count("pool_initialized") == (workers > 1)
+        with np.load(path) as data:
+            grown[workers] = {key: (data[key].dtype.str, data[key].shape,
+                                    data[key].tobytes())
+                              for key in data.files}
+    assert grown[2] == grown[1]
+
+
+def test_stop_shuts_the_rounds_pool_down(graph):
+    worker, _ = _worker(graph, workers=2)
+    assert worker.grow_once() and worker.grow_once()
+    pool = worker._pool
+    assert pool is not None
+    assert worker.stop(timeout=10)
+    assert worker._pool is None
+    with pytest.raises(RuntimeError):
+        pool.submit(int)
