@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.analysis.consensus import analyze_consensus
 from repro.graph.datasets import load, paper_stats
+from repro.perf import collecting, phase_table
 
 NAME = "S*_wiki"
 spec = paper_stats(NAME)
@@ -20,7 +21,8 @@ print(f"dataset: {NAME} (paper: {spec.paper_vertices:,} vertices, "
       f"{spec.paper_edges:,} edges, max degree {spec.paper_max_degree:,})")
 
 graph = load(NAME, seed=0)
-report = analyze_consensus(graph, num_states=30, seed=0)
+with collecting() as metrics:  # the pipeline's phases are spans
+    report = analyze_consensus(graph, num_states=30, seed=0)
 
 print()
 print(report.summary())
@@ -50,4 +52,4 @@ for e in contested:
 
 # --- Where the time went (the §6.5 kernel breakdown, measured). ------
 print()
-print(report.timers.render("measured phase breakdown"))
+print(phase_table(metrics.snapshot(), "measured phase breakdown"))

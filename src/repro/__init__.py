@@ -24,7 +24,7 @@ Subpackages:
 * :mod:`repro.cloud`    — frustration clouds and consensus attributes
 * :mod:`repro.parallel` — workload profiling and simulated parallel machines
 * :mod:`repro.analysis` — spectral comparator, election case study
-* :mod:`repro.perf`     — counters, timers, memory model, reporting
+* :mod:`repro.perf`     — spans, metrics, event stream, memory model, reporting
 """
 
 from repro.errors import (

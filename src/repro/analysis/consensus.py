@@ -16,7 +16,7 @@ import numpy as np
 from repro.cloud.cloud import FrustrationCloud, sample_cloud
 from repro.graph.components import largest_connected_component
 from repro.graph.csr import SignedGraph
-from repro.perf.compat import PhaseTimer
+from repro.perf.tracing import span
 from repro.rng import SeedLike
 
 __all__ = ["ConsensusReport", "analyze_consensus"]
@@ -39,7 +39,6 @@ class ConsensusReport:
     vertex_agreement: np.ndarray
     edge_agreement: np.ndarray
     frustration_upper_bound: int
-    timers: PhaseTimer
 
     def summary(self) -> str:
         """Human-readable digest of the consensus structure."""
@@ -64,18 +63,18 @@ def analyze_consensus(
     method: str = "bfs",
     seed: SeedLike = 0,
 ) -> ConsensusReport:
-    """Full pipeline: largest CC → Alg. 2 cloud → attributes."""
-    timers = PhaseTimer()
-    with timers.phase("largest_component"):
+    """Full pipeline: largest CC → Alg. 2 cloud → attributes.
+
+    The phases are spans: ``largest_component``, the campaign's, and
+    ``attributes`` (read them with
+    :func:`~repro.perf.registry.collecting`).
+    """
+    with span("largest_component"):
         component, original_ids = largest_connected_component(graph)
     cloud: FrustrationCloud = sample_cloud(
-        component,
-        num_states,
-        method=method,
-        seed=seed,
-        timers=timers,
+        component, num_states, method=method, seed=seed
     )
-    with timers.phase("attributes"):
+    with span("attributes"):
         report = ConsensusReport(
             component=component,
             original_ids=original_ids,
@@ -85,6 +84,5 @@ def analyze_consensus(
             vertex_agreement=cloud.vertex_agreement(),
             edge_agreement=cloud.edge_agreement(),
             frustration_upper_bound=cloud.frustration_upper_bound(),
-            timers=timers,
         )
     return report

@@ -264,14 +264,10 @@ def _cmd_cloud(args) -> int:
 
             collector = scopes.enter_context(collecting_trace())
         if args.flight_dir:
-            from repro.perf.flight import (
-                get_flight_recorder,
-                install_flight_recorder,
-                set_flight_recorder,
-            )
+            from repro.perf.flight import flight_recording
 
-            scopes.callback(set_flight_recorder, get_flight_recorder())
-            install_flight_recorder(args.flight_dir, role="campaign-driver")
+            scopes.enter_context(
+                flight_recording(args.flight_dir, role="campaign-driver"))
         cloud = _run_cloud_campaign(args, sub, policy)
     if args.journal:
         print(f"event journal written to {args.journal}")
@@ -574,7 +570,7 @@ def _cmd_flight(args) -> int:
             print("  nothing in flight at last dump")
         for event in doc["events"][-args.events:]:
             fields = {k: v for k, v in event.items()
-                      if k not in ("kind", "wall")}
+                      if k not in ("kind", "ts", "seq", "wall")}
             print(f"    {event['kind']}: {fields}")
     return 0 if shown else 1
 

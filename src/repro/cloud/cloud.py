@@ -29,7 +29,6 @@ from repro.harary.bipartition import (
     harary_bipartition,
     sides_from_sign_to_root,
 )
-from repro.perf.compat import PhaseTimer
 from repro.perf.tracing import span
 from repro.rng import SeedLike, freeze_seed
 from repro.trees.sampler import TreeSampler
@@ -608,21 +607,12 @@ class _ChainFold:
         self._restart()
 
 
-#: The legacy :class:`PhaseTimer` phase each campaign span fills.
-_TIMER_PHASES = {
-    "tree_sample": "tree_generation",
-    "parity_kernel": "cycle_processing",
-    "harary": "harary_and_status",
-}
-
-
 def sample_cloud(
     graph: SignedGraph,
     num_states: int,
     method: str = "bfs",
     seed: SeedLike = None,
     store_states: bool = False,
-    timers: PhaseTimer | None = None,
     batch_size: int | str = 1,
     checkpoint_path=None,
     checkpoint_every: int = 0,
@@ -667,12 +657,8 @@ def sample_cloud(
     can validate a later resume against them.  ``graph_store`` (a path
     or an open :class:`~repro.graph.store.GraphStore` holding *graph*)
     is recorded in that metadata, so resumes can cross-check the store.
-    *timers* (a legacy :class:`~repro.perf.compat.PhaseTimer`) receives
-    the campaign's ``tree_generation``, ``cycle_processing`` and
-    ``harary_and_status`` phases from its metrics window.
     """
     from repro.parallel.pool import accept_batch_size, run_campaign
-    from repro.perf.export import span_stats
 
     if num_states < 0:
         raise ReproError(f"num_states must be non-negative, got {num_states}")
@@ -688,11 +674,6 @@ def sample_cloud(
         # Only a checkpointed campaign pins its parameters for
         # resume_cloud.
         del cloud.campaign_meta
-    if timers is not None:
-        for path, (seconds, calls) in span_stats(cloud.metrics).items():
-            phase = _TIMER_PHASES.get(path.rsplit("/", 1)[-1])
-            if phase is not None:
-                timers.add(phase, seconds, calls)
     return cloud
 
 

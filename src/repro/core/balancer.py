@@ -33,7 +33,7 @@ from repro.core.labeling_parallel import label_tree_parallel
 from repro.core.state import BalanceResult
 from repro.errors import EngineError
 from repro.graph.csr import SignedGraph
-from repro.perf.compat import Counters, PhaseTimer
+from repro.perf.compat import Counters
 from repro.perf.tracing import span
 from repro.rng import SeedLike
 from repro.trees.bfs import bfs_tree
@@ -55,7 +55,6 @@ def balance(
     collect_stats: bool = False,
     seed: SeedLike = None,
     counters: Counters | None = None,
-    timers: PhaseTimer | None = None,
 ) -> BalanceResult:
     """Compute the nearest balanced state Σ_T for one spanning tree.
 
@@ -80,12 +79,17 @@ def balance(
     collect_stats:
         Record cycle lengths and on-cycle degrees (Table 5).
         Unsupported by the ``parity`` kernel.
+
+    Each phase is a span (``tree_sample``, ``labeling``,
+    ``adjacency_partition`` and the kernel's ``*_kernel``), so
+    :func:`~repro.perf.registry.collecting` and
+    :func:`~repro.perf.export.phase_table` give the Fig. 11 breakdown
+    of one call.
     """
     counters = counters if counters is not None else Counters()
-    timers = timers if timers is not None else PhaseTimer()
 
     if tree is None:
-        with timers.phase("tree_generation"), span("tree_sample"):
+        with span("tree_sample"):
             tree = bfs_tree(graph, seed=seed)
 
     if kernel == "walk" and labeling == "none":
@@ -95,7 +99,7 @@ def balance(
 
     lab = None
     if labeling != "none":
-        with timers.phase("labeling"), span("labeling"):
+        with span("labeling"):
             if labeling == "serial":
                 lab = label_tree(tree)
             elif labeling == "parallel":
@@ -107,9 +111,9 @@ def balance(
     if kernel == "walk":
         padj = None
         if partition:
-            with timers.phase("adjacency_partition"):
+            with span("adjacency_partition"):
                 padj = partition_adjacency(graph, tree)
-        with timers.phase("cycle_processing"), span("walk_kernel"):
+        with span("walk_kernel"):
             signs, flipped, stats = process_cycles_serial(
                 graph,
                 tree,
@@ -119,12 +123,12 @@ def balance(
                 collect_stats=collect_stats,
             )
     elif kernel == "lockstep":
-        with timers.phase("cycle_processing"), span("lockstep_kernel"):
+        with span("lockstep_kernel"):
             signs, flipped, stats = process_cycles_lockstep(
                 graph, tree, counters=counters, collect_stats=collect_stats
             )
     elif kernel == "parity":
-        with timers.phase("cycle_processing"), span("parity_kernel"):
+        with span("parity_kernel"):
             signs, flipped = balance_by_parity(graph, tree, counters=counters)
     else:
         raise EngineError(f"unknown cycle kernel {kernel!r}")
@@ -136,7 +140,6 @@ def balance(
         flipped=flipped,
         stats=stats,
         counters=counters,
-        timers=timers,
     )
 
 

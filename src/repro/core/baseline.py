@@ -23,7 +23,8 @@ import numpy as np
 from repro.core.state import BalanceResult
 from repro.errors import ReproError
 from repro.graph.csr import SignedGraph
-from repro.perf.compat import Counters, PhaseTimer
+from repro.perf.compat import Counters
+from repro.perf.tracing import span
 from repro.trees.tree import SpanningTree
 
 __all__ = ["balance_baseline"]
@@ -35,13 +36,13 @@ def balance_baseline(
     graph: SignedGraph,
     tree: SpanningTree,
     counters: Counters | None = None,
-    timers: PhaseTimer | None = None,
 ) -> BalanceResult:
     """Balance Σ w.r.t. T the way the original graphB code did.
 
     Refuses graphs with more than 20k vertices — the dense matrix is
     the point of the baseline, and the paper likewise could not run
-    the Python code on the larger inputs.
+    the Python code on the larger inputs.  Its two phases are the
+    spans ``baseline_setup`` and ``baseline_kernel``.
     """
     n = graph.num_vertices
     if n > _DENSE_LIMIT:
@@ -51,9 +52,8 @@ def balance_baseline(
             "hit the same wall, cf. paper §2.5)"
         )
     counters = counters if counters is not None else Counters()
-    timers = timers if timers is not None else PhaseTimer()
 
-    with timers.phase("baseline_setup"):
+    with span("baseline_setup"):
         # Dense adjacency-matrix sign storage, dict-of-dict edge ids —
         # deliberately the original code's data layout.
         matrix = np.zeros((n, n), dtype=np.int8)
@@ -72,7 +72,7 @@ def balance_baseline(
     flipped = np.zeros(graph.num_edges, dtype=bool)
     path_vertices_total = 0
 
-    with timers.phase("cycle_processing"):
+    with span("baseline_kernel"):
         for e in range(graph.num_edges):
             if tree.in_tree[e]:
                 continue
@@ -123,5 +123,4 @@ def balance_baseline(
         flipped=flipped,
         stats=None,
         counters=counters,
-        timers=timers,
     )

@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.core.cycles import CycleStats
 from repro.graph.csr import SignedGraph
-from repro.perf.compat import Counters, PhaseTimer
+from repro.perf.compat import Counters
 from repro.trees.tree import SpanningTree
 
 __all__ = ["BalanceResult"]
@@ -31,8 +31,8 @@ class BalanceResult:
         Boolean edge mask of sign switches (all on non-tree edges).
     stats:
         Optional per-cycle measurements (Table 5), when requested.
-    counters / timers:
-        Work counters and phase times recorded during the run.
+    counters:
+        Work counters recorded during the run (phase times are spans).
     """
 
     graph: SignedGraph
@@ -41,7 +41,6 @@ class BalanceResult:
     flipped: np.ndarray
     stats: CycleStats | None
     counters: Counters
-    timers: PhaseTimer
 
     @cached_property
     def balanced_graph(self) -> SignedGraph:

@@ -55,6 +55,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence, Tuple, Union
 
@@ -69,8 +71,8 @@ from repro.parallel.supervisor import (
     CampaignSupervisor,
     RetryPolicy,
 )
-from repro.perf.flight import install_flight_recorder, set_flight_recorder
-from repro.perf.journal import get_journal, journal_event
+from repro.perf.flight import install_flight_recorder
+from repro.perf.journal import events_enabled, journal_event, reset_sinks
 from repro.perf.registry import collecting, get_registry
 from repro.perf.tracing import set_trace_collector, span
 from repro.rng import SeedLike, freeze_seed
@@ -103,18 +105,37 @@ _WORKER_FINGERPRINT: str | None = None
 _WORKER_STORE: str | None = None
 
 
-def _init_worker_flight(flight_dir: str | None) -> None:
-    """Reset fork-inherited observability state and arm the worker's
-    flight recorder when the campaign asked for one.
+def _init_worker_process(flight_dir: str | None) -> None:
+    """Reset fork-inherited observability state, arm the worker's
+    flight recorder when the campaign asked for one, and tie the
+    worker's life to its parent's.
 
-    Fork-start workers inherit the parent's trace collector and flight
-    recorder by memory copy; both are the *parent's* identity (its
-    dump path, its in-memory event sink) and must not be trusted here.
+    Fork-start workers inherit the parent's trace collector and event
+    sinks (its journal, its flight recorder) by memory copy; they are
+    the *parent's* identity and must not be written from here.
     """
     set_trace_collector(None)
-    set_flight_recorder(None)
+    reset_sinks()
     if flight_dir is not None:
         install_flight_recorder(flight_dir, role="pool-worker")
+    _exit_with_parent()
+
+
+def _exit_with_parent(interval: float = 1.0) -> None:
+    """Start a daemon thread that ends this process once its parent is
+    gone (the parent pid changes when it dies), so a SIGKILLed campaign
+    or daemon leaves no orphaned workers.  Polling, not
+    ``PR_SET_PDEATHSIG``: that fires when the forking *thread* exits,
+    and request threads can start a daemon's pool."""
+    parent = os.getppid()
+
+    def _watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(interval)
+        os._exit(1)
+
+    threading.Thread(target=_watch, name="repro-parent-watch",
+                     daemon=True).start()
 
 
 def _init_worker(
@@ -124,7 +145,7 @@ def _init_worker(
 ) -> None:
     """Legacy initializer: install a pickled graph in the worker slot."""
     global _WORKER_GRAPH, _WORKER_FINGERPRINT, _WORKER_STORE
-    _init_worker_flight(flight_dir)
+    _init_worker_process(flight_dir)
     _WORKER_GRAPH = graph
     _WORKER_FINGERPRINT = (
         fingerprint if fingerprint is not None else graph_fingerprint(graph)
@@ -144,7 +165,7 @@ def _init_worker_store(
     expected fingerprint cross the process boundary.
     """
     global _WORKER_GRAPH, _WORKER_FINGERPRINT, _WORKER_STORE
-    _init_worker_flight(flight_dir)
+    _init_worker_process(flight_dir)
     store = GraphStore.open(path)
     if fingerprint is not None and store.fingerprint != fingerprint:
         raise EngineError(
@@ -384,7 +405,7 @@ class _RunningCloud:
         self.fresh.append(block)
         self.since += local.num_states
         self.ran += 1
-        if get_journal() is not None:
+        if events_enabled():
             journal_event(
                 "convergence",
                 states=self.cloud.num_states,

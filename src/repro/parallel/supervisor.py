@@ -85,8 +85,8 @@ from typing import Any, Callable, NamedTuple, Sequence, Tuple
 
 from repro.errors import SupervisorError
 from repro.graph.csr import SignedGraph
-from repro.perf.flight import get_flight_recorder
-from repro.perf.journal import get_journal, journal_event
+from repro.perf.flight import flight_clear_inflight, flight_mark_inflight
+from repro.perf.journal import events_enabled, journal_event
 from repro.perf.registry import collecting, get_registry
 from repro.perf.tracectx import TraceContext, current_trace, trace_scope
 from repro.perf.tracing import (
@@ -356,11 +356,9 @@ def _envelope(
     it.  *fault* is the fault-injection hook (see
     :mod:`repro.util.faults`), invoked with the block before any work.
     """
-    recorder = get_flight_recorder()
-    if recorder is not None:
-        # Dumped before any work: a SIGKILL mid-block leaves a dump
-        # naming exactly this block.
-        recorder.mark_inflight(what=task.what, block=list(block))
+    # Dumped before any work: a SIGKILL mid-block leaves a dump naming
+    # exactly this block.
+    flight_mark_inflight(what=task.what, block=list(block))
     if fault is not None:
         fault(block)
     # Detached metrics window: the snapshot rides back with the result
@@ -368,8 +366,7 @@ def _envelope(
     # double-count blocks that degrade to in-process execution).
     with collecting(merge=False) as metrics, span(task.what):
         result = task(graph, block)
-    if recorder is not None:
-        recorder.clear_inflight(what=task.what, block=list(block))
+    flight_clear_inflight(what=task.what, block=list(block))
     return _Outcome(task.pack(result), metrics.snapshot(), None, os.getpid())
 
 
@@ -571,7 +568,7 @@ class CampaignSupervisor:
             absorb_shard(collector, outcome.shard)
         result = self.task.unpack(self.graph, outcome.result)
         self.ran_on.append((block, outcome.pid))
-        if get_journal() is not None:
+        if events_enabled():
             journal_event(
                 "block_completed", block=block[0], stop=block[1],
                 step=block[2], worker=outcome.pid,

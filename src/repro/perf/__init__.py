@@ -1,5 +1,5 @@
 """Observability subsystem: metrics registry, span tracing, exporters,
-phase timers, work counters, the Table-4 memory model, and text
+the event stream, work counters, the Table-4 memory model, and text
 rendering.
 
 ``repro.perf`` is the single entry point for everything performance-
@@ -17,32 +17,30 @@ and observability-related:
   the simulated machines (:mod:`repro.perf.timeline`), and their
   Chrome/Perfetto export (:mod:`repro.perf.trace_export`), which also
   renders real span traces (:class:`TraceCollector`).
-* :class:`Journal` / :func:`journal_event` — the append-only campaign
-  event journal with crash-safe replay (:mod:`repro.perf.journal`).
-* :class:`PhaseTimer` and :class:`Counters` — legacy per-call-site
-  accumulators (:mod:`repro.perf.compat`); they feed the Fig. 10/11
-  experiments and the simulated-machine cost models, and coexist with
-  the registry (spans time *phases of a campaign*, timers/counters
-  profile *one balance call*).
+* :func:`journal_event` — the one event stream.  Each record goes to
+  every installed sink: the append-only :class:`Journal` with
+  crash-safe replay (:mod:`repro.perf.journal`) and the crash
+  :class:`FlightRecorder` ring (:mod:`repro.perf.flight`).
+* :class:`Counters` — per-call-site op counters
+  (:mod:`repro.perf.compat`) that the simulated-machine cost models
+  replay; phase times, from a campaign down to one balance call, are
+  spans.
 * :func:`trace_cycle` — the Fig. 6 cycle-walk narrator
   (:mod:`repro.core.trace`), re-exported here because "why did this
   cycle balance that way" is the micro end of the same observability
   story.
 """
 
-from repro.perf.compat import Counters, PhaseTimer, RegionStat
+from repro.perf.compat import Counters, RegionStat
 from repro.perf.flight import (
     FlightRecorder,
     find_flight_dumps,
     flight_clear_inflight,
-    flight_dump,
-    flight_event,
     flight_mark_inflight,
-    get_flight_recorder,
+    flight_recording,
     install_flight_recorder,
     iter_flight_dumps,
     read_flight_dump,
-    set_flight_recorder,
 )
 from repro.perf.export import (
     phase_seconds,
@@ -54,12 +52,12 @@ from repro.perf.export import (
 )
 from repro.perf.journal import (
     Journal,
+    events_enabled,
     get_journal,
     journal_event,
     journaling,
     read_journal,
     render_summary,
-    set_journal,
     summarize_journal,
 )
 from repro.perf.memory import (
@@ -123,7 +121,6 @@ from repro.perf.tracing import (
 __all__ = [
     "Counters",
     "RegionStat",
-    "PhaseTimer",
     "MemoryModel",
     "OPENMP_HOST",
     "CUDA_DEVICE",
@@ -162,14 +159,11 @@ __all__ = [
     "FlightRecorder",
     "find_flight_dumps",
     "flight_clear_inflight",
-    "flight_dump",
-    "flight_event",
     "flight_mark_inflight",
-    "get_flight_recorder",
+    "flight_recording",
     "install_flight_recorder",
     "iter_flight_dumps",
     "read_flight_dump",
-    "set_flight_recorder",
     "TimelineSegment",
     "ExecutionTimeline",
     "KernelLaunch",
@@ -183,8 +177,8 @@ __all__ = [
     "load_chrome_trace",
     "validate_chrome_trace",
     "Journal",
+    "events_enabled",
     "get_journal",
-    "set_journal",
     "journal_event",
     "journaling",
     "read_journal",

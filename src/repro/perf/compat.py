@@ -1,78 +1,21 @@
-"""Legacy phase-timer and op-counter types (pre-PR-4 observability).
+"""Op counters for the simulated-machine cost models.
 
-These classes predate the :mod:`repro.perf.registry` /
-:mod:`repro.perf.tracing` stack and survive for two reasons: the
-simulated-machine cost models replay :class:`Counters` region logs, and
-a handful of callers still pass an explicit :class:`PhaseTimer`.  New
-code should record into the metrics registry via spans.  This module is
-their only import path.
+:class:`Counters` predates the :mod:`repro.perf.registry` /
+:mod:`repro.perf.tracing` stack and survives because the
+simulated-machine cost models replay its region logs.  Phase times are
+spans (:func:`repro.perf.tracing.span`), read back with
+:func:`~repro.perf.registry.collecting` and
+:func:`~repro.perf.export.phase_table`.  This module is the counters'
+only import path.
 """
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
-__all__ = ["PhaseTimer", "Counters", "RegionStat"]
-
-
-@dataclass
-class PhaseTimer:
-    """Accumulating named-phase timer.
-
-    Use as ``with timer.phase("cycles"): ...``.  Phases may repeat;
-    times accumulate.  Nesting different phases is allowed and each
-    accumulates its own wall time independently (the outer phase
-    includes the inner — match the paper by timing disjoint phases).
-    """
-
-    seconds: Dict[str, float] = field(default_factory=dict)
-    counts: Dict[str, int] = field(default_factory=dict)
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Context manager timing one occurrence of the named phase."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-            self.counts[name] = self.counts.get(name, 0) + 1
-
-    def add(self, name: str, seconds: float, count: int = 1) -> None:
-        """Record externally measured (or modeled) time for a phase."""
-        self.seconds[name] = self.seconds.get(name, 0.0) + float(seconds)
-        self.counts[name] = self.counts.get(name, 0) + count
-
-    @property
-    def total(self) -> float:
-        return sum(self.seconds.values())
-
-    def breakdown(self) -> Dict[str, float]:
-        """Fraction of total time per phase (sums to 1 when nonempty)."""
-        total = self.total
-        if total <= 0.0:
-            return {name: 0.0 for name in self.seconds}
-        return {name: t / total for name, t in self.seconds.items()}
-
-    def merge(self, other: "PhaseTimer") -> None:
-        """Fold another timer's accumulated phases into this one."""
-        for name, t in other.seconds.items():
-            self.add(name, t, other.counts.get(name, 1))
-
-    def render(self, title: str = "phase breakdown") -> str:
-        """Multi-line text rendering, longest phase first."""
-        lines = [title]
-        frac = self.breakdown()
-        for name in sorted(self.seconds, key=self.seconds.get, reverse=True):
-            lines.append(
-                f"  {name:<24s} {self.seconds[name]:>10.4f}s  {frac[name]:>6.1%}"
-            )
-        return "\n".join(lines)
+__all__ = ["Counters", "RegionStat"]
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,36 @@
-"""Crash flight recorder: a black box that survives worker death.
+"""Crash flight recorder: the event stream's black box.
 
-A :class:`FlightRecorder` keeps a fixed-size ring of recent events
-(journal-style dicts: kind + fields + wall time) in one process and
-knows how to dump itself *atomically* to a per-pid JSON file.  The
-design is crash-only, so the dump discipline matters more than the
-ring:
+A :class:`FlightRecorder` is a sink of the one event stream
+(:func:`repro.perf.journal.journal_event`): it keeps a fixed-size ring
+of the most recent records, in the journal's shape (``ts``, ``kind``,
+fields; no ``seq``), and dumps itself *atomically* to a per-pid JSON
+file.  The design is crash-only, so the dump discipline matters more
+than the ring:
 
-* :meth:`mark_inflight` — called at the start of every unit of work
-  (a pool block, a growth round) — records what is about to run and
-  dumps **immediately**.  A worker killed with ``SIGKILL`` mid-block
-  therefore always leaves a readable dump naming its in-flight block;
-  no exit hook is needed because the hook already ran at entry.
+* :meth:`~FlightRecorder.mark_inflight` — called at the start of every
+  unit of work (a pool block, a growth round) — records what is about
+  to run and dumps **immediately**.  A worker killed with ``SIGKILL``
+  mid-block therefore always leaves a readable dump naming its
+  in-flight block; no exit hook is needed because the hook already ran
+  at entry.  In-flight marks go to the ring only, never the journal.
 * unhandled exceptions (``sys.excepthook`` + ``threading.excepthook``)
-  and ``SIGTERM`` dump with the failure recorded, then chain to the
-  previous hook/handler so normal teardown still happens.
-* every Nth recorded event re-dumps (``autodump_every``), bounding how
-  stale a crash dump can be in steady state.
+  dump with the failure recorded, then chain to the previous hook so
+  normal teardown still happens.
+* every Nth record re-dumps (``autodump_every``), bounding how stale a
+  crash dump can be in steady state.
 
 Dumps are ``tmp + fsync + os.replace`` — a reader never sees a torn
 file, and repeated dumps overwrite in place (one file per pid,
 ``flight-<pid>.json``), so a long campaign leaves one small file per
 process, not a log.
 
-The module-global recorder mirrors the journal's shape:
-:func:`install_flight_recorder` arms it, :func:`flight_event` is a
-cheap no-op until then, and :func:`read_flight_dump` is the validating
-loader the CLI / chaos tests use.
+:func:`flight_recording` is the scope that arms a recorder: it joins
+the stream with its crash hooks, and on exit dumps once and leaves the
+stream, putting the hooks back.  Pool workers arm theirs for their
+whole life with :func:`install_flight_recorder`.
+:func:`read_flight_dump` is the validating loader the CLI and chaos
+tests use; it also reads dumps written before the ring held journal
+records (whose events carry ``wall`` instead of ``ts``).
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ import collections
 import contextlib
 import json
 import os
-import signal
 import sys
 import tempfile
 import threading
@@ -42,16 +46,14 @@ import time
 from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from repro.errors import ReproError
+from repro.perf.journal import _jsonable, get_sinks, install_sink, remove_sink
 
 __all__ = [
     "FlightRecorder",
+    "flight_recording",
     "install_flight_recorder",
-    "get_flight_recorder",
-    "set_flight_recorder",
-    "flight_event",
     "flight_mark_inflight",
     "flight_clear_inflight",
-    "flight_dump",
     "read_flight_dump",
     "find_flight_dumps",
     "iter_flight_dumps",
@@ -63,6 +65,15 @@ DUMP_VERSION = 1
 #: Default ring capacity — enough for the tail of a campaign without
 #: ever making a dump large.
 DEFAULT_CAPACITY = 256
+
+
+def _dump_default(value: Any) -> Any:
+    """JSON fallback for a dump: the journal's coercions, else ``str``
+    (a dump must never fail on an odd field)."""
+    try:
+        return _jsonable(value)
+    except TypeError:
+        return str(value)
 
 
 class FlightRecorder:
@@ -80,19 +91,17 @@ class FlightRecorder:
             maxlen=capacity)
         self._inflight: Optional[Dict[str, Any]] = None
         self._since_dump = 0
-        self._prev_excepthook = None
-        self._prev_thread_hook = None
-        self._prev_sigterm = None
+        self._hooks: Optional[tuple] = None
 
     # -- recording -----------------------------------------------------
 
-    def record(self, kind: str, **fields: Any) -> None:
-        """Append one event to the ring (oldest events fall off); every
-        ``autodump_every`` events the ring is re-dumped to disk."""
-        event = {"kind": kind, "wall": time.time(), **fields}
+    def append(self, record: Dict[str, Any]) -> None:
+        """Sink side of the event stream: keep *record* in the ring
+        (oldest records fall off); every ``autodump_every`` records the
+        ring is re-dumped to disk."""
         dump_now = False
         with self._lock:
-            self._ring.append(event)
+            self._ring.append(record)
             self._since_dump += 1
             if self.autodump_every and self._since_dump >= self.autodump_every:
                 self._since_dump = 0
@@ -100,12 +109,17 @@ class FlightRecorder:
         if dump_now:
             self.dump()
 
+    def _note(self, kind: str, **fields: Any) -> None:
+        """A record for this ring alone (process start, in-flight
+        marks, crashes): the journal never sees it."""
+        self.append({"ts": time.time(), "kind": kind, **fields})
+
     def mark_inflight(self, **info: Any) -> None:
         """Declare the unit of work about to run and dump immediately,
         so an abrupt kill mid-work leaves a dump naming it."""
         with self._lock:
             self._inflight = {"since": time.time(), **info}
-        self.record("inflight", **info)
+        self._note("inflight", **info)
         self.dump()
 
     def clear_inflight(self, **fields: Any) -> None:
@@ -115,7 +129,7 @@ class FlightRecorder:
         with self._lock:
             self._inflight = None
         if fields:
-            self.record("completed", **fields)
+            self._note("completed", **fields)
         self.dump()
 
     # -- dumping -------------------------------------------------------
@@ -144,7 +158,8 @@ class FlightRecorder:
                 prefix=os.path.basename(self.path) + ".", dir=directory)
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh, separators=(",", ":"), default=str)
+                    json.dump(doc, fh, separators=(",", ":"),
+                              default=_dump_default)
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, self.path)
@@ -158,113 +173,99 @@ class FlightRecorder:
 
     # -- crash hooks ---------------------------------------------------
 
-    def install_hooks(self, sigterm: bool = False) -> None:
-        """Arm dump-on-failure: unhandled exceptions on any thread
-        always dump; ``sigterm=True`` additionally dumps on SIGTERM
-        (only from the main thread — signal handlers can't be set
-        elsewhere).  Previous hooks/handlers are chained after the
-        dump, so this never changes how the process actually dies."""
-        self._prev_excepthook = sys.excepthook
+    def install_hooks(self) -> None:
+        """Arm dump-on-failure: an unhandled exception on any thread is
+        recorded and dumped, then handed to the previous hook, so this
+        never changes how the process dies.  While the recorder is out
+        of the stream (after its scope, or in a forked child) its hooks
+        only chain."""
+        prev_sys, prev_thread = sys.excepthook, threading.excepthook
 
-        def _excepthook(exc_type, exc, tb):  # pragma: no cover - crash path
-            self.record("unhandled_exception", error=repr(exc))
-            self.dump()
-            (self._prev_excepthook or sys.__excepthook__)(exc_type, exc, tb)
-
-        sys.excepthook = _excepthook
-
-        self._prev_thread_hook = threading.excepthook
+        def _excepthook(exc_type, exc, tb):
+            self._crashed(error=repr(exc))
+            prev_sys(exc_type, exc, tb)
 
         def _thread_hook(args):  # pragma: no cover - crash path
-            self.record("unhandled_exception",
-                        error=repr(args.exc_value),
-                        thread=getattr(args.thread, "name", None))
+            self._crashed(error=repr(args.exc_value),
+                          thread=getattr(args.thread, "name", None))
+            prev_thread(args)
+
+        sys.excepthook, threading.excepthook = _excepthook, _thread_hook
+        self._hooks = (prev_sys, prev_thread, _excepthook, _thread_hook)
+
+    def uninstall_hooks(self) -> None:
+        """Put back the hooks :meth:`install_hooks` chained onto, each
+        unless another hook has replaced ours since."""
+        if self._hooks is None:
+            return
+        prev_sys, prev_thread, ours_sys, ours_thread = self._hooks
+        if sys.excepthook is ours_sys:
+            sys.excepthook = prev_sys
+        if threading.excepthook is ours_thread:
+            threading.excepthook = prev_thread
+        self._hooks = None
+
+    def _crashed(self, **fields: Any) -> None:
+        if any(sink is self for sink in get_sinks()):
+            self._note("unhandled_exception", **fields)
             self.dump()
-            (self._prev_thread_hook or threading.__excepthook__)(args)
-
-        threading.excepthook = _thread_hook
-
-        if sigterm and threading.current_thread() is threading.main_thread():
-            prev = signal.getsignal(signal.SIGTERM)
-            self._prev_sigterm = prev
-
-            def _on_sigterm(signum, frame):  # pragma: no cover - crash path
-                self.record("sigterm")
-                self.dump()
-                if callable(prev):
-                    prev(signum, frame)
-                else:
-                    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-                    os.kill(os.getpid(), signal.SIGTERM)
-
-            signal.signal(signal.SIGTERM, _on_sigterm)
 
 
-# -- module-global recorder (journal-style) ----------------------------
-
-_RECORDER: Optional[FlightRecorder] = None
-
-
-def get_flight_recorder() -> Optional[FlightRecorder]:
-    """The installed recorder, or ``None`` (recording off)."""
-    return _RECORDER
-
-
-def set_flight_recorder(recorder: Optional[FlightRecorder]) -> None:
-    """Install *recorder* as the process-global flight recorder."""
-    global _RECORDER
-    _RECORDER = recorder
-
-
-def install_flight_recorder(
-    directory: str,
-    capacity: int = DEFAULT_CAPACITY,
-    sigterm: bool = False,
-    **first_event: Any,
-) -> FlightRecorder:
-    """Create ``<directory>/flight-<pid>.json``-backed recorder, arm
-    its crash hooks, install it globally, and return it.  Extra kwargs
-    are recorded as a ``started`` event (who/what this process is)."""
+def install_flight_recorder(directory: str, **first_event: Any) -> FlightRecorder:
+    """Create a ``<directory>/flight-<pid>.json``-backed recorder, arm
+    its crash hooks, add it to the event stream, and return it.  Extra
+    kwargs are recorded as a ``started`` event (who/what this process
+    is).  Nothing uninstalls it: this is for processes that record for
+    their whole life (pool workers); scopes use
+    :func:`flight_recording`."""
     os.makedirs(directory, exist_ok=True)
     recorder = FlightRecorder(
-        os.path.join(directory, f"flight-{os.getpid()}.json"),
-        capacity=capacity,
-    )
-    recorder.install_hooks(sigterm=sigterm)
-    recorder.record("started", argv0=sys.argv[0] if sys.argv else "",
-                    **first_event)
-    set_flight_recorder(recorder)
+        os.path.join(directory, f"flight-{os.getpid()}.json"))
+    recorder._note("started", argv0=sys.argv[0] if sys.argv else "",
+                   **first_event)
+    recorder.install_hooks()
+    install_sink(recorder)
     return recorder
 
 
-def flight_event(kind: str, **fields: Any) -> None:
-    """Record into the global recorder; cheap no-op when none."""
-    recorder = _RECORDER
-    if recorder is not None:
-        recorder.record(kind, **fields)
+@contextlib.contextmanager
+def flight_recording(directory: str, **first_event: Any) -> Iterator[FlightRecorder]:
+    """Scope that arms a flight recorder (see
+    :func:`install_flight_recorder`)::
+
+        with flight_recording("flight/", role="campaign-driver"):
+            run_campaign(...)
+
+    On exit it records the exception that ends the scope, if any,
+    leaves the event stream, puts back the crash hooks it replaced, and
+    dumps once — the last black-box write of a clean shutdown.
+    """
+    recorder = install_flight_recorder(directory, **first_event)
+    try:
+        yield recorder
+    except BaseException as exc:
+        recorder._note("unhandled_exception", error=repr(exc))
+        raise
+    finally:
+        remove_sink(recorder)
+        recorder.uninstall_hooks()
+        recorder.dump()
 
 
 def flight_mark_inflight(**info: Any) -> None:
-    """Mark in-flight work on the global recorder (no-op when none)."""
-    recorder = _RECORDER
-    if recorder is not None:
-        recorder.mark_inflight(**info)
+    """Mark in-flight work on every installed recorder (no-op when
+    none); each dumps before the work runs."""
+    for sink in get_sinks():
+        if isinstance(sink, FlightRecorder):
+            sink.mark_inflight(**info)
 
 
 def flight_clear_inflight(**fields: Any) -> None:
-    """Clear in-flight work on the global recorder (no-op when none)."""
-    recorder = _RECORDER
-    if recorder is not None:
-        recorder.clear_inflight(**fields)
-
-
-def flight_dump() -> Optional[str]:
-    """Force a dump of the global recorder; returns the path or
-    ``None`` when no recorder is installed / the write failed."""
-    recorder = _RECORDER
-    if recorder is not None:
-        return recorder.dump()
-    return None
+    """Clear in-flight work on every installed recorder (no-op when
+    none)."""
+    for sink in get_sinks():
+        if isinstance(sink, FlightRecorder):
+            sink.clear_inflight(**fields)
 
 
 # -- reading dumps -----------------------------------------------------

@@ -20,11 +20,14 @@ file:
   carries, so ``repro journal summarize`` cross-checks a finished (or
   half-finished) run without its process.
 
-Emission is decoupled from the campaign code via a process-global
-journal handle: drivers call :func:`journal_event` unconditionally,
-which is a no-op single ``None`` check unless a journal is installed
-(``--journal`` / :func:`journaling`).  Journaling therefore never
-changes results — it only appends to a side file.
+Emission is decoupled from the campaign code via one process-global
+event stream: drivers call :func:`journal_event` unconditionally, which
+builds one record (``ts``, ``kind``, fields) and hands it to every
+installed sink — the journal (``--journal`` / :func:`journaling`),
+which adds ``seq``, and the crash flight recorder's ring
+(``--flight-dir`` / :func:`repro.perf.flight.flight_recording`).  With
+no sink installed it is a single emptiness check.  Events therefore
+never change results — they only append to side files.
 """
 
 from __future__ import annotations
@@ -43,10 +46,14 @@ from repro.errors import JournalError
 
 __all__ = [
     "Journal",
+    "events_enabled",
     "get_journal",
-    "set_journal",
+    "get_sinks",
+    "install_sink",
     "journal_event",
     "journaling",
+    "remove_sink",
+    "reset_sinks",
     "read_journal",
     "summarize_journal",
     "render_summary",
@@ -114,7 +121,13 @@ class Journal:
             raise JournalError(f"cannot open journal {path}: {exc}") from exc
 
     def emit(self, kind: str, **fields: Any) -> int:
-        """Append one event line; returns its sequence number.
+        """Append one event line; returns its sequence number (see
+        :meth:`append`)."""
+        return self.append({"ts": time.time(), "kind": kind, **fields})
+
+    def append(self, record: Dict[str, Any]) -> int:
+        """Sink side of the event stream: write *record* as one line
+        under the next ``seq``; returns that sequence number.
 
         Returns ``-1`` without writing once the journal has degraded
         (a previous write failed); the event is dropped, never raised.
@@ -123,12 +136,9 @@ class Journal:
             if self.degraded:
                 return -1
             seq = self._seq
-            record: Dict[str, Any] = {
-                "seq": seq, "ts": time.time(), "kind": kind,
-            }
-            record.update(fields)
             line = json.dumps(
-                record, default=_jsonable, separators=(",", ":")
+                {"seq": seq, **record}, default=_jsonable,
+                separators=(",", ":"),
             )
             try:
                 fh = _wrap_stream(self._fh)
@@ -171,48 +181,80 @@ class Journal:
         return False
 
 
-_JOURNAL: Optional[Journal] = None
+# -- the one event stream ----------------------------------------------
+#
+# The sinks live in one tuple that is replaced, never mutated, so
+# journal_event reads it without taking a lock.
+_SINKS: Tuple[Any, ...] = ()
+_SINKS_LOCK = threading.Lock()
+
+
+def get_sinks() -> Tuple[Any, ...]:
+    """The installed event sinks, in install order (empty: events off)."""
+    return _SINKS
+
+
+def events_enabled() -> bool:
+    """Whether a :func:`journal_event` record reaches any sink — the
+    guard for events whose fields cost work to compute."""
+    return bool(_SINKS)
+
+
+def install_sink(sink: Any) -> None:
+    """Add *sink* (anything with ``append(record)``) to the stream."""
+    global _SINKS
+    with _SINKS_LOCK:
+        _SINKS = _SINKS + (sink,)
+
+
+def remove_sink(sink: Any) -> None:
+    """Take *sink* out of the stream (a no-op when it is not in it)."""
+    global _SINKS
+    with _SINKS_LOCK:
+        _SINKS = tuple(s for s in _SINKS if s is not sink)
+
+
+def reset_sinks() -> None:
+    """Drop every sink at once: what a fork-start pool worker does with
+    the journal and recorder it inherited from its parent.  Takes no
+    lock, since the parent may have held it at fork time."""
+    global _SINKS
+    _SINKS = ()
 
 
 def get_journal() -> Optional[Journal]:
-    """The installed process-global journal, or ``None``."""
-    return _JOURNAL
-
-
-def set_journal(journal: Optional[Journal]) -> None:
-    """Install *journal* as the process-global event sink (``None``
-    turns journaling off)."""
-    global _JOURNAL
-    _JOURNAL = journal
+    """The installed journal sink, or ``None``."""
+    return next((s for s in _SINKS if isinstance(s, Journal)), None)
 
 
 def journal_event(kind: str, **fields: Any) -> None:
-    """Emit an event to the installed journal; a single ``None`` check
-    when journaling is off — the instrumentation the campaign drivers
-    call unconditionally."""
-    journal = _JOURNAL
-    if journal is not None:
-        journal.emit(kind, **fields)
+    """Emit one event: build its record (``ts``, ``kind``, fields) and
+    hand it to every installed sink.  A single emptiness check when
+    none is installed — the instrumentation the campaign drivers call
+    unconditionally."""
+    sinks = _SINKS
+    if sinks:
+        record = {"ts": time.time(), "kind": kind, **fields}
+        for sink in sinks:
+            sink.append(record)
 
 
 @contextlib.contextmanager
 def journaling(path: PathLike) -> Iterator[Journal]:
-    """Scope that opens a journal at *path* and installs it globally::
+    """Scope that opens a journal at *path* and installs it as a sink::
 
         with journaling("run.jsonl"):
             sample_cloud_pool(...)
 
-    The previous journal (usually ``None``) is restored — and the file
-    closed — on exit, crash or not.
+    On exit, crash or not, the journal leaves the stream and the file
+    is closed.
     """
-    global _JOURNAL
-    previous = _JOURNAL
     journal = Journal(path)
-    _JOURNAL = journal
+    install_sink(journal)
     try:
         yield journal
     finally:
-        _JOURNAL = previous
+        remove_sink(journal)
         journal.close()
 
 

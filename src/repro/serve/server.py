@@ -50,12 +50,7 @@ from repro.errors import ServeError
 from repro.graph.csr import SignedGraph
 from repro.graph.store import graph_fingerprint
 from repro.parallel.supervisor import RetryPolicy
-from repro.perf.flight import (
-    flight_dump,
-    get_flight_recorder,
-    install_flight_recorder,
-    set_flight_recorder,
-)
+from repro.perf.flight import flight_recording
 from repro.perf.journal import Journal, journal_event, journaling
 from repro.perf.registry import get_registry
 from repro.perf.trace_export import events_for_trace, spans_to_events
@@ -642,17 +637,16 @@ def run_server(
             stack.enter_context(journaling(config.journal))
         # Observability plumbing, all opt-in: the bounded span
         # collector backs /debug/trace, the flight recorder leaves
-        # crash dumps, the access log narrates every query.  Previous
-        # process-global sinks are restored on exit (LIFO) so
-        # embedded/test daemons don't leak state into their host.
+        # crash dumps (and a last one on exit), the access log
+        # narrates every query.  Each scope takes its process-global
+        # sink back on exit, so embedded/test daemons don't leak
+        # state into their host.
         if config.debug_trace:
             stack.callback(set_trace_collector, get_trace_collector())
             set_trace_collector(TraceCollector(config.trace_max_events))
         if config.flight_dir is not None:
-            stack.callback(set_flight_recorder, get_flight_recorder())
-            install_flight_recorder(
-                str(config.flight_dir), role="serve-daemon"
-            )
+            stack.enter_context(flight_recording(
+                str(config.flight_dir), role="serve-daemon"))
         access_log = None
         if config.access_log is not None:
             access_log = stack.enter_context(Journal(config.access_log))
@@ -742,7 +736,6 @@ def run_server(
             growth_joined=joined,
             states=cloud.num_states,
         )
-        flight_dump()  # last black-box write of a clean shutdown
         print(
             f"drained ({cloud.num_states} states checkpointed), exiting",
             flush=True,

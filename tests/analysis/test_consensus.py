@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.consensus import analyze_consensus
+from repro.perf.export import phase_seconds
+from repro.perf.registry import collecting
 from repro.graph.build import from_edges
 from repro.graph.generators import chung_lu_signed
 
@@ -40,6 +42,9 @@ class TestAnalyzeConsensus:
 
     def test_timers_cover_phases(self):
         g = make_connected_signed(40, 100, seed=2)
-        report = analyze_consensus(g, num_states=5, seed=2)
-        assert "largest_component" in report.timers.seconds
-        assert "cycle_processing" in report.timers.seconds
+        with collecting() as metrics:
+            analyze_consensus(g, num_states=5, seed=2)
+        phases = phase_seconds(metrics.snapshot())
+        for phase in ("largest_component", "tree_sample", "parity_kernel",
+                      "harary", "attributes"):
+            assert phase in phases

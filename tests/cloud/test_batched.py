@@ -10,7 +10,9 @@ from repro.core.cycles_vectorized import sign_to_root
 from repro.errors import NotBalancedError, ReproError
 from repro.harary.bipartition import sides_from_sign_to_root
 from repro.parallel.pool import sample_cloud_pool
-from repro.perf.compat import Counters, PhaseTimer
+from repro.perf.compat import Counters
+from repro.perf.export import span_stats
+from repro.perf.registry import collecting
 from repro.trees.sampler import TreeSampler
 
 from tests.conftest import make_connected_signed
@@ -103,11 +105,12 @@ class TestSeedForSeedEquivalence:
         g = make_connected_signed(25, 60, seed=13)
         # An engine chunk of 4 states.
         monkeypatch.setattr(cloud_module, "_chunk_size", lambda *_: 4)
-        timers = PhaseTimer()
-        sample_cloud(g, 8, seed=1, timers=timers)
-        for phase in ("tree_generation", "cycle_processing", "harary_and_status"):
-            assert timers.seconds.get(phase, 0.0) > 0.0
-        assert timers.counts["tree_generation"] == 2  # two chunks of 4
+        with collecting() as metrics:
+            sample_cloud(g, 8, seed=1)
+        stats = span_stats(metrics.snapshot())
+        for phase in ("tree_sample", "parity_kernel", "harary"):
+            assert stats[f"campaign/block/{phase}"][0] > 0.0
+        assert stats["campaign/block/tree_sample"][1] == 2  # two chunks of 4
 
     def test_non_bfs_method_falls_back(self):
         g = make_connected_signed(20, 50, seed=14)

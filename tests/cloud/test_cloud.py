@@ -131,16 +131,18 @@ class TestSampleCloud:
         assert not ckpt.exists()
 
     def test_timers_accumulate(self):
-        from repro.perf.compat import PhaseTimer
+        from repro.perf.export import span_stats
+        from repro.perf.registry import collecting
 
         g = make_connected_signed(40, 100, seed=1)
-        timers = PhaseTimer()
-        sample_cloud(g, 5, seed=0, timers=timers)
-        sample_cloud(g, 3, seed=1, timers=timers)
+        with collecting() as metrics:
+            sample_cloud(g, 5, seed=0)
+            sample_cloud(g, 3, seed=1)
+        stats = span_stats(metrics.snapshot())
         # One engine chunk per campaign here: the engine stacks many
         # more than five states of a 100-edge graph per chunk.
-        assert timers.counts["tree_generation"] == 2
-        assert "harary_and_status" in timers.seconds
+        assert stats["campaign/block/tree_sample"][1] == 2
+        assert "campaign/block/harary" in stats
 
     def test_status_converges_on_balanced_graph(self):
         # A balanced graph has exactly one nearest state: itself.

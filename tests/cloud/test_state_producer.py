@@ -134,7 +134,7 @@ def test_add_result_rejects_tampered_signs(graph):
     signs[non_tree[0]] *= -1  # its fundamental cycle turns negative
     tampered = BalanceResult(
         graph=graph, tree=result.tree, signs=signs, flipped=result.flipped,
-        stats=None, counters=result.counters, timers=result.timers,
+        stats=None, counters=result.counters,
     )
     cloud = FrustrationCloud(graph)
     with pytest.raises(NotBalancedError):

@@ -13,6 +13,7 @@ cap holds everywhere.
 from __future__ import annotations
 
 import signal
+import sys
 import threading
 
 import numpy as np
@@ -20,6 +21,8 @@ import pytest
 
 from repro.graph.build import from_arrays, from_edges
 from repro.graph.csr import SignedGraph
+from repro.perf import journal as _journal_module
+from repro.perf.tracing import get_trace_collector, set_trace_collector
 from repro.rng import as_generator
 
 try:
@@ -88,6 +91,37 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _observability_state() -> dict:
+    """The process-global observability state a test may borrow but
+    must give back: the event sinks (journal, flight recorder), the
+    trace collector and both crash hooks."""
+    return {
+        "event sinks": _journal_module.get_sinks(),
+        "trace collector": get_trace_collector(),
+        "sys.excepthook": sys.excepthook,
+        "threading.excepthook": threading.excepthook,
+    }
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_observability():
+    """Fail any test that leaves a different journal, flight recorder,
+    trace collector or crash hook than it found, then put the old ones
+    back so the leak does not spread to later tests."""
+    before = _observability_state()
+    yield
+    after = _observability_state()
+    # None of these define __eq__, so != compares identities (the
+    # sinks element by element).
+    leaked = [name for name in before if after[name] != before[name]]
+    if leaked:
+        _journal_module._SINKS = before["event sinks"]
+        set_trace_collector(before["trace collector"])
+        sys.excepthook = before["sys.excepthook"]
+        threading.excepthook = before["threading.excepthook"]
+        pytest.fail(f"test leaked process-global state: {', '.join(leaked)}")
 
 
 def make_connected_signed(

@@ -6,7 +6,9 @@ import pytest
 from repro.core import balance, is_balanced
 from repro.errors import EngineError
 from repro.graph.datasets import fig1_sigma
-from repro.perf.compat import Counters, PhaseTimer
+from repro.perf.compat import Counters
+from repro.perf.export import span_stats
+from repro.perf.registry import collecting
 from repro.trees import bfs_tree
 
 from tests.conftest import make_connected_signed
@@ -88,11 +90,17 @@ class TestBalanceResult:
 
     def test_timers_record_phases(self):
         g = make_connected_signed(30, 70, seed=3)
-        timers = PhaseTimer()
-        balance(g, seed=0, timers=timers)
-        assert "tree_generation" in timers.seconds
-        assert "labeling" in timers.seconds
-        assert "cycle_processing" in timers.seconds
+        with collecting() as metrics:
+            balance(g, seed=0)
+        assert {"tree_sample", "labeling", "lockstep_kernel"} == set(
+            span_stats(metrics.snapshot()))
+
+    def test_walk_kernel_records_its_phases(self):
+        g = make_connected_signed(30, 70, seed=3)
+        with collecting() as metrics:
+            balance(g, seed=0, kernel="walk")
+        assert {"tree_sample", "labeling", "adjacency_partition",
+                "walk_kernel"} == set(span_stats(metrics.snapshot()))
 
     def test_counters_passed_through(self):
         g = make_connected_signed(30, 70, seed=3)

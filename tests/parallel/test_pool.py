@@ -445,3 +445,68 @@ class TestInterruptSalvage:
         cloud, meta, _src = recover_cloud(ckpt, g)
         assert meta.done_blocks == (FIRST, MIDDLE)
         assert cloud.num_states == 8
+
+
+_POOL_HOLDER = """
+import time
+from concurrent.futures import ProcessPoolExecutor
+
+from repro.parallel.pool import _init_worker
+from tests.conftest import make_connected_signed
+
+pool = ProcessPoolExecutor(
+    2, initializer=_init_worker, initargs=(make_connected_signed(10, 5),))
+list(pool.map(time.sleep, [0.5, 0.5]))  # both workers are initialized
+print(*pool._processes, flush=True)
+time.sleep(120)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether *pid* still runs (a zombie waiting for its reaper does
+    not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.timeout(60)
+def test_workers_exit_when_their_parent_is_sigkilled():
+    """Pool workers watch their parent: SIGKILL the process holding a
+    2-worker pool and both workers are gone within 5 s."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")])
+    holder = subprocess.Popen(
+        [sys.executable, "-c", _POOL_HOLDER], env=env,
+        stdout=subprocess.PIPE, text=True,
+    )
+    workers = []
+    try:
+        workers = [int(pid) for pid in holder.stdout.readline().split()]
+        assert len(workers) == 2
+        holder.send_signal(signal.SIGKILL)
+        holder.wait(timeout=10)
+        limit = time.monotonic() + 5.0
+        while any(map(_alive, workers)) and time.monotonic() < limit:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        if holder.poll() is None:
+            holder.kill()
+            holder.wait()
+        holder.stdout.close()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -1,12 +1,17 @@
 """Tests for the crash flight recorder: ring bounds, the
-dump-before-compute discipline of ``mark_inflight``, atomic dump
+dump-before-compute discipline of ``mark_inflight``, the one event
+stream it shares with the journal, its scope, atomic dump
 reading/validation, and the ``repro flight dump`` CLI."""
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -15,24 +20,24 @@ from repro.perf.flight import (
     DUMP_VERSION,
     FlightRecorder,
     find_flight_dumps,
-    flight_dump,
-    flight_event,
+    flight_clear_inflight,
     flight_mark_inflight,
-    get_flight_recorder,
-    install_flight_recorder,
+    flight_recording,
     iter_flight_dumps,
     read_flight_dump,
-    set_flight_recorder,
+)
+from repro.perf.journal import (
+    events_enabled,
+    get_sinks,
+    journal_event,
+    journaling,
+    read_journal,
 )
 
 
-@pytest.fixture(autouse=True)
-def _no_global_recorder():
-    """Tests must not leak a recorder into the rest of the suite."""
-    previous = get_flight_recorder()
-    set_flight_recorder(None)
-    yield
-    set_flight_recorder(previous)
+def _record(kind, **fields):
+    """A journal-shaped record, as the event stream hands it over."""
+    return {"ts": time.time(), "kind": kind, **fields}
 
 
 class TestRecorder:
@@ -40,7 +45,7 @@ class TestRecorder:
         rec = FlightRecorder(str(tmp_path / "f.json"), capacity=4,
                              autodump_every=0)
         for i in range(10):
-            rec.record("tick", i=i)
+            rec.append(_record("tick", i=i))
         events = rec.snapshot()["events"]
         assert len(events) == 4
         assert [e["i"] for e in events] == [6, 7, 8, 9]
@@ -89,44 +94,119 @@ class TestRecorder:
     def test_autodump_every_n_events(self, tmp_path):
         path = tmp_path / "f.json"
         rec = FlightRecorder(str(path), autodump_every=3)
-        rec.record("a")
-        rec.record("b")
+        rec.append(_record("a"))
+        rec.append(_record("b"))
         assert not path.exists()
-        rec.record("c")
+        rec.append(_record("c"))
         assert len(read_flight_dump(str(path))["events"]) == 3
 
     def test_dump_swallows_unwritable_path(self, tmp_path):
         rec = FlightRecorder(str(tmp_path / "gone" / "f.json"))
-        rec.record("tick")
+        rec.append(_record("tick"))
         assert rec.dump() is None  # never takes the process down
 
     def test_dump_leaves_no_tmp_litter(self, tmp_path):
         path = tmp_path / "f.json"
         rec = FlightRecorder(str(path), autodump_every=0)
         for _ in range(5):
-            rec.record("tick")
+            rec.append(_record("tick"))
             rec.dump()
         assert sorted(os.listdir(tmp_path)) == ["f.json"]
 
 
 class TestGlobalRecorder:
     def test_helpers_are_noops_without_recorder(self):
-        flight_event("tick")
+        assert get_sinks() == ()
+        assert not events_enabled()
+        journal_event("tick")
         flight_mark_inflight(what="x")
-        assert flight_dump() is None
+        flight_clear_inflight(what="x")
 
     def test_install_creates_per_pid_file(self, tmp_path):
-        rec = install_flight_recorder(str(tmp_path), role="test-proc")
-        assert get_flight_recorder() is rec
-        flight_event("tick")
-        path = flight_dump()
-        assert path == str(tmp_path / f"flight-{os.getpid()}.json")
-        doc = read_flight_dump(path)
+        with flight_recording(str(tmp_path), role="test-proc") as rec:
+            assert get_sinks() == (rec,)
+            journal_event("tick")
+        assert get_sinks() == ()
+        path = str(tmp_path / f"flight-{os.getpid()}.json")
+        assert rec.path == path
+        doc = read_flight_dump(path)  # the scope dumped on exit
         assert doc["pid"] == os.getpid()
         kinds = [e["kind"] for e in doc["events"]]
         assert kinds[0] == "started"
         assert doc["events"][0]["role"] == "test-proc"
         assert "tick" in kinds
+        journal_event("after")  # out of the stream now
+        assert "after" not in [e["kind"] for e in rec.snapshot()["events"]]
+
+    def test_scope_restores_crash_hooks(self, tmp_path):
+        hooks = (sys.excepthook, threading.excepthook)
+        for _ in range(3):
+            with flight_recording(str(tmp_path)):
+                assert sys.excepthook is not hooks[0]
+                assert threading.excepthook is not hooks[1]
+            assert (sys.excepthook, threading.excepthook) == hooks
+
+    def test_hook_out_of_the_stream_only_chains(self, tmp_path):
+        """A crash hook that could not be taken back (another hook was
+        stacked on it), or one a forked child inherited, must not
+        rewrite its finished recorder's dump."""
+        seen = []
+        original = sys.excepthook
+        sys.excepthook = lambda *exc: seen.append(exc[0])
+        try:
+            with flight_recording(str(tmp_path)) as rec:
+                ours = sys.excepthook
+                sys.excepthook = lambda *exc: ours(*exc)  # stacked on top
+            assert sys.excepthook is not ours  # ours stays in the chain
+            before = read_flight_dump(rec.path)
+            ours(RuntimeError, RuntimeError("late"), None)
+            assert seen == [RuntimeError]  # chained on
+            assert read_flight_dump(rec.path)["events"] == before["events"]
+            with flight_recording(str(tmp_path / "live")) as live:
+                sys.excepthook(KeyError, KeyError("now"), None)
+                assert live.snapshot()["events"][-1]["kind"] == (
+                    "unhandled_exception")
+        finally:
+            sys.excepthook = original
+
+    def test_scope_records_the_exception_that_ends_it(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with flight_recording(str(tmp_path)) as rec:
+                rec.mark_inflight(what="block", block=[0, 4, 1])
+                raise RuntimeError("boom")
+        doc = read_flight_dump(rec.path)
+        assert doc["events"][-1]["kind"] == "unhandled_exception"
+        assert "boom" in doc["events"][-1]["error"]
+        assert doc["inflight"]["block"] == [0, 4, 1]
+
+
+class TestOneStream:
+    def test_journal_and_dump_end_on_the_same_record(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with journaling(path), flight_recording(str(tmp_path)) as rec:
+            journal_event("block_completed", block=np.int64(3), stop=7,
+                          states=[1, 2])
+        line = read_journal(path)[-1]
+        last = read_flight_dump(rec.path)["events"][-1]
+        assert line.pop("seq") == 0
+        assert line == last
+        assert last["kind"] == "block_completed" and last["block"] == 3
+
+    def test_inflight_marks_stay_out_of_the_journal(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with journaling(path), flight_recording(str(tmp_path)) as rec:
+            flight_mark_inflight(what="block", block=[0, 2, 1])
+            journal_event("block_completed", block=0)
+            flight_clear_inflight(what="block", block=[0, 2, 1])
+        assert [e["kind"] for e in read_journal(path)] == ["block_completed"]
+        kinds = [e["kind"] for e in read_flight_dump(rec.path)["events"]]
+        assert kinds == ["started", "inflight", "block_completed",
+                         "completed"]
+
+    def test_flight_only_runs_turn_events_on(self, tmp_path):
+        with flight_recording(str(tmp_path)):
+            assert events_enabled()
+        assert not events_enabled()
 
 
 class TestReadDumps:
@@ -168,7 +248,7 @@ class TestReadDumps:
 
     def test_iter_skips_torn_dumps(self, tmp_path):
         good = FlightRecorder(str(tmp_path / "flight-1.json"))
-        good.record("tick")
+        good.append(_record("tick"))
         good.dump()
         (tmp_path / "flight-2.json").write_text("{ torn")
         docs = list(iter_flight_dumps(str(tmp_path)))
@@ -201,6 +281,51 @@ class TestFlightCli:
     def test_dump_empty_directory_fails(self, tmp_path, capsys):
         assert main(["flight", "dump", str(tmp_path)]) == 1
         assert "no flight dumps" in capsys.readouterr().err
+
+    def test_dump_hides_timestamps(self, tmp_path, capsys):
+        rec = FlightRecorder(str(tmp_path / "flight-7.json"))
+        rec.append({"ts": 1.5, "seq": 4, "kind": "tick", "n": 2})
+        rec.dump()
+        assert main(["flight", "dump", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "tick: {'n': 2}" in out
+        assert "'ts'" not in out and "'seq'" not in out
+
+    def test_dump_reads_pre_stream_dumps(self, tmp_path, capsys):
+        """Dumps whose ring events carry ``wall`` (written before the
+        ring held journal records) still read and render."""
+        path = tmp_path / "flight-3.json"
+        path.write_text(json.dumps({
+            "version": DUMP_VERSION, "pid": 3, "wall": 10.0,
+            "inflight": None,
+            "events": [{"kind": "started", "wall": 9.0, "role": "old"}],
+        }))
+        assert read_flight_dump(str(path))["events"][0]["role"] == "old"
+        assert main(["flight", "dump", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "started: {'role': 'old'}" in out
+
+    def test_cloud_flight_dir_alone_records_the_campaign(self, tmp_path):
+        """``repro cloud --flight-dir`` without ``--journal``: the
+        driver's dump holds the campaign's journal events, and the run
+        gives the crash hooks back."""
+        from repro.graph.io import write_edgelist
+
+        from tests.conftest import make_connected_signed
+
+        graph = tmp_path / "g.txt"
+        write_edgelist(make_connected_signed(30, 60, seed=4), str(graph))
+        hooks = (sys.excepthook, threading.excepthook)
+        flight = tmp_path / "flight"
+        for _ in range(3):
+            assert main(["cloud", str(graph), "--states", "4",
+                         "--flight-dir", str(flight)]) == 0
+        assert (sys.excepthook, threading.excepthook) == hooks
+        doc = read_flight_dump(str(flight / f"flight-{os.getpid()}.json"))
+        kinds = [e["kind"] for e in doc["events"]]
+        assert {"campaign_started", "campaign_completed"} <= set(kinds)
+        assert kinds[-1] == "campaign_completed"
+        assert doc["inflight"] is None
 
     def test_dump_unreadable_file_fails(self, tmp_path, capsys):
         path = tmp_path / "flight-1.json"

@@ -14,11 +14,12 @@ from repro.parallel.supervisor import RetryPolicy, run_supervised
 from repro.perf.journal import (
     Journal,
     get_journal,
+    install_sink,
     journal_event,
     journaling,
     read_journal,
+    remove_sink,
     render_summary,
-    set_journal,
     summarize_journal,
 )
 from repro.util.faults import WorkerCrash, truncate_file
@@ -105,11 +106,11 @@ class TestGlobalHandle:
 
     def test_set_journal_explicit(self, tmp_path):
         journal = Journal(tmp_path / "j.jsonl")
-        set_journal(journal)
+        install_sink(journal)
         try:
             journal_event("direct")
         finally:
-            set_journal(None)
+            remove_sink(journal)
             journal.close()
         assert read_journal(tmp_path / "j.jsonl")[0]["kind"] == "direct"
 

@@ -17,7 +17,9 @@ from repro.perf.memory import (
     python_actual_mb,
 )
 from repro.perf.report import TextTable, format_series, geomean
-from repro.perf.compat import PhaseTimer
+from repro.perf.export import phase_table, span_stats
+from repro.perf.registry import collecting
+from repro.perf.tracing import span
 
 from tests.conftest import make_connected_signed
 
@@ -59,40 +61,56 @@ class TestCounters:
 
 
 class TestTimers:
+    """Phase times are spans: recorded under :func:`collecting` and
+    read back with :func:`span_stats` / :func:`phase_table`."""
+
     def test_phase_accumulates(self):
-        t = PhaseTimer()
-        with t.phase("a"):
-            time.sleep(0.01)
-        with t.phase("a"):
-            pass
-        assert t.counts["a"] == 2
-        assert t.seconds["a"] >= 0.01
+        with collecting() as metrics:
+            with span("a"):
+                time.sleep(0.01)
+            with span("a"):
+                pass
+        seconds, calls = span_stats(metrics.snapshot())["a"]
+        assert calls == 2
+        assert seconds >= 0.01
 
     def test_breakdown_sums_to_one(self):
-        t = PhaseTimer()
-        t.add("a", 3.0)
-        t.add("b", 1.0)
-        frac = t.breakdown()
-        assert frac["a"] == pytest.approx(0.75)
-        assert sum(frac.values()) == pytest.approx(1.0)
+        with collecting() as metrics:
+            with span("campaign"):
+                with span("a"):
+                    pass
+                with span("b"):
+                    pass
+        stats = span_stats(metrics.snapshot())
+        parts = stats["campaign/a"][0] + stats["campaign/b"][0]
+        assert parts <= stats["campaign"][0]
+        assert "100.0%" in phase_table(metrics.snapshot())
 
     def test_empty_breakdown(self):
-        assert PhaseTimer().breakdown() == {}
+        with collecting() as metrics:
+            pass
+        assert span_stats(metrics.snapshot()) == {}
+        assert "(no spans recorded)" in phase_table(metrics.snapshot())
 
     def test_merge(self):
-        a, b = PhaseTimer(), PhaseTimer()
-        a.add("x", 1.0)
-        b.add("x", 2.0, count=3)
-        a.merge(b)
-        assert a.seconds["x"] == 3.0
-        assert a.counts["x"] == 4
+        with collecting() as outer:
+            with span("x"):
+                pass
+            with collecting() as inner:
+                with span("x"):
+                    pass
+        assert span_stats(inner.snapshot())["x"][1] == 1
+        assert span_stats(outer.snapshot())["x"][1] == 2
 
     def test_render(self):
-        t = PhaseTimer()
-        t.add("cycles", 0.64)
-        t.add("labeling", 0.20)
-        out = t.render("breakdown")
-        assert "cycles" in out and "76" in out  # 0.64/0.84 ≈ 76%
+        with collecting() as metrics:
+            with span("cycles"):
+                time.sleep(0.02)
+            with span("labeling"):
+                pass
+        out = phase_table(metrics.snapshot(), "breakdown")
+        assert out.splitlines()[0] == "breakdown"
+        assert out.index("cycles") < out.index("labeling")  # longest first
 
 
 class TestMemoryModel:

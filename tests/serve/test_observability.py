@@ -7,7 +7,10 @@ and the ``/metrics`` exposition grammar.
 from __future__ import annotations
 
 import json
+import os
 import re
+import sys
+import threading
 
 import pytest
 
@@ -175,6 +178,22 @@ class TestServeFlight:
         assert daemon_docs, "daemon dump must record the growth round"
         # Clean shutdown: the final dump shows nothing in flight.
         assert daemon_docs[0]["inflight"] is None
+
+    def test_final_dump_holds_server_stopped(self, tmp_path):
+        """The daemon's last dump is the scope's exit dump: it ends on
+        the journal's ``server_stopped`` (no ``--journal`` needed), with
+        nothing in flight, and the crash hooks are the host's again."""
+        flight = tmp_path / "flight"
+        hooks = (sys.excepthook, threading.excepthook)
+        with daemon(target_states=8, grow_step=4, flight_dir=flight) as handle:
+            handle.wait_states(8)
+        assert handle.exit_code == 0
+        assert (sys.excepthook, threading.excepthook) == hooks
+        doc = read_flight_dump(str(flight / f"flight-{os.getpid()}.json"))
+        kinds = [e["kind"] for e in doc["events"]]
+        assert {"server_started", "server_draining"} <= set(kinds)
+        assert kinds[-1] == "server_stopped"
+        assert doc["inflight"] is None
 
 
 class TestMetricsEndpoint:
