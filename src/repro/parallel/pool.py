@@ -54,6 +54,7 @@ crashed campaign loses at most the in-flight blocks.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import threading
 import time
@@ -112,8 +113,13 @@ def _init_worker_process(flight_dir: str | None) -> None:
 
     Fork-start workers inherit the parent's trace collector and event
     sinks (its journal, its flight recorder) by memory copy; they are
-    the *parent's* identity and must not be written from here.
+    the *parent's* identity and must not be written from here.  Outside
+    a child process (an initializer called in-process, as the tests do)
+    there is nothing inherited to drop and no parent to outlive, so it
+    does nothing.
     """
+    if multiprocessing.parent_process() is None:
+        return
     set_trace_collector(None)
     reset_sinks()
     if flight_dir is not None:
@@ -121,17 +127,17 @@ def _init_worker_process(flight_dir: str | None) -> None:
     _exit_with_parent()
 
 
-def _exit_with_parent(interval: float = 1.0) -> None:
+def _exit_with_parent() -> None:
     """Start a daemon thread that ends this process once its parent is
     gone (the parent pid changes when it dies), so a SIGKILLed campaign
-    or daemon leaves no orphaned workers.  Polling, not
+    or daemon leaves no orphaned workers.  Polling, once a second, not
     ``PR_SET_PDEATHSIG``: that fires when the forking *thread* exits,
     and request threads can start a daemon's pool."""
     parent = os.getppid()
 
     def _watch() -> None:
         while os.getppid() == parent:
-            time.sleep(interval)
+            time.sleep(1.0)
         os._exit(1)
 
     threading.Thread(target=_watch, name="repro-parent-watch",

@@ -53,7 +53,6 @@ from repro.perf.export import (
 from repro.perf.journal import (
     Journal,
     events_enabled,
-    get_journal,
     journal_event,
     journaling,
     read_journal,
@@ -178,7 +177,6 @@ __all__ = [
     "validate_chrome_trace",
     "Journal",
     "events_enabled",
-    "get_journal",
     "journal_event",
     "journaling",
     "read_journal",

@@ -38,7 +38,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from repro.errors import JournalError
 __all__ = [
     "Journal",
     "events_enabled",
-    "get_journal",
     "get_sinks",
     "install_sink",
     "journal_event",
@@ -216,15 +215,13 @@ def remove_sink(sink: Any) -> None:
 
 def reset_sinks() -> None:
     """Drop every sink at once: what a fork-start pool worker does with
-    the journal and recorder it inherited from its parent.  Takes no
-    lock, since the parent may have held it at fork time."""
-    global _SINKS
+    the journal and recorder it inherited from its parent.  The parent
+    may have held the lock at fork time, so it is replaced, not taken:
+    an inherited held lock would block the worker's next
+    :func:`install_sink` for ever."""
+    global _SINKS, _SINKS_LOCK
+    _SINKS_LOCK = threading.Lock()
     _SINKS = ()
-
-
-def get_journal() -> Optional[Journal]:
-    """The installed journal sink, or ``None``."""
-    return next((s for s in _SINKS if isinstance(s, Journal)), None)
 
 
 def journal_event(kind: str, **fields: Any) -> None:

@@ -96,25 +96,32 @@ def pytest_runtest_call(item):
 def _observability_state() -> dict:
     """The process-global observability state a test may borrow but
     must give back: the event sinks (journal, flight recorder), the
-    trace collector and both crash hooks."""
+    trace collector and both crash hooks — plus the pool workers'
+    parent-watch threads, which belong in workers only (one left here
+    would end the test session with ``os._exit`` if the runner's
+    parent went away)."""
     return {
         "event sinks": _journal_module.get_sinks(),
         "trace collector": get_trace_collector(),
         "sys.excepthook": sys.excepthook,
         "threading.excepthook": threading.excepthook,
+        "parent-watch threads": sum(
+            t.name == "repro-parent-watch" for t in threading.enumerate()
+        ),
     }
 
 
 @pytest.fixture(autouse=True)
 def _no_leaked_observability():
     """Fail any test that leaves a different journal, flight recorder,
-    trace collector or crash hook than it found, then put the old ones
-    back so the leak does not spread to later tests."""
+    trace collector or crash hook than it found, or starts a
+    parent-watch thread, then put the old ones back so the leak does
+    not spread to later tests (a thread cannot be taken back)."""
     before = _observability_state()
     yield
     after = _observability_state()
-    # None of these define __eq__, so != compares identities (the
-    # sinks element by element).
+    # Apart from the thread count, none of these define __eq__, so !=
+    # compares identities (the sinks element by element).
     leaked = [name for name in before if after[name] != before[name]]
     if leaked:
         _journal_module._SINKS = before["event sinks"]

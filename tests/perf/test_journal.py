@@ -13,7 +13,7 @@ from repro.parallel.pool import sample_cloud_pool
 from repro.parallel.supervisor import RetryPolicy, run_supervised
 from repro.perf.journal import (
     Journal,
-    get_journal,
+    get_sinks,
     install_sink,
     journal_event,
     journaling,
@@ -91,15 +91,15 @@ class TestJournalBasics:
 
 class TestGlobalHandle:
     def test_event_is_noop_without_journal(self):
-        assert get_journal() is None
+        assert get_sinks() == ()
         journal_event("ignored", x=1)  # must not raise or write anywhere
 
     def test_journaling_scope_installs_and_restores(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with journaling(path) as journal:
-            assert get_journal() is journal
+            assert get_sinks() == (journal,)
             journal_event("inside", n=3)
-        assert get_journal() is None
+        assert get_sinks() == ()
         journal_event("outside")  # dropped
         events = read_journal(path)
         assert [e["kind"] for e in events] == ["inside"]
