@@ -42,9 +42,11 @@ __all__ = [
     "exact_cloud",
 ]
 
-#: Bytes of one dense chunk's states, m + 25n each (the ``(m,)`` int8
-#: sign row and the tree's four ``(n,)`` TreeBatch rows), and swap
-#: states per flush: the engine's chunks, which move no bits.
+#: Bytes of one dense chunk's states, and swap states per flush: the
+#: engine's chunks, which move no bits.  A dense state holds 3(m + n)
+#: bytes at the chunk's peak, the balance check in ``add_batch``: its
+#: int8 sign row and two ``(m,)`` masks, and its sign-to-root row, its
+#: sides and their transpose.
 _CHUNK_BYTES = 1 << 23
 _SWAP_CHUNK = 32
 
@@ -53,7 +55,7 @@ def _chunk_size(method: str, graph: SignedGraph) -> int:
     """States per chunk of a *method* campaign on *graph*."""
     if method == "swap":
         return _SWAP_CHUNK
-    return max(1, _CHUNK_BYTES // (graph.num_edges + 25 * graph.num_vertices))
+    return max(1, _CHUNK_BYTES // (3 * (graph.num_edges + graph.num_vertices)))
 
 
 def balanced_states(
@@ -238,7 +240,7 @@ class FrustrationCloud:
             ``(B, m)`` int8 stack of balanced sign arrays (one state
             per row).
         sides:
-            Optional ``(B, n)`` stack of Harary sides matching *signs*
+            Optional ``(B, n)`` stack of 0/1 Harary sides matching *signs*
             (e.g. from :func:`~repro.harary.bipartition.sides_from_sign_to_root`
             on the batched parity output).  When omitted, each row goes
             through :meth:`add_signs` and its bipartition oracle.
@@ -268,12 +270,21 @@ class FrustrationCloud:
                 f"({len(signs)}, {self.graph.num_vertices})"
             )
 
-        coside = sides[:, self.graph.edge_u] == sides[:, self.graph.edge_v]
-        if np.any((signs > 0) != coside):
-            b = int(np.nonzero(((signs > 0) != coside).any(axis=1))[0][0])
+        # Gathered like balance_batch's signs, so the masks share their
+        # column-major layout.  Sides are 0 or 1, so their XOR marks the
+        # edges that cross, and a balanced state keeps an edge positive
+        # exactly when it does not cross: crossing XOR positive is 1.
+        by_vertex = np.ascontiguousarray(sides.T)
+        agree = by_vertex.take(self.graph.edge_u, axis=0)
+        agree ^= by_vertex.take(self.graph.edge_v, axis=0)
+        is_positive = signs > 0
+        agree ^= is_positive.T
+        if not agree.all():
+            b = int(np.flatnonzero(~agree.all(axis=0))[0])
             raise NotBalancedError(
                 f"state {b} of the batch is not balanced under its sides"
             )
+        del agree
 
         size1 = sides.sum(axis=1, dtype=np.int64)
         size0 = n - size1
@@ -281,30 +292,33 @@ class FrustrationCloud:
         # is, 0 on a tie.  A vertex scores 2 half-units on the larger
         # side and 1 on a tie, so its sum over the chunk is
         # 2 * (lead @ sides) + 2 * (side-0 wins) + ties.  Its side size
-        # minus one is size0 - 1 + side * (size1 - size0).  Integer
-        # matvecs, exact.
+        # minus one is size0 - 1 + side * (size1 - size0).  Both are
+        # integer contractions over the int8 sides, exact.
         lead = np.sign(size1 - size0)
         ties = int(np.count_nonzero(lead == 0))
         zero_wins = int(np.count_nonzero(lead < 0))
-        votes, gains = np.stack([lead, size1 - size0]).astype(
-            np.float64
-        ) @ sides.astype(np.float64)
+        votes, gains = np.einsum(
+            "kb,bv->kv", np.stack([lead, size1 - size0]), sides
+        )
         self._majority += 2.0 * votes + (2 * zero_wins + ties)
         self._coalition += gains + float(size0.sum() - num_new)
         self._ties += ties
-        # The check above pins coside == (signs > 0), so one exact
+        # The check above pins co-side == (signs > 0), so one exact
         # column sum of the ±1 signs yields both edge counters: per
         # edge, (B + sum) / 2 states kept it positive (co-side), and a
         # state preserves the input sign iff it kept it at that sign.
-        positive = (num_new + signs.sum(axis=0, dtype=np.int64)) // 2
+        # The sum is at most B in size: int8 holds it below 128 states.
+        small = np.int8 if num_new < 128 else np.int32
+        column = np.einsum("be->e", signs, dtype=small).astype(np.int64)
+        positive = (num_new + column) // 2
         self._fit_counts(self.num_states + num_new)
         self._edge_coside += positive
         self._edge_preserved += np.where(
             self.graph.edge_sign > 0, positive, num_new - positive
         )
-        self._append_flip_counts(
-            (signs != self.graph.edge_sign).sum(axis=1, dtype=np.int64)
-        )
+        # A state flips the edges it keeps positive XOR the input does.
+        is_positive ^= self.graph.edge_sign > 0
+        self._append_flip_counts(_row_counts(is_positive))
         if self.store_states:
             for row in signs:
                 key = row.tobytes()
@@ -482,6 +496,22 @@ class FrustrationCloud:
         if not self.store_states:
             raise ReproError("cloud was built with store_states=False")
         return len(self._unique)
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """Exact per-row True counts of a 2-D bool array, as int64: the
+    columns fold in halves in uint8 (seven folds cannot overflow it)
+    before one widening sum, so no ``(B, m)`` int64 temporary."""
+    x = mask.view(np.uint8)
+    total = np.zeros(len(x), dtype=np.int64)
+    for _ in range(7):
+        width = x.shape[1]
+        if width < 2:
+            break
+        if width % 2:
+            total += x[:, -1]
+        x = x[:, : width // 2] + x[:, width // 2 : width - width % 2]
+    return total + x.sum(axis=1, dtype=np.int64)
 
 
 class _ChainFold:

@@ -40,7 +40,11 @@ def balance_batch(
     :func:`repro.harary.bipartition.sides_from_sign_to_root`).
     """
     s2r = batch.sign_to_root
-    signs = s2r[:, graph.edge_u] * s2r[:, graph.edge_v]
+    # One state-contiguous row of the (n, B) transpose per edge end.
+    by_vertex = np.ascontiguousarray(s2r.T)
+    signs = by_vertex.take(graph.edge_u, axis=0)
+    signs *= by_vertex.take(graph.edge_v, axis=0)
+    signs = signs.T
     num_cycles = batch.num_trees * (
         graph.num_edges - (graph.num_vertices - 1)
     )

@@ -8,24 +8,27 @@ all of their frontiers inside the same vectorized operations, so the
 per-level interpreter overhead is paid once per *batch* instead of once
 per tree.
 
-:func:`sample_bfs_batch` is bit-identical, tree index by tree index, to
-:meth:`repro.trees.sampler.TreeSampler.tree` with the same seed: tree
+By the §3 parity argument a tree's nearest balanced state depends only
+on its sign-to-root vector, the switching that balances it (Zaslavsky,
+arXiv 1701.07963), so that is all :func:`sample_bfs_batch` returns: row
+``i`` of its :class:`TreeBatch` is the root and the sign-to-root row of
+``bfs_tree(graph, root, spawn(seed, indices[i]))``, bit for bit.  Tree
 ``i`` draws from the ``i``-th spawned child stream, its root draw and
 per-level tie-break draws happen in exactly the sequential order, and
 the batched frontier keeps each tree's offers in the sequential
-frontier order.  The equivalence is what lets every non-swap campaign
+frontier order.  The identity is what lets every non-swap campaign
 (:func:`repro.cloud.cloud.balanced_states`) stack its trees here in
 any chunks and get the same cloud attribute for attribute.
 
-The BFS also writes each tree's sign-to-root (the switching that
-balances it; Zaslavsky, arXiv 1701.07963) as it discovers each vertex,
-and finds a level's offers from the undiscovered side when those own
-fewer half-edges than the frontier (direction-optimizing BFS).
+The BFS writes each vertex's sign-to-root as it discovers it, and
+finds a level's offers from the undiscovered side when those own fewer
+half-edges than the frontier (direction-optimizing BFS).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import weakref
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,21 +50,12 @@ _OFFER_BUDGET = 1 << 17
 
 @dataclass(frozen=True)
 class TreeBatch:
-    """B rooted spanning trees of one graph in stacked arrays.
+    """B rooted spanning trees of one graph, as what a campaign reads of
+    them: ``roots[b]`` is tree b's root and ``sign_to_root[b, v]`` the
+    ±1 product of the input edge signs on its tree path from the root
+    to ``v`` (:func:`~repro.core.cycles_vectorized.sign_to_root`)."""
 
-    Row ``b`` of every array describes one spanning tree exactly as the
-    corresponding fields of :class:`~repro.trees.tree.SpanningTree`
-    would: ``parent[b, v]`` is the BFS parent of ``v`` (−1 at the
-    root), ``parent_edge[b, v]`` the undirected edge id to that parent,
-    ``level_of[b, v]`` the BFS depth, and ``sign_to_root[b, v]`` the
-    ±1 product of the input edge signs on the tree path from the root
-    (:func:`~repro.core.cycles_vectorized.sign_to_root`).
-    """
-
-    roots: np.ndarray        # (B,) root vertex per tree
-    parent: np.ndarray       # (B, n)
-    parent_edge: np.ndarray  # (B, n)
-    level_of: np.ndarray     # (B, n)
+    roots: np.ndarray         # (B,) root vertex per tree
     sign_to_root: np.ndarray  # (B, n) int8
 
     @property
@@ -70,34 +64,20 @@ class TreeBatch:
 
     @property
     def num_vertices(self) -> int:
-        return self.parent.shape[1]
-
-    @property
-    def num_levels(self) -> int:
-        """Deepest level across the batch, plus one."""
-        return int(self.level_of.max()) + 1 if self.level_of.size else 0
-
-    def to_tree(self, graph: SignedGraph, b: int) -> SpanningTree:
-        """Materialize tree *b* as a validated :class:`SpanningTree`."""
-        return SpanningTree.from_parents(
-            graph, int(self.roots[b]), self.parent[b], self.parent_edge[b]
-        )
+        return self.sign_to_root.shape[1]
 
     @classmethod
     def from_trees(
         cls, graph: SignedGraph, trees: Sequence[SpanningTree]
     ) -> "TreeBatch":
         """Stack individually sampled trees of *graph* (the non-BFS
-        fallback), with each tree's sign-to-root."""
+        fallback)."""
         from repro.core.cycles_vectorized import sign_to_root
 
         if not trees:
             raise EngineError("cannot build an empty TreeBatch")
         return cls(
             roots=np.asarray([t.root for t in trees], dtype=np.int64),
-            parent=np.stack([t.parent for t in trees]),
-            parent_edge=np.stack([t.parent_edge for t in trees]),
-            level_of=np.stack([t.level_of for t in trees]),
             sign_to_root=np.stack([sign_to_root(graph, t) for t in trees]),
         )
 
@@ -133,103 +113,103 @@ def sample_bfs_batch(
     batched level-synchronous expansions, ``_OFFER_BUDGET // 2m`` trees
     per pass.
 
-    Tree-by-tree the output is bit-identical to
-    ``bfs_tree(graph, root=root, seed=spawn(seed, i))`` — same root
-    draws, same parent tie-breaks — because every tree keeps its own
+    Row ``b`` holds the root and the sign-to-root row of
+    ``bfs_tree(graph, root=root, seed=spawn(seed, indices[b]))`` — same
+    root draw, same parent tie-breaks — because every tree keeps its own
     child RNG stream and its offers stay in the sequential frontier
-    order inside the stacked arrays; its ``sign_to_root`` row is
-    :func:`~repro.core.cycles_vectorized.sign_to_root` of that tree.
+    order inside the stacked arrays.
     """
     rngs = spawn_batch(seed, indices)
     if not rngs:
         raise EngineError("need at least one tree index")
     # Trees are independent: sampling them a few at a time gives the
-    # same stack with a cache-sized offer scratch.  Every pass reads a
-    # prefix of one flattened CSR, built once for the widest pass.
-    two_m = len(graph.adj_vertex)
-    width = min(len(rngs), max(1, _OFFER_BUDGET // max(two_m, 1)))
+    # same rows with a cache-sized offer scratch.  Every pass writes its
+    # rows in place and reads a prefix of the graph's flat CSR.
+    width = max(1, _OFFER_BUDGET // max(len(graph.adj_vertex), 1))
     csr = _flat_csr(graph, width)
-    parts = [
-        _bfs_pass(graph, csr, rngs[i : i + width], root, counters)
-        for i in range(0, len(rngs), width)
-    ]
-    if len(parts) == 1:
-        return parts[0]
-    return TreeBatch(*(
-        np.concatenate([getattr(p, f.name) for p in parts])
-        for f in fields(TreeBatch)
-    ))
+    n = graph.num_vertices
+    if root is None:
+        roots = np.asarray([rng.integers(0, n) for rng in rngs], np.int64)
+    else:
+        roots = np.full(len(rngs), int(root), dtype=np.int64)
+    sign_to_root = np.ones((len(rngs), n), dtype=np.int8)
+    for lo in range(0, len(rngs), width):
+        hi = lo + width
+        _bfs_pass(graph, csr, rngs[lo:hi], roots[lo:hi],
+                  sign_to_root[lo:hi], counters)
+    return TreeBatch(roots, sign_to_root)
+
+
+#: ``id(graph) -> (width, csr)`` for the last graph flattened: a
+#: campaign samples one graph, so it flattens once.  The entry leaves
+#: with its graph.
+_FLAT_CACHE: dict = {}
 
 
 def _flat_csr(graph: SignedGraph, width: int) -> tuple:
-    """``(indptr, target, source, twin)`` of *width* stacked copies of
+    """``(indptr, target, twin, sign)`` of *width* stacked copies of
     *graph* over flat ids ``g = b * n + v``: copy b's half-edges sit at
-    ``[b * 2m, (b + 1) * 2m)`` and name their ends by flat id, and the
-    first k copies of each array are a prefix of it."""
+    ``[b * 2m, (b + 1) * 2m)``, name their targets by flat id and their
+    reverses by flat position, and carry their edge's sign; the first k
+    copies of each array are a prefix of it.  Cached for the last graph
+    flattened."""
+    cached = _FLAT_CACHE.get(id(graph))
+    if cached is not None and cached[0] == width:
+        return cached[1]
     n, two_m = graph.num_vertices, len(graph.adj_vertex)
-    source = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    sign = graph.edge_sign[graph.adj_edge]
     if width == 1:
-        return graph.indptr, graph.adj_vertex, source, graph.half_twin
-    shift = np.arange(width, dtype=np.int64)[:, None]
-    return (
-        np.append(graph.indptr[:-1] + shift * two_m, width * two_m),
-        (graph.adj_vertex + shift * n).ravel(),
-        (source + shift * n).ravel(),
-        (graph.half_twin + shift * two_m).ravel(),
-    )
+        csr = graph.indptr, graph.adj_vertex, graph.half_twin, sign
+    else:
+        shift = np.arange(width, dtype=np.int64)[:, None]
+        csr = (
+            np.append(graph.indptr[:-1] + shift * two_m, width * two_m),
+            (graph.adj_vertex + shift * n).ravel(),
+            (graph.half_twin + shift * two_m).ravel(),
+            np.tile(sign, width),
+        )
+    _FLAT_CACHE.clear()
+    _FLAT_CACHE[id(graph)] = width, csr
+    weakref.finalize(graph, _FLAT_CACHE.pop, id(graph), None)
+    return csr
 
 
 def _bfs_pass(
     graph: SignedGraph,
     csr: tuple,
     rngs: list,
-    root: int | None,
+    roots: np.ndarray,
+    rows: np.ndarray,
     counters: Counters | None,
-) -> TreeBatch:
-    """One level-synchronous expansion of the trees drawn by *rngs*,
-    on the first ``len(rngs)`` copies of the flat *csr*."""
+) -> None:
+    """One level-synchronous expansion from *roots* of the trees drawn
+    by *rngs*, on the first ``len(rngs)`` copies of the flat *csr*:
+    writes their sign-to-root into the all-ones *rows*."""
     n = graph.num_vertices
     num_trees = len(rngs)
     size = num_trees * n
-    two_m = len(graph.adj_vertex)
-    indptr, adj, source, twin = csr
-    adj, source = adj[: num_trees * two_m], source[: num_trees * two_m]
-    offsets = np.arange(num_trees, dtype=np.int64) * n
-    tree_bounds = np.arange(num_trees + 1, dtype=np.int64) * two_m
-
-    if root is None:
-        roots = np.asarray(
-            [int(rng.integers(0, n)) for rng in rngs], dtype=np.int64
-        )
-    else:
-        roots = np.full(num_trees, int(root), dtype=np.int64)
-
-    # Each vertex's flat parent and parent edge (−1 at the roots).
-    parent = np.full(size, -1, dtype=np.int64)
-    parent_edge = np.full(size, -1, dtype=np.int64)
-    level = np.full(size, -1, dtype=np.int64)
-    sign_to_root = np.ones(size, dtype=np.int8)
+    indptr, adj, twin, half_sign = csr
+    tree_bounds = np.arange(num_trees + 1) * len(graph.adj_vertex)
+    sign_to_root = rows.reshape(size)  # a view: rows are contiguous
     undiscovered = np.ones(size, dtype=bool)
 
     # The frontier stays sorted ascending, i.e. grouped by tree with
     # each tree's vertices in the same (ascending) order the sequential
     # BFS produces, so the gathered offer positions ascend too.
-    frontier = offsets + roots
+    frontier = np.arange(num_trees, dtype=np.int64) * n + roots
     undiscovered[frontier] = False
-    level[frontier] = 0
-    depth = 0
     left = size - num_trees  # undiscovered vertices
 
     # Winner-selection scratch, sized B·n but allocated once per pass —
     # no per-level (B, n) scratch is materialized.  A vertex is offered
     # at one level only, the one that discovers it, so its key slot
     # starts at +inf and is never reset; offer slots are written before
-    # they are read.
+    # they are read, and marks are cleared as they are read.
     best_key = np.full(size, np.inf)
     best_offer = np.empty(size, dtype=np.int64)
+    mark = np.zeros(size, dtype=bool)
 
     while len(frontier):
-        depth += 1
         if left < len(frontier):
             # A frontier larger than the undiscovered vertices: its
             # offers are found from the other side.  A vertex
@@ -266,7 +246,7 @@ def _bfs_pass(
         # Uniform winner per (tree, target) without sorting the offers:
         # the minimum key per target, then a reversed scatter of the
         # minimum-key offers breaks ties toward the earliest offer —
-        # the same winner the sequential lexsort picks.
+        # the winner bfs_tree picks, first in a stable (target, key) sort.
         np.minimum.at(best_key, g_target, keys)
         cand = (keys == best_key[g_target]).nonzero()[0]
         rev = cand[::-1]
@@ -275,24 +255,22 @@ def _bfs_pass(
 
         # The new frontier, ascending (the sequential offer order of
         # the next level).  A dense level is read back with one scan of
-        # ``level``; a sparse one sorts its winning targets, which are
-        # distinct.  Only levels with more than size / 8 winners scan,
-        # and the winners of all levels sum to at most size, so the
-        # scans cost at most 8·B·n in total (deep sparse graphs never
-        # pay O(n · depth)).
+        # a bool mark; a sparse one sorts its winning targets, which
+        # are distinct.  Only levels with more than size / 8 winners
+        # scan, and the winners of all levels sum to at most size, so
+        # the scans cost at most 8·B·n in total (deep sparse graphs
+        # never pay O(n · depth)).
         if 8 * len(win) > size:
-            level[g_target[win]] = depth
-            new_g = np.flatnonzero(level == depth)
+            mark[g_target[win]] = True
+            new_g = np.flatnonzero(mark)
+            mark[new_g] = False
         else:
             new_g = np.sort(g_target[win])
-            level[new_g] = depth
-        # Each winner's parent and edge come off its winning half-edge
-        # (copy b's half-edges start at b * 2m), and its sign-to-root
-        # is its parent's (set a level ago) times the edge's sign.
+        # Each winner's parent is the target of its winning half-edge's
+        # twin, and its sign-to-root is its parent's (set a level ago)
+        # times that half-edge's sign.
         half = pos[best_offer[new_g]]
-        src, edge = source[half], graph.adj_edge[half % two_m]
-        parent[new_g], parent_edge[new_g] = src, edge
-        sign_to_root[new_g] = sign_to_root[src] * graph.edge_sign[edge]
+        sign_to_root[new_g] = sign_to_root[adj[twin[half]]] * half_sign[half]
         undiscovered[new_g] = False
         frontier = new_g
         left -= len(new_g)
@@ -300,21 +278,10 @@ def _bfs_pass(
             counters.parallel_region("batch.bfs_round", len(new_g))
             counters.parallel_region("parity.top_down", len(new_g))
 
-    reached = n - undiscovered.reshape(num_trees, n).sum(axis=1)
-    if np.any(reached != n):
+    if left:
+        reached = n - undiscovered.reshape(num_trees, n).sum(axis=1)
         b = int(np.nonzero(reached != n)[0][0])
         raise DisconnectedGraphError(
             f"BFS from root {int(roots[b])} reached {int(reached[b])} of "
             f"{n} vertices; extract the largest connected component first"
         )
-
-    # Parents back to per-tree ids; roots keep −1.
-    parent = parent.reshape(num_trees, n) - offsets[:, None]
-    parent[np.arange(num_trees), roots] = -1
-    return TreeBatch(
-        roots=roots,
-        parent=parent,
-        parent_edge=parent_edge.reshape(num_trees, n),
-        level_of=level.reshape(num_trees, n),
-        sign_to_root=sign_to_root.reshape(num_trees, n),
-    )

@@ -45,6 +45,8 @@ def bfs_tree(
     parent_edge = np.full(n, -1, dtype=np.int64)
     discovered = np.zeros(n, dtype=bool)
     discovered[root] = True
+    # A vertex is offered at one level only, so its slots start unset.
+    best_key, best_offer = np.full(n, np.inf), np.empty(n, dtype=np.int64)
     frontier = np.array([root], dtype=np.int64)
     reached = 1
 
@@ -60,18 +62,17 @@ def bfs_tree(
         if len(targets) == 0:
             break
 
-        # Uniform random winner per target: sort offers by
-        # (target, random key) and keep the first offer of each run.
+        # Uniform random winner per target: the offer with the least
+        # random key, ties to the earliest (what a stable sort of the
+        # offers by (target, key) puts first), without the sort.
         keys = rng.random(len(targets))
-        order = np.lexsort((keys, targets))
-        targets, sources, edges = targets[order], sources[order], edges[order]
-        first = np.empty(len(targets), dtype=bool)
-        first[0] = True
-        first[1:] = targets[1:] != targets[:-1]
+        np.minimum.at(best_key, targets, keys)
+        cand = np.flatnonzero(keys == best_key[targets])
+        best_offer[targets[cand[::-1]]] = cand[::-1]
 
-        new_v = targets[first]
-        parent[new_v] = sources[first]
-        parent_edge[new_v] = edges[first]
+        new_v = np.unique(targets[cand])
+        parent[new_v] = sources[best_offer[new_v]]
+        parent_edge[new_v] = edges[best_offer[new_v]]
         discovered[new_v] = True
         reached += len(new_v)
         frontier = new_v

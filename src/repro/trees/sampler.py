@@ -140,7 +140,7 @@ class TreeSampler:
         """The trees at *indices* (or ``start .. start + indices - 1``
         when an int) as a stacked :class:`~repro.trees.batched.TreeBatch`.
 
-        Tree ``i`` of the batch is bit-identical to ``self.tree(i)``.
+        Row ``i`` holds the root and sign-to-root of ``self.tree(i)``.
         The BFS method runs the batched level-synchronous sampler (one
         set of vectorized kernels for the whole batch); other methods
         fall back to stacking individually sampled trees.

@@ -50,7 +50,7 @@ from repro.errors import EngineError
 from repro.graph.csr import SignedGraph
 from repro.perf.tracing import span
 from repro.rng import freeze_seed, spawn
-from repro.trees.batched import sample_bfs_batch
+from repro.trees.bfs import bfs_tree
 from repro.trees.tree import SpanningTree
 
 __all__ = ["SwapChainSampler", "swap_method_stub"]
@@ -126,11 +126,9 @@ class SwapChainSampler:
 
         base = self.segment_base(index)
         if self._state is None or self._segment != base or self._index > index:
-            # Tree ``base`` of the batched kernel is
-            # ``bfs_tree(graph, root, spawn(seed, base))`` bit for bit.
-            tree = sample_bfs_batch(
-                self.graph, self.seed, [base], root=self.root
-            ).to_tree(self.graph, 0)
+            tree = bfs_tree(
+                self.graph, root=self.root, seed=spawn(self.seed, base)
+            )
             self._state = TreeDeltaState(self.graph, tree)
             self._index = base
             self._segment = base

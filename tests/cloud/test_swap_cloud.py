@@ -37,14 +37,14 @@ def _attrs(cloud):
 class TestAutoBatchSize:
     def test_targets_cache_sized_batches(self):
         """The engine picks the chunks: dense chunks stack as many
-        states (sign row plus tree rows, m + 25n bytes) as fit its byte
-        budget (at least one), swap flushes every 32 states."""
+        states (what the fold holds at its peak, 3(m + n) bytes) as fit
+        its byte budget (at least one), swap flushes every 32 states."""
         chunk = cloud_module._chunk_size
         budget = cloud_module._CHUNK_BYTES
         for n, m in ((5, 10), (4_000, 20_000), (2_000, 2_000),
                      (32_000, 160_000), (10, budget), (10, 4 * budget)):
             g = SimpleNamespace(num_vertices=n, num_edges=m)
-            per_state = m + 25 * n
+            per_state = 3 * (m + n)
             rows = chunk("bfs", g)
             assert rows >= 1 and (rows == 1 or rows * per_state <= budget)
             assert (rows + 1) * per_state > budget

@@ -1,4 +1,5 @@
-"""Batched tree sampling: bit-identity with the sequential sampler."""
+"""Batched tree sampling: each row is the sequential tree's root and
+sign-to-root, bit for bit."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,21 @@ from repro.trees.bfs import bfs_tree
 from repro.trees.sampler import TreeSampler
 
 from tests.conftest import make_connected_signed
+
+
+def assert_rows_are_bfs_trees(g, batch, seed, indices, root=None):
+    """Row b of *batch* holds the root and the sign-to-root row of
+    ``bfs_tree(g, root, spawn(seed, indices[b]))``, for every row."""
+    indices = list(indices)
+    assert batch.num_trees == len(indices)
+    assert batch.num_vertices == g.num_vertices
+    assert batch.sign_to_root.dtype == np.int8
+    for b, i in enumerate(indices):
+        tree = bfs_tree(g, root=root, seed=spawn(seed, i))
+        assert int(batch.roots[b]) == tree.root, (b, i)
+        assert np.array_equal(
+            batch.sign_to_root[b], sign_to_root(g, tree)
+        ), (b, i)
 
 
 class TestSpawnBatch:
@@ -63,38 +79,24 @@ class TestSpawnBatch:
 
 
 class TestBatchedBfs:
-    @pytest.mark.parametrize("seed", [0, 17, 99])
+    @pytest.mark.parametrize("seed", [0, 17, 99, 5, 123])
     def test_bit_identical_to_sequential(self, seed):
         g = make_connected_signed(60, 150, seed=seed)
         sampler = TreeSampler(g, seed=seed)
         batch = sampler.batch(12)
-        assert batch.num_trees == 12
-        assert batch.num_vertices == g.num_vertices
-        for i in range(12):
-            tree = sampler.tree(i)
-            assert int(batch.roots[i]) == tree.root
-            assert np.array_equal(batch.parent[i], tree.parent)
-            assert np.array_equal(batch.parent_edge[i], tree.parent_edge)
-            assert np.array_equal(batch.level_of[i], tree.level_of)
+        assert_rows_are_bfs_trees(g, batch, seed, range(12))
 
     @pytest.mark.parametrize("budget", [1, 1000])
     def test_passes_stack_bit_identically(self, budget, monkeypatch):
         """A batch wider than the offer budget runs in passes of whole
-        trees (one tree per pass at budget 1, two at 1000 here) and
-        stacks to the same trees."""
+        trees (one tree per pass at budget 1, two at 1000 here, so the
+        last pass is short) and writes the same rows."""
         from repro.trees import batched
 
         monkeypatch.setattr(batched, "_OFFER_BUDGET", budget)
         g = make_connected_signed(60, 150, seed=4)
-        sampler = TreeSampler(g, seed=4)
-        batch = sampler.batch(range(3, 8))
-        assert batch.num_trees == 5
-        for b, i in enumerate(range(3, 8)):
-            tree = sampler.tree(i)
-            assert int(batch.roots[b]) == tree.root
-            assert np.array_equal(batch.parent[b], tree.parent)
-            assert np.array_equal(batch.parent_edge[b], tree.parent_edge)
-            assert np.array_equal(batch.level_of[b], tree.level_of)
+        batch = TreeSampler(g, seed=4).batch(range(3, 8))
+        assert_rows_are_bfs_trees(g, batch, 4, range(3, 8))
 
     @pytest.mark.parametrize(
         "n,m,batch", [(12, 18, 3), (60, 150, 8), (60, 150, 32), (150, 600, 16)]
@@ -103,43 +105,60 @@ class TestBatchedBfs:
         """The buffer-reuse winner selection stays bit-identical across
         batch sizes and graph shapes (B above, at, and below n)."""
         g = make_connected_signed(n, m, seed=n + batch)
-        sampler = TreeSampler(g, seed=31)
-        trees = sampler.batch(batch)
-        for i in range(batch):
-            tree = sampler.tree(i)
-            assert np.array_equal(trees.parent[i], tree.parent)
-            assert np.array_equal(trees.parent_edge[i], tree.parent_edge)
-            assert np.array_equal(trees.level_of[i], tree.level_of)
+        trees = TreeSampler(g, seed=31).batch(batch)
+        assert_rows_are_bfs_trees(g, trees, 31, range(batch))
 
     def test_offset_batch_matches_tail_indices(self):
         g = make_connected_signed(40, 90, seed=2)
-        sampler = TreeSampler(g, seed=5)
-        batch = sampler.batch(4, start=10)
-        for b, i in enumerate(range(10, 14)):
-            assert np.array_equal(batch.parent[b], sampler.tree(i).parent)
+        batch = TreeSampler(g, seed=5).batch(4, start=10)
+        assert_rows_are_bfs_trees(g, batch, 5, range(10, 14))
 
     def test_explicit_strided_indices(self):
         g = make_connected_signed(40, 90, seed=4)
-        sampler = TreeSampler(g, seed=9)
         indices = [1, 4, 7, 12]
-        batch = sampler.batch(indices)
-        for b, i in enumerate(indices):
-            assert np.array_equal(batch.parent[b], sampler.tree(i).parent)
+        batch = TreeSampler(g, seed=9).batch(indices)
+        assert_rows_are_bfs_trees(g, batch, 9, indices)
 
     def test_pinned_root(self):
         g = make_connected_signed(30, 60, seed=1)
-        sampler = TreeSampler(g, seed=3, root=5)
-        batch = sampler.batch(6)
+        batch = TreeSampler(g, seed=3, root=5).batch(6)
         assert np.all(batch.roots == 5)
-        for i in range(6):
-            assert np.array_equal(batch.parent[i], sampler.tree(i).parent)
+        assert_rows_are_bfs_trees(g, batch, 3, range(6), root=5)
 
-    def test_to_tree_roundtrip_validates(self):
-        g = make_connected_signed(25, 50, seed=6)
-        batch = TreeSampler(g, seed=0).batch(3)
-        tree = batch.to_tree(g, 1)
-        assert tree.num_vertices == g.num_vertices
-        assert int(tree.in_tree.sum()) == g.num_vertices - 1
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    @pytest.mark.parametrize("kind", ["cycle", "grid"])
+    def test_deep_graphs_in_a_call_of_uneven_passes(
+        self, kind, seed, monkeypatch
+    ):
+        """On the 60-level cycle and the 12 × 12 grid, a call of 7
+        trees in passes of 3 (so the last pass holds one) writes every
+        tree's row."""
+        from repro.trees import batched
+
+        g = _frontier_graph(kind)
+        monkeypatch.setattr(batched, "_OFFER_BUDGET", 3 * len(g.adj_vertex))
+        indices = range(seed, seed + 7)
+        batch = sample_bfs_batch(g, seed, indices)
+        assert_rows_are_bfs_trees(g, batch, seed, indices)
+
+    def test_flat_csr_is_built_once_per_graph(self):
+        """Calls on one graph share one flat CSR; another graph replaces
+        it, and the entry leaves with its graph."""
+        import gc
+
+        from repro.trees import batched
+
+        g = make_connected_signed(40, 90, seed=3)
+        sample_bfs_batch(g, 1, range(5))
+        (first,) = batched._FLAT_CACHE.values()
+        sample_bfs_batch(g, 2, range(9))
+        assert batched._FLAT_CACHE == {id(g): first}
+        other = make_connected_signed(40, 90, seed=3)
+        sample_bfs_batch(other, 2, [0])
+        assert list(batched._FLAT_CACHE) == [id(other)]
+        del other
+        gc.collect()
+        assert not batched._FLAT_CACHE
 
     def test_disconnected_raises(self):
         g = from_edges([(0, 1, 1), (2, 3, -1)])
@@ -155,7 +174,7 @@ class TestBatchedBfs:
         g = from_edges([], num_vertices=1)
         batch = sample_bfs_batch(g, 0, [0, 1, 2])
         assert np.all(batch.roots == 0)
-        assert np.all(batch.level_of == 0)
+        assert np.all(batch.sign_to_root == 1)
 
 
 def _frontier_graph(kind):
@@ -181,19 +200,15 @@ class TestFrontierBranches:
         counters = Counters()
         trees = sample_bfs_batch(g, 11, range(batch), root=root,
                                  counters=counters)
-        sampler = TreeSampler(g, seed=11, root=root)
-        for i in range(batch):
-            tree = sampler.tree(i)
-            assert int(trees.roots[i]) == tree.root
-            assert np.array_equal(trees.parent[i], tree.parent)
-            assert np.array_equal(trees.parent_edge[i], tree.parent_edge)
-            assert np.array_equal(trees.level_of[i], tree.level_of)
+        assert_rows_are_bfs_trees(g, trees, 11, range(batch), root=root)
 
         # One pass holds the whole batch here, so each round's winners
         # are compared with the pass size the kernel compares them with.
         rounds = [k for name, k in counters.regions
                   if name == "batch.bfs_round"]
-        assert len(rounds) == trees.num_levels - 1
+        sampler = TreeSampler(g, seed=11, root=root)
+        depth = max(sampler.tree(i).depth for i in range(batch))
+        assert len(rounds) == depth
         scanned = [8 * k > batch * n for k in rounds]
         if kind == "hubs":
             # Hub levels scan; the thin first and last levels sort.
@@ -233,8 +248,10 @@ class TestNonBfsFallback:
         assert isinstance(batch, TreeBatch)
         for i in range(4):
             tree = sampler.tree(i)
-            assert np.array_equal(batch.parent[i], tree.parent)
-            assert np.array_equal(batch.level_of[i], tree.level_of)
+            assert int(batch.roots[i]) == tree.root
+            assert np.array_equal(
+                batch.sign_to_root[i], sign_to_root(g, tree)
+            )
 
     def test_from_trees_rejects_empty(self):
         with pytest.raises(EngineError):
@@ -258,13 +275,9 @@ class TestSignToRoot:
     row must equal the level pass over the sequential ``bfs_tree``."""
 
     @staticmethod
-    def assert_rows_match(g, seed, indices, **kwargs):
-        batch = sample_bfs_batch(g, seed, indices, **kwargs)
-        assert batch.sign_to_root.dtype == np.int8
-        for b, i in enumerate(indices):
-            tree = bfs_tree(g, root=kwargs.get("root"), seed=spawn(seed, i))
-            assert np.array_equal(batch.sign_to_root[b], sign_to_root(g, tree))
-        return batch
+    def assert_rows_match(g, seed, indices, root=None):
+        batch = sample_bfs_batch(g, seed, indices, root=root)
+        assert_rows_are_bfs_trees(g, batch, seed, indices, root=root)
 
     @pytest.mark.parametrize("batch", [1, 4])
     @pytest.mark.parametrize("kind", ["path", "star", "complete"])
@@ -283,8 +296,8 @@ class TestSignToRoot:
         vertices, so their offers come from the undiscovered side; the
         thin early levels gather from the frontier."""
         g = make_connected_signed(600, 3000, seed=12)
-        batch = self.assert_rows_match(g, 3, [0, 1, 2])
-        level = batch.level_of[0]
+        self.assert_rows_match(g, 3, [0, 1, 2])
+        level = bfs_tree(g, seed=spawn(3, 0)).level_of
         bottom_up = [
             np.count_nonzero(level > depth) < np.count_nonzero(level == depth)
             for depth in range(int(level.max()))

@@ -1,0 +1,131 @@
+"""Sampler-law oracles on graphs small enough to list every spanning tree.
+
+Wilson's sampler must draw the uniform spanning tree, and the swap
+chain's move must be symmetric, so that the uniform law is stationary
+for the chain.  Seeds are fixed and every bound is a multiple of a
+binomial standard deviation, so these tests assert the laws, not luck.
+"""
+
+from fractions import Fraction
+from math import sqrt
+
+import numpy as np
+import pytest
+
+from repro.core.incremental import TreeDeltaState
+from repro.graph.build import from_edges
+from repro.graph.datasets import fig1_sigma
+from repro.graph.generators import complete_signed
+from repro.rng import spawn
+from repro.trees.enumeration import all_spanning_trees
+from repro.trees.sampler import TreeSampler
+
+#: Allowed distance from the mean, in standard deviations.
+SIGMAS = 5
+
+
+def _graphs():
+    """K4 (16 trees), the paper's Fig. 1 Σ (8 trees), and a theta graph
+    with a pendant edge: a bridge, which is in every tree and never a
+    cut the swap move can re-span."""
+    theta = from_edges([(0, 1, 1), (1, 2, -1), (2, 3, 1), (3, 0, -1),
+                        (0, 2, 1), (3, 4, -1)])
+    return {
+        "k4": complete_signed(4, negative_fraction=0.5, seed=1),
+        "fig1": fig1_sigma(),
+        "theta_pendant": theta,
+    }
+
+
+def _key(tree) -> tuple:
+    return tuple(np.flatnonzero(tree.in_tree).tolist())
+
+
+def _trees(graph) -> list:
+    return sorted({_key(t) for t in all_spanning_trees(graph)})
+
+
+@pytest.mark.parametrize("name", sorted(_graphs()))
+def test_wilson_draws_the_uniform_spanning_tree(name):
+    graph = _graphs()[name]
+    trees = _trees(graph)
+    k, draws = len(trees), 300 * len(trees)
+    sampler = TreeSampler(graph, method="wilson", seed=2024)
+    counts = dict.fromkeys(trees, 0)
+    for i in range(draws):
+        counts[_key(sampler.tree(i))] += 1
+    assert set(counts) == set(trees)
+
+    # Each tree's count is Binomial(draws, 1/k).
+    mean = draws / k
+    sigma = sqrt(draws * (1 / k) * (1 - 1 / k))
+    for tree, count in counts.items():
+        assert abs(count - mean) <= SIGMAS * sigma, (tree, count, mean)
+    # Pearson's statistic has mean k - 1 and variance about 2(k - 1)
+    # under the uniform law.
+    chi2 = sum((c - mean) ** 2 / mean for c in counts.values())
+    assert chi2 <= (k - 1) + SIGMAS * sqrt(2 * (k - 1)), chi2
+
+
+def _moves(graph, tree):
+    """Every (slot, cut, link) move of the swap chain from *tree*, each
+    with the tree it leads to.  A move draws a uniform tree-edge slot
+    and redraws while the slot's cut has no crossing non-tree edge, then
+    a uniform crossing edge: probability 1/(cuts with a crossing edge)
+    times 1/(crossing edges)."""
+    state = TreeDeltaState(graph, tree)
+    options = []
+    for slot, cut in enumerate(state.tree_edges.tolist()):
+        cand = state.crossing_candidates(state.child_endpoint(cut))
+        if len(cand):
+            options.append((slot, cut, cand.tolist()))
+    for slot, cut, cand in options:
+        for link in cand:
+            moved = TreeDeltaState(graph, tree)
+            moved.cut_link(cut, link, slot=slot)
+            yield (cut, link), _key(moved.spanning_tree()), Fraction(
+                1, len(options) * len(cand)
+            )
+
+
+@pytest.mark.parametrize("name", sorted(_graphs()))
+def test_swap_move_is_symmetric(name):
+    """P(T → T') == P(T' → T) for every pair of spanning trees, so the
+    uniform law is stationary for the chain."""
+    graph = _graphs()[name]
+    trees = _trees(graph)
+    index = {key: i for i, key in enumerate(trees)}
+    matrix = [[Fraction(0)] * len(trees) for _ in trees]
+    for tree in all_spanning_trees(graph):
+        row = index[_key(tree)]
+        for _move, target, p in _moves(graph, tree):
+            matrix[row][index[target]] += p
+    for i, row in enumerate(matrix):
+        assert sum(row) == 1, i
+        assert row[i] == 0, i  # every move changes the tree
+        for j in range(len(trees)):
+            assert row[j] == matrix[j][i], (trees[i], trees[j])
+
+
+@pytest.mark.parametrize("name", sorted(_graphs()))
+def test_random_swap_draws_the_enumerated_moves(name):
+    """The chain's own draw follows the enumerated row: from one tree,
+    each (cut, link) move's frequency is within binomial bounds of its
+    probability, and no other move occurs."""
+    graph = _graphs()[name]
+    tree = next(iter(all_spanning_trees(graph)))
+    law = {move: p for move, _target, p in _moves(graph, tree)}
+    draws = 400 * len(law)
+    counts = dict.fromkeys(law, 0)
+    for i in range(draws):
+        state = TreeDeltaState(graph, tree)
+        before = state.tree_edges.copy()
+        assert state.random_swap(spawn(77, i))
+        (cut,) = np.setdiff1d(before, state.tree_edges)
+        (link,) = np.setdiff1d(state.tree_edges, before)
+        counts[(int(cut), int(link))] += 1
+    assert set(counts) == set(law)
+    for move, count in counts.items():
+        p = float(law[move])
+        sigma = sqrt(draws * p * (1 - p))
+        assert abs(count - draws * p) <= SIGMAS * sigma, (move, count)

@@ -7,8 +7,16 @@ from hypothesis import strategies as st
 
 from repro.errors import DisconnectedGraphError, EngineError
 from repro.graph.build import from_edges
-from repro.graph.generators import complete_signed, grid_graph
+from repro.graph.generators import (
+    chung_lu_signed,
+    complete_signed,
+    cycle_graph,
+    ensure_connected,
+    grid_graph,
+)
+from repro.rng import as_generator, spawn
 from repro.trees import TreeSampler, bfs_tree, dfs_tree, wilson_tree
+from repro.util.arrays import gather_adjacency
 
 from tests.conftest import make_connected_signed
 
@@ -47,6 +55,36 @@ class TestAllSamplers:
         assert t.depth == 0
 
 
+def _sorted_offers_bfs(graph, root, seed):
+    """The randomized BFS by sorting each level's offers: the reference
+    for bfs_tree's sort-free winner selection."""
+    n = graph.num_vertices
+    rng = as_generator(seed)
+    if root is None:
+        root = int(rng.integers(0, n))
+    parent = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    discovered = np.zeros(n, dtype=bool)
+    discovered[root] = True
+    frontier = np.array([root], dtype=np.int64)
+    while len(frontier):
+        half, sources = gather_adjacency(graph.indptr, frontier)
+        targets, edges = graph.adj_vertex[half], graph.adj_edge[half]
+        fresh = ~discovered[targets]
+        targets, sources, edges = targets[fresh], sources[fresh], edges[fresh]
+        if len(targets) == 0:
+            break
+        keys = rng.random(len(targets))
+        order = np.lexsort((keys, targets))
+        targets, sources, edges = targets[order], sources[order], edges[order]
+        first = np.ones(len(targets), dtype=bool)
+        first[1:] = targets[1:] != targets[:-1]
+        frontier = targets[first]
+        parent[frontier], parent_edge[frontier] = sources[first], edges[first]
+        discovered[frontier] = True
+    return parent, parent_edge
+
+
 class TestBfsSpecifics:
     def test_bfs_levels_are_graph_distances(self):
         # On an unweighted graph, BFS tree depth equals shortest-path
@@ -65,6 +103,25 @@ class TestBfsSpecifics:
         dt = dfs_tree(g, seed=1)
         assert bt.depth <= 2
         assert dt.depth > bt.depth
+
+    @pytest.mark.parametrize("kind", ["er", "grid", "cycle", "hubs"])
+    def test_winners_match_the_sorted_offers_reference(self, kind):
+        """bfs_tree's parents are the sort-based reference's: per level,
+        the offers sorted stably by (target, random key), the first of
+        each target's run winning."""
+        g = {
+            "er": lambda: make_connected_signed(300, 1500, seed=4),
+            "grid": lambda: grid_graph(15, 15, seed=1),
+            "cycle": lambda: cycle_graph([1, -1] * 50),
+            "hubs": lambda: ensure_connected(
+                chung_lu_signed(300, 900, seed=5), seed=5
+            ),
+        }[kind]()
+        for i, root in ((0, None), (1, None), (2, 7), (3, None)):
+            tree = bfs_tree(g, root=root, seed=spawn(9, i))
+            parent, parent_edge = _sorted_offers_bfs(g, root, spawn(9, i))
+            assert np.array_equal(tree.parent, parent), i
+            assert np.array_equal(tree.parent_edge, parent_edge), i
 
     def test_random_parent_choice_varies(self):
         # In a grid, interior vertices receive offers from two frontier

@@ -108,6 +108,27 @@ class TestChainDeterminism:
         assert chain.segment_base(7) == 0
         assert chain.segment_base(8) == 8
 
+    @pytest.mark.parametrize("root", [None, 4])
+    def test_every_segment_base_is_bfs_tree(self, root):
+        """Each segment opens on ``bfs_tree(graph, root, spawn(seed,
+        base))``, whether the chain steps into it or jumps there."""
+        g = make_connected_signed(40, 110, seed=12)
+        stepped = SwapChainSampler(g, seed=21, root=root, segment_length=5)
+        for base in (0, 5, 10, 15, 20):
+            fresh = bfs_tree(g, root=root, seed=spawn(21, base))
+            jumped = SwapChainSampler(
+                g, seed=21, root=root, segment_length=5
+            )
+            for chain in (jumped, stepped):
+                tree = chain.tree(base)
+                assert tree.root == fresh.root
+                assert np.array_equal(tree.parent, fresh.parent)
+                assert np.array_equal(tree.parent_edge, fresh.parent_edge)
+                assert np.array_equal(
+                    chain.state_at(base).s2r, sign_to_root(g, fresh)
+                )
+            stepped.state_at(base + 4)
+
     def test_backwards_index_replays(self):
         g = make_connected_signed(30, 80, seed=5)
         chain = SwapChainSampler(g, seed=2)
