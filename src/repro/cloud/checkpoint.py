@@ -4,15 +4,16 @@ A 1000-state campaign on a large graph can run for hours in pure
 Python; production runs need to survive restarts *and* crashes.  The
 checkpoint layer therefore provides three guarantees:
 
-* **Atomic, self-describing writes** (format v3).  :func:`save_cloud`
+* **Atomic, self-describing writes** (format v4).  :func:`save_cloud`
   writes the accumulators, as int64 whole units, to a temp file (an
   NPZ zip whose members deflate at level 1), fsyncs, and publishes
   with ``os.replace`` — a kill at any instant leaves either the
   previous checkpoint or the new one, never a torn file.  The payload
   embeds the campaign metadata (:class:`CampaignMeta`: method, seed,
   store_states, swap stride) next to the graph fingerprint, so a
-  checkpoint fully describes how to continue it.  v1/v2 files, which
-  stored float sums, still load.
+  checkpoint fully describes how to continue it.  No array grows with
+  the state count: the flip counts are a histogram.  v3 files (a
+  per-state flip log) and v1/v2 files (float sums) still load.
 * **Rotation + recovery.**  ``save_cloud(..., keep=K)`` rotates the
   last K good checkpoints (``path``, ``path.1``, …) and
   :func:`recover_cloud` falls back to the newest loadable one when the
@@ -44,7 +45,7 @@ from typing import IO, Callable, Iterator, Tuple, Union
 
 import numpy as np
 
-from repro.cloud.cloud import FrustrationCloud
+from repro.cloud.cloud import FrustrationCloud, _flip_histogram
 from repro.errors import CheckpointError
 from repro.graph.csr import SignedGraph
 
@@ -70,8 +71,8 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-_FORMAT_VERSION = 3
-_COMPAT_VERSIONS = (1, 2, 3)
+_FORMAT_VERSION = 4
+_COMPAT_VERSIONS = (1, 2, 3, 4)
 
 # Fault-injection seams (see repro.util.faults): the atomic-write path
 # goes through these module attributes so crash tests can simulate a
@@ -244,14 +245,13 @@ def _payload(
         "num_edges": np.array([cloud.graph.num_edges], dtype=np.int64),
         "num_states": np.array([cloud.num_states], dtype=np.int64),
         "store_states": np.array([int(cloud.store_states)], dtype=np.int64),
-        # majority_sq is derived from majority and the tie count; it
-        # is written so every v3 reader finds its arrays.
         "majority": cloud._majority.astype(np.int64),
-        "majority_sq": cloud._majority_sq_units().astype(np.int64),
         "coalition": cloud._coalition.astype(np.int64),
         "edge_preserved": cloud._edge_preserved.astype(np.int64),
         "edge_coside": cloud._edge_coside.astype(np.int64),
-        "flip_counts": cloud.flip_counts(),
+        "ties": np.array([cloud._ties], dtype=np.int64),
+        "flip_offset": np.array([cloud._flip_lo], dtype=np.int64),
+        "flip_histogram": cloud._flips,
     }
     metrics = getattr(cloud, "metrics", None)
     if metrics:
@@ -329,14 +329,14 @@ def _block_rows(data, key: str, path: Path) -> tuple | None:
     return rows
 
 
-def _array(data, key: str, shape: tuple, dtype, path: Path) -> np.ndarray:
+def _array(data, key: str, shape, dtype, path: Path) -> np.ndarray:
     try:
         arr = data[key]
     except KeyError as exc:
         raise CheckpointError(
             f"corrupt checkpoint {path}: missing array {key!r}"
         ) from exc
-    if arr.shape != shape:
+    if shape is not None and arr.shape != shape:
         raise CheckpointError(
             f"corrupt checkpoint {path}: {key} has shape {arr.shape}, "
             f"expected {shape} for this graph"
@@ -347,7 +347,7 @@ def _array(data, key: str, shape: tuple, dtype, path: Path) -> np.ndarray:
 def _accumulator(
     data, key: str, size: int, unit: int, version: int, path: Path
 ) -> np.ndarray:
-    """One accumulator as int64 whole units.  v3 stores integers; a
+    """One accumulator as int64 whole units.  v3 and v4 store integers; a
     v1/v2 sum is scaled by *unit* and must land within 0.25 of an
     integer (its float rounding error stays far below that)."""
     raw = _array(data, key, (size,), None, path)
@@ -367,6 +367,32 @@ def _accumulator(
             f"{float(raw[off][0])!r} is not a whole number of 1/{unit} units"
         )
     return whole.astype(np.int64)
+
+
+def _stored_flips(
+    data, version: int, m: int, num_states: int, path: Path
+) -> tuple[int, np.ndarray]:
+    """The flip counts as ``(lo, counts)``: v4's histogram or an older
+    file's per-state log, each flip count in ``[0, m]``."""
+    if version < 4:
+        flips = _array(data, "flip_counts", (num_states,), np.int64, path)
+        bad = flips[(flips < 0) | (flips > m)]
+        if bad.size:
+            raise CheckpointError(f"corrupt checkpoint {path}: flip_counts "
+                                  f"holds {bad[0]}, outside [0, {m} edges]")
+        return _flip_histogram(flips)
+    lo = _scalar(data, "flip_offset", path)
+    counts = _array(data, "flip_histogram", None, None, path)
+    if not (counts.ndim == 1 and np.issubdtype(counts.dtype, np.integer)
+            and 0 <= lo and lo + len(counts) <= m + 1
+            and np.all(counts >= 0) and counts.sum() == num_states
+            and (not counts.size or counts[0] and counts[-1])):
+        raise CheckpointError(
+            f"corrupt checkpoint {path}: flip_histogram from flip_offset "
+            f"{lo} is not {num_states} states' counts over [0, {m}] flips "
+            "with nonzero ends"
+        )
+    return lo, counts.astype(np.int64)
 
 
 def _restore(
@@ -403,15 +429,15 @@ def _restore(
 
     cloud = FrustrationCloud(graph, store_states=store_states)
     # Each accumulator's length, unit and largest value per state: v3
-    # stores whole units, v1/v2 stored the sums divided by the unit.
+    # and later store whole units, v1/v2 stored the sums divided by the
+    # unit.  Before v4 the tie count came as majority_sq.
     others = max(n - 1, 0)
     accumulators = (
         ("majority", n, 2, 2),
-        ("majority_sq", n, 4, 4),
         ("coalition", n, max(others, 1), others),
         ("edge_preserved", m, 1, 1),
         ("edge_coside", m, 1, 1),
-    )
+    ) + ((("majority_sq", n, 4, 4),) if version < 4 else ())
     stored = {}
     for key, size, unit, per_state in accumulators:
         values = _accumulator(data, key, size, unit, version, path)
@@ -428,23 +454,30 @@ def _restore(
     cloud._edge_coside, cloud.num_states = stored["edge_coside"], num_states
     cloud._edge_preserved = stored["edge_preserved"]
     cloud._fit_counts(num_states)
-    # The dependent arrays must agree with the cloud's accumulators
-    # (2 * majority - majority_sq is one tie count for every vertex).
-    sq = stored["majority_sq"]
-    cloud._ties = int(2 * stored["majority"][0] - sq[0]) if n else 0
-    ok = 0 <= cloud._ties <= num_states
-    preserved = np.where(graph.edge_sign > 0, cloud._edge_coside,
-                         num_states - cloud._edge_coside)
-    for key, derived in (("majority_sq", cloud._majority_sq_units()),
-                         ("edge_preserved", preserved)):
-        if not (ok and np.array_equal(stored[key], derived)):
+    if version >= 4:
+        cloud._ties = _scalar(data, "ties", path)
+    else:
+        sq = stored["majority_sq"]
+        cloud._ties = int(2 * stored["majority"][0] - sq[0]) if n else 0
+    # The dependent values must agree with the accumulators: a vertex
+    # scores 2 per state it won and 1 per tie, v3's majority_sq is
+    # 2 * majority - ties, and an edge's preserved count follows from
+    # its co-side count.
+    ties, won = cloud._ties, stored["majority"] - cloud._ties
+    checks = {
+        "majority_sq": version >= 4 or np.array_equal(
+            stored["majority_sq"], 2 * stored["majority"] - ties),
+        "ties": 0 <= ties <= num_states and np.all(
+            (won >= 0) & (won % 2 == 0) & (won <= 2 * (num_states - ties))),
+        "edge_preserved": np.array_equal(stored["edge_preserved"], np.where(
+            graph.edge_sign > 0, cloud._edge_coside,
+            num_states - cloud._edge_coside)),
+    }
+    for key, ok in checks.items():
+        if not ok:
             raise CheckpointError(f"corrupt checkpoint {path}: {key} "
                                   "disagrees with the accumulators")
-    # Restore flip counts through the standard doubling buffer so the
-    # first post-resume append lands in existing headroom instead of
-    # forcing an immediate regrow.
-    flips = _array(data, "flip_counts", (num_states,), np.int64, path)
-    cloud._append_flip_counts(flips)
+    cloud._add_flips(*_stored_flips(data, version, m, num_states, path))
     if store_states:
         try:
             signs = data["unique_signs"]

@@ -5,10 +5,10 @@ reached from sampled (or, for tiny graphs, all) spanning trees.  The
 :class:`FrustrationCloud` accumulator consumes one balanced state at a
 time and maintains exactly the running statistics the consensus
 attributes need — per-vertex majority counts, coalition sizes,
-per-edge sign preservation — in O(n + m) memory, so clouds over
-thousands of states never store the states themselves (storing unique
-states is opt-in for the small-graph experiments that need Fig. 2's
-"5 unique states").
+per-edge sign preservation, the flip counts' histogram — in O(n + m)
+memory, so clouds over any number of states never store the states
+themselves (storing unique states is opt-in for the small-graph
+experiments that need Fig. 2's "5 unique states").
 """
 
 from __future__ import annotations
@@ -163,8 +163,10 @@ class FrustrationCloud:
     _edge_coside: np.ndarray = field(init=False, repr=False)
     _edge_preserved: np.ndarray = field(init=False, repr=False)
     _ties: int = field(init=False, repr=False)
-    _flip_counts: np.ndarray = field(init=False, repr=False)
-    _flip_len: int = field(init=False, repr=False)
+    # The flip-count histogram: _flips[i] states flipped _flip_lo + i
+    # edges.  Both ends are nonzero, so _flip_lo is the fewest flips.
+    _flip_lo: int = field(init=False, repr=False)
+    _flips: np.ndarray = field(init=False, repr=False)
     _unique: Dict[bytes, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -174,25 +176,21 @@ class FrustrationCloud:
         self._edge_coside = np.zeros(m, dtype=np.int32)
         self._edge_preserved = np.zeros_like(self._edge_coside)
         self._ties = 0
-        # Flip counts live in a doubling preallocated buffer so batch
-        # ingestion and long campaigns never pay per-state list growth.
-        self._flip_counts = np.zeros(64, dtype=np.int64)
-        self._flip_len = 0
+        self._flip_lo = 0
+        self._flips = np.zeros(0, dtype=np.int64)
         self._unique = {}
 
-    def _append_flip_counts(self, values: np.ndarray) -> None:
-        """Append per-state flip counts, doubling capacity as needed."""
-        values = np.asarray(values, dtype=np.int64).ravel()
-        need = self._flip_len + len(values)
-        if need > len(self._flip_counts):
-            capacity = max(len(self._flip_counts), 1)
-            while capacity < need:
-                capacity *= 2
-            grown = np.zeros(capacity, dtype=np.int64)
-            grown[: self._flip_len] = self._flip_counts[: self._flip_len]
-            self._flip_counts = grown
-        self._flip_counts[self._flip_len : need] = values
-        self._flip_len = need
+    def _add_flips(self, lo: int, counts: np.ndarray) -> None:
+        """Add the histogram *counts* of flips ``lo, lo + 1, …`` (end
+        counts nonzero), widening the range only to take them in."""
+        if not len(counts):
+            return
+        have = self._flip_lo if len(self._flips) else lo
+        start = min(lo, have)
+        stop = max(lo + len(counts), have + len(self._flips))
+        widths = (have - start, stop - have - len(self._flips))
+        self._flip_lo, self._flips = start, np.pad(self._flips, widths)
+        self._flips[lo - start : lo - start + len(counts)] += counts
 
     def _fit_counts(self, states: int) -> None:
         """Exact per-edge counts: int32 while *states* fit it, else int64."""
@@ -318,7 +316,7 @@ class FrustrationCloud:
         )
         # A state flips the edges it keeps positive XOR the input does.
         is_positive ^= self.graph.edge_sign > 0
-        self._append_flip_counts(_row_counts(is_positive))
+        self._add_flips(*_flip_histogram(_row_counts(is_positive)))
         if self.store_states:
             for row in signs:
                 key = row.tobytes()
@@ -361,7 +359,7 @@ class FrustrationCloud:
                     fold.move(members, cut, b)
             fold.close_state()
         fold.flush(len(log))
-        self._append_flip_counts(fold.flips)
+        self._add_flips(*_flip_histogram(fold.flips))
         self.num_states += len(log)
 
     # ------------------------------------------------------------------
@@ -400,11 +398,6 @@ class FrustrationCloud:
         self._require_states()
         return self._edge_preserved / self.num_states
 
-    def _majority_sq_units(self) -> np.ndarray:
-        """Σ δ_T(v)² in quarter-units (4 on the larger side, 1 on a
-        tie): ``2 · majority − ties``."""
-        return 2.0 * self._majority - self._ties
-
     def vertex_agreement(self) -> np.ndarray:
         """Per-vertex agreement: mean agreement of incident edges."""
         self._require_states()
@@ -437,7 +430,8 @@ class FrustrationCloud:
         majority, maximal (0.25) for coin-flip vertices."""
         self._require_states()
         mean = self._majority / (2 * self.num_states)
-        mean_sq = self._majority_sq_units() / (4 * self.num_states)
+        # Σ δ_T(v)² in quarter-units (4 on the larger side, 1 on a tie).
+        mean_sq = (2.0 * self._majority - self._ties) / (4 * self.num_states)
         return np.maximum(mean_sq - mean * mean, 0.0)
 
     def frustration_upper_bound(self) -> int:
@@ -445,18 +439,13 @@ class FrustrationCloud:
         on (and for exhaustive clouds, equal to) the frustration index
         L(Σ) *restricted to tree-based nearest states*."""
         self._require_states()
-        return int(self._flip_counts[: self._flip_len].min())
+        return self._flip_lo
 
     def flip_counts(self) -> np.ndarray:
-        """Flip count of every ingested state, in ingestion order."""
-        return self._flip_counts[: self._flip_len].copy()
-
-    def reorder_flip_counts(self, order: np.ndarray) -> None:
-        """Permute the flip-count log: entry ``i`` becomes the old
-        entry ``order[i]`` (the pool puts a merged log back in
-        campaign-index order this way)."""
-        log = self._flip_counts[: self._flip_len]
-        log[:] = log[order]
+        """Flip count of every ingested state, in ascending order (the
+        multiset; the cloud keeps no per-state order)."""
+        flips = np.arange(len(self._flips), dtype=np.int64) + self._flip_lo
+        return np.repeat(flips, self._flips)
 
     def merge(self, other: "FrustrationCloud") -> None:
         """Fold another cloud over the *same* graph into this one.
@@ -477,7 +466,7 @@ class FrustrationCloud:
         self._edge_coside += other._edge_coside
         self._edge_preserved += other._edge_preserved
         self._ties += other._ties
-        self._append_flip_counts(other.flip_counts())
+        self._add_flips(other._flip_lo, other._flips)
         if self.store_states:
             for key, count in other._unique.items():
                 self._unique[key] = self._unique.get(key, 0) + count
@@ -496,6 +485,14 @@ class FrustrationCloud:
         if not self.store_states:
             raise ReproError("cloud was built with store_states=False")
         return len(self._unique)
+
+
+def _flip_histogram(flips) -> tuple[int, np.ndarray]:
+    """``(lo, counts)``: the histogram of the flip counts *flips* over
+    ``[min, max]``, as :meth:`FrustrationCloud._add_flips` takes it."""
+    flips = np.asarray(flips, dtype=np.int64)
+    lo = int(flips.min()) if len(flips) else 0
+    return lo, np.bincount(flips - lo)
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:

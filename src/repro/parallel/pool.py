@@ -298,10 +298,6 @@ def accept_batch_size(batch_size) -> None:
         raise EngineError("batch_size must be a positive int or 'auto'")
 
 
-def _block_len(block: Block) -> int:
-    return len(range(*block))
-
-
 def _contiguous_blocks(target: int, pieces: int) -> list[Block]:
     """Split ``[0, target)`` into up to *pieces* contiguous step-1
     blocks of near-equal size (the planner's no-done-blocks case)."""
@@ -355,9 +351,8 @@ def plan_blocks(
     would span a covered index is split there instead.  ``most > 0``
     adds pieces until none holds more than *most* states (the
     campaign's ``checkpoint_every``, so checkpoints fall on block
-    boundaries).  Contiguous blocks merged in index order reproduce the
-    sequential campaign's flip-count log, and keep each swap block's
-    chain replay to at most ``segment_length - 1`` states.
+    boundaries).  Contiguous blocks keep each swap block's chain
+    replay to at most ``segment_length - 1`` states.
     """
     runs = _uncovered_runs(done, target)
     total = sum(stop - start for start, stop in runs)
@@ -382,20 +377,17 @@ class _RunningCloud:
     """A campaign's one running cloud and its checkpoint.
 
     Each completed block is merged in exactly once, in completion
-    order (:meth:`fold`).  Every checkpoint — periodic, final, salvage
-    or partial — is one :meth:`write`, which first lays the flip-count
-    log out in campaign-index order."""
+    order (:meth:`fold`); the cloud's accumulators are sums, so the
+    order moves no bit.  Every checkpoint — periodic, final, salvage
+    or partial — is one :meth:`write`."""
 
     cloud: FrustrationCloud
-    target: int
     campaign: "CampaignMeta"
     path: object = None
     every: int = 0
     keep: int = 1
-    #: Blocks whose flip counts lead the log, in index order.
+    #: Blocks the cloud holds, in merge order.
     done: list = field(default_factory=list)
-    #: Blocks merged since, in merge order.
-    fresh: list = field(default_factory=list)
     since: int = 0  # states merged since the last periodic write
     ran: int = 0  # blocks this run completed
 
@@ -408,7 +400,7 @@ class _RunningCloud:
             # A fresh campaign's first block becomes the running cloud:
             # no O(n + m) merge into zeros.
             self.cloud = local
-        self.fresh.append(block)
+        self.done.append(block)
         self.since += local.num_states
         self.ran += 1
         if events_enabled():
@@ -420,27 +412,6 @@ class _RunningCloud:
         if self.path is not None and 0 < self.every <= self.since:
             self.write(partial=False)
 
-    def _index_order(self) -> None:
-        fresh, self.fresh = self.fresh, []
-        # Blocks that merged in index order, each past everything held
-        # (every in-process run), need no permutation.
-        last = max(
-            (range(*b)[-1] for b in self.done if _block_len(b)), default=-1
-        )
-        in_order = True
-        for start, stop, _step in fresh:
-            in_order, last = in_order and start > last, stop - 1
-        if not in_order:
-            # The held log lists its indices in order, holes and all
-            # (older salvage checkpoints hold strided rows).
-            held = np.unique(np.concatenate([np.empty(0, np.int64), *(
-                np.arange(s, min(e, self.target), st)
-                for s, e, st in self.done
-            )]))
-            index = np.concatenate([held, *(np.arange(*b) for b in fresh)])
-            self.cloud.reorder_flip_counts(np.argsort(index, kind="stable"))
-        self.done = sorted(self.done + fresh)
-
     def write(
         self, partial: bool, quarantined: tuple | None = None
     ) -> "CampaignMeta":
@@ -450,11 +421,10 @@ class _RunningCloud:
         ``done_blocks``; salvage and partial writes always list them."""
         from repro.cloud.checkpoint import save_cloud
 
-        self._index_order()
         meta = self.campaign
         if partial or _uncovered_runs(self.done, self.cloud.num_states):
             meta = dataclasses.replace(
-                meta, done_blocks=tuple(self.done),
+                meta, done_blocks=tuple(sorted(self.done)),
                 quarantined_blocks=quarantined,
             )
         if self.path is not None:
@@ -466,7 +436,7 @@ class _RunningCloud:
     def salvage(self) -> bool:
         """Write every merged block with its ``done_blocks``; False when
         there is nothing to save or nowhere to put it."""
-        if self.path is None or not (self.done or self.fresh):
+        if self.path is None or not self.done:
             return False
         self.write(partial=True)
         journal_event(
@@ -562,8 +532,8 @@ def run_campaign(
     workers``) feed the executor's shared queue, so idle workers
     immediately pull the next block and stragglers delay only
     themselves.  Results stay bit-identical to the sequential campaign
-    either way — the merged cloud's accumulators are exact integers and
-    its flip-count log is put in index order before every write.
+    either way — the merged cloud's accumulators are exact integer
+    sums, so neither the grouping nor the order of merges moves a bit.
 
     ``flight_dir`` arms a crash flight recorder in every worker process
     (and uses the parent's, if one is installed, for in-process
@@ -624,7 +594,7 @@ def run_campaign(
         prior, num_states, steal_chunks or workers, checkpoint_every
     )
     base_states = base.num_states if base is not None else 0
-    remaining = sum(_block_len(b) for b in blocks)
+    remaining = sum(len(range(*b)) for b in blocks)
     if base_states + remaining != num_states:
         raise CheckpointError(
             f"resume accounting mismatch: checkpoint holds {base_states} "
@@ -664,7 +634,6 @@ def run_campaign(
     running = _RunningCloud(
         base if base is not None
         else FrustrationCloud(graph, store_states=task.store_states),
-        num_states,
         CampaignMeta(
             **params,
             graph_store=str(store.path) if store is not None else None,

@@ -59,9 +59,9 @@ step)`` indices and the task's parameters (:class:`~repro.trees.
 sampler.TreeSampler` hands out tree *i* deterministically), so retries,
 pool rebuilds, and in-process degradation cannot change what a block
 computes — only *whether* it completes.  The campaign driver merges
-blocks into exact integer accumulators and lays the flip-count log out
-in index order, so a campaign that heals is bit-identical to one that
-never faulted (tested in ``tests/parallel/test_supervisor.py``).
+blocks into exact integer sums, in any order, so a campaign that heals
+is bit-identical to one that never faulted (tested in
+``tests/parallel/test_supervisor.py``).
 
 Every fault, retry, backoff, teardown, degradation, and quarantine is
 recorded as a :class:`FaultEvent` in the :class:`RunReport`, which
@@ -1038,8 +1038,8 @@ def run_supervised(
 
     Returns ``(completed, report)`` where *completed* is a list of
     ``(block, local_cloud)`` pairs for every block that produced states
-    (callers must merge them in sorted block order for determinism) and
-    *report* is the structured :class:`RunReport`.  Exceptions raised
+    (their merge order moves no bit) and *report* is the structured
+    :class:`RunReport`.  Exceptions raised
     by blocks are consumed by the ladder; a :class:`KeyboardInterrupt`
     (and kin) — parent-side or raised by a block — propagates, so the
     caller can salvage-checkpoint and re-raise.  Each block's metrics

@@ -277,7 +277,7 @@ class GrowthWorker:
         # Each block's metrics snapshot and span shard were already
         # folded into the process registry/collector by the supervisor,
         # so worker-side spans stitch into the trace the round ran under.
-        for _block, local in sorted(completed, key=lambda kv: kv[0]):
+        for _block, local in completed:
             self.cloud.merge(local)
         return True
 

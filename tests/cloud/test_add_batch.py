@@ -44,7 +44,7 @@ def test_edge_counters_match_boolean_sums(graph, batch, seed):
     )
     np.testing.assert_array_equal(cloud._edge_coside, coside.sum(axis=0))
     np.testing.assert_array_equal(
-        cloud.flip_counts(), (both != graph.edge_sign).sum(axis=1)
+        cloud.flip_counts(), np.sort((both != graph.edge_sign).sum(axis=1))
     )
     assert cloud._edge_coside.dtype == np.int32
 

@@ -1,6 +1,7 @@
 """Tests for cloud checkpoint/resume."""
 
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repro.cloud.checkpoint import (
 )
 from repro.cli import main
 from repro.errors import CheckpointError, ReproError
-from repro.graph.io import write_edgelist
+from repro.graph.io import read_edgelist, write_edgelist
 
 from tests.conftest import make_connected_signed
 
@@ -25,6 +26,33 @@ from tests.conftest import make_connected_signed
 @pytest.fixture
 def graph():
     return make_connected_signed(50, 120, seed=0)
+
+
+def v3_payload(payload: dict) -> dict:
+    """A v4 checkpoint's arrays in the v3 layout: a per-state flip log
+    and the derived ``majority_sq`` in place of the flip histogram and
+    the tie count."""
+    payload = dict(payload)
+    ties = payload.pop("ties")[0]
+    lo = payload.pop("flip_offset")[0]
+    counts = payload.pop("flip_histogram")
+    payload.update(
+        version=np.array([3]),
+        majority_sq=2 * payload["majority"] - ties,
+        flip_counts=np.repeat(np.arange(lo, lo + len(counts)), counts),
+    )
+    return payload
+
+
+def as_v3(path):
+    """Rewrite the v4 checkpoint at *path* in the v3 layout."""
+    with np.load(path) as data:
+        payload = {key: data[key] for key in data.files}
+    np.savez(path.open("wb"), **v3_payload(payload))
+
+
+#: Arrays only a v3 (or older) checkpoint holds.
+V3_ONLY = ("majority_sq", "flip_counts")
 
 
 class TestFingerprint:
@@ -118,10 +146,8 @@ class TestSaveLoad:
         # fraction) written by an earlier release must remain loadable.
         cloud = sample_cloud(graph, 6, seed=2)
         n = graph.num_vertices
-        save_cloud(cloud, tmp_path / "v3.npz")
-        with np.load(tmp_path / "v3.npz") as v3:
-            majority_sq = v3["majority_sq"]
-            edge_preserved = v3["edge_preserved"]
+        majority_sq = 2 * cloud._majority - cloud._ties
+        edge_preserved = cloud._edge_preserved
         path = tmp_path / "v1.npz"
         np.savez_compressed(
             path.open("wb"),
@@ -142,21 +168,7 @@ class TestSaveLoad:
         assert meta is None
         np.testing.assert_array_equal(back.status(), cloud.status())
         np.testing.assert_array_equal(back.influence(), cloud.influence())
-
-    def test_loaded_flip_buffer_has_headroom(self, graph, tmp_path):
-        # Restoring into the doubling buffer means the first post-resume
-        # append must not trigger an immediate regrow.
-        cloud = sample_cloud(graph, 12, seed=3)
-        path = tmp_path / "cloud.npz"
-        save_cloud(cloud, path)
-        back = load_cloud(path, graph)
-        capacity = len(back._flip_counts)
-        assert capacity > back.num_states
-        back._append_flip_counts(np.array([5]))
-        assert len(back._flip_counts) == capacity  # no regrow
-        np.testing.assert_array_equal(
-            back.flip_counts()[:-1], cloud.flip_counts()
-        )
+        np.testing.assert_array_equal(back.flip_counts(), cloud.flip_counts())
 
 
 def arrays(path):
@@ -253,11 +265,20 @@ class TestAccumulatorBounds:
         cloud, path = saved
         assert load_checkpoint(path, graph)[0].num_states == 6
         with np.load(path) as data:
-            assert int(data["version"][0]) == 3
-            for key in ("majority", "majority_sq", "coalition"):
+            assert int(data["version"][0]) == 4
+            for key in ("majority", "coalition", "ties", "flip_histogram"):
                 assert data[key].dtype == np.int64, key
             np.testing.assert_array_equal(
                 data["majority"], cloud._majority.astype(np.int64)
+            )
+            assert not set(V3_ONLY) & set(data.files)
+            assert int(data["ties"][0]) == cloud._ties
+            assert int(data["flip_offset"][0]) == (
+                cloud.frustration_upper_bound()
+            )
+            np.testing.assert_array_equal(
+                np.bincount(cloud.flip_counts() - data["flip_offset"][0]),
+                data["flip_histogram"],
             )
 
     @pytest.mark.parametrize("key, value", [
@@ -268,11 +289,17 @@ class TestAccumulatorBounds:
         ("coalition", -3),
         ("edge_preserved", 7),
         ("edge_coside", -1),
+        ("flip_counts", -7),
+        ("flip_counts", 158),  # the graph has 157 edges
+        ("flip_counts", 10**9),
     ])
     def test_out_of_bounds_value_names_the_array(
         self, graph, saved, key, value
     ):
+        """A v4 file for the arrays it holds, a v3 file for the rest."""
         _cloud, path = saved
+        if key in V3_ONLY:
+            as_v3(path)
         with np.load(path) as data:
             arr = data[key].copy()
         arr[3] = value
@@ -288,21 +315,66 @@ class TestAccumulatorBounds:
         with pytest.raises(CheckpointError, match="majority has dtype"):
             load_checkpoint(path, graph)
 
-    @pytest.mark.parametrize("key", ["majority_sq", "edge_preserved"])
+    @pytest.mark.parametrize("key", ["majority_sq", "edge_preserved", "ties"])
     def test_derived_array_must_agree(self, graph, saved, key):
-        """majority_sq and edge_preserved follow from the other arrays;
-        an in-bounds value off that derivation is damage too."""
+        """majority_sq (v3), the tie count (v4: a vertex scores 2 per
+        state it won, 1 per tie) and edge_preserved follow from the
+        other arrays; an in-bounds value off that derivation is damage
+        too."""
         _cloud, path = saved
+        if key in V3_ONLY:
+            as_v3(path)
         with np.load(path) as data:
             arr = data[key].copy()
-        arr[3] += 1 if arr[3] == 0 else -1
+        i = min(3, len(arr) - 1)
+        arr[i] += 1 if arr[i] == 0 else -1
         rewrite(path, **{key: arr})
         with pytest.raises(CheckpointError, match=f"{key} disagrees"):
             load_checkpoint(path, graph)
 
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda lo, h: (-1, h), id="negative-offset"),
+        pytest.param(lambda lo, h: (157 - len(h) + 2, h), id="past-m"),
+        pytest.param(lambda lo, h: (lo, np.concatenate([h, [-1, 1]])),
+                     id="negative-count"),
+        pytest.param(lambda lo, h: (lo - 1, np.concatenate([[0], h])),
+                     id="zero-low-end"),
+        pytest.param(lambda lo, h: (lo, np.concatenate([h, [0]])),
+                     id="zero-high-end"),
+        pytest.param(lambda lo, h: (lo, h + 1), id="sum"),
+        pytest.param(lambda lo, h: (lo, h.astype(np.float64)),
+                     id="float-counts"),
+    ])
+    def test_bad_flip_histogram_names_the_array(self, graph, saved, damage):
+        """A v4 histogram must lie in [0, m] flips (the graph has 157
+        edges), hold non-negative integer counts with nonzero ends, and
+        count every state once."""
+        _cloud, path = saved
+        with np.load(path) as data:
+            lo, counts = damage(int(data["flip_offset"][0]),
+                                data["flip_histogram"].copy())
+        rewrite(path, flip_offset=np.array([lo]), flip_histogram=counts)
+        with pytest.raises(CheckpointError,
+                           match="flip_histogram from flip_offset"):
+            load_checkpoint(path, graph)
+
+    def test_v3_log_loads_as_its_histogram(self, graph, saved):
+        """A v3 file's per-state log, in any order, loads as the
+        histogram the cloud it came from holds."""
+        cloud, path = saved
+        as_v3(path)
+        with np.load(path) as data:
+            log = data["flip_counts"][::-1].copy()
+        rewrite(path, flip_counts=log)
+        back, _meta = load_checkpoint(path, graph)
+        assert back._flip_lo == cloud._flip_lo
+        np.testing.assert_array_equal(back._flips, cloud._flips)
+        assert back._ties == cloud._ties
+
     def _as_v2(self, cloud, path, n):
         """Rewrite *path* in the v2 units: float sums of δ, δ² and the
         coalition fraction."""
+        as_v3(path)
         with np.load(path) as data:
             majority_sq = data["majority_sq"]
         rewrite(
@@ -399,7 +471,7 @@ def with_stored_kernel(path):
     recorded the campaign's cycle kernel: float sums of δ, δ² and the
     coalition fraction."""
     with np.load(path) as data:
-        payload = {key: data[key] for key in data.files}
+        payload = v3_payload({key: data[key] for key in data.files})
     n = len(payload["majority"])
     payload.update(
         version=np.array([2]),
@@ -476,3 +548,43 @@ class TestResume:
         cloud = sample_cloud(graph, 5, seed=0)
         with pytest.raises(ReproError):
             resume_cloud(cloud, 3, seed=0)
+
+
+class TestCommittedV3Checkpoint:
+    """``tests/data/resume_40_90_v3.npz`` was written by ``repro cloud``
+    while checkpoints were v3 (a per-state flip log and majority_sq):
+    6 states of seed 7 on ``make_connected_signed(40, 90, seed=0)``,
+    whose edge list sits next to it, at ``--checkpoint-every 3``."""
+
+    DATA = Path(__file__).resolve().parents[1] / "data"
+
+    def test_resumes_to_the_uninterrupted_cloud(self, tmp_path):
+        graph = read_edgelist(self.DATA / "resume_40_90.txt")
+        assert graph_fingerprint(graph) == graph_fingerprint(
+            make_connected_signed(40, 90, seed=0)
+        )
+        path = self.DATA / "resume_40_90_v3.npz"
+        with np.load(path) as data:
+            assert int(data["version"][0]) == 3
+            log = data["flip_counts"].copy()
+        cloud, meta = load_checkpoint(path, graph)
+        assert (meta.method, meta.seed, cloud.num_states) == ("bfs", 7, 6)
+        np.testing.assert_array_equal(cloud.flip_counts(), np.sort(log))
+
+        resumed = resume_cloud(cloud, 12,
+                               checkpoint_path=tmp_path / "resumed.npz")
+        full = sample_cloud(graph, 12, seed=7,
+                            checkpoint_path=tmp_path / "full.npz")
+        for name in ("status", "influence", "edge_agreement",
+                     "vertex_agreement", "edge_coside", "status_volatility",
+                     "flip_counts"):
+            np.testing.assert_array_equal(
+                getattr(resumed, name)(), getattr(full, name)(), name
+            )
+        assert (resumed.frustration_upper_bound()
+                == full.frustration_upper_bound())
+        got, want = (arrays(tmp_path / name)
+                     for name in ("resumed.npz", "full.npz"))
+        del got["metrics_json"], want["metrics_json"]
+        assert got == want
+        assert int(np.frombuffer(got["version"][2], np.int64)[0]) == 4

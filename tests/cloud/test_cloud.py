@@ -102,10 +102,13 @@ class TestAccumulator:
         e13 = g.find_edge(1, 3)
         assert v_agree[1] == pytest.approx((edge_agree[e01] + edge_agree[e13]) / 2)
 
-    def test_flip_counts_recorded_in_order(self):
+    def test_flip_counts_are_an_ascending_multiset(self):
         g = make_connected_signed(40, 100, seed=2)
         cloud = sample_cloud(g, 5, seed=2)
-        assert len(cloud.flip_counts()) == 5
+        flips = cloud.flip_counts()
+        assert len(flips) == 5
+        assert np.all(np.diff(flips) >= 0)
+        assert flips[0] == cloud.frustration_upper_bound()
 
 
 class TestSampleCloud:

@@ -1,14 +1,15 @@
 """The determinism contract: a campaign is a function of (graph, seed,
 config), byte for byte.
 
-The cloud's accumulators are exact integers, so however a campaign's
-index range is cut into blocks, in whatever grouping the block clouds
-merge (in index order), at whatever engine chunk and block boundary it
-resumes (from a sequential checkpoint or a pool's salvage) and over
-however many workers it runs, the result is one
-``sample_cloud``: the same v3 checkpoint payload and the same serve
+The cloud's accumulators are exact integer sums (the flip counts a
+histogram), so however a campaign's index range is cut into blocks, in
+whatever order and grouping the block clouds merge, at whatever engine
+chunk and block boundary it resumes (from a sequential checkpoint or a
+pool's salvage) and over however many workers it runs, the result is
+one ``sample_cloud``: the same v4 checkpoint payload and the same serve
 snapshot answers, byte for byte.  Holds for independent BFS trees and
-for the swap chain alike.
+for the swap chain alike.  The payload's size does not grow with the
+number of states.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ SEED = 13
 
 
 def payload(cloud: FrustrationCloud, path) -> dict:
-    """The v3 checkpoint arrays of *cloud*, minus the run's timings."""
+    """The v4 checkpoint arrays of *cloud*, minus the run's timings."""
     save_cloud(cloud, path)
     with np.load(path) as data:
         return {
@@ -80,7 +81,7 @@ def answers(cloud: FrustrationCloud) -> list[bytes]:
 
 
 def merge_tree(clouds: list, data) -> FrustrationCloud:
-    """Merge the ordered *clouds* along a random binary tree."""
+    """Merge *clouds*, in their order, along a random binary tree."""
     if len(clouds) == 1:
         return clouds[0]
     split = data.draw(st.integers(1, len(clouds) - 1), label="split")
@@ -105,17 +106,16 @@ def test_partition_merge_and_resume_match_one_campaign(
                                   answers(reference))
 
     # A random contiguous block partition, each block the pool's own
-    # task, merged along a random tree.
+    # task, merged in a random order along a random tree.
     cuts = data.draw(
         st.lists(st.integers(1, total - 1), unique=True, max_size=6),
         label="cuts",
     )
     bounds = [0, *sorted(cuts), total]
-    merged = merge_tree(
-        [block_cloud(method, lo, hi, chunk)
-         for lo, hi in zip(bounds, bounds[1:])],
-        data,
-    )
+    blocks = [block_cloud(method, lo, hi, chunk)
+              for lo, hi in zip(bounds, bounds[1:])]
+    merged = merge_tree(data.draw(st.permutations(blocks), label="order"),
+                        data)
     assert payload(merged, work / "merged.npz") == want_payload
     assert answers(merged) == want_answers
 
@@ -205,3 +205,24 @@ def test_pool_salvage_resume_matches_one_campaign(tmp_path, method,
     assert (payload(resumed, tmp_path / "resumed.npz")
             == payload(reference, tmp_path / "ref.npz"))
     assert answers(resumed) == answers(reference)
+
+
+def test_payload_size_does_not_grow_with_the_states(tmp_path):
+    """A 64-state and a 2,048-state cloud of one graph write the same
+    arrays, of the same shapes, apart from the flip histogram, which
+    spans at most the m + 1 possible flip counts."""
+    small, large = (
+        payload(sample_cloud(GRAPH, states, seed=SEED),
+                tmp_path / f"{states}.npz")
+        for states in (64, 2048)
+    )
+    histogram = ("flip_offset", "flip_histogram")
+    assert small.keys() == large.keys()
+    for key in small:
+        dtype, shape, _bytes = small[key]
+        if key not in histogram:
+            assert (dtype, shape) == large[key][:2], key
+    for arrays in (small, large):
+        assert arrays["flip_offset"][1] == (1,)
+        (length,) = arrays["flip_histogram"][1]
+        assert 1 <= length <= GRAPH.num_edges + 1

@@ -2,8 +2,9 @@
 
 Wilson's sampler must draw the uniform spanning tree, and the swap
 chain's move must be symmetric, so that the uniform law is stationary
-for the chain.  Seeds are fixed and every bound is a multiple of a
-binomial standard deviation, so these tests assert the laws, not luck.
+for the chain.  Each method's cloud must then converge to its own
+target.  Seeds are fixed and every bound is a multiple of a binomial
+standard deviation, so these tests assert the laws, not luck.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+from repro.cloud.cloud import exact_cloud, sample_cloud
 from repro.core.incremental import TreeDeltaState
 from repro.graph.build import from_edges
 from repro.graph.datasets import fig1_sigma
@@ -129,3 +131,51 @@ def test_random_swap_draws_the_enumerated_moves(name):
         p = float(law[move])
         sigma = sqrt(draws * p * (1 - p))
         assert abs(count - draws * p) <= SIGMAS * sigma, (move, count)
+
+
+#: States in each sampled cloud the convergence oracles check.
+STATES = 1024
+
+
+def _estimates(cloud) -> np.ndarray:
+    """Per-vertex status and per-edge co-side: means of per-state
+    values in [0, 1], so each has binomial σ at most 0.5/√N."""
+    return np.concatenate([cloud.status(), cloud.edge_coside()])
+
+
+@pytest.mark.parametrize("method", ["wilson", "swap"])
+@pytest.mark.parametrize("name", sorted(_graphs()))
+def test_cloud_converges_to_the_all_trees_cloud(name, method):
+    """Wilson draws uniform trees and the swap chain is stationary at
+    the uniform law, so a 1,024-state cloud of either estimates
+    ``exact_cloud`` within 5 σ = 5 · 0.5/√N per entry.  For swap this
+    needs segments far longer than the mixing time: these graphs have
+    at most 16 trees, and each 256-state segment starts from a BFS tree.
+
+    Measured at seed 1, in σ of the 1,024-state cloud: wilson 1.31
+    (fig1), 1.88 (theta_pendant); swap 0.56 and 2.06.  The K4 here is
+    balanced, so every tree gives its one state and every method is
+    exact.  The BFS start's bias is below the bound: 16,384-state swap
+    clouds (seed 2) sit within 1.55 and 0.72 of their own σ of
+    ``exact_cloud``, at most 0.006 (0.4 σ at 1,024 states)."""
+    graph = _graphs()[name]
+    got = _estimates(sample_cloud(graph, STATES, method=method, seed=1))
+    want = _estimates(exact_cloud(graph))
+    assert np.abs(got - want).max() <= SIGMAS * 0.5 / sqrt(STATES)
+
+
+@pytest.mark.parametrize("name", sorted(_graphs()))
+def test_bfs_cloud_converges_to_a_larger_bfs_cloud(name):
+    """BFS trees are not uniform, so a bfs cloud estimates its own
+    target: it must sit within 5 σ of a 16× larger bfs cloud at
+    another seed, σ = 0.5 · √(1/N + 1/16N) for two independent means.
+
+    Measured: 0.61 σ of the 1,024-state cloud on fig1 and 0.90 on
+    theta_pendant; K4 is balanced and exact.  Against ``exact_cloud``
+    the same clouds sit 8.0 and 6.7 σ off, so this target is not the
+    all-trees cloud."""
+    graph = _graphs()[name]
+    got = _estimates(sample_cloud(graph, STATES, method="bfs", seed=1))
+    ref = _estimates(sample_cloud(graph, 16 * STATES, method="bfs", seed=2))
+    sigma = 0.5 * sqrt(1 / STATES + 1 / (16 * STATES))
+    assert np.abs(got - ref).max() <= SIGMAS * sigma

@@ -230,13 +230,15 @@ def _swap_digest() -> str:
 
 
 @pytest.mark.parametrize("digest", [
-    "c783fa47e3de09e140c5cc4d6fcfbb9e3f5ca4aeeeba330c4587990a76cc61b5",
+    "a12236a26fc86fd2f50b4cb6a2f5305d8f4b877a20f11b1c855fbf986690fd3c",
 ], ids=["swap"])
 def test_golden_digest(digest):
     """Pinned status + edge_coside + flip_counts of a fixed swap
     campaign that crosses a segment boundary (300 states, segments of
     256): any change to the chain's trees or the cloud's counters
-    shows up here."""
+    shows up here.  The pin was computed by the code that kept a
+    per-state flip log, over ``np.sort`` of that log, so the histogram
+    cloud is checked against the older code."""
     assert _swap_digest() == digest
 
 
