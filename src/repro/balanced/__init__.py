@@ -22,8 +22,7 @@ signs.
   packed ``.rsgs`` stores alike.
 
 CLI: ``repro balanced extract`` / ``repro balanced tolerance``; bench:
-``scripts/bench_balanced.py`` gated in CI against
-``benchmarks/baselines/bench_balanced_baseline.json``.
+perfbench's ``balanced_portfolio`` workload.
 """
 
 from repro.balanced.extract import (

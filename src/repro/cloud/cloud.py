@@ -90,7 +90,7 @@ def balanced_states(
         else:
             with span("tree_sample"):
                 batch = sampler.batch(chunk)
-            with span("parity_kernel"):
+            with span("balance"):
                 state = balance_batch(graph, batch)
         yield state
 
@@ -121,14 +121,14 @@ def ingest_states(
         for lo in range(0, len(indices), chunk):
             with span("tree_sample"):
                 log = sampler.swap_deltas(indices[lo : lo + chunk])
-            with span("harary"):
+            with span("accumulate"):
                 cloud.add_deltas(log)
             yield len(log)
         return
     for signs, s2r in balanced_states(
         cloud.graph, sampler, indices, batch_size=chunk
     ):
-        with span("harary"):
+        with span("accumulate"):
             cloud.add_batch(signs, sides_from_sign_to_root(s2r))
         yield len(signs)
 

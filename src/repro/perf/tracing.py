@@ -3,8 +3,8 @@
 A *span* is a timed, nested phase of work.  The campaign drivers wrap
 their hot phases in spans forming the hierarchy::
 
-    campaign > block > tree_sample > parity_kernel
-             > harary > checkpoint_write
+    campaign > block > tree_sample > balance
+             > accumulate > checkpoint_write
 
 (in-process blocks nest under ``campaign``; the ``block`` span is
 the root inside a pool worker, whose snapshot merges back into the
@@ -301,7 +301,7 @@ def span(name: str) -> Span:
     """Shorthand for ``get_tracer().span(name)`` — the way the library
     instruments its hot paths::
 
-        with span("parity_kernel"):
+        with span("balance"):
             signs, s2r = balance_batch(graph, batch)
     """
     return _TRACER.span(name)

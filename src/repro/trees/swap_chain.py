@@ -1,7 +1,7 @@
 """Incremental spanning-tree sampling by edge swaps (the swap chain).
 
-Sampling a fresh BFS tree per state makes tree generation ~85–90% of a
-batched campaign (BENCH_cloud.json); this module inverts that cost by
+Sampling a fresh BFS tree per state made tree generation ~85–90% of a
+batched campaign when this module was written; it inverts that cost by
 deriving tree *k+1* from tree *k*: cut a uniformly chosen tree edge,
 reconnect the severed subtree through a uniformly chosen non-tree edge
 crossing the cut.  :class:`~repro.core.incremental.TreeDeltaState`

@@ -45,6 +45,6 @@ class TestAnalyzeConsensus:
         with collecting() as metrics:
             analyze_consensus(g, num_states=5, seed=2)
         phases = phase_seconds(metrics.snapshot())
-        for phase in ("largest_component", "tree_sample", "parity_kernel",
-                      "harary", "attributes"):
+        for phase in ("largest_component", "tree_sample", "balance",
+                      "accumulate", "attributes"):
             assert phase in phases

@@ -108,7 +108,7 @@ class TestSeedForSeedEquivalence:
         with collecting() as metrics:
             sample_cloud(g, 8, seed=1)
         stats = span_stats(metrics.snapshot())
-        for phase in ("tree_sample", "parity_kernel", "harary"):
+        for phase in ("tree_sample", "balance", "accumulate"):
             assert stats[f"campaign/block/{phase}"][0] > 0.0
         assert stats["campaign/block/tree_sample"][1] == 2  # two chunks of 4
 

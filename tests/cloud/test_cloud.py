@@ -145,7 +145,7 @@ class TestSampleCloud:
         # One engine chunk per campaign here: the engine stacks many
         # more than five states of a 100-edge graph per chunk.
         assert stats["campaign/block/tree_sample"][1] == 2
-        assert "campaign/block/harary" in stats
+        assert "campaign/block/accumulate" in stats
 
     def test_status_converges_on_balanced_graph(self):
         # A balanced graph has exactly one nearest state: itself.

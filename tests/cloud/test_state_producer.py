@@ -124,7 +124,7 @@ def test_pertree_runs_no_labeling(graph, kernel, monkeypatch):
         sample_cloud(graph, 3, seed=0)
     names = span_names(collector)
     assert "labeling" not in names
-    assert {"tree_sample", "parity_kernel", "harary"} <= names
+    assert {"tree_sample", "balance", "accumulate"} <= names
 
 
 def test_add_result_rejects_tampered_signs(graph):

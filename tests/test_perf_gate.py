@@ -1,349 +1,149 @@
-"""Tests for the CI perf gate (``scripts/check_perf_regression.py``):
-a clean report passes (exit 0), a doctored 2x phase slowdown fails
-(exit 1), unusable input exits 2, and sub-noise-floor phases are
-skipped rather than flagged.
-
-The gate dispatches on the report's ``kind`` field — legacy cloud
-reports, ``bench_serve`` (qps higher-better, latencies lower-better),
-and ``bench_balanced`` (subgraph size higher-better, wall time
-lower-better with the noise floor) — so each family gets its own
-direction-of-goodness tests plus a mismatch check."""
+"""Tests for the CI perf gate's rule (``scripts/perf_gate.py``):
+``compare`` judges synthetic base and head runs shaped like the JSON
+result line of ``perfbench/run.py``; nothing is benchmarked here."""
 
 from __future__ import annotations
 
-import copy
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "check_perf_regression",
-    Path(__file__).resolve().parents[1]
-    / "scripts"
-    / "check_perf_regression.py",
-)
-gate = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(gate)  # type: ignore[union-attr]
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location(
+    "perf_gate", ROOT / "scripts" / "perf_gate.py")
+gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gate)
+
+SPEC = {"end_to_end": [
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "kept_frac", "unit": "ratio", "better": "higher", "bound": 0.1},
+]}
+STEADY = {"ops_per_s": 1000.0, "p50_ms": 4.0, "kept_frac": 0.65}
 
 
-def _make_report(**phase_overrides) -> dict:
-    """A minimal bench_cloud-shaped report with one graph entry."""
-    phases = {
-        "campaign": 0.7,
-        "tree_sample": 0.25,
-        "parity_kernel": 0.012,
-        "harary": 0.24,
-        "tiny_phase": 0.0001,  # below the default noise floor
-    }
-    phases.update(phase_overrides)
-    return {
-        "benchmark": "cloud_states_per_sec",
-        "runs": [
-            {
-                "vertices": 1000,
-                "edges": 4000,
-                "states": 200,
-                "sequential": {
-                    "batch_size": 1,
-                    "seconds": 0.7,
-                    "states_per_sec": 290.0,
-                    "phases": dict(phases),
-                },
-                "batched": [
-                    {
-                        "batch_size": 8,
-                        "seconds": 0.15,
-                        "states_per_sec": 1300.0,
-                        "phases": dict(phases),
-                    }
-                ],
-            }
-        ],
-    }
+def runs(values=STEADY, spread=(0.98, 0.99, 1.0, 1.01, 1.02), *,
+         scale=None, correct=True, failed=0):
+    """Five runs: every timed metric of *values* times each factor of
+    *spread* (and of *scale*), ``kept_frac`` held exact."""
+    scale = scale or {}
+    out = []
+    for factor in spread:
+        metrics = {}
+        for name, value in values.items():
+            if name != "kept_frac":
+                value *= factor * scale.get(name, 1.0)
+            else:
+                value *= scale.get(name, 1.0)
+            metrics[name] = {"value": value, "unit": "x"}
+        out.append({"correct": correct, "attempted": 10, "failed": failed,
+                    "metrics": metrics})
+    return out
 
 
-@pytest.fixture
-def reports(tmp_path):
-    base = _make_report()
-    base_path = tmp_path / "baseline.json"
-    base_path.write_text(json.dumps(base))
-    return base, base_path, tmp_path
+def failures(base, head, spec=SPEC):
+    return [text for text, failed in gate.compare(base, head, spec) if failed]
 
 
-def _run(base_path, current, tmp_path, *extra) -> int:
-    cur_path = tmp_path / "current.json"
-    cur_path.write_text(json.dumps(current))
-    return gate.main([
-        "--baseline", str(base_path),
-        "--current", str(cur_path),
-        "--out", str(tmp_path / "cmp.json"),
-        *extra,
-    ])
+def test_same_runs_pass():
+    assert failures(runs(), runs()) == []
 
 
-class TestPerfGate:
-    def test_identical_reports_pass(self, reports):
-        base, base_path, tmp = reports
-        assert _run(base_path, copy.deepcopy(base), tmp) == 0
-
-    def test_doctored_2x_parity_kernel_fails(self, reports):
-        base, base_path, tmp = reports
-        doctored = copy.deepcopy(base)
-        for entry in doctored["runs"]:
-            for run in [entry["sequential"], *entry["batched"]]:
-                run["phases"]["parity_kernel"] *= 2
-        assert _run(base_path, doctored, tmp) == 1
-        cmp_doc = json.loads((tmp / "cmp.json").read_text())
-        failed = [c for c in cmp_doc["checks"] if c["status"] == "fail"]
-        assert failed
-        assert all(c["metric"] == "phase:parity_kernel" for c in failed)
-
-    def test_throughput_drop_beyond_fail_threshold_fails(self, reports):
-        base, base_path, tmp = reports
-        slow = copy.deepcopy(base)
-        for entry in slow["runs"]:
-            entry["sequential"]["states_per_sec"] /= 2
-        assert _run(base_path, slow, tmp) == 1
-
-    def test_warn_zone_passes_with_warning(self, reports):
-        base, base_path, tmp = reports
-        warmish = copy.deepcopy(base)
-        # 20% slower: above the 15% warn bar, below the 30% fail bar.
-        for entry in warmish["runs"]:
-            entry["batched"][0]["phases"]["tree_sample"] *= 1.20
-        assert _run(base_path, warmish, tmp) == 0
-        cmp_doc = json.loads((tmp / "cmp.json").read_text())
-        assert cmp_doc["warnings"] >= 1
-        assert cmp_doc["failures"] == 0
-
-    def test_sub_noise_floor_phase_is_skipped(self, reports):
-        base, base_path, tmp = reports
-        noisy = copy.deepcopy(base)
-        # 10x regression on a 0.1 ms phase: still under the floor.
-        for entry in noisy["runs"]:
-            entry["sequential"]["phases"]["tiny_phase"] *= 10
-        assert _run(base_path, noisy, tmp) == 0
-        cmp_doc = json.loads((tmp / "cmp.json").read_text())
-        assert not any(
-            c["metric"] == "phase:tiny_phase" for c in cmp_doc["checks"]
-        )
-
-    def test_faster_current_passes(self, reports):
-        base, base_path, tmp = reports
-        fast = copy.deepcopy(base)
-        for entry in fast["runs"]:
-            entry["batched"][0]["states_per_sec"] *= 3
-        assert _run(base_path, fast, tmp) == 0
-
-    def test_missing_baseline_exits_2(self, reports, tmp_path):
-        base, _, tmp = reports
-        with pytest.raises(SystemExit) as exc:
-            _run(tmp_path / "nope.json", base, tmp)
-        assert exc.value.code == 2
-
-    def test_invalid_json_exits_2(self, reports):
-        _, base_path, tmp = reports
-        cur = tmp / "broken.json"
-        cur.write_text("{not json")
-        with pytest.raises(SystemExit) as exc:
-            gate.main(["--baseline", str(base_path), "--current", str(cur),
-                       "--out", str(tmp / "cmp.json")])
-        assert exc.value.code == 2
-
-    def test_no_overlapping_configs_exits_2(self, reports):
-        base, base_path, tmp = reports
-        disjoint = copy.deepcopy(base)
-        disjoint["runs"][0]["states"] = 999
-        assert _run(base_path, disjoint, tmp) == 2
-
-    def test_inverted_thresholds_exit_2(self, reports):
-        base, base_path, tmp = reports
-        assert _run(base_path, copy.deepcopy(base), tmp,
-                    "--warn-threshold", "0.5",
-                    "--fail-threshold", "0.3") == 2
-
-    def test_committed_baseline_is_loadable(self):
-        # The artifact CI gates against must stay a valid report.
-        path = Path(__file__).resolve().parents[1] / gate.DEFAULT_BASELINE
-        report = json.loads(path.read_text())
-        cfgs = gate._configs(report)
-        assert cfgs, "committed baseline has no configurations"
-        for run in cfgs.values():
-            assert run["states_per_sec"] > 0
-            assert run["phases"]
+@pytest.mark.parametrize("metric, factor", [
+    ("ops_per_s", 0.5),   # higher is better: throughput halved
+    ("p50_ms", 1.5),      # lower is better: latency up half
+])
+def test_separated_shift_past_bound_fails(metric, factor):
+    bad = failures(runs(), runs(scale={metric: factor}))
+    assert len(bad) == 1 and bad[0].startswith(metric)
 
 
-def _make_serve_report(**overrides) -> dict:
-    runs = [
-        {"scenario": "idle", "qps": 900.0, "p50_ms": 0.8, "p99_ms": 2.5},
-        {"scenario": "growing", "qps": 500.0, "p50_ms": 1.4, "p99_ms": 6.0},
-    ]
-    for run in runs:
-        run.update(overrides.get(run["scenario"], {}))
-    return {"kind": "bench_serve", "runs": runs}
+@pytest.mark.parametrize("metric, factor", [("ops_per_s", 2.0),
+                                            ("p50_ms", 0.5)])
+def test_separated_gain_passes(metric, factor):
+    assert failures(runs(), runs(scale={metric: factor})) == []
 
 
-class TestServeKind:
-    """``bench_serve`` dispatch: qps is higher-better, latencies are
-    lower-better, and scenarios key the comparison."""
-
-    def _run(self, tmp_path, baseline, current, *extra) -> int:
-        b, c = tmp_path / "b.json", tmp_path / "c.json"
-        b.write_text(json.dumps(baseline))
-        c.write_text(json.dumps(current))
-        return gate.main(["--baseline", str(b), "--current", str(c),
-                          "--out", str(tmp_path / "cmp.json"), *extra])
-
-    def test_identical_passes(self, tmp_path):
-        assert self._run(
-            tmp_path, _make_serve_report(), _make_serve_report()
-        ) == 0
-
-    def test_qps_drop_fails(self, tmp_path):
-        slow = _make_serve_report(idle={"qps": 250.0})  # 3.6x fewer qps
-        assert self._run(
-            tmp_path, _make_serve_report(), slow,
-            "--warn-threshold", "0.5", "--fail-threshold", "2.0",
-        ) == 1
-        cmp_doc = json.loads((tmp_path / "cmp.json").read_text())
-        failed = [c for c in cmp_doc["checks"] if c["status"] == "fail"]
-        assert [c["metric"] for c in failed] == ["qps"]
-        assert failed[0]["label"] == "serve:idle"
-
-    def test_latency_rise_fails(self, tmp_path):
-        laggy = _make_serve_report(growing={"p99_ms": 60.0})  # 10x p99
-        assert self._run(
-            tmp_path, _make_serve_report(), laggy,
-            "--warn-threshold", "0.5", "--fail-threshold", "2.0",
-        ) == 1
-
-    def test_faster_and_leaner_passes(self, tmp_path):
-        better = _make_serve_report(
-            idle={"qps": 2000.0, "p50_ms": 0.3, "p99_ms": 1.0},
-            growing={"qps": 1000.0, "p50_ms": 0.6, "p99_ms": 2.0},
-        )
-        assert self._run(
-            tmp_path, _make_serve_report(), better
-        ) == 0
-
-    def test_qps_rise_is_not_a_latency_regression(self, tmp_path):
-        # Direction matters: doubling qps must not be read as "metric
-        # went up, therefore worse".
-        better = _make_serve_report(idle={"qps": 1800.0})
-        assert self._run(
-            tmp_path, _make_serve_report(), better
-        ) == 0
+def test_overlapping_shift_past_bound_passes():
+    # Medians 40% apart, but one base run is as slow as the head runs.
+    base = runs(spread=(0.55, 0.99, 1.0, 1.01, 1.02))
+    head = runs(spread=(0.56, 0.58, 0.6, 0.62, 0.64))
+    assert failures(base, head) == []
 
 
-def _make_balanced_report(**overrides) -> dict:
-    runs = [
-        {"workload": "extract", "tolerance": 0,
-         "subgraph_size": 624, "wall_seconds": 0.015},
-        {"workload": "tolerance", "tolerance": 2,
-         "subgraph_size": 780, "wall_seconds": 0.009},
-    ]
-    for run in runs:
-        run.update(overrides.get(run["workload"], {}))
-    return {"kind": "bench_balanced", "runs": runs}
+def test_separated_shift_within_bound_passes():
+    assert failures(runs(), runs(scale={"ops_per_s": 0.9})) == []
 
 
-class TestBalancedKind:
-    """``bench_balanced`` dispatch: subgraph size is higher-better,
-    wall time lower-better, and sub-noise-floor wall times are skipped
-    instead of gated."""
-
-    def _run(self, tmp_path, baseline, current, *extra) -> int:
-        b, c = tmp_path / "b.json", tmp_path / "c.json"
-        b.write_text(json.dumps(baseline))
-        c.write_text(json.dumps(current))
-        return gate.main(["--baseline", str(b), "--current", str(c),
-                          "--out", str(tmp_path / "cmp.json"), *extra])
-
-    def test_identical_passes(self, tmp_path):
-        assert self._run(
-            tmp_path, _make_balanced_report(), _make_balanced_report()
-        ) == 0
-
-    def test_size_drop_fails(self, tmp_path):
-        shrunk = _make_balanced_report(extract={"subgraph_size": 100})
-        assert self._run(
-            tmp_path, _make_balanced_report(), shrunk,
-            "--warn-threshold", "0.5", "--fail-threshold", "3.0",
-        ) == 1
-        cmp_doc = json.loads((tmp_path / "cmp.json").read_text())
-        failed = [c for c in cmp_doc["checks"] if c["status"] == "fail"]
-        assert [c["metric"] for c in failed] == ["subgraph_size"]
-        assert failed[0]["label"] == "balanced:extract t=0"
-
-    def test_wall_blowup_fails(self, tmp_path):
-        slow = _make_balanced_report(extract={"wall_seconds": 0.5})
-        assert self._run(
-            tmp_path, _make_balanced_report(), slow,
-            "--warn-threshold", "0.5", "--fail-threshold", "3.0",
-        ) == 1
-
-    def test_bigger_subgraph_passes(self, tmp_path):
-        better = _make_balanced_report(extract={"subgraph_size": 700})
-        assert self._run(
-            tmp_path, _make_balanced_report(), better
-        ) == 0
-
-    def test_sub_noise_floor_wall_is_skipped(self, tmp_path):
-        # 4 ms vs 1 ms is a 4x "regression" but both sit under the 5 ms
-        # floor: the gate must not flag it, while still checking sizes.
-        base = _make_balanced_report(extract={"wall_seconds": 0.001})
-        cur = _make_balanced_report(extract={"wall_seconds": 0.004})
-        assert self._run(tmp_path, base, cur) == 0
-        cmp_doc = json.loads((tmp_path / "cmp.json").read_text())
-        extract_metrics = [
-            c["metric"] for c in cmp_doc["checks"]
-            if c["label"] == "balanced:extract t=0"
-        ]
-        assert "wall_seconds" not in extract_metrics
-        assert "subgraph_size" in extract_metrics
-
-    def test_rows_key_on_workload_and_tolerance(self, tmp_path):
-        # A baseline row with no counterpart (different tolerance) is
-        # reported missing, not silently compared against the wrong row.
-        cur = _make_balanced_report()
-        cur["runs"][1]["tolerance"] = 5
-        assert self._run(tmp_path, _make_balanced_report(), cur) == 0
-        cmp_doc = json.loads((tmp_path / "cmp.json").read_text())
-        assert cmp_doc["missing_configs"] == ["('tolerance', 2)"]
-
-    def test_committed_balanced_baseline_is_loadable(self):
-        path = (Path(__file__).resolve().parents[1] / "benchmarks"
-                / "baselines" / "bench_balanced_baseline.json")
-        report = json.loads(path.read_text())
-        assert report["kind"] == "bench_balanced"
-        keys = {(r["workload"], r["tolerance"]) for r in report["runs"]}
-        assert keys == {("extract", 0), ("tolerance", 2)}
-        for run in report["runs"]:
-            assert run["subgraph_size"] > 0
-            assert run["audit_ok"]
+def test_constant_base_fails_on_any_worse_head():
+    # A 0.015% drop, far inside the 10% bound.
+    bad = failures(runs(), runs(scale={"kept_frac": 0.99985}))
+    assert len(bad) == 1 and bad[0].startswith("kept_frac")
 
 
-class TestKindDispatch:
-    def test_mismatched_kinds_exit_2(self, tmp_path):
-        b, c = tmp_path / "b.json", tmp_path / "c.json"
-        b.write_text(json.dumps(_make_serve_report()))
-        c.write_text(json.dumps(_make_balanced_report()))
-        assert gate.main(["--baseline", str(b), "--current", str(c),
-                          "--out", str(tmp_path / "cmp.json")]) == 2
+def test_constant_base_passes_one_scattered_worse_run():
+    # serve_mixed's kept_frac depends on how far the daemon grew.
+    head = runs()
+    head[3]["metrics"]["kept_frac"]["value"] = 0.6499
+    assert failures(runs(), head) == []
 
-    def test_cloud_vs_kinded_exit_2(self, reports):
-        _, base_path, tmp = reports
-        cur = tmp / "serve.json"
-        cur.write_text(json.dumps(_make_serve_report()))
-        assert gate.main(["--baseline", str(base_path),
-                          "--current", str(cur),
-                          "--out", str(tmp / "cmp.json")]) == 2
 
-    def test_kind_detection(self):
-        assert gate._kind({"runs": []}) == "cloud"
-        assert gate._kind({"kind": "bench_serve", "runs": []}) == \
-            "bench_serve"
-        assert gate._kind({"kind": "bench_balanced", "runs": []}) == \
-            "bench_balanced"
+def test_base_equal_up_to_rounding_counts_as_constant():
+    # A mean over a different number of identical calls.
+    base = runs()
+    base[1]["metrics"]["kept_frac"]["value"] = 0.65 * (1 + 1e-15)
+    head = runs(scale={"kept_frac": 0.99})
+    bad = failures(base, head)
+    assert len(bad) == 1 and bad[0].startswith("kept_frac")
+    assert failures(base, runs()) == []
+
+
+def test_constant_base_passes_a_better_head():
+    assert failures(runs(), runs(scale={"kept_frac": 1.1})) == []
+
+
+@pytest.mark.parametrize("side", ["base", "head"])
+@pytest.mark.parametrize("flaw", [{"correct": False}, {"failed": 2}])
+def test_incorrect_run_fails(side, flaw):
+    sides = {"base": runs(), "head": runs()}
+    sides[side] = runs(**flaw)
+    bad = failures(sides["base"], sides["head"])
+    assert len(bad) == 5 and all(text.startswith(side) for text in bad)
+
+
+def test_crashed_run_fails():
+    crashed = {"correct": False, "failed": None, "metrics": {},
+               "error": "exit 1"}
+    bad = failures(runs(), runs()[:4] + [crashed])
+    assert bad == ["head run 4: correct=False failed=None exit 1"]
+
+
+def test_metric_missing_from_spec_exits_2():
+    extra = dict(STEADY, queue_depth=3.0)
+    with pytest.raises(SystemExit) as exit_info:
+        gate.compare(runs(extra), runs(extra), SPEC)
+    assert exit_info.value.code == 2
+
+
+def test_metric_missing_from_runs_exits_2():
+    partial = {"ops_per_s": 1000.0, "p50_ms": 4.0}
+    with pytest.raises(SystemExit) as exit_info:
+        gate.compare(runs(partial), runs(partial), SPEC)
+    assert exit_info.value.code == 2
+
+
+def test_reads_the_committed_benchmark_spec():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    steady = {entry["name"]: 1.0 for entry in spec["end_to_end"]}
+    assert failures(runs(steady), runs(steady), spec) == []
+    worse = {entry["name"]: 0.5 if entry["better"] == "higher" else 2.0
+             for entry in spec["end_to_end"]}
+    bad = failures(runs(steady), runs(steady, scale=worse), spec)
+    assert len(bad) == len(spec["end_to_end"])
+
+
+def test_base_checkout_without_benchmark_exits_2(tmp_path):
+    assert gate.main([str(tmp_path)]) == 2
+    assert gate.main([]) == 2
