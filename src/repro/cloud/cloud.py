@@ -153,11 +153,12 @@ class FrustrationCloud:
     num_states: int = 0
     # The accumulators are exact integers: δ_T(v) in half-units (2 on
     # the larger side, 1 on a tie), the sum of v's side size minus one,
-    # the states that kept / preserved each edge's sign (int32 while
-    # that holds them) and the tied states.  The vertex sums are
-    # float64, where every addend and partial sum is an integer below
-    # 2**53, so addition is exact in any order (a merge of any grouping
-    # of blocks gives the same bits); attributes divide at read time.
+    # the states that kept / preserved each edge's sign (in the
+    # narrowest integer type that holds them) and the tied states.  The
+    # vertex sums are float64, where every addend and partial sum is an
+    # integer below 2**53, so addition is exact in any order (a merge of
+    # any grouping of blocks gives the same bits); attributes divide at
+    # read time.
     _majority: np.ndarray = field(init=False, repr=False)
     _coalition: np.ndarray = field(init=False, repr=False)
     _edge_coside: np.ndarray = field(init=False, repr=False)
@@ -173,7 +174,7 @@ class FrustrationCloud:
         n, m = self.graph.num_vertices, self.graph.num_edges
         self._majority = np.zeros(n, dtype=np.float64)
         self._coalition = np.zeros(n, dtype=np.float64)
-        self._edge_coside = np.zeros(m, dtype=np.int32)
+        self._edge_coside = np.zeros(m, dtype=np.int8)
         self._edge_preserved = np.zeros_like(self._edge_coside)
         self._ties = 0
         self._flip_lo = 0
@@ -193,8 +194,11 @@ class FrustrationCloud:
         self._flips[lo - start : lo - start + len(counts)] += counts
 
     def _fit_counts(self, states: int) -> None:
-        """Exact per-edge counts: int32 while *states* fit it, else int64."""
-        dtype = np.int32 if states <= np.iinfo(np.int32).max else np.int64
+        """Exact per-edge counts in the narrowest of int8, int16, int32
+        and int64 that holds *states*.  Signed, since the swap fold's
+        interval charges take a count as low as minus the states."""
+        dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                     if states <= np.iinfo(t).max)
         self._edge_coside = self._edge_coside.astype(dtype, copy=False)
         self._edge_preserved = self._edge_preserved.astype(dtype, copy=False)
 

@@ -46,13 +46,39 @@ def test_edge_counters_match_boolean_sums(graph, batch, seed):
     np.testing.assert_array_equal(
         cloud.flip_counts(), np.sort((both != graph.edge_sign).sum(axis=1))
     )
-    assert cloud._edge_coside.dtype == np.int32
+    assert cloud._edge_coside.dtype == np.int8  # at most 33 states
+
+
+def test_edge_counters_widen_from_int8(graph):
+    """The fold that would take the cloud past 127 states widens the
+    per-edge counts to int16 first, and a merge widens them before it
+    adds, so the counts stay exact."""
+    signs, sides = _balanced_batch(graph, 128, seed=6)
+    cloud = FrustrationCloud(graph)
+    cloud.add_batch(signs[:127], sides[:127])
+    assert cloud._edge_coside.dtype == cloud._edge_preserved.dtype == np.int8
+    cloud.add_batch(signs[127:], sides[127:])
+    assert cloud._edge_coside.dtype == cloud._edge_preserved.dtype == np.int16
+    coside = sides[:, graph.edge_u] == sides[:, graph.edge_v]
+    np.testing.assert_array_equal(cloud._edge_coside, coside.sum(axis=0))
+    np.testing.assert_array_equal(
+        cloud._edge_preserved, (signs == graph.edge_sign).sum(axis=0)
+    )
+    halves = [FrustrationCloud(graph) for _ in range(2)]
+    halves[0].add_batch(signs[:64], sides[:64])
+    halves[1].add_batch(signs[64:], sides[64:])
+    halves[0].merge(halves[1])
+    assert halves[0]._edge_coside.dtype == np.int16
+    np.testing.assert_array_equal(halves[0]._edge_coside, cloud._edge_coside)
+    np.testing.assert_array_equal(
+        halves[0]._edge_preserved, cloud._edge_preserved
+    )
 
 
 def test_edge_counters_widen_before_they_overflow(graph):
-    """Per-edge counts are int32 while every count fits; the fold that
-    would take the cloud past 2**31 - 1 states widens them to int64
-    first, so the counts stay exact."""
+    """Per-edge counts are int32 while every count fits it; the fold
+    that would take the cloud past 2**31 - 1 states widens them to
+    int64 first, so the counts stay exact."""
     signs, sides = _balanced_batch(graph, 3, seed=5)
     cloud = FrustrationCloud(graph)
     cloud.add_batch(signs, sides)

@@ -98,6 +98,21 @@ class _PoolOnlyCrash:
             raise SimulatedCrash(f"pool-only failure on {block}")
 
 
+class _BlockProbe:
+    """Picklable fault marking every block with a span named after its
+    first state (recorded in the worker, before the block runs), then
+    crashing the block starting at *crash_start* (see
+    :class:`WorkerCrash`)."""
+
+    def __init__(self, crash_start):
+        self.crash = WorkerCrash(crash_start)
+
+    def __call__(self, block):
+        with span(f"probe_{int(block[0])}"):
+            pass
+        self.crash(block)
+
+
 class TestStitchedCampaigns:
     def test_pool_campaign_single_trace(self, graph, tmp_path):
         with collecting_trace() as trace:
@@ -138,13 +153,29 @@ class TestStitchedCampaigns:
             with pytest.raises(EngineError, match="salvaged"):
                 sample_cloud_pool(
                     graph, 12, workers=3, seed=9,
-                    checkpoint_path=ck, fault=WorkerCrash(MIDDLE[0]),
+                    checkpoint_path=ck, fault=_BlockProbe(MIDDLE[0]),
                 )
         events = trace.events()
-        # The two completed blocks' worker spans were absorbed at
-        # salvage time; the crashed block's never shipped.
         _assert_stitched(events)
-        assert len({e.pid for e in events if e.pid != 0}) == 2
+        # Block by block: each completed block's worker spans were
+        # absorbed at salvage time (its probe, then its block span in
+        # the same worker), and the crashed block's never shipped.
+        # Which worker ran which block is the scheduler's choice.
+        worker = [e for e in events if e.pid != 0]
+        probes = {e.path.rsplit("/", 1)[-1]: e for e in worker
+                  if "probe_" in e.path}
+        completed = [int(b[0]) for b in _contiguous_blocks(12, 3)
+                     if b[0] != MIDDLE[0]]
+        assert sorted(probes) == sorted(f"probe_{b}" for b in completed)
+        blocks = [e for e in worker if e.path.endswith("block")]
+        assert len(blocks) == len(completed)
+        own = {
+            min((e for e in blocks
+                 if e.pid == probe.pid and e.start >= probe.end),
+                key=lambda e: e.start).span_id
+            for probe in probes.values()
+        }
+        assert len(own) == len(completed)
 
     def test_resume_is_its_own_stitched_trace(self, graph, tmp_path):
         ck = tmp_path / "salvage.npz"

@@ -142,23 +142,117 @@ class TestBatchedBfs:
         assert_rows_are_bfs_trees(g, batch, seed, indices)
 
     def test_flat_csr_is_built_once_per_graph(self):
-        """Calls on one graph share one flat CSR; another graph replaces
-        it, and the entry leaves with its graph."""
+        """Calls on one graph share one flat CSR and one workspace;
+        another graph replaces them, and they leave with their graph."""
         import gc
+        import weakref
 
         from repro.trees import batched
 
         g = make_connected_signed(40, 90, seed=3)
         sample_bfs_batch(g, 1, range(5))
         (first,) = batched._FLAT_CACHE.values()
+        workspace = first[2].workspace
         sample_bfs_batch(g, 2, range(9))
         assert batched._FLAT_CACHE == {id(g): first}
+        assert first[2].workspace is workspace
         other = make_connected_signed(40, 90, seed=3)
         sample_bfs_batch(other, 2, [0])
         assert list(batched._FLAT_CACHE) == [id(other)]
+        gone = weakref.ref(batched._FLAT_CACHE[id(other)][2].workspace)
+        del workspace, first
         del other
         gc.collect()
         assert not batched._FLAT_CACHE
+        assert gone() is None
+
+    def test_positions_match_csr_positions(self):
+        """The in-place position build equals ``csr_positions`` (rows in
+        any order, repeats, zero-degree rows), growing the offer buffers
+        only when a level needs more than they hold."""
+        from repro.trees import batched
+        from repro.util.arrays import csr_positions
+
+        indptr = np.array([0, 3, 3, 5, 9, 9, 10], dtype=np.int64)
+        ws = batched._Workspace(6)
+        for vertices in ([5, 0, 1, 3, 3, 2], [1, 4], [3], [0, 2, 4, 5]):
+            vertices = np.array(vertices, dtype=np.int64)
+            expect = csr_positions(indptr, vertices)
+            before = ws.offers
+            got = batched._positions(indptr, vertices, ws)
+            assert got.base is ws.one
+            np.testing.assert_array_equal(got, expect)
+            assert ws.offers == max(before, len(expect))
+
+    def test_warm_call_allocates_no_offer_scratch(self):
+        """A call on a graph sampled before works in the cached
+        workspace: at cloud_pertree's scale it peaks below one offer
+        array of a full pass (8 · width · 2m bytes) plus its (B, n)
+        output rows, where a level that allocates its own offer arrays
+        holds several at once."""
+        import tracemalloc
+
+        from repro.graph.generators import erdos_renyi_signed
+        from repro.trees import batched
+
+        g = ensure_connected(
+            erdos_renyi_signed(4000, 20000, negative_fraction=0.3, seed=1),
+            seed=1,
+        )
+        two_m = len(g.adj_vertex)
+        width = batched._OFFER_BUDGET // two_m
+        assert width > 1  # passes of several trees: the flat CSR is used
+        sample_bfs_batch(g, 1, range(32))
+        tracemalloc.start()
+        try:
+            batch = sample_bfs_batch(g, 1, range(32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * width * two_m + batch.sign_to_root.nbytes, peak
+
+    def test_threads_sample_one_graph_at_once(self):
+        """Three threads (more than the cores CI runs on) sampling one
+        graph at the same time, with different seeds and index ranges,
+        each get the rows of a sequential run: no thread works in
+        another's workspace."""
+        import sys
+        import threading
+
+        g = make_connected_signed(600, 3000, seed=12)
+        jobs = [(3, range(0, 24)), (8, range(40, 57)), (5, range(7, 9))]
+        expected = [sample_bfs_batch(g, seed, indices)
+                    for seed, indices in jobs]
+        rounds = 8
+        got: list[list] = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs), timeout=60)
+
+        def run(j):
+            seed, indices = jobs[j]
+            start.wait()
+            for _ in range(rounds):
+                got[j].append(sample_bfs_batch(g, seed, indices))
+
+        # Switch threads often, so the passes interleave level by level.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(j,))
+                       for j in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, batches in zip(expected, got):
+            assert len(batches) == rounds
+            for batch in batches:
+                np.testing.assert_array_equal(batch.roots, want.roots)
+                np.testing.assert_array_equal(
+                    batch.sign_to_root, want.sign_to_root
+                )
 
     def test_disconnected_raises(self):
         g = from_edges([(0, 1, 1), (2, 3, -1)])
