@@ -31,6 +31,7 @@ result cache both build on.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -72,9 +73,12 @@ class Deadline:
             self.budget_ms = None
             self.expires_at = None
         else:
-            if budget_ms <= 0:
+            # nan, inf and 1e400 (which parses as inf) would give a
+            # deadline that never expires.
+            if not math.isfinite(budget_ms) or budget_ms <= 0:
                 raise ServeError(
-                    f"X-Deadline-Ms must be positive, got {budget_ms}"
+                    f"X-Deadline-Ms must be positive and finite, "
+                    f"got {budget_ms}"
                 )
             self.budget_ms = float(budget_ms)
             self.expires_at = time.monotonic() + budget_ms / 1000.0

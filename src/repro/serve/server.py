@@ -35,10 +35,12 @@ import collections
 import contextlib
 import json
 import math
+import re
 import signal
 import threading
 import time
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Tuple
@@ -77,6 +79,42 @@ __all__ = ["ServeConfig", "FrustrationServer", "run_server"]
 
 _JSON = "application/json"
 _TEXT = "text/plain; charset=utf-8"
+
+#: ``http.client``'s bounds on a request head: bytes in one line, and
+#: lines in the head counting the blank line that ends it.
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+#: One ``name: value`` header line: a name of visible ASCII characters
+#: but the colon, and a value with no bare CR (whitespace around it is
+#: not part of it).
+_FIELD = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*?)[ \t]*\r?\n?")
+
+
+class _RequestHead(dict):
+    """Request headers by lower-cased name; the first of duplicates wins."""
+
+    def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
+        """The first value of header *name* (any case), or *default*."""
+        return dict.get(self, name.lower(), default)
+
+
+def _version_number(version: str) -> Optional[Tuple[int, int]]:
+    """``(major, minor)`` of an ``HTTP/x.y`` version, or None if bad.
+
+    Each number is one to ten ASCII digits, as in the stdlib of
+    Python 3.11.7, 3.12 and 3.13; that of 3.10.13 or 3.11.2 also takes
+    ``+1``, ``1_1`` or a longer number, which the daemon answers 400.
+    """
+    if not version.startswith("HTTP/"):
+        return None
+    major, _, minor = version[5:].partition(".")
+    if not (major.isdigit() and minor.isdigit()
+            and len(major) <= 10 and len(minor) <= 10):
+        return None  # also no dot, or more than one
+    try:
+        return int(major), int(minor)
+    except ValueError:  # isdigit() takes digits int() does not, e.g. '²'
+        return None
 
 
 @dataclass
@@ -167,9 +205,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
-    # Headers and body go out in separate sends; without TCP_NODELAY
-    # the Nagle + delayed-ACK interaction stalls keep-alive clients
-    # ~40ms per response.
+    # _respond sends each answer in one write, but an answer larger
+    # than a segment, and the stdlib's error and 100-continue replies
+    # (head and body in separate writes), still end on a partial
+    # segment; without TCP_NODELAY the Nagle + delayed-ACK interaction
+    # stalls keep-alive clients ~40ms on those.
     disable_nagle_algorithm = True
     server: "FrustrationServer"
 
@@ -187,6 +227,113 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:
         """Silence per-request stderr chatter (metrics cover it)."""
+
+    # -- request head ---------------------------------------------------
+    def parse_request(self) -> bool:
+        """Parse the request line and head; False once an error is sent.
+
+        The request line means what it means to
+        ``BaseHTTPRequestHandler.parse_request``, error replies and
+        their reason phrases included: 400 for bad syntax or version,
+        505 from HTTP/2.0, ``GET`` only on HTTP/0.9, a leading ``//``
+        collapsed, keep-alive by default from HTTP/1.1 on.  Header lines
+        are read within ``http.client``'s bounds (431 past 100 lines or
+        a 65,536-byte line), but without its general ``email`` parser:
+        ``self.headers`` keeps the first of duplicate names.  Three
+        cases are stricter than the stdlib: a line that is not one
+        ``name: value`` field (no colon, a name that is not visible
+        ASCII, a bare CR) is a 400 where the stdlib drops the rest of
+        the head, an obs-fold continuation line is a 400, and
+        whitespace around a value is stripped.  That 400 goes out once
+        the head is read to its blank line: closing a socket with
+        unread bytes makes the kernel send RST, which can reach the
+        client before the answer.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    "Bad request version (%r)" % version)
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    "Invalid HTTP version (%s)" % version[5:])
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST,
+                "Bad request syntax (%r)" % requestline)
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    "Bad HTTP/0.9 request type (%r)" % command)
+                return False
+        if path.startswith("//"):
+            # An open-redirect guard: clients read //host/path as a URL.
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+
+        headers = _RequestHead()
+        bad = None
+        readline = self.rfile.readline
+        for count in range(1, _MAX_HEAD_LINES + 2):
+            line = readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    "got more than %d bytes when reading header line"
+                    % _MAX_LINE)
+                return False
+            if count > _MAX_HEAD_LINES:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    "got more than %d headers" % _MAX_HEAD_LINES)
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            field = _FIELD.fullmatch(line)
+            if field is None:
+                bad = bad or line
+            else:
+                headers.setdefault(
+                    field[1].decode("ascii").lower(),
+                    field[2].decode("iso-8859-1"))
+        if bad is not None:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST,
+                "Bad header line (%r)" % bad.rstrip(b"\r\n"))
+            return False
+        self.headers = headers
+
+        conntype = headers.get("connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive":
+            self.close_connection = False
+        if (headers.get("expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
 
     # -- request identity ----------------------------------------------
     def _mint_identity(self) -> None:
@@ -218,21 +365,37 @@ class _RequestHandler(BaseHTTPRequestHandler):
         body: bytes,
         retry_after: Optional[float] = None,
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
-        if self._request_id:
-            self.send_header("X-Request-Id", self._request_id)
-        if self._request_ctx is not None:
-            self.send_header(
-                "traceparent", self._request_ctx.to_traceparent()
-            )
-        if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
-        if self.server.draining:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
+        """Send one answer: status line, headers and body in one write.
+
+        The headers are those ``send_response`` + ``send_header`` would
+        send, in the same order; one write instead of a head write and
+        a body write saves a send per answer.  HTTP/0.9 gets the body
+        alone, as from the stdlib.
+        """
+        if self.request_version != "HTTP/0.9":
+            head = [
+                f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                f"Content-Type: {ctype}\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            ]
+            if self._request_id:
+                head.append(f"X-Request-Id: {self._request_id}\r\n")
+            if self._request_ctx is not None:
+                head.append(
+                    f"traceparent: {self._request_ctx.to_traceparent()}\r\n"
+                )
+            if retry_after is not None:
+                head.append(
+                    f"Retry-After: {max(1, math.ceil(retry_after))}\r\n"
+                )
+            if self.server.draining:
+                head.append("Connection: close\r\n")
+                self.close_connection = True
+            head.append("\r\n")
+            body = "".join(head).encode("latin-1") + body
         self.wfile.write(body)
         self._status = status
         get_registry().count(f"serve.http_{status}_total", 1)

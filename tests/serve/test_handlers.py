@@ -42,6 +42,11 @@ class TestDeadline:
         with pytest.raises(ServeError):
             Deadline.from_header("0")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_header_raises_serve_error(self, value):
+        with pytest.raises(ServeError, match="finite"):
+            Deadline.from_header(value)
+
     def test_expiry_raises_mid_query(self):
         deadline = Deadline(1.0)  # 1 ms
         time.sleep(0.005)

@@ -1,12 +1,19 @@
-"""In-process daemon tests: probes, admission, deadlines, cache, drain."""
+"""In-process daemon tests: probes, admission, deadlines, cache, drain,
+and one send per answer."""
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
+from repro.cloud.cloud import sample_cloud
 from repro.perf.registry import get_registry
+from repro.serve.admission import TokenBucket
+from repro.serve.cache import ResultCache
+from repro.serve.server import FrustrationServer, ServeConfig, _RequestHandler
+from repro.serve.state import SnapshotStore
 
 from tests.conftest import make_connected_signed
 from tests.serve.conftest import daemon
@@ -87,8 +94,10 @@ def test_expired_deadline_is_504_within_budget():
         assert "deadline" in json.loads(body)["error"]
         assert elapsed < 0.001 + 0.5  # bounded: deadline + small slop
         assert get_registry().counter("serve.deadline_exceeded_total") >= 1
-        # Malformed deadline is a 400, immediately.
-        assert d.request("/vertex/0", headers={"X-Deadline-Ms": "x"})[0] == 400
+        # Malformed or non-finite deadlines are a 400, immediately.
+        for value in ("x", "nan", "inf", "1e400"):
+            assert d.request(
+                "/vertex/0", headers={"X-Deadline-Ms": value})[0] == 400
     assert d.exit_code == 0
 
 
@@ -152,3 +161,86 @@ def test_slow_client_cannot_pin_a_handler_thread():
             # The daemon still answers healthy clients promptly.
             assert d.request("/vertex/0", timeout=3.0)[0] == 200
     assert d.exit_code == 0
+
+
+class _RecordingSocket:
+    """A connected socket stand-in: the client sent *requests*, and each
+    ``sendall`` of the daemon is kept in ``sent``."""
+
+    def __init__(self, requests: bytes) -> None:
+        self._requests = requests
+        self.sent: list = []
+
+    def makefile(self, mode, buffering=-1):
+        return io.BytesIO(self._requests)
+
+    def sendall(self, data) -> None:
+        self.sent.append(bytes(data))
+
+    def settimeout(self, timeout) -> None:
+        pass
+
+    def setsockopt(self, *args) -> None:
+        pass
+
+
+@pytest.fixture
+def recording_server():
+    graph = make_connected_signed(20, 25, seed=11)
+    snapshots = SnapshotStore()
+    snapshots.publish(sample_cloud(graph, 8, seed=3), "fp")
+    server = FrustrationServer(
+        ("127.0.0.1", 0), ServeConfig(), snapshots, TokenBucket(0.0, 32),
+        ResultCache(16), None,
+    )
+    try:
+        yield server
+    finally:
+        server.server_close()
+
+
+def _serve(server, *paths: str) -> list:
+    """Answer *paths* on one keep-alive connection; the sends made."""
+    sock = _RecordingSocket(b"".join(
+        f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode()
+        for path in paths))
+    _RequestHandler(sock, ("127.0.0.1", 1), server)
+    return sock.sent
+
+
+def _split(send: bytes):
+    head, _, body = send.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    fields = dict(line.split(": ", 1) for line in lines[1:])
+    return lines[0], fields, body
+
+
+def test_each_answer_is_one_send(recording_server):
+    paths = ("/vertex/0", "/edge/1", "/vertex/0", "/nope", "/vertex/x",
+             "/healthz")
+    sent = _serve(recording_server, *paths)
+    assert len(sent) == len(paths)
+    statuses = []
+    for send in sent:
+        status_line, fields, body = _split(send)
+        statuses.append(status_line)
+        assert int(fields["Content-Length"]) == len(body) > 0
+        assert "Connection" not in fields
+    assert statuses == ["HTTP/1.1 200 OK"] * 3 + [
+        "HTTP/1.1 404 Not Found", "HTTP/1.1 400 Bad Request",
+        "HTTP/1.1 200 OK"]
+    assert json.loads(_split(sent[0])[2])["vertex"] == 0
+    assert json.loads(_split(sent[1])[2])["edge"] == 1
+    assert _split(sent[0])[2] == _split(sent[2])[2]  # cache hit, same bytes
+
+
+def test_a_draining_answer_closes_the_connection(recording_server):
+    recording_server.start_draining()
+    sent = _serve(recording_server, "/vertex/0", "/vertex/1")
+    assert len(sent) == 1  # the second request is never read
+    status_line, fields, body = _split(sent[0])
+    assert status_line == "HTTP/1.1 503 Service Unavailable"
+    assert fields["Connection"] == "close"
+    assert fields["Retry-After"] == "1"
+    assert json.loads(body) == {"error": "draining"}
+    assert int(fields["Content-Length"]) == len(body)
