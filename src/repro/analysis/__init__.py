@@ -14,10 +14,6 @@ from repro.analysis.election import (
     election_report,
     generate_election,
 )
-from repro.analysis.clustering_metrics import (
-    adjusted_rand_index,
-    normalized_mutual_information,
-)
 from repro.analysis.consensus import ConsensusReport, analyze_consensus
 from repro.analysis.sensitivity import (
     SensitivityRow,
@@ -26,8 +22,6 @@ from repro.analysis.sensitivity import (
 )
 
 __all__ = [
-    "adjusted_rand_index",
-    "normalized_mutual_information",
     "SensitivityRow",
     "density_sweep",
     "negativity_sweep",

@@ -10,7 +10,6 @@ from repro.cloud.cloud import (
 )
 from repro.cloud.convergence import (
     StatusTrajectory,
-    recommend_sample_size,
     split_half_agreement,
     status_trajectory,
 )
@@ -43,13 +42,6 @@ from repro.cloud.metrics import (
     state_diversity,
 )
 from repro.cloud.nearest import flip_set, is_nearest_state
-from repro.cloud.weighted import (
-    sample_min_weight_state,
-    weighted_flip_cost,
-    weighted_frustration_exact,
-    weighted_frustration_local_search,
-    weighted_frustration_of_switching,
-)
 
 __all__ = [
     "FrustrationCloud",
@@ -64,16 +56,10 @@ __all__ = [
     "StatusTrajectory",
     "status_trajectory",
     "split_half_agreement",
-    "recommend_sample_size",
     "consensus_communities",
     "state_diversity",
     "polarization",
     "edge_controversy",
-    "weighted_flip_cost",
-    "weighted_frustration_of_switching",
-    "weighted_frustration_exact",
-    "weighted_frustration_local_search",
-    "sample_min_weight_state",
     "save_cloud",
     "load_cloud",
     "load_checkpoint",

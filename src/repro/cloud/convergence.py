@@ -9,9 +9,11 @@ empirically for a given graph:
   Cauchy-style convergence signal);
 * :func:`split_half_agreement` — correlation between the status
   estimates of two disjoint halves of the sample (a split-half
-  reliability coefficient: near 1 means the sample size suffices);
-* :func:`recommend_sample_size` — doubling search until the split-half
-  agreement clears a threshold.
+  reliability coefficient: near 1 means the sample size suffices).
+
+Both fold their states through the campaigns' block task
+(:class:`repro.parallel.pool.CampaignTask`), so tree *i* and its
+balanced state are the ones ``sample_cloud`` folds for the same seed.
 """
 
 from __future__ import annotations
@@ -22,17 +24,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.cloud.cloud import FrustrationCloud
-from repro.core.balancer import balance
 from repro.errors import ReproError
 from repro.graph.csr import SignedGraph
-from repro.rng import SeedLike
-from repro.trees.sampler import TreeSampler
+from repro.rng import SeedLike, freeze_seed
 
 __all__ = [
     "StatusTrajectory",
     "status_trajectory",
     "split_half_agreement",
-    "recommend_sample_size",
 ]
 
 
@@ -70,13 +69,15 @@ def status_trajectory(
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])) or cps[0] < 1:
         raise ReproError("checkpoints must be strictly increasing and >= 1")
 
-    sampler = TreeSampler(graph, method=method, seed=seed)
+    from repro.parallel.pool import CampaignTask  # parallel imports cloud
+
+    task = CampaignTask(method=method, seed=freeze_seed(seed),
+                        store_states=False)
     cloud = FrustrationCloud(graph)
     estimates = []
     done = 0
     for cp in cps:
-        for i in range(done, cp):
-            cloud.add_result(balance(graph, sampler.tree(i)))
+        cloud.merge(task(graph, (done, cp, 1)))
         done = cp
         estimates.append(cloud.status())
     est = np.stack(estimates)
@@ -106,36 +107,15 @@ def split_half_agreement(
     """
     if num_states < 4:
         raise ReproError("need at least 4 states to split")
-    sampler = TreeSampler(graph, method=method, seed=seed)
-    even = FrustrationCloud(graph)
-    odd = FrustrationCloud(graph)
-    for i in range(num_states):
-        result = balance(graph, sampler.tree(i))
-        (even if i % 2 == 0 else odd).add_result(result)
-    a, b = even.status(), odd.status()
+
+    from repro.parallel.pool import CampaignTask  # parallel imports cloud
+
+    task = CampaignTask(method=method, seed=freeze_seed(seed),
+                        store_states=False)
+    a = task(graph, (0, num_states, 2)).status()
+    b = task(graph, (1, num_states, 2)).status()
     if np.allclose(a, a[0]) or np.allclose(b, b[0]):
         # Degenerate (e.g. already-balanced graph): identical constant
         # estimates count as full agreement.
         return 1.0 if np.allclose(a, b) else 0.0
     return float(np.corrcoef(a, b)[0, 1])
-
-
-def recommend_sample_size(
-    graph: SignedGraph,
-    target_agreement: float = 0.9,
-    start: int = 8,
-    max_states: int = 512,
-    method: str = "bfs",
-    seed: SeedLike = 0,
-) -> tuple[int, float]:
-    """Double the sample size until split-half agreement clears the
-    target; returns ``(size, agreement)`` (the size is capped at
-    *max_states* even if the target was not reached)."""
-    if not 0.0 < target_agreement <= 1.0:
-        raise ReproError("target_agreement must be in (0, 1]")
-    size = max(start, 4)
-    agreement = split_half_agreement(graph, size, method=method, seed=seed)
-    while agreement < target_agreement and size < max_states:
-        size = min(size * 2, max_states)
-        agreement = split_half_agreement(graph, size, method=method, seed=seed)
-    return size, agreement

@@ -1,7 +1,7 @@
 """Parallel execution layer: workload profiling, schedule simulators,
-simulated CPU/GPU machine models, the campaign modeler, the simulated
-distributed (MPI-pattern) status driver, and the self-healing campaign
-supervisor (retries, timeouts, backoff, graceful degradation).
+simulated CPU/GPU machine models, the campaign modeler, the multi-node
+scaling model, and the self-healing campaign supervisor (retries,
+timeouts, backoff, graceful degradation).
 """
 
 from repro.parallel.workload import Workload, collect_workload
@@ -25,11 +25,6 @@ from repro.parallel.engine import (
     measure_python_seconds,
     model_run,
     model_run_multi,
-)
-from repro.parallel.distributed import (
-    RankResult,
-    distributed_status,
-    partition_indices,
 )
 from repro.parallel.pool import sample_cloud_pool
 from repro.parallel.supervisor import (
@@ -59,9 +54,6 @@ __all__ = [
     "model_run",
     "model_run_multi",
     "measure_python_seconds",
-    "RankResult",
-    "distributed_status",
-    "partition_indices",
     "sample_cloud_pool",
     "RetryPolicy",
     "RunReport",

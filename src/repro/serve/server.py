@@ -335,6 +335,20 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return self.handle_expect_100()
         return True
 
+    def send_error(self, code, message=None, explain=None) -> None:
+        """The stdlib's error reply, counted and access-logged like
+        every other answer.  Only a request the daemon cannot read
+        reaches it: a bad head (400, 414, 431, 505) or a method it has
+        no handler for (501)."""
+        start = time.monotonic()
+        self._request_id, self._request_ctx, self._cache_state = "", None, ""
+        if not self.command:
+            self.path = ""  # no request line was read
+        super().send_error(code, message, explain)
+        self._status = int(code)
+        get_registry().count(f"serve.http_{self._status}_total", 1)
+        self._access(start, outcome="bad_head")
+
     # -- request identity ----------------------------------------------
     def _mint_identity(self) -> None:
         """Adopt or mint this request's trace identity.

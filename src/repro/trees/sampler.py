@@ -2,10 +2,9 @@
 
 A :class:`TreeSampler` owns a sampling *method* (BFS, DFS, Wilson) and
 a seed, and hands out reproducible independent trees by index: the
-``k``-th tree is the same whether sampled alone, in a batch, or on a
-different simulated rank — the property the distributed driver
-(:mod:`repro.parallel.distributed`) needs for its results to be
-bit-identical to the serial driver.
+``k``-th tree is the same whether sampled alone, in a batch, or in a
+different worker's block — the property campaigns need for their
+results to be bit-identical at any worker count and block partition.
 """
 
 from __future__ import annotations

@@ -3,15 +3,81 @@
 import numpy as np
 import pytest
 
-from repro.cloud.convergence import (
-    recommend_sample_size,
-    split_half_agreement,
-    status_trajectory,
-)
+from repro.cloud.cloud import FrustrationCloud
+from repro.cloud.convergence import split_half_agreement, status_trajectory
+from repro.core.balancer import balance
 from repro.errors import ReproError
 from repro.graph.generators import cycle_graph
+from repro.trees.sampler import TreeSampler
 
 from tests.conftest import make_connected_signed
+
+METHODS = ["bfs", "wilson", "swap"]
+
+
+def per_tree_estimates(graph, checkpoints, method, seed):
+    """The reference fold: balance each sampled tree on its own, add it
+    to a running cloud, and read the status at each checkpoint."""
+    sampler = TreeSampler(graph, method=method, seed=seed)
+    cloud = FrustrationCloud(graph)
+    estimates, done = [], 0
+    for cp in checkpoints:
+        for i in range(done, cp):
+            cloud.add_result(balance(graph, sampler.tree(i)))
+        done = cp
+        estimates.append(cloud.status())
+    return np.stack(estimates)
+
+
+def per_tree_halves(graph, num_states, method, seed):
+    """The reference split: the even- and odd-indexed trees' statuses,
+    each tree balanced on its own."""
+    sampler = TreeSampler(graph, method=method, seed=seed)
+    even, odd = FrustrationCloud(graph), FrustrationCloud(graph)
+    for i in range(num_states):
+        result = balance(graph, sampler.tree(i))
+        (even if i % 2 == 0 else odd).add_result(result)
+    return even.status(), odd.status()
+
+
+class TestPerTreeReference:
+    """Both diagnostics fold through the campaigns' block task; they
+    equal the per-tree fold bit for bit."""
+
+    GRAPH = make_connected_signed(40, 100, seed=8)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_trajectory(self, method):
+        cps = [3, 8, 20, 33]
+        traj = status_trajectory(self.GRAPH, cps, method=method, seed=5)
+        want = per_tree_estimates(self.GRAPH, cps, method, 5)
+        assert np.array_equal(traj.estimates, want)
+        changes = np.abs(np.diff(want, axis=0)).max(axis=1)
+        assert np.array_equal(traj.max_step_change[1:], changes)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_split_half(self, method):
+        a, b = per_tree_halves(self.GRAPH, 21, method, 5)
+        want = float(np.corrcoef(a, b)[0, 1])
+        assert split_half_agreement(self.GRAPH, 21, method=method,
+                                    seed=5) == want
+
+    @pytest.mark.parametrize("seed", [
+        pytest.param(0, id="int"),
+        pytest.param(np.int64(7), id="np.int64"),
+        pytest.param("generator", id="Generator"),
+    ])
+    def test_seed_spellings(self, seed):
+        """Every seed spelling picks the trees ``TreeSampler`` picks for
+        it: the seed is frozen once, before the first tree."""
+        def fresh():
+            if isinstance(seed, str):
+                return np.random.default_rng(11)
+            return seed
+
+        traj = status_trajectory(self.GRAPH, [4, 9], seed=fresh())
+        want = per_tree_estimates(self.GRAPH, [4, 9], "bfs", fresh())
+        assert np.array_equal(traj.estimates, want)
 
 
 class TestTrajectory:
@@ -73,22 +139,3 @@ class TestSplitHalf:
         with pytest.raises(ReproError):
             split_half_agreement(g, 3)
 
-
-class TestRecommend:
-    def test_returns_capped_size(self):
-        g = make_connected_signed(40, 100, seed=5)
-        size, agreement = recommend_sample_size(
-            g, target_agreement=0.999, start=4, max_states=16, seed=0
-        )
-        assert size <= 16
-
-    def test_easy_graph_stops_early(self):
-        g = cycle_graph([1, -1, -1, 1])
-        size, agreement = recommend_sample_size(g, 0.9, start=4, seed=0)
-        assert size == 4
-        assert agreement == 1.0
-
-    def test_rejects_bad_target(self):
-        g = make_connected_signed(10, 20, seed=0)
-        with pytest.raises(ReproError):
-            recommend_sample_size(g, target_agreement=0.0)

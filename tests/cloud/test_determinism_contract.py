@@ -28,6 +28,7 @@ from repro.cloud.cloud import FrustrationCloud, ingest_states, sample_cloud
 from repro.graph.store import graph_fingerprint
 from repro.errors import EngineError
 from repro.parallel.pool import (
+    CampaignTask,
     _contiguous_blocks,
     sample_cloud_pool,
 )
@@ -176,6 +177,23 @@ def test_pool_resume_of_a_sequential_checkpoint_matches_one_campaign(
     assert (payload(resumed, work / "resumed.npz")
             == payload(reference, work / "ref.npz"))
     assert answers(resumed) == answers(reference)
+
+
+@pytest.mark.parametrize("method", ["bfs", "wilson", "swap"])
+@pytest.mark.parametrize("total", [2, 11, 30])
+@pytest.mark.parametrize("order", ["even-odd", "odd-even"])
+def test_strided_halves_match_one_campaign(tmp_path, method, total, order):
+    """§3.3's MPI pattern: two ranks take the even and the odd tree
+    indices, and one reduce of their counters, in either order, is the
+    serial campaign."""
+    reference = sample_cloud(GRAPH, total, method=method, seed=SEED)
+    task = CampaignTask(method=method, seed=SEED, store_states=False)
+    halves = [task(GRAPH, (start, total, 2)) for start in (0, 1)]
+    first, second = halves if order == "even-odd" else halves[::-1]
+    first.merge(second)
+    assert (payload(first, tmp_path / "halves.npz")
+            == payload(reference, tmp_path / "ref.npz"))
+    assert answers(first) == answers(reference)
 
 
 @pytest.mark.parametrize("method, store_states", [

@@ -10,7 +10,8 @@ not.  The corpus holds only heads that the stdlibs of Python 3.10.13,
 3.11.2, 3.11.7, 3.12 and 3.13 all answer alike (3.10's error page has
 another HTML template, which both parsers send).  The cases where the
 daemon is stricter are pinned separately, and one live daemon answers
-400 and 431 to bad heads and keeps serving new connections.
+400 and 431 to bad heads and keeps serving new connections.  Each
+error reply is counted and access-logged like every other answer.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ import re
 import socket
 import sys
 import time
+import types
 from http.server import BaseHTTPRequestHandler
 
 import pytest
 
+from repro.perf.registry import get_registry
 from repro.serve.server import _RequestHandler
 from tests.serve.conftest import daemon
 
@@ -48,6 +51,7 @@ def _parse(cls, raw: bytes) -> dict:
     (the reply but its ``Date`` header, the parsed request, and the
     bytes left unread)."""
     handler = cls.__new__(cls)
+    handler.server = types.SimpleNamespace(access_log=None)
     handler.rfile = io.BytesIO(raw)
     handler.wfile = io.BytesIO()
     handler.raw_requestline = handler.rfile.readline(65537)
@@ -269,3 +273,43 @@ def test_live_daemon_answers_431_and_keeps_serving():
             assert b"\r\nConnection: close\r\n" in reply, name
             assert d.request("/vertex/0")[0] == 200, name
     assert d.exit_code == 0
+
+
+#: One head per error status the daemon sends while reading a request,
+#: each read to its last byte (see ``_exchange``), and the path its
+#: access-log line names.
+HEAD_ERRORS = {
+    400: (b"GET /vertex/0 HTTP/x.1\r\n", ""),
+    414: (b"GET /" + b"a" * (65537 - 5), ""),
+    431: (_head("GET /vertex/0 HTTP/1.1",
+                *[f"X-H{i}: v" for i in range(101)]), "/vertex/0"),
+    505: (b"GET /vertex/0 HTTP/2.0\r\n", ""),
+}
+
+
+@pytest.mark.parametrize("status", HEAD_ERRORS)
+def test_live_daemon_counts_and_logs_head_errors(tmp_path, status):
+    import json
+
+    raw, path = HEAD_ERRORS[status]
+    log = tmp_path / "access.jsonl"
+    with daemon(target_states=8, grow_step=8, access_log=log) as d:
+        d.wait_ready()
+        # A request line the daemon cannot read gets the error page
+        # alone (HTTP/0.9), as from the stdlib.
+        reply = _exchange(d.port, raw)
+        assert b"<p>Error code: %d</p>" % status in reply, reply[-200:]
+        assert d.request("/vertex/0")[0] == 200
+        counters = get_registry().counters()
+        assert counters[f"serve.http_{status}_total"] == 1
+        assert counters["serve.http_200_total"] >= 1
+    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    access = [e for e in lines if e["kind"] == "serve_access"]
+    errors = [e for e in access if e["status"] == status]
+    assert len(errors) == 1
+    (error,) = errors
+    assert error["outcome"] == "bad_head"
+    assert error["path"] == path
+    assert error["request_id"] == "" and error["trace_id"] == ""
+    # The query after it logs as a query: the error path left no trace.
+    assert [e["outcome"] for e in access if e is not error] == ["ok"]

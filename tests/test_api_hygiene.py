@@ -25,7 +25,6 @@ MODULES = [
     "repro.graph.components",
     "repro.graph.datasets",
     "repro.graph.stats",
-    "repro.graph.diameter",
     "repro.graph.generators",
     "repro.graph.io",
     "repro.graph.io_formats",
@@ -68,14 +67,12 @@ MODULES = [
     "repro.cloud.frustration",
     "repro.cloud.metrics",
     "repro.cloud.nearest",
-    "repro.cloud.weighted",
     "repro.parallel",
     "repro.parallel.workload",
     "repro.parallel.schedule",
     "repro.parallel.machine",
     "repro.parallel.simgpu",
     "repro.parallel.engine",
-    "repro.parallel.distributed",
     "repro.parallel.pool",
     "repro.parallel.supervisor",
     "repro.parallel.mpi_model",
@@ -85,7 +82,6 @@ MODULES = [
     "repro.balanced.seeds",
     "repro.balanced.tolerance",
     "repro.analysis",
-    "repro.analysis.clustering_metrics",
     "repro.analysis.spectral",
     "repro.analysis.election",
     "repro.analysis.consensus",

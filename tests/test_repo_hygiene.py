@@ -111,3 +111,97 @@ def test_one_ingest_loop_caller():
                 ):
                     callers.append(owner.name)
     assert callers == ["CampaignTask"]
+
+
+def test_add_result_callers():
+    """States fold into a cloud through the block task's chunked fold.
+    ``add_result``, the one-state fold, keeps only the callers that
+    need a per-tree ``BalanceResult``."""
+    import ast
+
+    allowed = {
+        # The enumeration of all spanning trees: no sampler to fold
+        # from, and the exact cloud is the oracle the samplers meet.
+        "exact_cloud": "src/repro/cloud/cloud.py",
+        # The sweeps read each tree's per-cycle kernel statistics
+        # (collect_stats), which only the per-tree kernel reports.
+        "_measure": "src/repro/analysis/sensitivity.py",
+    }
+    callers = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner in ast.walk(tree):
+            if not isinstance(owner, ast.FunctionDef):
+                continue
+            for node in ast.walk(owner):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "add_result"
+                ):
+                    callers[owner.name] = (
+                        path.relative_to(REPO_ROOT).as_posix()
+                    )
+    assert callers == allowed
+
+
+#: Modules that no import reaches, each with the reason it stays.
+UNIMPORTED_BY_DESIGN = {
+    "repro.__main__": "``python -m repro`` runs it; nothing imports it",
+    "repro.harary.cuts": (
+        "``verify_cut`` is the Harary-cut oracle of "
+        "tests/test_invariants.py and tests/test_stress.py"
+    ),
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(REPO_ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def test_every_module_has_a_user():
+    """Every module under ``src/repro`` is imported by the program, an
+    example, a paper benchmark, the perf benchmark or a script; tests
+    alone do not keep a module.  A package ``__init__`` re-export does
+    not count as a use: ``from repro.cloud import sample_cloud`` uses
+    the module that defines ``sample_cloud``."""
+    import ast
+
+    src = REPO_ROOT / "src" / "repro"
+    files = {_module_name(path): path for path in src.rglob("*.py")}
+    packages = {
+        name for name, path in files.items() if path.name == "__init__.py"
+    }
+
+    def defining_module(module: str, name: str) -> str:
+        if f"{module}.{name}" in files:
+            return f"{module}.{name}"
+        if module in packages:
+            tree = ast.parse(files[module].read_text(encoding="utf-8"))
+            for node in tree.body:
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name:
+                        return defining_module(node.module, alias.name)
+        return module
+
+    users = [
+        path
+        for root in ("src", "examples", "benchmarks", "perfbench", "scripts")
+        for path in (REPO_ROOT / root).rglob("*.py")
+        if not (root == "src" and path.name == "__init__.py")
+    ]
+    imported = set()
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+                imported.update(
+                    defining_module(node.module, alias.name)
+                    for alias in node.names
+                )
+    unused = sorted(set(files) - packages - imported)
+    assert unused == sorted(UNIMPORTED_BY_DESIGN)
