@@ -656,7 +656,6 @@ def _cmd_serve(args) -> int:
         journal=args.journal,
         qps=args.qps,
         burst=args.burst,
-        cache_size=args.cache_size,
         breaker_p99_ms=args.breaker_p99_ms,
         breaker_window=args.breaker_window,
         breaker_cooldown=args.breaker_cooldown,
@@ -1057,9 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 0 = unlimited)")
     p.add_argument("--burst", type=int, default=32,
                    help="admission token-bucket burst size (default 32)")
-    p.add_argument("--cache-size", type=int, default=1024,
-                   help="LRU result-cache entries (0 disables; "
-                        "default 1024)")
     p.add_argument("--breaker-p99-ms", type=float, default=0.0,
                    help="open the growth-shedding circuit breaker when "
                         "query p99 exceeds this many ms (0 disables)")
@@ -1075,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "clients (default 10s)")
     p.add_argument("--access-log", metavar="PATH",
                    help="append one structured JSONL line per query "
-                        "(request_id, path, status, latency_ms, cache, "
+                        "(request_id, path, status, latency_ms, "
                         "outcome); off by default")
     p.add_argument("--debug-trace", action="store_true",
                    help="collect request-scoped spans and enable the "

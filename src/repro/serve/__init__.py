@@ -5,11 +5,12 @@ campaign into a long-running HTTP query service that keeps growing its
 cloud in the background:
 
 * :mod:`repro.serve.state` — immutable query snapshots + atomic swap;
+  each snapshot renders its own answers (point answers straight to
+  bytes, whole-snapshot answers once per snapshot);
 * :mod:`repro.serve.growth` — the background growth worker (supervised
   sampling rounds, per-round checkpoint + snapshot publish);
 * :mod:`repro.serve.admission` — token-bucket admission control;
 * :mod:`repro.serve.breaker` — p99 latency breaker shedding growth;
-* :mod:`repro.serve.cache` — bounded LRU over rendered responses;
 * :mod:`repro.serve.handlers` — deadlines + endpoint rendering;
 * :mod:`repro.serve.server` — transport, crash-only boot, SIGTERM
   drain (:func:`run_server` is the entry the CLI calls).
@@ -23,7 +24,6 @@ recovered.
 
 from repro.serve.admission import TokenBucket
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.cache import ResultCache
 from repro.serve.growth import GrowthWorker
 from repro.serve.handlers import Deadline, DeadlineExceeded
 from repro.serve.server import FrustrationServer, ServeConfig, run_server
@@ -36,7 +36,6 @@ __all__ = [
     "FrustrationServer",
     "GrowthWorker",
     "QuerySnapshot",
-    "ResultCache",
     "ServeConfig",
     "SnapshotStore",
     "TokenBucket",

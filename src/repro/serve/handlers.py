@@ -23,17 +23,20 @@ server never keeps burning cycles on an answer nobody is waiting for.
 Responses
 ---------
 
-Every JSON body is rendered with
-:func:`~repro.serve.state.canonical_json`, so equal payloads are equal
-bytes — the property the chaos test's recovered-prefix diff and the
-result cache both build on.
+Every JSON body is canonical JSON, equal to what
+:func:`~repro.serve.state.canonical_json` gives for the answer's
+payload, so equal payloads are equal bytes — the property the chaos
+test's recovered-prefix diff builds on.  The snapshot renders them
+(:meth:`~repro.serve.state.QuerySnapshot.vertex_json` and friends): a
+point answer is written straight to bytes, a whole-snapshot answer is
+rendered once per snapshot.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ServeError
@@ -129,9 +132,9 @@ def _id_from(path_rest: str, kind: str) -> int:
             from None
 
 
-def _flag(params: Dict[str, Any], name: str) -> bool:
+def _flag(query: str, name: str) -> bool:
     """True when query param *name* is present and truthy ("1"/"true")."""
-    values = params.get(name)
+    values = parse_qs(query).get(name) if query else None
     if not values:
         return False
     return values[-1].lower() in ("1", "true", "yes")
@@ -149,24 +152,23 @@ def route_query(
     deadline.check()
     parts = urlsplit(path)
     segments = [s for s in parts.path.split("/") if s]
-    params = parse_qs(parts.query)
     if not segments:
-        payload = snapshot.info_payload()
+        body = snapshot.info_json()
     elif segments[0] == "snapshot" and len(segments) == 1:
-        payload = snapshot.info_payload()
+        body = snapshot.info_json()
     elif segments[0] == "vertex" and len(segments) == 2:
-        payload = snapshot.vertex_payload(_id_from(segments[1], "vertex"))
+        body = snapshot.vertex_json(_id_from(segments[1], "vertex"))
     elif segments[0] == "edge" and len(segments) == 2:
-        payload = snapshot.edge_payload(_id_from(segments[1], "edge"))
+        body = snapshot.edge_json(_id_from(segments[1], "edge"))
     elif segments[0] == "frustration" and len(segments) == 1:
-        payload = snapshot.frustration_payload()
+        body = snapshot.frustration_json()
     elif segments[0] == "bipartition" and len(segments) == 1:
         # The one answer whose size scales with the graph: re-check the
         # deadline between deciding to include members and building the
         # list, so an expired request stops before the expensive part.
-        include_members = _flag(params, "members")
+        include_members = _flag(parts.query, "members")
         deadline.check()
-        payload = snapshot.bipartition_payload(include_members)
+        body = snapshot.bipartition_json(include_members)
     else:
         return (
             404,
@@ -174,7 +176,7 @@ def route_query(
             canonical_json({"error": f"unknown path {parts.path!r}"}),
         )
     deadline.check()
-    return 200, _JSON, canonical_json(payload)
+    return 200, _JSON, body
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import email.utils
 import json
 import math
 import re
@@ -65,7 +66,6 @@ from repro.perf.tracing import (
 )
 from repro.serve.admission import TokenBucket
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.cache import ResultCache
 from repro.serve.growth import GrowthWorker
 from repro.serve.handlers import (
     Deadline,
@@ -88,6 +88,23 @@ _MAX_HEAD_LINES = 100
 #: but the colon, and a value with no bare CR (whitespace around it is
 #: not part of it).
 _FIELD = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*?)[ \t]*\r?\n?")
+
+
+#: ``(second, Date header value)`` of the last answer's second.
+_date = (math.nan, "")
+
+
+def _http_date(now: float) -> str:
+    """``email.utils.formatdate(now, usegmt=True)``, formatted once per
+    second.  No lock: threads that race here write the same value, and
+    each writes it with one tuple store."""
+    global _date
+    second = math.floor(now)
+    memo_second, value = _date
+    if second != memo_second:
+        value = email.utils.formatdate(second, usegmt=True)
+        _date = (second, value)
+    return value
 
 
 class _RequestHead(dict):
@@ -145,10 +162,9 @@ class ServeConfig:
     checkpoint: Optional[Path] = None
     keep_checkpoints: int = 2
     journal: Optional[Path] = None
-    # -- admission / caching / breaker ----------------------------------
+    # -- admission / breaker --------------------------------------------
     qps: float = 0.0  # 0 disables admission control
     burst: int = 32
-    cache_size: int = 1024
     breaker_p99_ms: float = 0.0  # 0 disables the breaker
     breaker_window: int = 128
     breaker_cooldown: float = 2.0
@@ -217,7 +233,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
     _request_id = ""
     _request_ctx: Optional[TraceContext] = None
     _status = 0
-    _cache_state = ""
     _outcome = "ok"
 
     def setup(self) -> None:
@@ -227,6 +242,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:
         """Silence per-request stderr chatter (metrics cover it)."""
+
+    def date_time_string(self, timestamp: Optional[float] = None) -> str:
+        """The ``Date`` header value; the current one is kept per second."""
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        return _http_date(time.time())
 
     # -- request head ---------------------------------------------------
     def parse_request(self) -> bool:
@@ -341,7 +362,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         reaches it: a bad head (400, 414, 431, 505) or a method it has
         no handler for (501)."""
         start = time.monotonic()
-        self._request_id, self._request_ctx, self._cache_state = "", None, ""
+        self._request_id, self._request_ctx = "", None
         if not self.command:
             self.path = ""  # no request line was read
         super().send_error(code, message, explain)
@@ -564,7 +585,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
             path=self.path,
             status=self._status,
             latency_ms=round((time.monotonic() - wall_start) * 1000.0, 3),
-            cache=self._cache_state,
             outcome=outcome,
         )
 
@@ -574,7 +594,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
         registry.count("serve.requests_total", 1)
         ctx = self._request_ctx
         wall_start = time.monotonic()
-        self._cache_state = ""
         self._outcome = "ok"
         try:
             with trace_scope(ctx), span("serve_request"):
@@ -608,17 +627,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                     retry_after=1,
                 )
                 return
-            key = (snapshot.fingerprint, snapshot.epoch, self.path)
-            response = server.cache.get(key)
-            if response is None:
-                self._cache_state = "miss"
-                response = route_query(self.path, snapshot, deadline)
-                if response[0] == 200:
-                    server.cache.put(key, response)
-            else:
-                self._cache_state = "hit"
-            deadline.check()
-            status, ctype, body = response
+            status, ctype, body = route_query(self.path, snapshot, deadline)
             self._respond(status, ctype, body)
         except DeadlineExceeded as exc:
             registry.count("serve.deadline_exceeded_total", 1)
@@ -655,7 +664,8 @@ class FrustrationServer(ThreadingHTTPServer):
     block_on_close = False
 
     #: How many recent request → trace mappings the daemon remembers
-    #: for ``/debug/trace?request_id=`` lookups.
+    #: for ``/debug/trace?request_id=`` lookups (with ``debug_trace``
+    #: on; nothing reads them otherwise, so nothing is kept).
     RECENT_REQUESTS = 1024
 
     def __init__(
@@ -664,7 +674,6 @@ class FrustrationServer(ThreadingHTTPServer):
         config: ServeConfig,
         snapshots: SnapshotStore,
         bucket: TokenBucket,
-        cache: ResultCache,
         breaker: Optional[CircuitBreaker],
         access_log: Optional[Journal] = None,
     ) -> None:
@@ -673,7 +682,6 @@ class FrustrationServer(ThreadingHTTPServer):
         self.config = config
         self.snapshots = snapshots
         self.bucket = bucket
-        self.cache = cache
         self.breaker = breaker
         self.access_log = access_log
         self.growth: Optional[GrowthWorker] = None
@@ -687,8 +695,9 @@ class FrustrationServer(ThreadingHTTPServer):
 
     # -- request → trace identity ring ----------------------------------
     def remember_request(self, request_id: str, trace_id: str) -> None:
-        """Record one answered request's trace id (bounded LRU ring)."""
-        if not request_id:
+        """Record one answered request's trace id (bounded LRU ring),
+        when ``debug_trace`` is on."""
+        if not request_id or not self.config.debug_trace:
             return
         with self._recent_lock:
             self._recent[request_id] = trace_id
@@ -863,7 +872,6 @@ def run_server(
             config,
             snapshots,
             TokenBucket(config.qps, config.burst),
-            ResultCache(config.cache_size),
             breaker,
             access_log=access_log,
         )

@@ -16,10 +16,12 @@ the RCU pattern:
   and answers entirely from it, so a request sees one epoch from its
   first byte to its last even while growth keeps publishing.
 
-Epochs increase monotonically with every swap and key the result
-cache: a cached answer is only valid for the ``(fingerprint, epoch)``
-it was computed under, so cache invalidation is automatic — stale
-entries simply stop being addressable and age out of the LRU.
+Epochs increase monotonically with every swap.  A snapshot renders
+each answer itself: a ``/vertex/<id>`` or ``/edge/<id>`` answer is
+written straight to canonical-JSON bytes on every read, and each
+whole-snapshot answer is rendered once and kept on the snapshot, so a
+newly published epoch starts with none and an old one dies with its
+answers.
 
 Snapshot answers are deterministic: every payload is derived purely
 from the cloud's accumulators, which are themselves a pure function of
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -51,11 +53,18 @@ def canonical_json(payload: Dict[str, Any]) -> bytes:
 
     Keys are sorted and separators fixed, so two payloads with equal
     values serialize to identical bytes — the contract the chaos test's
-    byte-for-byte comparison and the result cache both rely on.
+    byte-for-byte comparison relies on, and the reference every
+    :class:`QuerySnapshot` rendering is tested against.
     """
     return (
         json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     ).encode("utf-8")
+
+
+def _check_id(kind: str, index: int, count: int) -> None:
+    """Raise :class:`ServeError` unless ``0 <= index < count``."""
+    if not 0 <= index < count:
+        raise ServeError(f"{kind} {index} out of range [0, {count})")
 
 
 def _frozen(values: np.ndarray, dtype) -> np.ndarray:
@@ -93,6 +102,9 @@ class QuerySnapshot:
         "edge_v",
         "edge_sign",
         "sides",
+        "side_sizes",
+        "contested_edges",
+        "_rendered",
     )
 
     def __init__(
@@ -121,14 +133,16 @@ class QuerySnapshot:
         # when its status clears 0.5 (ties, status == 0.5 exactly, go
         # to side 0 deterministically).
         self.sides = _frozen(self.status > 0.5, np.bool_)
+        # The whole-snapshot aggregates, counted once per publish.
+        side1 = int(np.count_nonzero(self.sides))
+        self.side_sizes = (self.num_vertices - side1, side1)
+        self.contested_edges = int(np.count_nonzero(self.edge_agreement < 1.0))
+        self._rendered: Dict[str, bytes] = {}
 
     # -- query payloads -------------------------------------------------
     def vertex_payload(self, vertex: int) -> Dict[str, Any]:
         """Consensus attributes of one vertex (status, influence, ...)."""
-        if not 0 <= vertex < self.num_vertices:
-            raise ServeError(
-                f"vertex {vertex} out of range [0, {self.num_vertices})"
-            )
+        _check_id("vertex", vertex, self.num_vertices)
         return {
             "vertex": vertex,
             "status": float(self.status[vertex]),
@@ -142,10 +156,7 @@ class QuerySnapshot:
 
     def edge_payload(self, edge: int) -> Dict[str, Any]:
         """Consensus attributes of one edge (frustration, co-side, ...)."""
-        if not 0 <= edge < self.num_edges:
-            raise ServeError(
-                f"edge {edge} out of range [0, {self.num_edges})"
-            )
+        _check_id("edge", edge, self.num_edges)
         agreement = float(self.edge_agreement[edge])
         return {
             "edge": edge,
@@ -161,9 +172,8 @@ class QuerySnapshot:
 
     def bipartition_payload(self, include_members: bool = False) -> Dict[str, Any]:
         """The consensus bipartition (sizes; members on request)."""
-        side1 = int(self.sides.sum())
         payload: Dict[str, Any] = {
-            "sizes": [self.num_vertices - side1, side1],
+            "sizes": list(self.side_sizes),
             "states": self.num_states,
             "epoch": self.epoch,
         }
@@ -173,10 +183,9 @@ class QuerySnapshot:
 
     def frustration_payload(self) -> Dict[str, Any]:
         """Cloud-level frustration summary (upper bound + contested edges)."""
-        contested = int((self.edge_agreement < 1.0).sum())
         return {
             "frustration_upper_bound": self.frustration_upper_bound,
-            "contested_edges": contested,
+            "contested_edges": self.contested_edges,
             "edges": self.num_edges,
             "states": self.num_states,
             "epoch": self.epoch,
@@ -192,6 +201,71 @@ class QuerySnapshot:
             "fingerprint": self.fingerprint,
             "frustration_upper_bound": self.frustration_upper_bound,
         }
+
+    # -- rendered answers -----------------------------------------------
+    # Each equals canonical_json() of the payload above, byte for byte:
+    # keys in sorted order, ints as str() and floats as repr() of a
+    # Python float, as json.dumps writes them.  Every float here is a
+    # count over a positive state count, so never NaN or infinite,
+    # which json.dumps would spell differently.
+    def vertex_json(self, vertex: int) -> bytes:
+        """``canonical_json(self.vertex_payload(vertex))``, built
+        without the dict."""
+        _check_id("vertex", vertex, self.num_vertices)
+        return (
+            f'{{"agreement":{self.vertex_agreement.item(vertex)!r},'
+            f'"epoch":{self.epoch},'
+            f'"influence":{self.influence.item(vertex)!r},'
+            f'"side":{int(self.sides.item(vertex))},'
+            f'"states":{self.num_states},'
+            f'"status":{self.status.item(vertex)!r},'
+            f'"vertex":{vertex},'
+            f'"volatility":{self.volatility.item(vertex)!r}}}\n'
+        ).encode()
+
+    def edge_json(self, edge: int) -> bytes:
+        """``canonical_json(self.edge_payload(edge))``, built without
+        the dict."""
+        _check_id("edge", edge, self.num_edges)
+        agreement = self.edge_agreement.item(edge)
+        return (
+            f'{{"agreement":{agreement!r},'
+            f'"coside":{self.edge_coside.item(edge)!r},'
+            f'"edge":{edge},'
+            f'"epoch":{self.epoch},'
+            f'"frustration":{1.0 - agreement!r},'
+            f'"sign":{self.edge_sign.item(edge)},'
+            f'"states":{self.num_states},'
+            f'"u":{self.edge_u.item(edge)},'
+            f'"v":{self.edge_v.item(edge)}}}\n'
+        ).encode()
+
+    def info_json(self) -> bytes:
+        """``canonical_json(self.info_payload())``, rendered once."""
+        return self._once("info", self.info_payload)
+
+    def frustration_json(self) -> bytes:
+        """``canonical_json(self.frustration_payload())``, rendered once."""
+        return self._once("frustration", self.frustration_payload)
+
+    def bipartition_json(self, include_members: bool = False) -> bytes:
+        """``canonical_json(self.bipartition_payload(include_members))``,
+        rendered once per value of *include_members*."""
+        return self._once(
+            "members" if include_members else "bipartition",
+            lambda: self.bipartition_payload(include_members),
+        )
+
+    def _once(self, key: str, payload: Callable[[], Dict[str, Any]]) -> bytes:
+        """The answer *key*, rendered from ``payload()`` on first use.
+
+        No lock: threads that race here render the same bytes, and each
+        stores them with one dict write.
+        """
+        body = self._rendered.get(key)
+        if body is None:
+            body = self._rendered[key] = canonical_json(payload())
+        return body
 
 
 class SnapshotStore:

@@ -1,5 +1,6 @@
-"""In-process daemon tests: probes, admission, deadlines, cache, drain,
-and one send per answer."""
+"""In-process daemon tests: probes, admission, deadlines, same bytes
+within an epoch, drain, one send per answer, the request ring and the
+``Date`` memo."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import pytest
 from repro.cloud.cloud import sample_cloud
 from repro.perf.registry import get_registry
 from repro.serve.admission import TokenBucket
-from repro.serve.cache import ResultCache
 from repro.serve.server import FrustrationServer, ServeConfig, _RequestHandler
 from repro.serve.state import SnapshotStore
 
@@ -108,13 +108,12 @@ def test_cache_hits_within_an_epoch():
         second = d.request("/vertex/1")
         assert first[0] == second[0] == 200
         assert first[2] == second[2]
-        assert get_registry().counter("serve.cache_hits_total") >= 1
     assert d.exit_code == 0
 
 
 def test_responses_identical_across_cache_and_epochs(tmp_path):
     """The same (fingerprint, states) must render identical bytes no
-    matter whether the answer came from cache or a fresh render."""
+    matter whether the answer was rendered on this read or kept."""
     with daemon(
         target_states=16, grow_step=4, checkpoint=tmp_path / "ck.npz"
     ) as d:
@@ -184,15 +183,19 @@ class _RecordingSocket:
         pass
 
 
+def _recording(debug_trace: bool = False) -> FrustrationServer:
+    snapshots = SnapshotStore()
+    snapshots.publish(
+        sample_cloud(make_connected_signed(20, 25, seed=11), 8, seed=3), "fp")
+    return FrustrationServer(
+        ("127.0.0.1", 0), ServeConfig(debug_trace=debug_trace), snapshots,
+        TokenBucket(0.0, 32), None,
+    )
+
+
 @pytest.fixture
 def recording_server():
-    graph = make_connected_signed(20, 25, seed=11)
-    snapshots = SnapshotStore()
-    snapshots.publish(sample_cloud(graph, 8, seed=3), "fp")
-    server = FrustrationServer(
-        ("127.0.0.1", 0), ServeConfig(), snapshots, TokenBucket(0.0, 32),
-        ResultCache(16), None,
-    )
+    server = _recording()
     try:
         yield server
     finally:
@@ -231,7 +234,7 @@ def test_each_answer_is_one_send(recording_server):
         "HTTP/1.1 200 OK"]
     assert json.loads(_split(sent[0])[2])["vertex"] == 0
     assert json.loads(_split(sent[1])[2])["edge"] == 1
-    assert _split(sent[0])[2] == _split(sent[2])[2]  # cache hit, same bytes
+    assert _split(sent[0])[2] == _split(sent[2])[2]  # same bytes
 
 
 def test_a_draining_answer_closes_the_connection(recording_server):
@@ -244,3 +247,42 @@ def test_a_draining_answer_closes_the_connection(recording_server):
     assert fields["Retry-After"] == "1"
     assert json.loads(body) == {"error": "draining"}
     assert int(fields["Content-Length"]) == len(body)
+
+
+def _ids_and_traces(sent: list) -> list:
+    fields = [_split(send)[1] for send in sent]
+    return [(f["X-Request-Id"], f["traceparent"].split("-")[1])
+            for f in fields]
+
+
+def test_request_ring_stays_empty_without_debug_trace(recording_server):
+    sent = _serve(recording_server, "/vertex/0", "/edge/1", "/frustration")
+    assert len(sent) == 3
+    assert len(recording_server._recent) == 0
+    for request_id, _trace in _ids_and_traces(sent):
+        assert recording_server.lookup_request(request_id) is None
+
+
+def test_request_ring_records_queries_with_debug_trace():
+    server = _recording(debug_trace=True)
+    try:
+        sent = _serve(server, "/vertex/0", "/edge/1", "/nope")
+        for request_id, trace in _ids_and_traces(sent):
+            assert server.lookup_request(request_id) == trace
+    finally:
+        server.server_close()
+
+
+def test_date_header_is_formatdate_of_the_current_second(
+        recording_server, monkeypatch):
+    import time
+    from email.utils import formatdate
+
+    dates = []
+    for now in (1_700_000_000.25, 1_700_000_000.75, 1_700_000_001.5,
+                1_700_000_001.0, 1_700_003_600.0):
+        monkeypatch.setattr(time, "time", lambda: now)
+        (send,) = _serve(recording_server, "/vertex/0")
+        dates.append(_split(send)[1]["Date"])
+        assert dates[-1] == formatdate(now, usegmt=True)
+    assert dates[0] == dates[1] != dates[2] == dates[3] != dates[4]

@@ -101,7 +101,6 @@ MODULES = [
     "repro.serve",
     "repro.serve.admission",
     "repro.serve.breaker",
-    "repro.serve.cache",
     "repro.serve.growth",
     "repro.serve.handlers",
     "repro.serve.server",
