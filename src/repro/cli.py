@@ -274,10 +274,10 @@ def _cmd_cloud(args) -> int:
     if args.trace_out:
         from repro.perf.trace_export import spans_to_events, write_chrome_trace
 
-        events = spans_to_events(collector.events())
-        write_chrome_trace(events, args.trace_out)
+        spans = collector.events()
+        write_chrome_trace(spans_to_events(spans), args.trace_out)
         print(f"Chrome trace written to {args.trace_out} "
-              f"({len(collector)} spans)")
+              f"({len(spans)} spans)")
     _print_run_report(cloud)
     snap = getattr(cloud, "metrics", None)
     if args.trace:
@@ -569,6 +569,10 @@ def _cmd_flight(args) -> int:
         else:
             print("  nothing in flight at last dump")
         for event in doc["events"][-args.events:]:
+            if event["kind"] == "span":
+                ms = (event["end"] - event["start"]) * 1e3
+                print(f"    span {event['path']}: {ms:.3f} ms (pid {event['pid']})")
+                continue
             fields = {k: v for k, v in event.items()
                       if k not in ("kind", "ts", "seq", "wall")}
             print(f"    {event['kind']}: {fields}")
@@ -1081,7 +1085,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "pool workers); dumps land as DIR/flight-<pid>"
                         ".json, readable via `repro flight dump DIR`")
     p.add_argument("--trace-max-events", type=int, default=4096,
-                   help="span-buffer bound while --debug-trace is on "
+                   help="record-ring bound while --debug-trace is on "
                         "(default 4096; oldest requests drop first)")
     p.add_argument("--grow-workers", type=int, default=1,
                    help="processes per growth round (>1 fans rounds "

@@ -75,7 +75,7 @@ from repro.parallel.supervisor import (
 from repro.perf.flight import install_flight_recorder
 from repro.perf.journal import events_enabled, journal_event, reset_sinks
 from repro.perf.registry import collecting, get_registry
-from repro.perf.tracing import set_trace_collector, span
+from repro.perf.tracing import span
 from repro.rng import SeedLike, freeze_seed
 from repro.trees.sampler import TreeSampler
 
@@ -111,8 +111,8 @@ def _init_worker_process(flight_dir: str | None) -> None:
     flight recorder when the campaign asked for one, and tie the
     worker's life to its parent's.
 
-    Fork-start workers inherit the parent's trace collector and event
-    sinks (its journal, its flight recorder) by memory copy; they are
+    Fork-start workers inherit the parent's event sinks (its journal,
+    its trace collector, its flight recorder) by memory copy; they are
     the *parent's* identity and must not be written from here.  Outside
     a child process (an initializer called in-process, as the tests do)
     there is nothing inherited to drop and no parent to outlive, so it
@@ -120,7 +120,6 @@ def _init_worker_process(flight_dir: str | None) -> None:
     """
     if multiprocessing.parent_process() is None:
         return
-    set_trace_collector(None)
     reset_sinks()
     if flight_dir is not None:
         install_flight_recorder(flight_dir, role="pool-worker")

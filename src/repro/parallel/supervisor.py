@@ -93,8 +93,8 @@ from repro.perf.tracing import (
     absorb_shard,
     collecting_trace,
     collector_shard,
-    get_trace_collector,
     span,
+    stitching_rings,
 )
 
 __all__ = [
@@ -112,9 +112,9 @@ Block = Tuple[int, int, int]
 #: campaign deadline.
 _TICK = 0.05
 
-#: Bound on the span events one block shard ships back with its result
-#: (a straggler block can close thousands of tree_sample spans; the
-#: shard keeps the first N and counts the rest as dropped).
+#: Bound on the records one block shard ships back (a straggler block
+#: can close thousands of tree_sample spans); the newest are kept, so
+#: the block span, which closes last, always ships.
 _SHARD_MAX_EVENTS = 512
 
 
@@ -382,8 +382,8 @@ def _run_in_worker(
 
     *trace* is a :meth:`~repro.perf.tracectx.TraceContext.to_dict`
     payload naming the parent span the block hangs under; the worker
-    records its spans into a bounded local collector and ships them
-    back as the outcome's shard.
+    records its spans into a bounded local ring and ships it back as
+    the outcome's shard.
     """
     from repro.parallel.pool import _worker_graph
 
@@ -489,11 +489,10 @@ class CampaignSupervisor:
         self.stop_event = stop_event
         self.flight_dir = flight_dir
         self.on_complete = on_complete
-        # The ambient trace context (the campaign span's, or a serve
-        # request's) at construction time is what every pool task's
-        # block span chains under; None when no trace is being
-        # collected, keeping task payloads unchanged.
-        ctx = current_trace()
+        # Every pool task's block span chains under the ambient trace
+        # context (the campaign span's, or a serve request's); None
+        # when no trace collector is installed.
+        ctx = current_trace() if stitching_rings() else None
         self.trace = ctx.to_dict() if ctx is not None else None
 
         self.report = RunReport(policy=policy, blocks_total=len(self.blocks))
@@ -560,12 +559,12 @@ class CampaignSupervisor:
     def _complete(self, block: Block, outcome: _Outcome) -> None:
         """Record one completed block (all ladder rungs funnel here):
         fold its metrics snapshot and span shard into the parent's
-        registry and collector, exactly once."""
+        registry and trace collectors, exactly once."""
         if outcome.metrics:
             get_registry().merge_snapshot(outcome.metrics)
-        collector = get_trace_collector()
-        if outcome.shard and collector is not None:
-            absorb_shard(collector, outcome.shard)
+        if outcome.shard:
+            for ring in stitching_rings():
+                absorb_shard(ring, outcome.shard)
         result = self.task.unpack(self.graph, outcome.result)
         self.ran_on.append((block, outcome.pid))
         if events_enabled():

@@ -16,11 +16,13 @@ and observability-related:
   schedule timelines with occupancy/straggler/divergence reports from
   the simulated machines (:mod:`repro.perf.timeline`), and their
   Chrome/Perfetto export (:mod:`repro.perf.trace_export`), which also
-  renders real span traces (:class:`TraceCollector`).
+  renders real span traces.
 * :func:`journal_event` — the one event stream.  Each record goes to
   every installed sink: the append-only :class:`Journal` with
-  crash-safe replay (:mod:`repro.perf.journal`) and the crash
-  :class:`FlightRecorder` ring (:mod:`repro.perf.flight`).
+  crash-safe replay (:mod:`repro.perf.journal`) and the record rings,
+  which also keep span ends — the :class:`TraceCollector`
+  (:mod:`repro.perf.tracing`) and the crash :class:`FlightRecorder`
+  that dumps its ring (:mod:`repro.perf.flight`).
 * :class:`Counters` — per-call-site op counters
   (:mod:`repro.perf.compat`) that the simulated-machine cost models
   replay; phase times, from a campaign down to one balance call, are
@@ -111,9 +113,7 @@ from repro.perf.tracing import (
     absorb_shard,
     collecting_trace,
     collector_shard,
-    get_trace_collector,
     get_tracer,
-    set_trace_collector,
     span,
 )
 
@@ -149,10 +149,8 @@ __all__ = [
     "collecting_trace",
     "collector_shard",
     "current_trace",
-    "get_trace_collector",
     "get_tracer",
     "mint_trace",
-    "set_trace_collector",
     "span",
     "trace_scope",
     "FlightRecorder",

@@ -1,28 +1,31 @@
 """Crash flight recorder: the event stream's black box.
 
-A :class:`FlightRecorder` is a sink of the one event stream
-(:func:`repro.perf.journal.journal_event`): it keeps a fixed-size ring
-of the most recent records, in the journal's shape (``ts``, ``kind``,
-fields; no ``seq``), and dumps itself *atomically* to a per-pid JSON
-file.  The design is crash-only, so the dump discipline matters more
-than the ring:
+A :class:`FlightRecorder` is a record ring
+(:class:`~repro.perf.tracing.TraceCollector`) of the last 256 records —
+the event stream's records (:func:`repro.perf.journal.journal_event`,
+in the journal's shape: ``ts``, ``kind``, fields; no ``seq``) and the
+span ends between them — plus the policy that dumps it *atomically* to
+a per-pid JSON file.  The design is crash-only, so the dump discipline
+matters more than the ring:
 
 * :meth:`~FlightRecorder.mark_inflight` — called at the start of every
   unit of work (a pool block, a growth round) — records what is about
   to run and dumps **immediately**.  A worker killed with ``SIGKILL``
   mid-block therefore always leaves a readable dump naming its
-  in-flight block; no exit hook is needed because the hook already ran
-  at entry.  In-flight marks go to the ring only, never the journal.
+  in-flight block, after the span ends of the phases that closed
+  before it; no exit hook is needed because the hook already ran at
+  entry.  In-flight marks go to the ring only, never the journal.
 * unhandled exceptions (``sys.excepthook`` + ``threading.excepthook``)
   dump with the failure recorded, then chain to the previous hook so
   normal teardown still happens.
-* every Nth record re-dumps (``autodump_every``), bounding how stale a
-  crash dump can be in steady state.
+* every Nth event record re-dumps (``autodump_every``; span ends do
+  not count), bounding how stale a crash dump can be in steady state.
 
 Dumps are ``tmp + fsync + os.replace`` — a reader never sees a torn
 file, and repeated dumps overwrite in place (one file per pid,
 ``flight-<pid>.json``), so a long campaign leaves one small file per
-process, not a log.
+process, not a log.  Worker shards and dumps share one serializer
+(:func:`~repro.perf.tracing.collector_shard`).
 
 :func:`flight_recording` is the scope that arms a recorder: it joins
 the stream with its crash hooks, and on exit dumps once and leaves the
@@ -35,7 +38,6 @@ records (whose events carry ``wall`` instead of ``ts``).
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import json
 import os
@@ -43,10 +45,11 @@ import sys
 import tempfile
 import threading
 import time
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import ReproError
 from repro.perf.journal import _jsonable, get_sinks, install_sink, remove_sink
+from repro.perf.tracing import TraceCollector, collector_shard
 
 __all__ = [
     "FlightRecorder",
@@ -76,36 +79,34 @@ def _dump_default(value: Any) -> Any:
         return str(value)
 
 
-class FlightRecorder:
-    """Bounded in-memory event ring with atomic crash dumps."""
+class FlightRecorder(TraceCollector):
+    """The last *capacity* records of the event stream and the spans
+    between them, with atomic crash dumps."""
+
+    stitches = False  # one process's black box: no trace, no shards
 
     def __init__(self, path: str, capacity: int = DEFAULT_CAPACITY,
                  autodump_every: int = 32) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
+        super().__init__(capacity)
         self.path = path
-        self.capacity = capacity
         self.autodump_every = autodump_every
-        self._lock = threading.Lock()
-        self._ring: Deque[Dict[str, Any]] = collections.deque(
-            maxlen=capacity)
         self._inflight: Optional[Dict[str, Any]] = None
         self._since_dump = 0
         self._hooks: Optional[tuple] = None
 
     # -- recording -----------------------------------------------------
 
-    def append(self, record: Dict[str, Any]) -> None:
-        """Sink side of the event stream: keep *record* in the ring
-        (oldest records fall off); every ``autodump_every`` records the
-        ring is re-dumped to disk."""
-        dump_now = False
+    def append(self, record: Any) -> None:
+        """Sink side of the event stream: keep *record* in the ring;
+        every ``autodump_every`` event records the ring is re-dumped."""
+        self.record_event(record)
         with self._lock:
-            self._ring.append(record)
             self._since_dump += 1
-            if self.autodump_every and self._since_dump >= self.autodump_every:
+            dump_now = 0 < self.autodump_every <= self._since_dump
+            if dump_now:
                 self._since_dump = 0
-                dump_now = True
         if dump_now:
             self.dump()
 
@@ -137,29 +138,27 @@ class FlightRecorder:
     def snapshot(self) -> Dict[str, Any]:
         """The dump document: versioned, self-describing JSON."""
         with self._lock:
-            events = list(self._ring)
             inflight = dict(self._inflight) if self._inflight else None
         return {
             "version": DUMP_VERSION,
-            "pid": os.getpid(),
             "wall": time.time(),
             "inflight": inflight,
-            "events": events,
+            **collector_shard(self),
         }
 
     def dump(self) -> Optional[str]:
         """Atomically write the current snapshot to ``self.path``;
         returns the path, or ``None`` if the write failed (a flight
         recorder must never take the process down with it)."""
-        doc = self.snapshot()
+        # json.dump would stream through the pure-Python encoder: ~4x slower.
+        text = json.dumps(self.snapshot(), separators=(",", ":"), default=_dump_default)
         directory = os.path.dirname(self.path) or "."
         try:
             fd, tmp = tempfile.mkstemp(
                 prefix=os.path.basename(self.path) + ".", dir=directory)
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh, separators=(",", ":"),
-                              default=_dump_default)
+                    fh.write(text)
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, self.path)

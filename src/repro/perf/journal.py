@@ -24,8 +24,8 @@ Emission is decoupled from the campaign code via one process-global
 event stream: drivers call :func:`journal_event` unconditionally, which
 builds one record (``ts``, ``kind``, fields) and hands it to every
 installed sink — the journal (``--journal`` / :func:`journaling`),
-which adds ``seq``, and the crash flight recorder's ring
-(``--flight-dir`` / :func:`repro.perf.flight.flight_recording`).  With
+which adds ``seq``, and the record rings, which also keep span ends
+(:mod:`repro.perf.tracing`, :mod:`repro.perf.flight`).  With
 no sink installed it is a single emptiness check.  Events therefore
 never change results — they only append to side files.
 """
@@ -38,7 +38,7 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "read_journal",
     "summarize_journal",
     "render_summary",
+    "watch_sinks",
 ]
 
 PathLike = Union[str, Path]
@@ -183,9 +184,24 @@ class Journal:
 # -- the one event stream ----------------------------------------------
 #
 # The sinks live in one tuple that is replaced, never mutated, so
-# journal_event reads it without taking a lock.
+# journal_event reads it without a lock; watchers see each new one.
 _SINKS: Tuple[Any, ...] = ()
 _SINKS_LOCK = threading.Lock()
+_WATCHERS: List[Callable[[Tuple[Any, ...]], None]] = []
+
+
+def _publish(sinks: Tuple[Any, ...]) -> None:
+    global _SINKS
+    _SINKS = sinks
+    for watcher in _WATCHERS:
+        watcher(sinks)
+
+
+def watch_sinks(callback: Callable[[Tuple[Any, ...]], None]) -> None:
+    """Call *callback* with the sink tuple now and at every change (the
+    tracer keeps its record rings so)."""
+    _WATCHERS.append(callback)
+    callback(_SINKS)
 
 
 def get_sinks() -> Tuple[Any, ...]:
@@ -201,27 +217,25 @@ def events_enabled() -> bool:
 
 def install_sink(sink: Any) -> None:
     """Add *sink* (anything with ``append(record)``) to the stream."""
-    global _SINKS
     with _SINKS_LOCK:
-        _SINKS = _SINKS + (sink,)
+        _publish(_SINKS + (sink,))
 
 
 def remove_sink(sink: Any) -> None:
     """Take *sink* out of the stream (a no-op when it is not in it)."""
-    global _SINKS
     with _SINKS_LOCK:
-        _SINKS = tuple(s for s in _SINKS if s is not sink)
+        _publish(tuple(s for s in _SINKS if s is not sink))
 
 
 def reset_sinks() -> None:
     """Drop every sink at once: what a fork-start pool worker does with
-    the journal and recorder it inherited from its parent.  The parent
+    the journal and recorders it inherited from its parent.  The parent
     may have held the lock at fork time, so it is replaced, not taken:
     an inherited held lock would block the worker's next
     :func:`install_sink` for ever."""
-    global _SINKS, _SINKS_LOCK
+    global _SINKS_LOCK
     _SINKS_LOCK = threading.Lock()
-    _SINKS = ()
+    _publish(())
 
 
 def journal_event(kind: str, **fields: Any) -> None:
@@ -317,6 +331,15 @@ def read_journal(
     return events
 
 
+#: Event kinds whose summary field counts their occurrences.
+_COUNTED = {
+    "block_retried": "retries", "block_timeout": "timeouts",
+    "pool_rebuilt": "pool_rebuilds", "block_degraded": "degraded",
+    "checkpoint_written": "checkpoints", "serve_degraded": "serve_degraded",
+    "serve_recovered": "serve_recovered", "disk_full": "disk_full",
+}
+
+
 def summarize_journal(path: PathLike) -> Dict[str, Any]:
     """Fold a journal into campaign-level counts.
 
@@ -360,23 +383,15 @@ def summarize_journal(path: PathLike) -> Dict[str, Any]:
                 k: v for k, v in event.items()
                 if k not in ("seq", "ts", "kind")
             }
+        elif kind in _COUNTED:
+            summary[_COUNTED[kind]] += 1
         elif kind == "block_completed":
             summary["blocks_completed"] += 1
             summary["states"] += int(event.get("states", 0))
-        elif kind == "block_retried":
-            summary["retries"] += 1
-        elif kind == "block_timeout":
-            summary["timeouts"] += 1
-        elif kind == "pool_rebuilt":
-            summary["pool_rebuilds"] += 1
         elif kind == "block_quarantined":
             summary["quarantined"].append(int(event.get("block", -1)))
-        elif kind == "block_degraded":
-            summary["degraded"] += 1
         elif kind == "deadline_hit":
             summary["deadline_hit"] = True
-        elif kind == "checkpoint_written":
-            summary["checkpoints"] += 1
         elif kind == "campaign_completed":
             summary["completed"] = True
             if "states" in event:
@@ -384,12 +399,6 @@ def summarize_journal(path: PathLike) -> Dict[str, Any]:
         elif kind == "convergence":
             if "frustration_upper_bound" in event:
                 summary["frustration_bound"] = event["frustration_upper_bound"]
-        elif kind == "serve_degraded":
-            summary["serve_degraded"] += 1
-        elif kind == "serve_recovered":
-            summary["serve_recovered"] += 1
-        elif kind == "disk_full":
-            summary["disk_full"] += 1
         elif kind == "steal_summary":
             # Keep the last summary: a resumed campaign's final steal
             # picture supersedes the pre-crash one.
@@ -450,16 +459,12 @@ def render_summary(summary: Dict[str, Any]) -> str:
             f"  steal: {steal['workers_used']}/{steal['workers']} workers "
             f"took blocks ({per_worker})"
         )
+    shown = set(_COUNTED) | {
+        "campaign_started", "campaign_completed", "block_completed",
+        "block_quarantined", "deadline_hit", "convergence", "steal_summary",
+    }
     other = {
-        k: v for k, v in sorted(summary["kinds"].items())
-        if k not in (
-            "campaign_started", "campaign_completed", "block_completed",
-            "block_retried", "block_timeout", "pool_rebuilt",
-            "block_quarantined", "block_degraded", "deadline_hit",
-            "checkpoint_written", "convergence",
-            "serve_degraded", "serve_recovered", "disk_full",
-            "steal_summary",
-        )
+        k: v for k, v in sorted(summary["kinds"].items()) if k not in shown
     }
     if other:
         lines.append(

@@ -30,33 +30,29 @@ span object itself.  When enabled, a span costs two ``perf_counter``
 reads plus three locked registry updates, paid once per *phase*, never
 per edge or per vertex.
 
-When a :class:`TraceCollector` is installed (``collecting_trace()`` /
-``--trace-out``), every closed span additionally appends one
-:class:`SpanEvent` (path, start, end, thread id, trace identity) to it
-— the raw material for Chrome/Perfetto export via
-:mod:`repro.perf.trace_export`.  While a collector is active, spans
-also mint/extend a :class:`~repro.perf.tracectx.TraceContext`: the
-first span on a thread roots a new trace (or attaches under an ambient
-context installed by :func:`~repro.perf.tracectx.trace_scope`, e.g. a
-serve request), and nested spans become its children, so the flat
-event list reassembles into causal trees keyed by ``trace_id``.
-
-Pool workers collect into their own bounded collector and ship it back
-as a *shard* (:func:`collector_shard`) riding the block result; the
-parent folds shards in with :func:`absorb_shard`, which rebases the
-worker's ``perf_counter`` timestamps onto the parent's clock via each
-shard's wall-clock anchor — one stitched timeline across processes.
+Each span end also goes, as one :class:`SpanEvent`, to every record
+ring (:class:`TraceCollector`) in the event stream, in order with its
+event records: the trace collector and the crash flight recorder
+(:mod:`repro.perf.flight`).  While a trace collector is installed,
+spans also mint/extend a :class:`~repro.perf.tracectx.TraceContext`
+(rooting a trace, or attaching under an ambient one such as a serve
+request's), so the flat list reassembles into causal trees keyed by
+``trace_id``.  One serializer (:func:`collector_shard`) writes a ring
+for a pool worker's shard and a flight dump alike; the parent folds
+shards into its trace collectors with :func:`absorb_shard`, on its own
+``perf_counter`` clock — one stitched timeline across processes.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import os
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
+from repro.perf.journal import install_sink, remove_sink, watch_sinks
 from repro.perf.registry import MetricsRegistry, get_registry
 from repro.perf.tracectx import TraceContext, current_trace, pop_trace, push_trace
 
@@ -68,11 +64,10 @@ __all__ = [
     "TraceCollector",
     "get_tracer",
     "span",
-    "get_trace_collector",
-    "set_trace_collector",
     "collecting_trace",
     "collector_shard",
     "absorb_shard",
+    "stitching_rings",
 ]
 
 #: Registry-name prefix marking span-derived metrics.
@@ -102,15 +97,13 @@ class Span:
         stack = self._tracer._stack()
         self.path = f"{stack[-1]}/{self.name}" if stack else self.name
         stack.append(self.path)
-        if _COLLECTOR is not None:
-            # Only pay for trace identity while something records it.
+        if _STITCHERS:
+            # Only pay for trace identity while a ring stitches it.
             parent = current_trace()
             if parent is None:
-                self._ctx = TraceContext.mint()
-                self._parent_id = ""
+                self._ctx, self._parent_id = TraceContext.mint(), ""
             else:
-                self._ctx = parent.child()
-                self._parent_id = parent.span_id
+                self._ctx, self._parent_id = parent.child(), parent.span_id
             push_trace(self._ctx)
         self._start = time.perf_counter()
         return self
@@ -130,13 +123,13 @@ class Span:
         if ctx is not None:
             pop_trace()
             self._ctx = None
-        collector = _COLLECTOR
-        if collector is not None:
-            if ctx is not None:
-                collector.record(path, self._start, end, ctx.trace_id,
-                                 ctx.span_id, self._parent_id)
-            else:
-                collector.record(path, self._start, end)
+        rings = _RINGS
+        if rings:
+            trace_id, span_id = (ctx.trace_id, ctx.span_id) if ctx else ("", "")
+            event = SpanEvent(path, self._start, end, threading.get_ident(),
+                              trace_id, span_id, self._parent_id)
+            for ring in rings:
+                ring.record_event(event)
         self._registry = None
         return False
 
@@ -169,11 +162,11 @@ class Tracer:
         return stack[-1] if stack else None
 
 
-@dataclass(frozen=True)
-class SpanEvent:
+class SpanEvent(NamedTuple):
     """One closed span occurrence: nesting path, ``perf_counter``
-    start/end, the recording thread's id, and (when a trace context
-    was active) its position in the causal tree.
+    start/end, the recording thread's id, and (when a trace collector
+    was installed) its position in the causal tree.  A named tuple, as
+    every span end builds one while a ring is installed.
 
     ``pid`` is 0 for events recorded in this process; events absorbed
     from a worker shard carry the worker's pid so export can lay them
@@ -195,19 +188,25 @@ class SpanEvent:
 
 
 class TraceCollector:
-    """Thread-safe sink of :class:`SpanEvent` records.
+    """A ring of span ends and event records, in the order they closed
+    or were emitted: the one in-memory record buffer of a process.
 
-    Install one with :func:`set_trace_collector` (or the
-    :func:`collecting_trace` scope) and every span closed while it is
-    active appends an event.  Export to Chrome/Perfetto JSON with
+    In the event stream (:func:`~repro.perf.journal.install_sink`, or
+    the :func:`collecting_trace` scope) it keeps every
+    :func:`~repro.perf.journal.journal_event` record and every span
+    that closes.  :meth:`events` returns the span ends alone, for
+    Chrome/Perfetto export via
     :func:`repro.perf.trace_export.spans_to_events`.
 
-    ``max_events`` bounds the buffer for long-lived processes (the
-    serve daemon traces indefinitely): once full, new events are
-    dropped and counted in ``dropped`` rather than growing without
-    limit.  The default 0 keeps the historical unbounded behaviour for
-    short campaign traces.
+    ``max_events`` bounds the ring for long-lived processes (the serve
+    daemon traces indefinitely): once full, the oldest record falls off
+    for each new one and is counted in ``dropped``.  The default 0
+    keeps every record, for short campaign traces.
     """
+
+    #: While a ring that stitches is in the stream, spans mint trace
+    #: identity and pool workers' spans are absorbed into it.
+    stitches = True
 
     def __init__(self, max_events: int = 0) -> None:
         if max_events < 0:
@@ -217,79 +216,75 @@ class TraceCollector:
         self.max_events = max_events
         self.dropped = 0
         self._lock = threading.Lock()
-        self._events: List[SpanEvent] = []
+        self._records: Deque[Any] = collections.deque(
+            maxlen=max_events or None)
 
-    def record(self, path: str, start: float, end: float,
-               trace_id: str = "", span_id: str = "",
-               parent_id: str = "") -> None:
-        """Append one closed-span event (called from ``Span.__exit__``).
-
-        Drops (and counts) the event when the buffer is at capacity."""
-        self.record_event(SpanEvent(path, start, end,
-                                    threading.get_ident(),
-                                    trace_id, span_id, parent_id))
-
-    def record_event(self, event: SpanEvent) -> None:
-        """Append an already-built event (the shard-absorb path uses
-        this to preserve worker thread/pid/trace identity)."""
+    def record_event(self, record: Any) -> None:
+        """Keep one record: a closed span's :class:`SpanEvent` (from
+        ``Span.__exit__`` or an absorbed shard) or an event record."""
         with self._lock:
-            if self.max_events and len(self._events) >= self.max_events:
+            if self.max_events and len(self._records) == self.max_events:
                 self.dropped += 1
-                return
-            self._events.append(event)
+            self._records.append(record)
+
+    #: Sink side of the event stream: an event record is kept like a
+    #: span end.
+    append = record_event
+
+    def records(self) -> List[Any]:
+        """A snapshot copy of every record, oldest first."""
+        with self._lock:
+            return list(self._records)
 
     def events(self) -> List[SpanEvent]:
-        """A snapshot copy of the recorded events, in close order."""
-        with self._lock:
-            return list(self._events)
-
-    def count_dropped(self, n: int) -> None:
-        """Fold *n* drops from an absorbed shard into ``dropped``."""
-        if n:
-            with self._lock:
-                self.dropped += n
+        """The span ends among the records, in close order."""
+        return [r for r in self.records() if isinstance(r, SpanEvent)]
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
+            return len(self._records)
 
 
 _TRACER = Tracer()
-_COLLECTOR: Optional[TraceCollector] = None
+
+#: The rings among the event stream's sinks, and those that stitch.
+_RINGS: Tuple[TraceCollector, ...] = ()
+_STITCHERS: Tuple[TraceCollector, ...] = ()
 
 
-def get_trace_collector() -> Optional[TraceCollector]:
-    """The installed trace collector, or ``None`` (collection off)."""
-    return _COLLECTOR
+def _watch_sinks(sinks: Tuple[Any, ...]) -> None:
+    global _RINGS, _STITCHERS
+    _RINGS = tuple(s for s in sinks if isinstance(s, TraceCollector))
+    _STITCHERS = tuple(r for r in _RINGS if r.stitches)
 
 
-def set_trace_collector(collector: Optional[TraceCollector]) -> None:
-    """Install *collector* as the process-global span-event sink
-    (``None`` turns collection off)."""
-    global _COLLECTOR
-    _COLLECTOR = collector
+watch_sinks(_watch_sinks)
+
+
+def stitching_rings() -> Tuple[TraceCollector, ...]:
+    """The installed rings that stitch traces: where shards go."""
+    return _STITCHERS
 
 
 @contextlib.contextmanager
 def collecting_trace(max_events: int = 0) -> Iterator[TraceCollector]:
-    """Scope that installs a fresh :class:`TraceCollector`, yielding it::
+    """Scope that adds a fresh :class:`TraceCollector` to the event
+    stream, yielding it::
 
         with collecting_trace() as trace:
             run_campaign(...)
         write_chrome_trace(spans_to_events(trace.events()), path)
 
-    The previous collector (usually ``None``) is restored on exit.
-    Note spans only record when the metrics registry is enabled — a
-    disabled registry short-circuits ``Span.__enter__``.
+    On exit it leaves the stream.  Note spans only record when the
+    metrics registry is enabled — a disabled registry short-circuits
+    ``Span.__enter__``.
     """
-    global _COLLECTOR
-    previous = _COLLECTOR
     collector = TraceCollector(max_events)
-    _COLLECTOR = collector
+    install_sink(collector)
     try:
         yield collector
     finally:
-        _COLLECTOR = previous
+        remove_sink(collector)
 
 
 def get_tracer() -> Tracer:
@@ -307,53 +302,55 @@ def span(name: str) -> Span:
     return _TRACER.span(name)
 
 
-# -- cross-process span shards -----------------------------------------
+# -- the ring as plain data --------------------------------------------
 #
-# perf_counter timestamps are meaningless across processes, so a shard
-# carries a wall-clock *anchor* (``time.time() - time.perf_counter()``
-# at ship time).  The parent rebases each event by the difference
-# between the shard's anchor and its own, landing worker spans on the
-# parent's perf_counter timeline (same machine, so clock skew is the
-# NTP-level noise of ``time.time()``, far below span durations).
+# perf_counter timestamps are meaningless across processes, so the
+# serializer writes span times on the wall clock (``perf_counter`` +
+# ``time.time() - time.perf_counter()`` at write time) and the reader
+# moves them back onto its own perf_counter (same machine, so clock
+# skew is the NTP-level noise of ``time.time()``, far below span
+# durations).
 
 def collector_shard(collector: TraceCollector) -> Dict[str, Any]:
-    """Package *collector*'s events for shipment to another process.
+    """*collector*'s ring as plain JSON-able data: a pool worker's
+    shard riding its block result, and the body of a flight dump.
 
-    The shard is plain JSON-able data (it rides pickled block results
-    and flight-recorder dumps alike): the worker pid, the wall-clock
-    anchor, the drop count, and one compact row per event.
+    Holds this pid, the drop count, and the records oldest first: each
+    event record as it is, each span end as a ``kind: "span"`` row
+    with wall-clock ``start`` / ``end`` and its pid.
     """
+    records = collector.records()
+    anchor = time.time() - time.perf_counter()
+    pid = os.getpid()
     return {
-        "pid": os.getpid(),
-        "anchor": time.time() - time.perf_counter(),
+        "pid": pid,
         "dropped": collector.dropped,
         "events": [
-            [e.path, e.start, e.end, e.thread,
-             e.trace_id, e.span_id, e.parent_id]
-            for e in collector.events()
+            {"kind": "span", "path": r.path, "start": r.start + anchor,
+             "end": r.end + anchor, "thread": r.thread,
+             "pid": r.pid or pid, "trace_id": r.trace_id,
+             "span_id": r.span_id, "parent_id": r.parent_id}
+            if isinstance(r, SpanEvent) else r
+            for r in records
         ],
     }
 
 
 def absorb_shard(collector: TraceCollector, shard: Dict[str, Any]) -> int:
-    """Fold a worker's *shard* into *collector*, rebasing timestamps
-    onto this process's ``perf_counter`` clock; returns the number of
-    events absorbed."""
-    offset = float(shard.get("anchor", 0.0)) - (
-        time.time() - time.perf_counter()
-    )
-    pid = int(shard.get("pid", 0))
-    absorbed = 0
-    for row in shard.get("events", ()):
-        path, start, end, thread = row[0], row[1], row[2], row[3]
-        trace_id, span_id, parent_id = (
-            (row[4], row[5], row[6]) if len(row) >= 7 else ("", "", "")
-        )
+    """Fold the span ends of a worker's *shard* into *collector*,
+    moved onto this process's ``perf_counter`` clock, and add the
+    shard's drops to ``dropped``; returns the number of spans
+    absorbed."""
+    anchor = time.time() - time.perf_counter()
+    spans = [row for row in shard.get("events", ())
+             if row.get("kind") == "span"]
+    for row in spans:
         collector.record_event(SpanEvent(
-            str(path), float(start) + offset, float(end) + offset,
-            int(thread), str(trace_id), str(span_id), str(parent_id),
-            pid=pid,
+            str(row["path"]), float(row["start"]) - anchor,
+            float(row["end"]) - anchor, int(row["thread"]),
+            str(row["trace_id"]), str(row["span_id"]),
+            str(row["parent_id"]), pid=int(row["pid"]),
         ))
-        absorbed += 1
-    collector.count_dropped(int(shard.get("dropped", 0)))
-    return absorbed
+    with collector._lock:
+        collector.dropped += int(shard.get("dropped", 0))
+    return len(spans)

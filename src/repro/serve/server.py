@@ -58,12 +58,7 @@ from repro.perf.journal import Journal, journal_event, journaling
 from repro.perf.registry import get_registry
 from repro.perf.trace_export import events_for_trace, spans_to_events
 from repro.perf.tracectx import TraceContext, trace_scope
-from repro.perf.tracing import (
-    TraceCollector,
-    get_trace_collector,
-    set_trace_collector,
-    span,
-)
+from repro.perf.tracing import TraceCollector, collecting_trace, span
 from repro.serve.admission import TokenBucket
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.growth import GrowthWorker
@@ -173,9 +168,9 @@ class ServeConfig:
     request_timeout: float = 10.0  # slow-client guard, seconds
     # -- observability --------------------------------------------------
     access_log: Optional[Path] = None  # JSONL, one line per query
-    debug_trace: bool = False  # /debug/trace + /debug/grow + collector
+    debug_trace: bool = False  # /debug/trace + /debug/grow + record ring
     flight_dir: Optional[Path] = None  # crash flight-recorder dumps
-    trace_max_events: int = 4096  # span buffer bound while tracing
+    trace_max_events: int = 4096  # record ring bound while tracing
     grow_workers: int = 1  # >1 fans growth rounds over a process pool
 
     def __post_init__(self) -> None:
@@ -506,13 +501,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
         """Render one request's stitched spans as a Chrome trace doc.
 
         ``/debug/trace?request_id=<id>`` (or ``trace_id=<32hex>``)
-        slices the daemon's long-lived collector down to one causal
-        tree — HTTP request span, growth rounds it caused, and any
-        absorbed worker-process spans — ready to save and load in
-        Perfetto.  404 unless ``debug_trace`` is on.
+        slices the daemon's bounded record ring down to one causal tree
+        — HTTP request span, growth rounds it caused, and any absorbed
+        worker-process spans — ready to save and load in Perfetto; its
+        ``otherData.dropped`` counts the records the ring has let go.
+        404 unless ``debug_trace`` is on.
         """
         server = self.server
-        if not server.config.debug_trace:
+        ring = server.trace_ring
+        if ring is None:
             self._respond_json(404, {"error": "debug endpoints disabled"})
             return
         params = parse_qs(urlsplit(self.path).query)
@@ -527,9 +524,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                           "trace_id=)"},
             )
             return
-        collector = get_trace_collector()
-        events = collector.events() if collector is not None else []
-        selected = events_for_trace(events, trace_id)
+        selected = events_for_trace(ring.events(), trace_id)
         if not selected:
             self._respond_json(
                 404, {"error": f"no spans recorded for trace {trace_id}"}
@@ -542,6 +537,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             "displayTimeUnit": "ms",
             "otherData": {
                 "trace_id": trace_id, "request_id": request_id,
+                "dropped": ring.dropped,
             },
         }
         body = json.dumps(doc, separators=(",", ":")).encode("utf-8")
@@ -685,6 +681,8 @@ class FrustrationServer(ThreadingHTTPServer):
         self.breaker = breaker
         self.access_log = access_log
         self.growth: Optional[GrowthWorker] = None
+        #: The record ring behind ``/debug/trace`` (``debug_trace``).
+        self.trace_ring: Optional[TraceCollector] = None
         self.draining = False
         self._inflight = 0
         self._inflight_lock = threading.Condition()
@@ -821,15 +819,15 @@ def run_server(
     with contextlib.ExitStack() as stack:
         if config.journal is not None:
             stack.enter_context(journaling(config.journal))
-        # Observability plumbing, all opt-in: the bounded span
-        # collector backs /debug/trace, the flight recorder leaves
-        # crash dumps (and a last one on exit), the access log
-        # narrates every query.  Each scope takes its process-global
-        # sink back on exit, so embedded/test daemons don't leak
-        # state into their host.
-        if config.debug_trace:
-            stack.callback(set_trace_collector, get_trace_collector())
-            set_trace_collector(TraceCollector(config.trace_max_events))
+        # Observability plumbing, all opt-in: the bounded record ring
+        # backs /debug/trace, the flight recorder leaves crash dumps
+        # (and a last one on exit), the access log narrates every
+        # query.  Each scope takes its process-global sink back on
+        # exit, so embedded/test daemons don't leak state into their
+        # host.
+        trace_ring = stack.enter_context(
+            collecting_trace(config.trace_max_events)
+        ) if config.debug_trace else None
         if config.flight_dir is not None:
             stack.enter_context(flight_recording(
                 str(config.flight_dir), role="serve-daemon"))
@@ -876,6 +874,7 @@ def run_server(
             access_log=access_log,
         )
         server.growth = growth
+        server.trace_ring = trace_ring
         stack.callback(server.server_close)
         port = server.server_address[1]
         _write_port_file(config, port)

@@ -21,8 +21,7 @@ import pytest
 
 from repro.graph.build import from_arrays, from_edges
 from repro.graph.csr import SignedGraph
-from repro.perf import journal as _journal_module
-from repro.perf.tracing import get_trace_collector, set_trace_collector
+from repro.perf.journal import get_sinks, install_sink, reset_sinks
 from repro.rng import as_generator
 
 try:
@@ -95,14 +94,13 @@ def pytest_runtest_call(item):
 
 def _observability_state() -> dict:
     """The process-global observability state a test may borrow but
-    must give back: the event sinks (journal, flight recorder), the
-    trace collector and both crash hooks — plus the pool workers'
-    parent-watch threads, which belong in workers only (one left here
-    would end the test session with ``os._exit`` if the runner's
-    parent went away)."""
+    must give back: the event sinks, the one install point of every
+    recorder (journal, trace collector, flight recorder), and both
+    crash hooks — plus the pool workers' parent-watch threads, which
+    belong in workers only (one left here would end the test session
+    with ``os._exit`` if the runner's parent went away)."""
     return {
-        "event sinks": _journal_module.get_sinks(),
-        "trace collector": get_trace_collector(),
+        "event sinks": get_sinks(),
         "sys.excepthook": sys.excepthook,
         "threading.excepthook": threading.excepthook,
         "parent-watch threads": sum(
@@ -113,9 +111,9 @@ def _observability_state() -> dict:
 
 @pytest.fixture(autouse=True)
 def _no_leaked_observability():
-    """Fail any test that leaves a different journal, flight recorder,
-    trace collector or crash hook than it found, or starts a
-    parent-watch thread, then put the old ones back so the leak does
+    """Fail any test that leaves different event sinks (journal, trace
+    collector, flight recorder) or crash hooks than it found, or starts
+    a parent-watch thread, then put the old ones back so the leak does
     not spread to later tests (a thread cannot be taken back)."""
     before = _observability_state()
     yield
@@ -124,8 +122,9 @@ def _no_leaked_observability():
     # compares identities (the sinks element by element).
     leaked = [name for name in before if after[name] != before[name]]
     if leaked:
-        _journal_module._SINKS = before["event sinks"]
-        set_trace_collector(before["trace collector"])
+        reset_sinks()
+        for sink in before["event sinks"]:
+            install_sink(sink)
         sys.excepthook = before["sys.excepthook"]
         threading.excepthook = before["threading.excepthook"]
         pytest.fail(f"test leaked process-global state: {', '.join(leaked)}")

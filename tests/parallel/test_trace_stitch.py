@@ -22,7 +22,13 @@ import pytest
 
 from repro.errors import EngineError
 from repro.parallel.pool import _contiguous_blocks, sample_cloud_pool
-from repro.parallel.supervisor import RetryPolicy
+from repro.parallel.supervisor import (
+    _SHARD_MAX_EVENTS,
+    BlockTask,
+    CampaignSupervisor,
+    RetryPolicy,
+)
+from repro.perf.flight import flight_recording, iter_flight_dumps
 from repro.perf.registry import reset_global_registry
 from repro.perf.tracing import (
     SpanEvent,
@@ -206,8 +212,10 @@ class TestShardMechanics:
         worker.record_event(SpanEvent(
             "block", 1.0, 2.0, 77, "t" * 32, "a" * 16, "b" * 16))
         shard = collector_shard(worker)
-        shard["pid"] = 4242
-        shard["anchor"] += 100.0  # a worker clock 100s "behind"
+        row = shard["events"][0]
+        row["pid"] = 4242
+        row["start"] += 100.0  # closed 100s later on the shared wall clock
+        row["end"] += 100.0
         parent = TraceCollector()
         assert absorb_shard(parent, shard) == 1
         got = parent.events()[0]
@@ -218,11 +226,17 @@ class TestShardMechanics:
         assert got.duration == pytest.approx(1.0, abs=1e-6)
 
     def test_shard_carries_drop_count(self):
-        worker = TraceCollector(max_events=1)
-        worker.record("a", 0.0, 1.0)
-        worker.record("b", 0.0, 1.0)  # dropped
+        worker = TraceCollector(max_events=2)
+        worker.record_event(SpanEvent("a", 0.0, 1.0, 1))  # dropped
+        worker.append({"ts": 0.5, "kind": "tick"})
+        worker.record_event(SpanEvent("b", 0.0, 1.0, 1))
+        shard = collector_shard(worker)
+        assert shard["dropped"] == 1
+        assert [r["kind"] for r in shard["events"]] == ["tick", "span"]
         parent = TraceCollector()
-        absorb_shard(parent, collector_shard(worker))
+        # Only span ends are absorbed; the shard's drops are added.
+        assert absorb_shard(parent, shard) == 1
+        assert [e.path for e in parent.events()] == ["b"]
         assert parent.dropped == 1
 
     def test_events_for_trace_filters(self):
@@ -236,6 +250,67 @@ class TestShardMechanics:
         assert tid and events[1].trace_id != tid  # separate roots
         only = events_for_trace(events, tid)
         assert [e.path for e in only] == ["alpha"]
+
+
+class _ManySpans(BlockTask):
+    """Picklable task whose block closes more child spans than one
+    shard keeps."""
+
+    def __call__(self, graph, block):
+        for _ in range(_SHARD_MAX_EVENTS + 100):
+            with span("child"):
+                pass
+
+
+class TestLongBlockShard:
+    def test_long_block_ships_its_block_span(self, graph):
+        """The shard keeps its newest records: the block span, which
+        closes last, always ships, and every kept span's parent is in
+        the stitched trace."""
+        blocks = _contiguous_blocks(2, 2)
+        with collecting_trace() as trace, span("campaign"):
+            completed, report = CampaignSupervisor(
+                graph, blocks, _ManySpans(), seed=0, workers=2,
+                policy=RetryPolicy(**FAST),
+            ).run()
+        assert report.ok and len(completed) == 2
+        events = trace.events()
+        _assert_stitched(events)
+        worker = [e for e in events if e.pid != 0]
+        assert sum(e.path.endswith("block") for e in worker) == 2
+        assert trace.dropped >= 2 * 100
+        (campaign,) = [e for e in events if e.path == "campaign"]
+        span_ids = {e.span_id for e in events}
+        for event in worker:
+            assert (event.parent_id in span_ids
+                    or event.parent_id == campaign.span_id), event
+
+
+class TestFlightOnly:
+    def test_flight_recorder_alone_stitches_nothing(self, graph, tmp_path):
+        """A flight recorder is its own process's black box: with no
+        trace collector, spans mint no trace identity, no trace rides
+        the pool tasks, and the driver's dump holds none of its
+        workers' spans, which stay in the workers' own dumps."""
+        with flight_recording(str(tmp_path), role="driver") as rec:
+            sample_cloud_pool(graph, 12, workers=2, seed=7,
+                              flight_dir=str(tmp_path))
+            with span("campaign"):
+                assert CampaignSupervisor(
+                    graph, _contiguous_blocks(2, 2), _ManySpans(), seed=0,
+                    workers=2, policy=RetryPolicy(**FAST),
+                ).trace is None
+        dumps = {doc["pid"]: doc for doc in iter_flight_dumps(str(tmp_path))}
+        driver = dumps.pop(os.getpid())
+        assert rec.path.endswith(f"flight-{os.getpid()}.json")
+        spans = [e for e in driver["events"] if e["kind"] == "span"]
+        assert spans and {e["pid"] for e in spans} == {os.getpid()}
+        assert all(e["trace_id"] == "" for e in spans)
+        assert dumps, "no pool worker left a dump"
+        for pid, doc in dumps.items():
+            paths = {e["path"] for e in doc["events"]
+                     if e["kind"] == "span" and e["pid"] == pid}
+            assert any(p.endswith("tree_sample") for p in paths), paths
 
 
 class TestStitchedRestarts:

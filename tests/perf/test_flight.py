@@ -1,7 +1,8 @@
 """Tests for the crash flight recorder: ring bounds, the
 dump-before-compute discipline of ``mark_inflight``, the one event
-stream it shares with the journal, its scope, atomic dump
-reading/validation, and the ``repro flight dump`` CLI."""
+stream it shares with the journal, the span ends between its events,
+its scope, atomic dump reading/validation, and the ``repro flight
+dump`` CLI."""
 
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from repro.perf.journal import (
     journaling,
     read_journal,
 )
+from repro.perf.tracing import SpanEvent, collecting_trace, span
 
 
 def _record(kind, **fields):
@@ -99,6 +101,18 @@ class TestRecorder:
         assert not path.exists()
         rec.append(_record("c"))
         assert len(read_flight_dump(str(path))["events"]) == 3
+
+    def test_span_ends_do_not_autodump(self, tmp_path):
+        """Only event records count toward a re-dump: a span end costs
+        the ring an append, never a file write."""
+        path = tmp_path / "f.json"
+        rec = FlightRecorder(str(path), autodump_every=2)
+        for i in range(5):
+            rec.record_event(SpanEvent("tree_sample", i, i + 0.5, 1))
+        rec.append(_record("a"))
+        assert not path.exists()
+        rec.append(_record("b"))
+        assert len(read_flight_dump(str(path))["events"]) == 7
 
     def test_dump_swallows_unwritable_path(self, tmp_path):
         rec = FlightRecorder(str(tmp_path / "gone" / "f.json"))
@@ -203,6 +217,38 @@ class TestOneStream:
         assert kinds == ["started", "inflight", "block_completed",
                          "completed"]
 
+    def test_dump_lists_span_ends_between_events(self, tmp_path):
+        """A dump says which phase closed before the in-flight mark:
+        span ends share the ring with the event records, in order."""
+        with flight_recording(str(tmp_path)) as rec:
+            journal_event("block_started")
+            with span("tree_sample"):
+                pass
+            flight_mark_inflight(what="block", block=[0, 2, 1])
+            doc = read_flight_dump(rec.path)
+            flight_clear_inflight(what="block", block=[0, 2, 1])
+        kinds = [e["kind"] for e in doc["events"]]
+        assert kinds == ["started", "block_started", "span", "inflight"]
+        row = doc["events"][2]
+        assert row["path"] == "tree_sample"
+        assert row["pid"] == os.getpid() == doc["pid"]
+        # A flight recorder alone mints no trace identity.
+        assert row["trace_id"] == row["span_id"] == ""
+        assert doc["events"][1]["ts"] <= row["start"] <= row["end"]
+        assert row["end"] <= doc["events"][3]["ts"]
+
+    def test_span_ends_carry_trace_identity_beside_a_collector(
+            self, tmp_path):
+        with flight_recording(str(tmp_path)) as rec, \
+                collecting_trace() as trace:
+            with span("tree_sample"):
+                pass
+            doc = rec.snapshot()
+        (row,) = [e for e in doc["events"] if e["kind"] == "span"]
+        (event,) = trace.events()
+        assert row["trace_id"] == event.trace_id != ""
+        assert row["span_id"] == event.span_id != ""
+
     def test_flight_only_runs_turn_events_on(self, tmp_path):
         with flight_recording(str(tmp_path)):
             assert events_enabled()
@@ -290,6 +336,16 @@ class TestFlightCli:
         out = capsys.readouterr().out
         assert "tick: {'n': 2}" in out
         assert "'ts'" not in out and "'seq'" not in out
+
+    def test_dump_prints_span_on_one_line(self, tmp_path, capsys):
+        rec = FlightRecorder(str(tmp_path / "flight-8.json"))
+        rec.record_event(SpanEvent("campaign/block/tree_sample",
+                                   1.0, 1.0025, 1))
+        rec.dump()
+        assert main(["flight", "dump", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert (f"    span campaign/block/tree_sample: 2.500 ms "
+                f"(pid {os.getpid()})\n") in out
 
     def test_dump_reads_pre_stream_dumps(self, tmp_path, capsys):
         """Dumps whose ring events carry ``wall`` (written before the

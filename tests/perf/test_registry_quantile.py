@@ -1,4 +1,4 @@
-"""Histogram quantile estimation and the bounded trace collector."""
+"""Histogram quantile estimation and the bounded record ring."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.perf.registry import Histogram
-from repro.perf.tracing import TraceCollector
+from repro.perf.tracing import SpanEvent, TraceCollector
 
 
 class TestHistogramQuantile:
@@ -44,23 +44,39 @@ class TestHistogramQuantile:
         assert a.quantile(0.75) == 1.0
 
 
+def _span(i):
+    return SpanEvent("s", float(i), float(i) + 1, 1)
+
+
 class TestBoundedTraceCollector:
     def test_unbounded_by_default(self):
         collector = TraceCollector()
         for i in range(1000):
-            collector.record("s", float(i), float(i) + 1)
+            collector.record_event(_span(i))
         assert len(collector) == 1000
         assert collector.dropped == 0
 
     def test_drops_and_counts_past_capacity(self):
         collector = TraceCollector(max_events=5)
         for i in range(12):
-            collector.record("s", float(i), float(i) + 1)
+            collector.record_event(_span(i))
         assert len(collector) == 5
         assert collector.dropped == 7
-        # The retained events are the oldest (head of the run), so a
-        # truncated daemon trace still shows the boot sequence.
-        assert [e.start for e in collector.events()] == [0, 1, 2, 3, 4]
+        # The oldest records fall off first (``--trace-max-events``:
+        # "oldest requests drop first"), so a wrapped daemon ring
+        # still holds its latest requests.
+        assert [e.start for e in collector.events()] == [7, 8, 9, 10, 11]
+
+    def test_events_are_the_span_ends_among_records(self):
+        collector = TraceCollector(max_events=3)
+        collector.record_event(_span(0))
+        collector.append({"ts": 1.0, "kind": "tick"})
+        collector.record_event(_span(2))
+        collector.append({"ts": 3.0, "kind": "tock"})
+        assert collector.dropped == 1
+        assert [r["kind"] for r in collector.records()
+                if isinstance(r, dict)] == ["tick", "tock"]
+        assert [e.start for e in collector.events()] == [2.0]
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):

@@ -131,6 +131,10 @@ def test_sigkill_then_restart_serves_byte_identical_prefix(
               if e["kind"] == "inflight" and e.get("what") == "growth_round"]
     assert rounds, "no growth round was recorded before the kill"
     assert rounds[-1]["block_stop"] - rounds[-1]["block_start"] <= 4
+    # Next to the in-flight mark, the span ends of the rounds that
+    # closed before it say which phases the daemon got through.
+    spans = [e["path"] for e in daemon_doc["events"] if e["kind"] == "span"]
+    assert any(p.endswith("serve_growth_round") for p in spans), spans
 
     # Restart; boot must recover from the checkpoint chain alone.
     proc2 = _spawn(tmp_path, "--no-grow")

@@ -138,6 +138,36 @@ class TestStitchedServeTrace:
             assert status == 404
 
 
+    def test_wrapped_ring_keeps_the_newest_requests(self):
+        """``--trace-max-events`` bounds the daemon's ring and the
+        oldest records drop first: once growth and traffic have wrapped
+        it, a new request's trace is there and the first one's is
+        gone."""
+        bound = 64
+        with daemon(
+            target_states=4000, grow_step=4, grow_delay_ms=20.0,
+            debug_trace=True, trace_max_events=bound,
+        ) as handle:
+            handle.wait_states(8)
+            status, _, _ = handle.request(
+                "/frustration", headers={"X-Request-Id": "early"})
+            assert status == 200
+            for _ in range(2 * bound):  # one serve_request span each
+                handle.request("/frustration")
+            status, _, _ = handle.request(
+                "/frustration", headers={"X-Request-Id": "late"})
+            assert status == 200
+            status, _, body = handle.request("/debug/trace?request_id=late")
+            assert status == 200
+            doc = json.loads(body)
+            names = {e["name"] for e in doc["traceEvents"]
+                     if e.get("ph") == "X"}
+            assert "serve_request" in names
+            assert doc["otherData"]["dropped"] > 0
+            status, _, _ = handle.request("/debug/trace?request_id=early")
+            assert status == 404
+
+
 class TestAccessLog:
     def test_one_line_per_request_with_outcomes(self, tmp_path):
         log = tmp_path / "access.jsonl"
