@@ -23,9 +23,17 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.graph.csr import SignedGraph
 
-__all__ = ["from_edges", "from_arrays", "csr_from_undirected"]
+__all__ = ["from_edges", "from_arrays", "csr_from_undirected", "pair_key"]
 
 _DEDUP_MODES = ("product", "first", "last", "sum")
+
+
+def pair_key(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """One int64 per id pair ``(a, b)`` in ``[0, n)``, ordered as the
+    pairs are: sorting the keys sorts by ``a``, then ``b``."""
+    if n > 3_037_000_499:  # n * n would overflow int64
+        raise GraphFormatError(f"{n} vertices is more than int64 pair keys hold")
+    return a * n + b
 
 
 def from_edges(
@@ -97,39 +105,28 @@ def from_arrays(
     hi = np.maximum(u, v)
     s = np.sign(sign).astype(np.int8)
 
-    # Sort by (lo, hi) so duplicates are adjacent, then reduce each run.
-    order = np.lexsort((hi, lo))
-    lo, hi, s = lo[order], hi[order], s[order]
-    if len(lo):
-        new_run = np.empty(len(lo), dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        run_id = np.cumsum(new_run) - 1
-        num_runs = int(run_id[-1] + 1)
-        lo_u = lo[new_run]
-        hi_u = hi[new_run]
-        if dedup == "first":
-            s_u = s[new_run]
-        elif dedup == "last":
-            last = np.empty(len(lo), dtype=bool)
-            last[:-1] = new_run[1:]
-            last[-1] = True
-            s_u = s[last]
-        else:  # product or sum
-            acc = np.zeros(num_runs, dtype=np.int64)
-            if dedup == "product":
-                neg = np.zeros(num_runs, dtype=np.int64)
-                np.add.at(neg, run_id, (s == -1).astype(np.int64))
-                s_u = np.where(neg % 2 == 1, -1, 1).astype(np.int8)
-            else:  # sum: sign of the summed sentiment, ties -> positive
-                np.add.at(acc, run_id, s.astype(np.int64))
-                s_u = np.where(acc < 0, -1, 1).astype(np.int8)
-    else:
-        lo_u = lo
-        hi_u = hi
+    # Sort by (lo, hi) so duplicates are adjacent, then reduce each run;
+    # a stable sort keeps each run in input order for first/last.
+    key = pair_key(lo, hi, n)
+    order = np.argsort(key, kind="stable")
+    key, s = key[order], s[order]
+    new_run = np.ones(len(key), dtype=bool)
+    new_run[1:] = key[1:] != key[:-1]
+    if new_run.all():  # no parallel edges: every policy keeps the one sign
         s_u = s
-
-    return csr_from_undirected(n, lo_u, hi_u, s_u.astype(np.int8))
+    elif dedup == "first":
+        s_u = s[new_run]
+    elif dedup == "last":
+        s_u = s[np.append(new_run[1:], True)]
+    else:
+        run_id = np.cumsum(new_run) - 1
+        neg = np.bincount(run_id[s == -1], minlength=run_id[-1] + 1)
+        if dedup == "product":
+            s_u = np.where(neg % 2 == 1, -1, 1)
+        else:  # sum: sign of the summed sentiment, ties -> positive
+            s_u = np.where(2 * neg > np.bincount(run_id), -1, 1)
+    first = order[new_run]
+    return csr_from_undirected(n, lo[first], hi[first], s_u.astype(np.int8))
 
 
 def csr_from_undirected(
@@ -151,13 +148,13 @@ def csr_from_undirected(
     dst = np.concatenate([ev, eu])
     eid = np.concatenate([np.arange(m), np.arange(m)]).astype(np.int64)
 
-    # Sort half-edges by (src, dst) to get neighbor-sorted CSR rows.
-    order = np.lexsort((dst, src))
-    src, dst, eid = src[order], dst[order], eid[order]
+    # Sort half-edges by (src, dst) to get neighbor-sorted CSR rows;
+    # the keys are unique, so any sort gives this one order.
+    order = np.argsort(pair_key(src, dst, n))
+    dst, eid = dst[order], eid[order]
 
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
 
     return SignedGraph(
         indptr=indptr,

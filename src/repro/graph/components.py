@@ -2,9 +2,9 @@
 
 The paper processes only the largest connected component of each input
 (Table 1 reports component sizes, not whole-input sizes).  The labeling
-here is a vectorized frontier BFS over the CSR arrays — the same
-level-synchronous pattern the parallel codes use — so it stays fast in
-pure Python even for multi-million-edge graphs.
+hooks each tree of a forest under the smallest tree it shares an edge
+with and then jumps pointers to the roots, a few whole-array rounds in
+all, so no Python loop runs per vertex, per component or per BFS level.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.graph.build import csr_from_undirected
+from repro.graph.build import csr_from_undirected, pair_key
 from repro.graph.csr import SignedGraph
-from repro.util.arrays import csr_positions
 
 __all__ = [
     "connected_components",
@@ -32,29 +31,21 @@ def connected_components(graph: SignedGraph) -> np.ndarray:
     contain, so the labeling is deterministic.
     """
     n = graph.num_vertices
-    label = np.full(n, -1, dtype=np.int64)
-    comp = 0
-    # Outer loop over seed vertices; inner loop is a vectorized
-    # frontier expansion, so total cost is O(n + m) with tiny constants.
-    for seed in range(n):
-        if label[seed] != -1:
-            continue
-        label[seed] = comp
-        frontier = np.array([seed], dtype=np.int64)
-        while len(frontier):
-            # Gather all neighbors of the frontier in one shot.
-            offsets = csr_positions(graph.indptr, frontier)
-            if len(offsets) == 0:
-                break
-            nbrs = graph.adj_vertex[offsets]
-            fresh = nbrs[label[nbrs] == -1]
-            if len(fresh) == 0:
-                break
-            fresh = np.unique(fresh)
-            label[fresh] = comp
-            frontier = fresh
-        comp += 1
-    return label
+    # root[x] <= x always, so each tree's root is its smallest vertex.
+    root = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    u, v = graph.edge_u, graph.edge_v
+    while len(u):
+        # Every vertex points at its root here, and a root's tree only
+        # grows, so the roots stand in for the edge's ends from now on;
+        # an edge inside one tree stays inside and is dropped.
+        u, v = root[u], root[v]
+        cross = u != v
+        u, v = u[cross], v[cross]
+        np.minimum.at(root, np.maximum(u, v), np.minimum(u, v))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
 def num_connected_components(graph: SignedGraph) -> int:
@@ -78,24 +69,40 @@ def largest_connected_component(
     Returns ``(subgraph, old_ids)`` where ``old_ids[i]`` is the original
     vertex id of the subgraph's vertex ``i``.  Ties between equally
     large components go to the one containing the smallest vertex id.
+    A connected input comes back as itself, its arrays shared (read-only
+    store arrays included).
     """
     n = graph.num_vertices
     if n == 0:
         return graph, np.empty(0, dtype=np.int64)
     label = connected_components(graph)
-    sizes = np.bincount(label)
-    target = int(sizes.argmax())
-    keep = np.nonzero(label == target)[0]
-    remap = np.full(n, -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
-
-    mask = (label[graph.edge_u] == target) & (label[graph.edge_v] == target)
-    eu = remap[graph.edge_u[mask]]
-    ev = remap[graph.edge_v[mask]]
-    es = graph.edge_sign[mask]
-    # Canonical orientation may flip after remapping.
-    lo = np.minimum(eu, ev)
-    hi = np.maximum(eu, ev)
-    order = np.lexsort((hi, lo))
-    sub = csr_from_undirected(len(keep), lo[order], hi[order], es[order])
+    kept = label == np.bincount(label).argmax()
+    keep = np.flatnonzero(kept)
+    remap = np.cumsum(kept) - 1
+    eu, ev = graph.edge_u, graph.edge_v
+    edge_kept = kept[eu]
+    key = pair_key(eu, ev, n)
+    if np.any(eu >= ev) or np.any(key[1:] <= key[:-1]):
+        # Edges not in the builders' order: rebuild from sorted (lo, hi).
+        lo, hi = np.minimum(eu, ev), np.maximum(eu, ev)
+        e = np.flatnonzero(edge_kept)
+        e = e[np.argsort(pair_key(lo[e], hi[e], n), kind="stable")]
+        sub = csr_from_undirected(len(keep), remap[lo[e]], remap[hi[e]],
+                                  graph.edge_sign[e])
+        return sub, keep
+    if len(keep) == n:
+        return graph, keep
+    # Kept rows hold only kept neighbours, and the remap is monotone, so
+    # it keeps every row's order and the edges' (u, v) order: no sort.
+    half_kept = edge_kept[graph.adj_edge]
+    indptr = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(graph.degrees[keep], out=indptr[1:])
+    sub = SignedGraph(
+        indptr=indptr,
+        adj_vertex=remap[graph.adj_vertex[half_kept]],
+        adj_edge=(np.cumsum(edge_kept) - 1)[graph.adj_edge[half_kept]],
+        edge_u=remap[eu[edge_kept]],
+        edge_v=remap[ev[edge_kept]],
+        edge_sign=graph.edge_sign[edge_kept],
+    )
     return sub, keep

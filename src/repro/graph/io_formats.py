@@ -12,14 +12,14 @@
 from __future__ import annotations
 
 import io as _io
+import re
 from pathlib import Path
 from typing import Union
-
-import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.build import from_arrays
 from repro.graph.csr import SignedGraph
+from repro.graph.io import read_rows, read_text
 
 __all__ = [
     "read_matrix_market",
@@ -30,11 +30,8 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-
-def _open(path, mode: str):
-    if isinstance(path, (str, Path)):
-        return open(path, mode, encoding="utf-8"), True
-    return path, False
+#: The header line, the ``%`` lines after it and the size line.
+_MM_HEAD = re.compile(r"(.*)\n?(?:%.*(?:\n|\Z))*(.*\n?)")
 
 
 # ----------------------------------------------------------------------
@@ -47,59 +44,38 @@ def read_matrix_market(
 
     Off-diagonal entries become edges whose sign is the sign of the
     stored value (``pattern`` files are all-positive).  Diagonal
-    entries (self loops) are ignored, matching the paper's inputs.
+    entries (self loops) are ignored, matching the paper's inputs, but
+    their values must parse like any other.  Entries are read by
+    :func:`~repro.graph.io.read_rows` (``%`` comments).
     """
-    fh, close = _open(path, "r")
-    try:
-        header = fh.readline().strip().lower()
-        if not header.startswith("%%matrixmarket"):
-            raise GraphFormatError("missing MatrixMarket header")
-        parts = header.split()
-        if len(parts) < 5 or parts[1] != "matrix" or parts[2] != "coordinate":
-            raise GraphFormatError(f"unsupported MatrixMarket header: {header!r}")
-        field, symmetry = parts[3], parts[4]
-        if field not in ("real", "integer", "pattern"):
-            raise GraphFormatError(f"unsupported field type {field!r}")
-        if symmetry not in ("symmetric", "general"):
-            raise GraphFormatError(f"unsupported symmetry {symmetry!r}")
+    text = read_text(path)
+    head = _MM_HEAD.match(text)
+    header = head.group(1).strip().lower()
+    if not header.startswith("%%matrixmarket"):
+        raise GraphFormatError("missing MatrixMarket header")
+    parts = header.split()
+    if len(parts) < 5 or parts[1] != "matrix" or parts[2] != "coordinate":
+        raise GraphFormatError(f"unsupported MatrixMarket header: {header!r}")
+    field, symmetry = parts[3], parts[4]
+    if field not in ("real", "integer", "pattern"):
+        raise GraphFormatError(f"unsupported field type {field!r}")
+    if symmetry not in ("symmetric", "general"):
+        raise GraphFormatError(f"unsupported symmetry {symmetry!r}")
+    dims = head.group(2).split()
+    if len(dims) < 3:
+        raise GraphFormatError(f"bad size line: {head.group(2)!r}")
+    rows, cols, _nnz = int(dims[0]), int(dims[1]), int(dims[2])
+    if rows != cols:
+        raise GraphFormatError("adjacency matrices must be square")
 
-        # Skip comments, read the size line.
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        dims = line.split()
-        if len(dims) < 3:
-            raise GraphFormatError(f"bad size line: {line!r}")
-        rows, cols, _nnz = int(dims[0]), int(dims[1]), int(dims[2])
-        if rows != cols:
-            raise GraphFormatError("adjacency matrices must be square")
-
-        us, vs, ws = [], [], []
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("%"):
-                continue
-            toks = line.split()
-            i, j = int(toks[0]) - 1, int(toks[1]) - 1
-            if i == j:
-                continue  # self loop: ignored
-            w = 1.0 if field == "pattern" else float(toks[2])
-            if w == 0.0:
-                continue
-            us.append(i)
-            vs.append(j)
-            ws.append(w)
-    finally:
-        if close:
-            fh.close()
-
-    return from_arrays(
-        np.asarray(us, dtype=np.int64),
-        np.asarray(vs, dtype=np.int64),
-        np.asarray(ws),
-        num_vertices=rows,
-        dedup=dedup,
+    u, v, w = read_rows(
+        text[head.end():], "i j value", comments="%",
+        columns=2 if field == "pattern" else 3,
+        first_line=text.count("\n", 0, head.end()) + 1,
     )
+    keep = (u != v) & (w != 0.0)  # self loops and zeros: ignored
+    return from_arrays(u[keep] - 1, v[keep] - 1, w[keep],
+                       num_vertices=rows, dedup=dedup)
 
 
 def write_matrix_market(graph: SignedGraph, path: PathLike) -> None:
@@ -123,39 +99,16 @@ def read_konect(
 
     Rows without a weight default to +1; extra columns (timestamps) are
     ignored.  Duplicate votes are resolved by summed sentiment, the
-    convention KONECT's signed networks use.
+    convention KONECT's signed networks use.  Rows are read by
+    :func:`~repro.graph.io.read_rows` (``%`` and ``#`` comments).
     """
-    fh, close = _open(path, "r")
-    try:
-        us, vs, ws = [], [], []
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith(("%", "#")):
-                continue
-            toks = line.split()
-            if len(toks) < 2:
-                raise GraphFormatError(f"line {lineno}: expected 'u v [w]'")
-            try:
-                u, v = int(toks[0]) - 1, int(toks[1]) - 1
-                w = float(toks[2]) if len(toks) >= 3 else 1.0
-            except ValueError as exc:
-                raise GraphFormatError(f"line {lineno}: {exc}") from exc
-            if u == v or w == 0.0:
-                continue
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-    finally:
-        if close:
-            fh.close()
-    if us and (min(min(us), min(vs)) < 0):
+    u, v, w = read_rows(read_text(path), "u v [w]", fill=" 1")
+    u, v = u - 1, v - 1
+    keep = (u != v) & (w != 0.0)
+    u, v, w = u[keep], v[keep], w[keep]
+    if len(u) and min(u.min(), v.min()) < 0:
         raise GraphFormatError("KONECT ids must be 1-based")
-    return from_arrays(
-        np.asarray(us, dtype=np.int64),
-        np.asarray(vs, dtype=np.int64),
-        np.asarray(ws),
-        dedup=dedup,
-    )
+    return from_arrays(u, v, w, dedup=dedup)
 
 
 def write_konect(graph: SignedGraph, path: PathLike) -> None:

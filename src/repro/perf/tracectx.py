@@ -35,8 +35,7 @@ import os
 import random
 import re
 import threading
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 __all__ = [
     "TraceContext",
@@ -88,10 +87,17 @@ def _new_trace_id() -> str:
     return f"{bits:032x}"
 
 
-@dataclass(frozen=True)
-class TraceContext:
+#: Builds a :class:`TraceContext` from its two fields without the
+#: generated ``__new__``'s extra Python frame (the hot mint/child path).
+_pair: Callable[..., Any] = tuple.__new__
+
+
+class TraceContext(NamedTuple):
     """One position in a causal tree: ``trace_id`` names the tree,
-    ``span_id`` the node new children attach under."""
+    ``span_id`` the node new children attach under.
+
+    A named pair: immutable, compared and hashed by value, and built at
+    tuple cost."""
 
     trace_id: str
     span_id: str
@@ -99,12 +105,12 @@ class TraceContext:
     @staticmethod
     def mint() -> "TraceContext":
         """A fresh root context with a random 32-hex trace id."""
-        return TraceContext(_new_trace_id(), new_span_id())
+        return _pair(TraceContext, (_new_trace_id(), new_span_id()))
 
     def child(self) -> "TraceContext":
         """A context for work nested under this one (same trace, new
         span id)."""
-        return TraceContext(self.trace_id, new_span_id())
+        return _pair(TraceContext, (self.trace_id, new_span_id()))
 
     def to_traceparent(self) -> str:
         """Render as a W3C ``traceparent`` header value (version 00,

@@ -4,6 +4,7 @@ and the thread-local ambient context stack."""
 from __future__ import annotations
 
 import os
+import pickle
 import re
 import threading
 
@@ -49,6 +50,17 @@ class TestTraceContext:
         child = parent.child()
         assert child.trace_id == parent.trace_id
         assert child.span_id != parent.span_id
+
+    def test_immutable_and_a_value(self):
+        ctx = TraceContext.mint()
+        with pytest.raises(AttributeError):
+            ctx.trace_id = "0" * 32
+        same = TraceContext(ctx.trace_id, ctx.span_id)
+        assert same == ctx and hash(same) == hash(ctx)
+        assert {ctx: 1}[same] == 1
+        assert ctx.child() != ctx
+        assert type(ctx.child()) is TraceContext
+        assert pickle.loads(pickle.dumps(ctx)) == ctx
 
     def test_traceparent_roundtrip(self):
         ctx = TraceContext.mint()

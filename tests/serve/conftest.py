@@ -53,16 +53,20 @@ class DaemonHandle:
             time.sleep(0.02)
         pytest.fail("daemon never became ready")
 
-    def wait_states(self, count: int, budget: float = 30.0) -> None:
-        """Poll /snapshot until at least *count* states are published."""
+    def wait_states(self, count: int, budget: float = 30.0) -> int:
+        """Poll /snapshot until at least *count* states are published;
+        returns how many polls were answered (each one a query the daemon
+        counts, just after it has sent the answer)."""
         import json
 
         limit = time.monotonic() + budget
+        polls = 0
         while time.monotonic() < limit:
             with contextlib.suppress(OSError):
                 status, _, body = self.request("/snapshot", timeout=2.0)
+                polls += 1
                 if status == 200 and json.loads(body)["states"] >= count:
-                    return
+                    return polls
             time.sleep(0.02)
         pytest.fail(f"daemon never reached {count} states")
 

@@ -12,6 +12,7 @@ import os
 import re
 import sys
 import threading
+import time
 
 import pytest
 
@@ -190,11 +191,19 @@ class TestReadBookkeeping:
                  "repro_serve_request_seconds_count",
                  "repro_span_serve_request_calls")
         with daemon(target_states=6, grow_step=6) as handle:
-            handle.wait_states(6)
+            polls = handle.wait_states(6)
             conn = http.client.HTTPConnection(
                 "127.0.0.1", handle.port, timeout=10)
             try:
+                # A query is counted after its answer is sent, so the
+                # last poll's counts may land after wait_states returns:
+                # scrape until every poll is in.
+                limit = time.monotonic() + 10
                 before = self._series(conn)
+                while before.get("repro_serve_requests_total", 0) < polls:
+                    assert time.monotonic() < limit, "polls never counted"
+                    time.sleep(0.01)
+                    before = self._series(conn)
                 trace_ids = set()
                 for k in range(self.READS):
                     path = f"/vertex/{k % 20}" if k % 2 else f"/edge/{k % 25}"
