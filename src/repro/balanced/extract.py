@@ -24,10 +24,11 @@ The pipeline mirrors Ordozgoiti et al.'s eigenvector-guided approach:
    only, exactly, so each round costs O(n + vol(deleted)).
 3. **polish** (:func:`polish_subgraph`) — local search that re-admits
    any deleted vertex which fits the current subgraph on one of its
-   two sides without creating a single new violation, until a fixed
-   point.  The sequential admission rule is evaluated one vectorized
-   level of pairwise non-adjacent candidates at a time, which admits
-   exactly what a one-at-a-time loop would.
+   two sides without creating a single new violation, in one round
+   (a fixed point: admitting never removes a vertex or moves a live
+   one's side).  The sequential admission rule is evaluated one
+   vectorized level of pairwise non-adjacent candidates at a time,
+   which admits exactly what a one-at-a-time loop would.
 
 ``tolerance > 0`` yields the Chen-Peng-Zhang relaxation (see
 :mod:`repro.balanced.tolerance`); the machinery is shared, with the
@@ -243,8 +244,10 @@ def polish_subgraph(
     candidates on one level are pairwise non-adjacent and all their
     earlier-ranked neighbours sit on lower levels, so one vectorized
     recheck per level admits exactly the vertices, on exactly the
-    sides, that the one-at-a-time loop would.  Rounds repeat until no
-    vertex is admissible.
+    sides, that the one-at-a-time loop would.  One round is the fixed
+    point: admission never removes a vertex or moves a live one's side,
+    so a vertex that fails both sides, at the start or at its level's
+    recheck, fails both afterwards too; every other one is admitted.
 
     Returns ``(alive, sides, sat)`` with ``sides`` updated for admitted
     vertices and ``sat`` recomputed to match.
@@ -253,55 +256,48 @@ def polish_subgraph(
     alive = alive.copy()
     eu, ev, sign = graph.edge_u, graph.edge_v, graph.edge_sign
     n = graph.num_vertices
-    while True:
-        # Edges with exactly one live endpoint, viewed from the dead
-        # endpoint ``w``: satisfied with sides[w] = +1 iff
-        # sign * sides[live endpoint] == +1.
-        u_alive = alive[eu]
-        e = np.flatnonzero(u_alive != alive[ev])
-        u_live = u_alive[e]
-        w = np.where(u_live, ev[e], eu[e])
-        anchor = np.where(u_live, eu[e], ev[e])
-        plus_ok = sign[e] * sides[anchor] > 0
-        deg_in = np.bincount(w, minlength=n)
-        plus = np.bincount(w[plus_ok], minlength=n)
-        bad_plus = deg_in - plus  # violations if admitted with side +1
-        bad_minus = plus          # ... with side -1
-        # Vertices with no live edges (their whole neighborhood was
-        # peeled) are trivially admissible too; the recheck below keeps
-        # edges among them honest once some are re-admitted.
-        fits = ~alive & ((bad_plus == 0) | (bad_minus == 0))
-        cand = np.nonzero(fits)[0]
-        if len(cand) == 0:
-            break
-        # Largest attachment first: those vertices constrain later
-        # admissions the most, and the ordering is what makes parallel
-        # and sequential runs agree.
-        cand = cand[np.argsort(-deg_in[cand], kind="stable")]
-        rank = np.full(n, -1, dtype=np.int64)
-        rank[cand] = np.arange(len(cand))
-        level = _candidate_levels(graph, cand, rank)
-        has_neg = np.zeros(len(cand), dtype=bool)
-        has_pos = np.zeros(len(cand), dtype=bool)
-        admitted = 0
-        for lv in range(int(level.max()) + 1):
-            # Recheck this level against the subgraph grown by the
-            # lower ones: admit on whichever side violates nothing.
-            at = np.flatnonzero(level == lv)
-            members = cand[at]
-            pos, src = gather_adjacency(graph.indptr, members)
-            nbr = graph.adj_vertex[pos]
-            live = np.flatnonzero(alive[nbr])
-            prod = sign[graph.adj_edge[pos[live]]] * sides[nbr[live]]
-            has_neg[rank[src[live[prod < 0]]]] = True
-            has_pos[rank[src[live[prod > 0]]]] = True
-            side = np.where(~has_neg[at], 1, np.where(~has_pos[at], -1, 0))
-            ok = side != 0
-            alive[members[ok]] = True
-            sides[members[ok]] = side[ok]
-            admitted += int(np.count_nonzero(ok))
-        if admitted == 0:
-            break
+    # Edges with exactly one live endpoint, viewed from the dead
+    # endpoint ``w``: satisfied with sides[w] = +1 iff
+    # sign * sides[live endpoint] == +1.
+    u_alive = alive[eu]
+    e = np.flatnonzero(u_alive != alive[ev])
+    u_live = u_alive[e]
+    w = np.where(u_live, ev[e], eu[e])
+    anchor = np.where(u_live, eu[e], ev[e])
+    plus_ok = sign[e] * sides[anchor] > 0
+    deg_in = np.bincount(w, minlength=n)
+    plus = np.bincount(w[plus_ok], minlength=n)
+    bad_plus = deg_in - plus  # violations if admitted with side +1
+    bad_minus = plus          # ... with side -1
+    # Vertices with no live edges (their whole neighborhood was
+    # peeled) are trivially admissible too; the recheck below keeps
+    # edges among them honest once some are re-admitted.
+    fits = ~alive & ((bad_plus == 0) | (bad_minus == 0))
+    cand = np.nonzero(fits)[0]
+    # Largest attachment first: those vertices constrain later
+    # admissions the most, and the ordering is what makes parallel
+    # and sequential runs agree.
+    cand = cand[np.argsort(-deg_in[cand], kind="stable")]
+    rank = np.full(n, -1, dtype=np.int64)
+    rank[cand] = np.arange(len(cand))
+    level = _candidate_levels(graph, cand, rank)
+    has_neg = np.zeros(len(cand), dtype=bool)
+    has_pos = np.zeros(len(cand), dtype=bool)
+    for lv in range(int(level.max(initial=-1)) + 1):
+        # Recheck this level against the subgraph grown by the lower
+        # ones: admit on whichever side violates nothing.
+        at = np.flatnonzero(level == lv)
+        members = cand[at]
+        pos, src = gather_adjacency(graph.indptr, members)
+        nbr = graph.adj_vertex[pos]
+        live = np.flatnonzero(alive[nbr])
+        prod = sign[graph.adj_edge[pos[live]]] * sides[nbr[live]]
+        has_neg[rank[src[live[prod < 0]]]] = True
+        has_pos[rank[src[live[prod > 0]]]] = True
+        side = np.where(~has_neg[at], 1, np.where(~has_pos[at], -1, 0))
+        ok = side != 0
+        alive[members[ok]] = True
+        sides[members[ok]] = side[ok]
     return alive, sides, satisfied_edges(graph, sides)
 
 
@@ -373,8 +369,7 @@ def extract_balanced(
     from repro.balanced.seeds import seed_assignments
 
     with span("balanced_extract"):
-        with span("eigen"):
-            seeds = seed_assignments(graph, restarts=restarts, seed=seed)
+        seeds = seed_assignments(graph, restarts=restarts, seed=seed)
         best: BalancedSubgraph | None = None
         for label, assignment in seeds:
             result = search_from_sides(

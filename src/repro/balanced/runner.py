@@ -156,9 +156,9 @@ def run_balanced(
     0) or ``"tolerance"``.  ``workers=0`` runs single-process;
     ``workers>0`` distributes restarts over a pool as described in the
     module docstring.  Metrics spans nest as ``balanced_extract >
-    eigen / rounding / polish``; a pooled restart wraps its own in a
-    ``restart`` span, and the worker's metrics and spans fold back into
-    the parent's registry and trace.
+    eigen / tree_seeds / rounding / polish``; a pooled restart wraps
+    its own in a ``restart`` span, and the worker's metrics and spans
+    fold back into the parent's registry and trace.
     """
     if workload not in ("extract", "tolerance"):
         raise BalancedSearchError(
@@ -178,8 +178,7 @@ def run_balanced(
     graph, store = _resolve_source(source)
     start = time.perf_counter()
     with span("balanced_extract"):
-        with span("eigen"):
-            seeds = seed_assignments(graph, restarts=restarts, seed=seed)
+        seeds = seed_assignments(graph, restarts=restarts, seed=seed)
         pooled = workers > 0 and len(seeds) > 1
         done: dict = {}
         if pooled:

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.errors import DisconnectedGraphError, ReproError
 from repro.graph.csr import SignedGraph
+from repro.perf.tracing import span
 
 __all__ = ["seed_assignments", "spectral_sides", "tree_sides"]
 
@@ -78,10 +79,12 @@ def seed_assignments(
     n = graph.num_vertices
     seeds: list[tuple[str, np.ndarray]] = []
     if n >= _MIN_SPECTRAL_N:
-        seeds.append(("spectral", spectral_sides(graph, seed=seed)))
+        with span("eigen"):
+            seeds.append(("spectral", spectral_sides(graph, seed=seed)))
     if restarts > 0 and n > 0:
         try:
-            rows = tree_sides(graph, range(restarts), seed=seed)
+            with span("tree_seeds"):
+                rows = tree_sides(graph, range(restarts), seed=seed)
         except DisconnectedGraphError:
             # Tree seeds need one spanning tree; on disconnected input
             # the spectral/fallback seeds still explore every component.

@@ -1128,8 +1128,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default: by PATH extension)")
         bp.add_argument("--metrics-out", metavar="PATH",
                         help="write the metrics-registry JSON snapshot "
-                             "(balanced_extract > eigen/rounding/polish "
-                             "spans) to PATH")
+                             "(balanced_extract > eigen/tree_seeds/"
+                             "rounding/polish spans) to PATH")
         bp.set_defaults(func=_cmd_balanced)
 
     be = bsub.add_parser(

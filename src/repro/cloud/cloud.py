@@ -305,22 +305,23 @@ class FrustrationCloud:
         self._majority += 2.0 * votes + (2 * zero_wins + ties)
         self._coalition += gains + float(size0.sum() - num_new)
         self._ties += ties
-        # The check above pins co-side == (signs > 0), so one exact
-        # column sum of the ±1 signs yields both edge counters: per
-        # edge, (B + sum) / 2 states kept it positive (co-side), and a
-        # state preserves the input sign iff it kept it at that sign.
-        # The sum is at most B in size: int8 holds it below 128 states.
-        small = np.int8 if num_new < 128 else np.int32
-        column = np.einsum("be->e", signs, dtype=small).astype(np.int64)
-        positive = (num_new + column) // 2
-        self._fit_counts(self.num_states + num_new)
-        self._edge_coside += positive
-        self._edge_preserved += np.where(
-            self.graph.edge_sign > 0, positive, num_new - positive
-        )
         # A state flips the edges it keeps positive XOR the input does.
         is_positive ^= self.graph.edge_sign > 0
         self._add_flips(*_flip_histogram(_row_counts(is_positive)))
+        del is_positive
+        # The check above pins co-side == (signs > 0), so one exact
+        # column sum of the ±1 signs yields both edge counters: per
+        # edge, (B + sum) / 2 states kept it positive (co-side), and
+        # (B + sign * sum) / 2 kept its input sign.  Both sums have B's
+        # parity, so (B + x) / 2 = (x >> 1) + (B + 1) // 2, which stays
+        # in the sum's type: int8 holds it below 128 states.
+        small = np.int8 if num_new < 128 else np.int32
+        column = np.einsum("be->e", signs, dtype=small)
+        half = (num_new + 1) // 2
+        self._fit_counts(self.num_states + num_new)
+        self._edge_coside += (column >> 1) + half
+        column *= self.graph.edge_sign
+        self._edge_preserved += (column >> 1) + half
         if self.store_states:
             for row in signs:
                 key = row.tobytes()

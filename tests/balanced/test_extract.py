@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.balanced.extract as extract_mod
 from repro.balanced import run_balanced
 from repro.balanced.extract import (
     BalancedSubgraph,
@@ -154,6 +155,55 @@ class TestAgainstSequentialOracle:
             want = _reference_polish(graph, sides, sat, alive0)
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
+
+
+class TestPolishFixpoint:
+    """One admission round is the polish fixed point: nothing dead fits
+    the subgraph it returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_signed_cases())
+    def test_output_is_a_fixed_point(self, case):
+        graph, sides, start = case
+        sat = satisfied_edges(graph, sides)
+        alive, out_sides, out_sat = polish_subgraph(graph, sides, sat, start)
+        # The looping oracle, started from the output, admits nothing.
+        again = _reference_polish(graph, out_sides, out_sat, alive)
+        for a, b in zip(again, (alive, out_sides, out_sat)):
+            np.testing.assert_array_equal(a, b)
+        # No dead vertex fits on either side: each has live neighbours
+        # that rule out both.
+        for v in np.flatnonzero(~alive):
+            lo, hi = graph.indptr[v], graph.indptr[v + 1]
+            nbrs = graph.adj_vertex[lo:hi]
+            live = alive[nbrs]
+            prod = (graph.edge_sign[graph.adj_edge[lo:hi][live]]
+                    * out_sides[nbrs[live]])
+            assert np.any(prod < 0) and np.any(prod > 0), int(v)
+
+    def test_schedules_candidates_once(self, monkeypatch):
+        # Every scan for candidates ends in one _candidate_levels call,
+        # empty or not, so one call means one scan.  The all-ones seed
+        # on a planted partition peels a third of the graph, and polish
+        # admits candidates on two levels.
+        graph = ensure_connected(
+            planted_partition_signed([40, 40], flip_noise=0.1, seed=5),
+            seed=5,
+        )
+        sides = np.ones(graph.num_vertices, dtype=np.int8)
+        sat = satisfied_edges(graph, sides)
+        alive = peel_to_tolerance(graph, sat)
+        calls = []
+        levels = extract_mod._candidate_levels
+
+        def counted(*args):
+            calls.append(1)
+            return levels(*args)
+
+        monkeypatch.setattr(extract_mod, "_candidate_levels", counted)
+        got = polish_subgraph(graph, sides, sat, alive)
+        assert len(calls) == 1
+        assert got[0].sum() > alive.sum()
 
 
 def _digest(best) -> str:

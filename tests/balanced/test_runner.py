@@ -12,6 +12,7 @@ from repro.balanced import run_balanced
 from repro.errors import BalancedSearchError
 from repro.graph.store import GraphStore
 from repro.perf.registry import get_registry
+from repro.perf.tracing import collecting_trace
 from tests.conftest import make_connected_signed
 
 
@@ -120,3 +121,13 @@ class TestReport:
             registry.gauges()["balanced.best_size"]
             == report.best.num_vertices
         )
+
+    def test_trace_splits_seeds_into_eigen_and_tree_spans(self, graph):
+        # The spectral seed and the BFS tree seeds are timed apart, each
+        # once, beside the per-restart rounding and polish.
+        with collecting_trace() as trace:
+            run_balanced(graph, restarts=2, seed=0)
+        paths = [event.path for event in trace.events()]
+        assert paths.count("balanced_extract/eigen") == 1
+        assert paths.count("balanced_extract/tree_seeds") == 1
+        assert paths.count("balanced_extract/polish") == 3
